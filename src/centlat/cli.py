@@ -2,8 +2,9 @@
 
 Exit codes: 0 the checked property holds (or output was produced), 1 it was
 checked and is false (a witness is included in the JSON), 2 two independent
-computations disagreed, 64 usage or parse errors, 74 I/O errors.  All output
-on stdout is deterministic; diagnostics go to stderr.
+computations disagreed or a structural self-check failed, 74 I/O and table
+errors, 64 any other usage, parse or parameter error.  All output on stdout
+is deterministic; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -14,27 +15,25 @@ import sys
 
 from .core import DEFAULT_ORDER_CAP, group_to_json
 from .errors import (
-    DomainMismatchError,
-    ExprParseError,
+    CentlatError,
     InternalInconsistencyError,
-    InvalidActionError,
     KernelNotCentralError,
-    NodeCapExceededError,
-    NotNormalError,
-    NotSurjectiveError,
-    OrderCapExceededError,
     TableJsonError,
     TableValidationError,
-    UnknownGeneratorError,
-    UnsupportedParameterError,
 )
 from .expr import eval_group_expr, parse_group_expr
-from .homs import crh_central_kernel_criterion, group_isomorphic, hom_to_json, is_centralizer_respecting
+from .homs import (
+    crh_central_kernel_criterion,
+    group_isomorphic,
+    hom_to_json,
+    is_centralizer_respecting,
+    kernel,
+)
 from .lattice import lattice_of, lattice_to_dot, lattice_to_json, lattices_isomorphic
 from .verify import SUITES
 
 
-class _UsageError(Exception):
+class _UsageError(CentlatError):
     pass
 
 
@@ -128,7 +127,7 @@ def cmd_check_crh(args: argparse.Namespace) -> int:
         "expression": args.expr,
         "source_order": proj.source.order,
         "quotient_order": proj.target.order,
-        "kernel": [a for a, v in enumerate(proj.mapping) if v == proj.target.identity],
+        "kernel": list(kernel(proj).members),
         "definitional": {"ok": definitional.ok, "witness": _witness_doc(definitional.witness)},
     }
     try:
@@ -144,8 +143,7 @@ def cmd_check_crh(args: argparse.Namespace) -> int:
         doc["criterion"] = {"applicable": False, "reason": str(e)}
     _emit(doc)
     if criterion is not None and criterion.ok != definitional.ok:
-        print("centlat: internal inconsistency: crh routes disagree", file=sys.stderr)
-        return 2
+        raise InternalInconsistencyError("crh routes disagree")
     return 0 if definitional.ok else 1
 
 
@@ -192,28 +190,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"centlat: error: {e}", file=sys.stderr)
-        return 64
-    except (
-        ExprParseError,
-        UnknownGeneratorError,
-        UnsupportedParameterError,
-        InvalidActionError,
-        NotNormalError,
-        NotSurjectiveError,
-        DomainMismatchError,
-        OrderCapExceededError,
-        NodeCapExceededError,
-    ) as e:
-        print(f"centlat: error: {e}", file=sys.stderr)
-        return 64
-    except (OSError, TableJsonError, TableValidationError) as e:
-        print(f"centlat: error: {e}", file=sys.stderr)
-        return 74
     except InternalInconsistencyError as e:
         print(f"centlat: internal inconsistency: {e}", file=sys.stderr)
         return 2
+    except (OSError, TableJsonError, TableValidationError) as e:
+        print(f"centlat: error: {e}", file=sys.stderr)
+        return 74
+    except CentlatError as e:  # usage errors included
+        print(f"centlat: error: {e}", file=sys.stderr)
+        return 64
 
 
 def entrypoint() -> None:

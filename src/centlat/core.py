@@ -22,6 +22,7 @@ from .errors import (
     NotClosedError,
     OrderCapExceededError,
     TableJsonError,
+    _ensure,
 )
 
 #: Default ceiling on group order for the expensive enumerations.
@@ -74,7 +75,7 @@ class FiniteGroup:
         self._cent_masks: tuple[int, ...] | None = None
         self._element_orders: tuple[int, ...] | None = None
         self._subgroups: tuple[SubgroupSet, ...] | None = None
-        self._commutator_set: frozenset[int] | None = None
+        self._commutator_pairs: dict[int, tuple[int, int]] | None = None
         self._lattice = None  # set by centlat.lattice
 
     # -- basic operations ---------------------------------------------------
@@ -151,7 +152,7 @@ class SubgroupSet:
 
     The public constructor validates that the members actually form a
     subgroup (identity, closure, inverses, and Lagrange divisibility as a
-    final sanity assert).  Code inside the package that has just produced a
+    final sanity check).  Code inside the package that has just produced a
     closed set goes through :meth:`_from_mask` to skip the re-check.
     """
 
@@ -188,7 +189,7 @@ class SubgroupSet:
             for b in self.members:
                 if not mask >> row[b] & 1:
                     raise ValueError(f"subgroup set is not closed: {a}*{b} escapes")
-        assert g.order % len(self.members) == 0, "subgroup order must divide group order"
+        _ensure(g.order % len(self.members) == 0, "subgroup order must divide group order")
 
     # -- set behaviour --------------------------------------------------------
 
@@ -248,7 +249,12 @@ def from_multiplication_table(
     """
     if order < 1:
         raise NotClosedError(0, 0, order)
-    rows = [tuple(r) for r in table]
+    rows = []
+    for a, r in enumerate(table):
+        try:
+            rows.append(tuple(r))
+        except TypeError:
+            raise NotClosedError(a, 0, f"row of type {type(r).__name__}") from None
     if len(rows) != order:
         raise NotClosedError(0, 0, f"expected {order} rows, got {len(rows)}")
     for a, row in enumerate(rows):
@@ -359,10 +365,15 @@ def closure(group: FiniteGroup, seed: Iterable[int]) -> SubgroupSet:
     return SubgroupSet._from_mask(group, _close_mask(group, _mask_of(seed)))
 
 
-def _members_of(group: FiniteGroup, target) -> tuple[int, ...]:
-    if isinstance(target, SubgroupSet):
-        return target.members
-    return tuple(target)
+def _centralizer_mask(group: FiniteGroup, mask: int) -> int:
+    """Bitmask of the elements commuting with every element of ``mask``."""
+    masks = group.centralizer_masks()
+    out = group.full_mask
+    while mask:  # set bits in place, without _bits' list: this is the sweep's inner loop
+        low = mask & -mask
+        out &= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def centralizer(group: FiniteGroup, target) -> SubgroupSet:
@@ -371,28 +382,33 @@ def centralizer(group: FiniteGroup, target) -> SubgroupSet:
     ``target`` may be any iterable of element indices or a
     :class:`SubgroupSet`; the empty set yields the whole group.
     """
-    masks = group.centralizer_masks()
-    out = group.full_mask
-    for x in _members_of(group, target):
-        out &= masks[x]
-    return SubgroupSet._from_mask(group, out)
+    mask = target.mask if isinstance(target, SubgroupSet) else _mask_of(target)
+    return SubgroupSet._from_mask(group, _centralizer_mask(group, mask))
 
 
 def center(group: FiniteGroup) -> SubgroupSet:
-    return centralizer(group, range(group.order))
+    return SubgroupSet._from_mask(group, _centralizer_mask(group, group.full_mask))
+
+
+def _first_commutator_pairs(group: FiniteGroup) -> dict[int, tuple[int, int]]:
+    """Each commutator a^-1 b^-1 a b, mapped to its first pair (a, b) in
+    row-major order.  Walks all n^2 pairs once per group, cached."""
+    if group._commutator_pairs is None:
+        t, inverse = group.table, group.inverse
+        first: dict[int, tuple[int, int]] = {}
+        for a in range(group.order):
+            ia = inverse[a]
+            for b in range(group.order):
+                c = t[t[t[ia][inverse[b]]][a]][b]
+                if c not in first:
+                    first[c] = (a, b)
+        group._commutator_pairs = first
+    return group._commutator_pairs
 
 
 def commutator_set(group: FiniteGroup) -> frozenset[int]:
     """The set of commutators a^-1 b^-1 a b — the set itself, not its closure."""
-    if group._commutator_set is None:
-        t, inverse = group.table, group.inverse
-        found = set()
-        for a in range(group.order):
-            ia = inverse[a]
-            for b in range(group.order):
-                found.add(t[t[t[ia][inverse[b]]][a]][b])
-        group._commutator_set = frozenset(found)
-    return group._commutator_set
+    return frozenset(_first_commutator_pairs(group))
 
 
 def derived_subgroup(group: FiniteGroup) -> SubgroupSet:
@@ -408,6 +424,12 @@ def is_central(group: FiniteGroup, s: SubgroupSet) -> bool:
 # subgroup enumeration
 
 
+def _require_order_at_most(group: FiniteGroup, cap: int) -> None:
+    """The order cap, checked before any cached result is returned."""
+    if group.order > cap:
+        raise OrderCapExceededError(group.order, cap)
+
+
 def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[SubgroupSet, ...]:
     """Every subgroup of ``group``, sorted by (order, members), cached.
 
@@ -415,8 +437,7 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
     (closure of union); this reaches every subgroup because any subgroup is
     the join of the cyclic subgroups of its members.
     """
-    if group.order > cap:
-        raise OrderCapExceededError(group.order, cap)
+    _require_order_at_most(group, cap)
     if group._subgroups is None:
         t = group.table
         seen: set[int] = set()
@@ -467,22 +488,30 @@ def group_to_json(group: FiniteGroup) -> dict:
     return doc
 
 
-def group_from_json(doc) -> FiniteGroup:
-    """Load a group from a JSON document (text or already-parsed dict)."""
+def _json_object(doc, what: str, keys: set[str]) -> dict:
+    """Parse ``doc`` (text or an already-parsed dict) as a JSON object
+    describing a ``what``, with no keys outside ``keys``."""
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # malformed JSON, or bytes that are not UTF-8
             raise TableJsonError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
-        raise TableJsonError("expected a JSON object describing a group")
-    unknown = set(doc) - _GROUP_KEYS
+        raise TableJsonError(f"expected a JSON object describing a {what}")
+    unknown = set(doc) - keys
     if unknown:
-        raise TableJsonError(f"unknown keys in group document: {sorted(unknown)}")
+        raise TableJsonError(f"unknown keys in {what} document: {sorted(unknown)}")
+    return doc
+
+
+def group_from_json(doc) -> FiniteGroup:
+    """Load a group from a JSON document (text or already-parsed dict)."""
+    doc = _json_object(doc, "group", _GROUP_KEYS)
     if "order" not in doc or "table" not in doc:
         raise TableJsonError("group document requires 'order' and 'table'")
     order, table = doc["order"], doc["table"]
-    if not isinstance(order, int) or not isinstance(table, list):
+    rows_ok = isinstance(table, list) and all(isinstance(row, list) for row in table)
+    if not isinstance(order, int) or isinstance(order, bool) or not rows_ok:
         raise TableJsonError("'order' must be an int and 'table' a list of rows")
     gens = None
     if "generators" in doc:

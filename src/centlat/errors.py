@@ -157,8 +157,15 @@ class TableJsonError(CentlatError):
 
 
 class InternalInconsistencyError(CentlatError):
-    """Two independent computations of the same fact disagreed.
+    """Two independent computations of the same fact disagreed, or a
+    structural self-check failed.
 
     This is never expected to fire; it exists so that disagreement is loud
     instead of silently picking one answer.
     """
+
+
+def _ensure(ok: bool, message: str) -> None:
+    """A structural self-check that, unlike ``assert``, survives ``python -O``."""
+    if not ok:
+        raise InternalInconsistencyError(message)

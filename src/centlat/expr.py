@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Union
 
 from .core import DEFAULT_ORDER_CAP, FiniteGroup, closure, group_from_json
-from .errors import ExprParseError, OrderCapExceededError, UnknownGeneratorError
+from .errors import ExprParseError, OrderCapExceededError, TableJsonError, UnknownGeneratorError
 from .families import cover_group, direct_product, make_family, semidirect_cyclic
 from .homs import GroupHom, quotient
 
@@ -314,7 +314,11 @@ def eval_group_expr(
         path = Path(expr.path)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        group = group_from_json(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise TableJsonError(f"{path} is not UTF-8 text: {e}") from e
+        group = group_from_json(text)
         if group.order > cap:
             raise OrderCapExceededError(group.order, cap, "loaded group")
         return EvalResult(group)

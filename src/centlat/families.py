@@ -20,7 +20,7 @@ from .core import (
     commutator_set,
     from_multiplication_table,
 )
-from .errors import InvalidActionError, OrderCapExceededError, UnsupportedParameterError
+from .errors import InvalidActionError, OrderCapExceededError, UnsupportedParameterError, _ensure
 
 FAMILY_KINDS = ("cyclic", "dihedral", "quaternion", "semidihedral")
 COVER_KINDS = ("dihedral_quaternion", "quaternion_semidihedral")
@@ -160,11 +160,10 @@ class CoverGroup:
         zmask = center(g).mask
         comms = commutator_set(g)
         for z in (self.z_first, self.z_second):
-            assert len(z) == 2, "distinguished subgroups must have order 2"
-            assert z.mask & ~zmask == 0, "distinguished subgroups must be central"
-            assert all(c == g.identity or c not in z for c in comms), (
-                "distinguished subgroups must miss every nontrivial commutator"
-            )
+            _ensure(len(z) == 2, "distinguished subgroups must have order 2")
+            _ensure(z.mask & ~zmask == 0, "distinguished subgroups must be central")
+            misses = all(c == g.identity or c not in z for c in comms)
+            _ensure(misses, "distinguished subgroups must miss every nontrivial commutator")
 
 
 def cover_group(kind: str, n: int) -> CoverGroup:
@@ -212,7 +211,7 @@ def _fiber_product_over_central_quotients(
     qa, pa = quotient(a, closure(a, [zb_gen]))
     qb, pb = quotient(b, closure(b, [zb_gen]))
     iota = group_isomorphic(qb, qa)
-    assert iota is not None, "both central quotients must be the same dihedral group"
+    _ensure(iota is not None, "both central quotients must be the same dihedral group")
     pairs = [
         (u, v)
         for u in range(a.order)

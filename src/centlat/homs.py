@@ -9,17 +9,19 @@ callers that run both treat disagreement as an internal error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
     _bits,
+    _centralizer_mask,
+    _first_commutator_pairs,
+    _require_order_at_most,
     all_subgroups,
     center,
-    centralizer,
     from_multiplication_table,
 )
 from .errors import (
@@ -46,19 +48,19 @@ class GroupHom:
     def apply(self, a: int) -> int:
         return self.mapping[a]
 
-    def image_mask(self) -> int:
-        if self._image_mask is None:
-            m = 0
-            for v in self.mapping:
-                m |= 1 << v
-            self._image_mask = m
-        return self._image_mask
+    def image_mask(self, members: Iterable[int] | None = None) -> int:
+        """Bitmask of the image of ``members`` (default: the whole source, cached)."""
+        if members is None:
+            if self._image_mask is None:
+                self._image_mask = self.image_mask(range(self.source.order))
+            return self._image_mask
+        m, mapping = 0, self.mapping
+        for a in members:
+            m |= 1 << mapping[a]
+        return m
 
     def is_bijective(self) -> bool:
-        return (
-            self.source.order == self.target.order
-            and self.image_mask() == self.target.full_mask
-        )
+        return self.source.order == self.target.order and is_surjective(self)
 
     def __repr__(self) -> str:
         return f"GroupHom({self.source.order} -> {self.target.order})"
@@ -108,6 +110,11 @@ def image(h: GroupHom) -> SubgroupSet:
 
 def is_surjective(h: GroupHom) -> bool:
     return h.image_mask() == h.target.full_mask
+
+
+def _require_surjective(h: GroupHom) -> None:
+    if not is_surjective(h):
+        raise NotSurjectiveError(_bits(h.target.full_mask & ~h.image_mask())[0])
 
 
 def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]:
@@ -174,41 +181,35 @@ class CrhVerdict:
         return self.ok
 
 
-def _image_mask_of(h: GroupHom, members: tuple[int, ...]) -> int:
-    m = 0
-    mapping = h.mapping
-    for a in members:
-        m |= 1 << mapping[a]
-    return m
+def _centralizer_sweep(h: GroupHom, cap: int):
+    """Yield (A, phi(C(A)), C(phi(A))), both sides as masks, for every
+    subgroup A of the source in (order, members) order."""
+    for a_sub in all_subgroups(h.source, cap):
+        lhs = h.image_mask(_bits(_centralizer_mask(h.source, a_sub.mask)))
+        rhs = _centralizer_mask(h.target, h.image_mask(a_sub.members))
+        yield a_sub, lhs, rhs
 
 
 def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhVerdict:
     """Definitional check: phi(C(A)) = C(phi(A)) for every subgroup A.
 
     Requires surjectivity.  Sweeps every subgroup of the source (so the cap
-    applies); the first failing subgroup in (order, members) order becomes
-    the witness.  The verdict is cached on the homomorphism.
+    applies, cached verdicts included); the first failing subgroup in
+    (order, members) order becomes the witness.  The verdict is cached on
+    the homomorphism.
     """
-    if not is_surjective(h):
-        raise NotSurjectiveError(_bits(h.target.full_mask & ~h.image_mask())[0])
-    if h._crh_verdict is not None:
-        return h._crh_verdict
-    target_cents = h.target.centralizer_masks()
-    full = h.target.full_mask
-    verdict = CrhVerdict(True)
-    for a_sub in all_subgroups(h.source, cap):
-        lhs = _image_mask_of(h, centralizer(h.source, a_sub).members)
-        rhs = full
-        for v in _bits(_image_mask_of(h, a_sub.members)):
-            rhs &= target_cents[v]
-        if lhs != rhs:
-            verdict = CrhVerdict(
-                False,
-                CrhWitness(a_sub.members, tuple(_bits(lhs)), tuple(_bits(rhs))),
-            )
-            break
-    h._crh_verdict = verdict
-    return verdict
+    _require_surjective(h)
+    _require_order_at_most(h.source, cap)
+    if h._crh_verdict is None:
+        h._crh_verdict = next(
+            (
+                CrhVerdict(False, CrhWitness(a_sub.members, tuple(_bits(lhs)), tuple(_bits(rhs))))
+                for a_sub, lhs, rhs in _centralizer_sweep(h, cap)
+                if lhs != rhs
+            ),
+            CrhVerdict(True),
+        )
+    return h._crh_verdict
 
 
 def one_sided_inclusion_holds(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> bool:
@@ -217,18 +218,8 @@ def one_sided_inclusion_holds(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> bool
     This direction holds for every surjective homomorphism; it is exposed
     separately so the containment can be demonstrated on maps that fail the
     full equality."""
-    if not is_surjective(h):
-        raise NotSurjectiveError(_bits(h.target.full_mask & ~h.image_mask())[0])
-    target_cents = h.target.centralizer_masks()
-    full = h.target.full_mask
-    for a_sub in all_subgroups(h.source, cap):
-        lhs = _image_mask_of(h, centralizer(h.source, a_sub).members)
-        rhs = full
-        for v in _bits(_image_mask_of(h, a_sub.members)):
-            rhs &= target_cents[v]
-        if lhs & ~rhs:
-            return False
-    return True
+    _require_surjective(h)
+    return all(lhs & ~rhs == 0 for _, lhs, rhs in _centralizer_sweep(h, cap))
 
 
 @dataclass(frozen=True)
@@ -257,24 +248,21 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
     (the criterion does not apply), and :class:`NotSurjectiveError` when the
     map is not onto.
     """
-    if not is_surjective(h):
-        raise NotSurjectiveError(_bits(h.target.full_mask & ~h.image_mask())[0])
+    _require_surjective(h)
     g = h.source
     ker = kernel(h)
-    zmask = center(g).mask
-    stray = ker.mask & ~zmask
+    stray = ker.mask & ~center(g).mask
     if stray:
         k = _bits(stray)[0]
-        cent_k = centralizer(g, [k]).mask
-        witness = _bits(g.full_mask & ~cent_k)[0]
+        witness = _bits(g.full_mask & ~g.centralizer_masks()[k])[0]
         raise KernelNotCentralError(k, witness)
-    t, inverse = g.table, g.inverse
-    for a in range(g.order):
-        ia = inverse[a]
-        for b in range(g.order):
-            c = t[t[t[ia][inverse[b]]][a]][b]
-            if c != g.identity and ker.mask >> c & 1:
-                return CentralKernelVerdict(False, ker.members, (a, b), c)
+    # The first pair in row-major order whose commutator is a nontrivial
+    # kernel element: the least of the first pairs of those commutators.
+    first = _first_commutator_pairs(g)
+    hits = [(first[c], c) for c in ker.members if c != g.identity and c in first]
+    if hits:
+        pair, c = min(hits)
+        return CentralKernelVerdict(False, ker.members, pair, c)
     return CentralKernelVerdict(True, ker.members)
 
 
@@ -334,10 +322,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
             i += 1
         if len(known) != a.order:  # generators must generate; guarded at construction
             return None
-        img = 0
-        for v in full:
-            img |= 1 << v
-        return full if img == b.full_mask else None
+        return full if len(set(full)) == b.order else None
 
     def search(k: int, mapping: list[int], used: int) -> list[int] | None:
         if k == len(gens):
@@ -373,16 +358,7 @@ def hom_to_json(h: GroupHom) -> dict:
 
 
 def hom_from_json(doc) -> GroupHom:
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise TableJsonError(f"invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise TableJsonError("expected a JSON object describing a homomorphism")
-    unknown = set(doc) - _HOM_KEYS
-    if unknown:
-        raise TableJsonError(f"unknown keys in homomorphism document: {sorted(unknown)}")
+    doc = _core._json_object(doc, "homomorphism", _HOM_KEYS)
     if _HOM_KEYS - set(doc):
         raise TableJsonError("homomorphism document requires 'source', 'target', 'map'")
     source = _core.group_from_json(doc["source"])

@@ -18,14 +18,15 @@ from .core import (
     FiniteGroup,
     SubgroupSet,
     _bits,
-    center,
+    _centralizer_mask,
+    _require_order_at_most,
 )
 from .errors import (
     DomainMismatchError,
     ImageNotANodeError,
     NodeCapExceededError,
     NotCrhError,
-    OrderCapExceededError,
+    _ensure,
 )
 from .homs import GroupHom, identity_hom, is_centralizer_respecting
 
@@ -43,7 +44,6 @@ class CentralizerLattice:
 
     def __init__(self, group: FiniteGroup, node_masks: list[int]) -> None:
         self.group = group
-        cent = group.centralizer_masks()
         node_masks.sort(key=lambda m: (m.bit_count(), _bits(m)))
         self.nodes: tuple[SubgroupSet, ...] = tuple(
             SubgroupSet._from_mask(group, m) for m in node_masks
@@ -59,22 +59,15 @@ class CentralizerLattice:
         )
         self.top = count - 1
         self.bottom = 0
-        assert node_masks[self.top] == group.full_mask
-        assert node_masks[self.bottom] == center(group).mask
-
-        def cent_of(mask: int) -> int:
-            out = group.full_mask
-            for x in _bits(mask):
-                out &= cent[x]
-            return out
-
-        self.involution = tuple(index_of[cent_of(m)] for m in node_masks)
+        cents = [_centralizer_mask(group, m) for m in node_masks]
+        _ensure(node_masks[self.top] == group.full_mask, "top node must be the whole group")
+        _ensure(node_masks[self.bottom] == cents[self.top], "bottom node must be the center")
+        self.involution = tuple(index_of[c] for c in cents)
         self.meet_table = tuple(
             tuple(index_of[mi & mj] for mj in node_masks) for mi in node_masks
         )
-        cents = [cent_of(m) for m in node_masks]
         self.join_table = tuple(
-            tuple(index_of[cent_of(cents[i] & cents[j])] for j in range(count))
+            tuple(index_of[_centralizer_mask(group, cents[i] & cents[j])] for j in range(count))
             for i in range(count)
         )
         self._validate()
@@ -82,19 +75,20 @@ class CentralizerLattice:
     def _validate(self) -> None:
         count = len(self.nodes)
         inv, leq = self.involution, self.leq_masks
-        assert inv[self.top] == self.bottom and inv[self.bottom] == self.top
+        swapped = inv[self.top] == self.bottom and inv[self.bottom] == self.top
+        _ensure(swapped, "involution must swap top and bottom")
         for i in range(count):
-            assert inv[inv[i]] == i, "involution must be involutive"
+            _ensure(inv[inv[i]] == i, "involution must be involutive")
         for i in range(count):
             for j in range(count):
                 if leq[i] >> j & 1:
-                    assert leq[inv[j]] >> inv[i] & 1, "involution must reverse order"
+                    _ensure(leq[inv[j]] >> inv[i] & 1, "involution must reverse order")
                 # meet is the intersection, hence automatically the greatest
                 # lower bound; the join formula is only trusted after this check.
                 jn = self.join_table[i][j]
-                assert leq[i] >> jn & 1 and leq[j] >> jn & 1, "join must bound both"
+                _ensure(leq[i] >> jn & 1 and leq[j] >> jn & 1, "join must bound both")
                 above_both = leq[i] & leq[j]
-                assert above_both & ~leq[jn] == 0, "join must be the least upper bound"
+                _ensure(above_both & ~leq[jn] == 0, "join must be the least upper bound")
 
     # -- queries ------------------------------------------------------------
 
@@ -131,8 +125,7 @@ class CentralizerLattice:
 def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
     """Construct the centralizer lattice: single-element centralizers,
     saturated under intersection, plus the whole group."""
-    if group.order > cap:
-        raise OrderCapExceededError(group.order, cap)
+    _require_order_at_most(group, cap)
     cent = group.centralizer_masks()
     seen = {group.full_mask}
     masks = [group.full_mask]
@@ -153,6 +146,7 @@ def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) 
 
 def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
     """Per-group cached lattice (the lattice is canonical, so sharing is safe)."""
+    _require_order_at_most(group, cap)
     if group._lattice is None:
         group._lattice = build_centralizer_lattice(group, cap)
     return group._lattice
@@ -222,9 +216,7 @@ def induced_map(
         )
     mapping = []
     for node in source_lattice.nodes:
-        img = 0
-        for a in node.members:
-            img |= 1 << phi.mapping[a]
+        img = phi.image_mask(node.members)
         idx = target_lattice.index_of_mask.get(img)
         if idx is None:
             raise ImageNotANodeError(node.members, tuple(_bits(img)))
@@ -373,7 +365,7 @@ def lattices_isomorphic(
         return None
     result = LatticeMap(a, b, tuple(mapping))
     verdict = is_lattice_hom(result)
-    assert verdict and result.is_bijective(), "search must return a verified isomorphism"
+    _ensure(verdict and result.is_bijective(), "search must return a verified isomorphism")
     return result
 
 

@@ -31,8 +31,9 @@ from .homs import (
     crh_central_kernel_criterion,
     group_isomorphic,
     identity_hom,
-    quotient,
     is_centralizer_respecting,
+    kernel,
+    quotient,
 )
 from .lattice import (
     compose_lattice_maps,
@@ -53,8 +54,26 @@ def _finish(suite: str, cases: list[dict]) -> dict:
     return {"suite": suite, "cases": cases, "pass": all(c["pass"] for c in cases)}
 
 
+def _both_routes(proj: GroupHom, what: str) -> tuple[CentralKernelVerdict, CrhVerdict]:
+    """Decide crh for ``proj`` by the commutator criterion and by the
+    definitional sweep; raise when they disagree."""
+    criterion = crh_central_kernel_criterion(proj)
+    definitional = is_centralizer_respecting(proj)
+    if bool(criterion) != bool(definitional):
+        raise InternalInconsistencyError(
+            f"crh routes disagree on {what}: "
+            f"criterion={bool(criterion)}, definitional={bool(definitional)}"
+        )
+    return criterion, definitional
+
+
 # ---------------------------------------------------------------------------
 # the central-quotient sweep shared by two suites
+
+
+def _central_subgroups(g: FiniteGroup) -> list[SubgroupSet]:
+    zmask = center(g).mask
+    return [sub for sub in all_subgroups(g) if sub.mask & ~zmask == 0]
 
 
 @dataclass(frozen=True)
@@ -80,18 +99,9 @@ def central_quotient_sweep(max_order: int = 32) -> tuple[ProjectionRecord, ...]:
         return _sweep_cache[max_order]
     records = []
     for name, g in catalog(max_order):
-        zmask = center(g).mask
-        for sub in all_subgroups(g):
-            if sub.mask & ~zmask:
-                continue
+        for sub in _central_subgroups(g):
             q, proj = quotient(g, sub)
-            criterion = crh_central_kernel_criterion(proj)
-            definitional = is_centralizer_respecting(proj)
-            if bool(criterion) != bool(definitional):
-                raise InternalInconsistencyError(
-                    f"crh routes disagree on {name} with kernel {list(sub.members)}: "
-                    f"criterion={bool(criterion)}, definitional={bool(definitional)}"
-                )
+            criterion, definitional = _both_routes(proj, f"{name} with kernel {list(sub.members)}")
             records.append(
                 ProjectionRecord(name, g, sub, q, proj, definitional, criterion)
             )
@@ -145,7 +155,7 @@ def worked_example_report() -> dict:
     )
     result = eval_group_expr(parse_group_expr("quotient(semidirect(4,4,3),[x^2*y^2])"))
     proj = result.projection
-    ker_members = tuple(a for a, v in enumerate(proj.mapping) if v == result.group.identity)
+    ker_members = kernel(proj).members
     comms = commutator_set(g)
     cases.append(
         _case(
@@ -166,10 +176,7 @@ def worked_example_report() -> dict:
             f"quotient order {result.group.order}",
         )
     )
-    criterion = crh_central_kernel_criterion(proj)
-    definitional = is_centralizer_respecting(proj)
-    if bool(criterion) != bool(definitional):
-        raise InternalInconsistencyError("crh routes disagree on the worked example")
+    criterion, definitional = _both_routes(proj, "the worked example")
     cases.append(
         _case(
             "projection respects centralizers (both routes)",
@@ -196,24 +203,24 @@ def worked_example_report() -> dict:
 
 
 def _cover_route(kind: str, n: int, first_family: str, second_family: str, cases: list[dict]):
-    """Verify one cover: both projections crh by the commutator criterion,
-    both induced maps bijective, and the composite lattice isomorphism
-    between the two family groups.  Returns the composite map."""
+    """Verify one cover: both projections crh by both routes, both induced
+    maps bijective, and the composite lattice isomorphism between the two
+    family groups.  Returns the composite map, or None when a step fails."""
     cov = cover_group(kind, n)
     legs = []
     for z, family in ((cov.z_first, first_family), (cov.z_second, second_family)):
         fam = make_family(family, 1 << n)
         q, proj = quotient(cov.group, z)
-        criterion = crh_central_kernel_criterion(proj)
+        mod = f"mod {cov.group.label(z.members[-1])}"
+        criterion, _ = _both_routes(proj, f"{kind}(n={n}) {mod}")
         cases.append(
             _case(
-                f"{kind}(n={n}): projection mod {cov.group.label(z.members[-1])} "
-                "passes the commutator criterion",
+                f"{kind}(n={n}): projection {mod} passes the commutator criterion",
                 bool(criterion),
                 f"kernel {[cov.group.label(a) for a in z.members]}",
             )
         )
-        ind = induced_map(proj)  # enforces the definitional route internally
+        ind = induced_map(proj)
         bridge_iso = group_isomorphic(q, fam)
         if bridge_iso is None:
             cases.append(
@@ -294,10 +301,7 @@ def composable_pairs(
         if not r.definitional.ok:
             continue
         h = r.quotient_group
-        zmask = center(h).mask
-        for sub in all_subgroups(h):
-            if sub.mask & ~zmask:
-                continue
+        for sub in _central_subgroups(h):
             if r.kernel.is_trivial() and sub.is_trivial():
                 continue
             q2, proj2 = quotient(h, sub)

@@ -110,3 +110,20 @@ def brute_all_subgroups(table: list[list[int]]) -> set[frozenset[int]]:
             if is_subgroup(table, members):
                 found.add(frozenset(members))
     return found
+
+
+def brute_first_commutator_in(
+    table: list[list[int]], members: set[int]
+) -> tuple[int, int, int] | None:
+    """(a, b, c) for the first pair (a, b) in row-major order whose
+    commutator c = a^-1 b^-1 a b is a non-identity element of ``members``,
+    or None."""
+    n = len(table)
+    e = brute_identity(table)
+    inv = [brute_inverse(table, a) for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            c = table[table[table[inv[a]][inv[b]]][a]][b]
+            if c != e and c in members:
+                return (a, b, c)
+    return None

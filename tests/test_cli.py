@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
-from centlat import group_from_json, hom_from_json, make_family
+import pytest
+
+import centlat.cli as centlat_cli
+from centlat import group_from_json, hom_from_json, make_family, verify
+from centlat.errors import InternalInconsistencyError, KernelNotCentralError, NotCrhError
 
 
 def out_json(proc):
@@ -164,6 +169,59 @@ def test_io_errors(cli, tmp_path):
     notgroup = tmp_path / "notgroup.json"
     notgroup.write_text('{"order": 2, "table": [[0, 1], [1, 2]]}', encoding="utf-8")
     assert cli("lattice", f'table("{notgroup}")').returncode == 74
+    # malformed tables end in 74 with a message, never in a traceback
+    for name, content in (
+        ("rows.json", b'{"order": 2, "table": [1, 2]}'),
+        ("latin1.json", '{"order": 1, "table": [[0]], "labels": ["\u00e9"]}'.encode("latin-1")),
+        ("boolorder.json", b'{"order": true, "table": [[0]]}'),
+    ):
+        path = tmp_path / name
+        path.write_bytes(content)
+        proc = cli("lattice", f'table("{path}")')
+        assert proc.returncode == 74, name
+        assert proc.stdout == "" and "Traceback" not in proc.stderr, name
+
+
+# ------------------------------------------------------ error classes to codes
+
+
+def test_crh_route_disagreement_exits_2(monkeypatch, capsys):
+    real = verify.crh_central_kernel_criterion
+
+    def flipped(h):
+        verdict = real(h)
+        return dataclasses.replace(verdict, ok=not verdict.ok)
+
+    monkeypatch.setattr(verify, "crh_central_kernel_criterion", flipped)
+    for argv in (["verify", "corollary", "--n", "3"], ["verify", "figure3"]):
+        assert centlat_cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("centlat: internal inconsistency: crh routes disagree")
+    # check-crh prints both verdicts, then reports the disagreement
+    monkeypatch.setattr(centlat_cli, "crh_central_kernel_criterion", flipped)
+    assert centlat_cli.main(["check-crh", "quotient(dihedral(8),[x^2])"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["criterion"]["ok"] is True
+    assert err == "centlat: internal inconsistency: crh routes disagree\n"
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (InternalInconsistencyError("join must bound both"), 2),
+        (NotCrhError("not crh"), 64),
+        (KernelNotCentralError(1, 4), 64),
+    ],
+)
+def test_every_package_error_maps_to_an_exit_code(monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(centlat_cli, "lattice_of", fail)
+    assert centlat_cli.main(["lattice", "quaternion(8)"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and str(error) in err
 
 
 # -------------------------------------------------------------- determinism

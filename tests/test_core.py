@@ -46,6 +46,10 @@ def test_rejects_wrong_shape():
         from_multiplication_table(2, [[0, 1]])
     with pytest.raises(TableValidationError):
         from_multiplication_table(2, [[0, 1], [1]])
+    # rows that are not sequences are a table error, not a TypeError
+    with pytest.raises(NotClosedError) as exc:
+        from_multiplication_table(2, [[0, 1], 2])
+    assert exc.value.row == 1
 
 
 def test_rejects_out_of_range_entry():
@@ -275,3 +279,9 @@ def test_group_json_rejects_bad_payloads():
     with pytest.raises(TableValidationError):
         # a structurally valid document whose table is not a group
         group_from_json('{"order": 2, "table": [[0, 1], [1, 2]]}')
+    with pytest.raises(TableJsonError):  # rows must be lists
+        group_from_json('{"order": 2, "table": [1, 2]}')
+    with pytest.raises(TableJsonError):  # a bool is not an order
+        group_from_json('{"order": true, "table": [[0]]}')
+    with pytest.raises(TableJsonError):  # bytes that are not UTF-8
+        group_from_json(b'\xff\xfe{')

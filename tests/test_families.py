@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import centlat
 from centlat import (
+    CoverGroup,
     catalog,
     center,
     closure,
@@ -16,7 +23,11 @@ from centlat import (
     quotient,
     semidirect_cyclic,
 )
-from centlat.errors import InvalidActionError, UnsupportedParameterError
+from centlat.errors import (
+    InternalInconsistencyError,
+    InvalidActionError,
+    UnsupportedParameterError,
+)
 from centlat.expr import eval_group_expr, parse_group_expr, pretty
 
 
@@ -173,6 +184,41 @@ def test_cover_parameter_validation():
         cover_group("quaternion_semidihedral", 3)
     with pytest.raises(UnsupportedParameterError):
         cover_group("nonsense", 4)
+
+
+def test_cover_rejects_non_central_subgroup():
+    d8 = make_family("dihedral", 8)
+    reflection, centre = closure(d8, [4]), closure(d8, [2])  # {1, y}, {1, x^2}
+    with pytest.raises(InternalInconsistencyError, match="must be central"):
+        CoverGroup("dihedral_quaternion", 3, d8, reflection, centre)
+
+
+def test_structural_checks_survive_python_O():
+    # the same check as above, in an interpreter that strips asserts
+    code = (
+        "from centlat import CoverGroup, closure, make_family\n"
+        "from centlat.errors import InternalInconsistencyError\n"
+        "d8 = make_family('dihedral', 8)\n"
+        "try:\n"
+        "    CoverGroup('dihedral_quaternion', 3, d8, closure(d8, [4]), closure(d8, [2]))\n"
+        "except InternalInconsistencyError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(centlat.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "distinguished subgroups must be central\n"
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so structural checks must raise instead
+    for path in sorted(Path(centlat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
 def test_cover_quotients_are_not_isomorphic_to_each_other():

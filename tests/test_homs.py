@@ -29,8 +29,11 @@ from centlat.errors import (
     NotHomomorphismError,
     NotNormalError,
     NotSurjectiveError,
+    OrderCapExceededError,
     TableJsonError,
 )
+
+from _oracles import brute_first_commutator_in
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +189,28 @@ def test_criterion_requires_central_kernel(d8):
     # the definitional route is still available and disagrees with nothing:
     # this projection simply fails the definitional check too
     assert not is_centralizer_respecting(proj).ok
+
+
+def test_criterion_witness_matches_row_major_scan(sweep_records):
+    # the criterion reads its witness off a per-group commutator map; it
+    # must be the pair a plain row-major scan of all n^2 pairs finds first
+    failing = [r for r in sweep_records if not r.criterion.ok]
+    assert len(failing) == 40
+    for r in failing:
+        table = [list(row) for row in r.group.table]
+        expected = brute_first_commutator_in(table, set(r.kernel.members))
+        got = (*r.criterion.witness_pair, r.criterion.witness_commutator)
+        assert got == expected, r.group_name
+
+
+def test_crh_cap_holds_on_cached_verdict():
+    d16 = make_family("dihedral", 16)
+    q, proj = quotient(d16, center(d16))
+    assert not is_centralizer_respecting(proj).ok  # now cached on proj
+    with pytest.raises(OrderCapExceededError):
+        is_centralizer_respecting(proj, cap=8)
+    with pytest.raises(OrderCapExceededError):
+        one_sided_inclusion_holds(proj, cap=8)
 
 
 def test_isomorphisms_respect_centralizers(d8):

@@ -9,7 +9,7 @@ from centlat import (
     quotient,
     semidirect_cyclic,
 )
-from centlat.errors import NotCrhError
+from centlat.errors import NotCrhError, OrderCapExceededError
 from centlat.lattice import (
     build_centralizer_lattice,
     cl_involution,
@@ -121,6 +121,15 @@ def test_build_matches_cached(q8_lattice):
     fresh = build_centralizer_lattice(g)
     assert [n.members for n in fresh.nodes] == [n.members for n in q8_lattice.nodes]
     assert lattice_of(g) is lattice_of(g)  # cached per group
+
+
+def test_cap_holds_on_cached_lattice():
+    d16 = make_family("dihedral", 16)
+    lattice_of(d16)
+    with pytest.raises(OrderCapExceededError):
+        lattice_of(d16, cap=8)
+    with pytest.raises(OrderCapExceededError):
+        build_centralizer_lattice(d16, cap=8)
 
 
 # ------------------------------------------------------------- induced maps
