@@ -11,11 +11,11 @@ package targets (a few hundred elements at most).
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import (
+    InternalInconsistencyError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
@@ -246,6 +246,16 @@ def from_multiplication_table(
     names distinguished elements; when omitted a small generating set is
     chosen greedily.  The validated table is a Latin square as a consequence
     of the group axioms; no separate check is needed.
+
+    Associativity uses Light's test (Clifford & Preston, *The Algebraic
+    Theory of Semigroups*, vol. 1, section 1.2): ``(x*s)*y == x*(s*y)`` is
+    checked for every x and y but only for s in a generating set S, which is
+    O(n^2 |S|) work instead of O(n^3).  It is sound because the elements s
+    that pass form a set closed under the product.  S must generate the
+    table as a magma, so it is grown by right-multiplication closure on the
+    raw table (:func:`_magma_generators`), never by :func:`_close_mask`,
+    which assumes the table is already a group.  On failure every triple is
+    scanned in row-major order and the first failing one is reported.
     """
     if order < 1:
         raise NotClosedError(0, 0, order)
@@ -258,36 +268,44 @@ def from_multiplication_table(
     if len(rows) != order:
         raise NotClosedError(0, 0, f"expected {order} rows, got {len(rows)}")
     for a, row in enumerate(rows):
+        # A row of plain ints is checked at C speed; any other row takes the
+        # per-cell loop, which names the first bad cell.
+        if len(row) == order and set(map(type, row)) == {int} and min(row) >= 0 and max(row) < order:
+            continue
         if len(row) != order:
             raise NotClosedError(a, 0, f"row of length {len(row)}")
         for b, v in enumerate(row):
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < order:
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or not 0 <= v < order:
                 raise NotClosedError(a, b, v)
-    arr = np.array(rows, dtype=np.int64)
+        rows[a] = tuple(map(int, row))  # e.g. NumPy integers
 
-    idx = np.arange(order)
-    row_ok = np.all(arr == idx[None, :], axis=1)
-    col_ok = np.all(arr == idx[:, None], axis=0)
-    both = np.nonzero(row_ok & col_ok)[0]
-    if len(both) == 0:
+    natural = tuple(range(order))
+    for identity, row in enumerate(rows):
+        if row == natural and tuple(r[identity] for r in rows) == natural:
+            break
+    else:
         raise NoIdentityError()
-    identity = int(both[0])
 
-    inverse = [0] * order
-    for a in range(order):
-        hits = np.nonzero(arr[a] == identity)[0]
-        if len(hits) == 0 or arr[int(hits[0]), a] != identity:
+    inverse = []
+    for a, row in enumerate(rows):
+        try:
+            b = row.index(identity)
+        except ValueError:
+            raise NoInverseError(a) from None
+        if rows[b][a] != identity:
             raise NoInverseError(a)
-        inverse[a] = int(hits[0])
+        inverse.append(b)
 
-    # (a*b)*c vs a*(b*c), fully vectorised; int16 keeps the n^3 cube small.
-    small = arr.astype(np.int16)
-    left = small[arr]  # left[a,b,c] = table[table[a,b], c]
-    right = small[:, arr]  # right[a,b,c] = table[a, table[b,c]]
-    bad = np.argwhere(left != right)
-    if len(bad):
-        a, b, c = (int(v) for v in bad[0])
-        raise NotAssociativeError(a, b, c, int(left[a, b, c]), int(right[a, b, c]))
+    hints = None
+    if generator_hints is not None:
+        hints = tuple((str(name), int(i)) for name, i in generator_hints)
+    seeds = [i for _, i in hints or () if 0 <= i < order]
+    gens, hints_generate = _magma_generators(rows, identity, seeds)
+    for s in gens:
+        row_s = rows[s]
+        for rx in rows:
+            if tuple(map(rx.__getitem__, row_s)) != rows[rx[s]]:
+                raise _first_nonassociative_triple(rows)
 
     labels = None
     if element_labels is not None:
@@ -295,30 +313,67 @@ def from_multiplication_table(
         if len(labels) != order:
             raise ValueError(f"expected {order} element labels, got {len(labels)}")
 
-    group = FiniteGroup(order, tuple(rows), identity, tuple(inverse), (), labels)
-    if generator_hints is not None:
-        hints = tuple((str(name), int(i)) for name, i in generator_hints)
+    if hints is not None:
         for name, i in hints:
             if not 0 <= i < order:
                 raise ValueError(f"generator {name!r} index {i} out of range")
-        if _close_mask(group, _mask_of(i for _, i in hints)) != group.full_mask:
+        if not hints_generate:
             raise ValueError("generator hints do not generate the group")
-        group.generator_names = hints
     else:
-        group.generator_names = _greedy_generators(group)
-    return group
+        hints = tuple((f"g{k}", g) for k, g in enumerate(gens))
+    return FiniteGroup(order, tuple(rows), identity, tuple(inverse), hints, labels)
 
 
-def _greedy_generators(group: FiniteGroup) -> tuple[tuple[str, int], ...]:
-    """Pick a small generating set, extending by the lowest uncovered index."""
-    chosen: list[int] = []
-    mask = 1 << group.identity
-    while mask != group.full_mask:
-        g = (~mask & group.full_mask)
-        g = (g & -g).bit_length() - 1  # lowest element not yet generated
-        chosen.append(g)
-        mask = _close_mask(group, mask | (1 << g))
-    return tuple((f"g{k}", g) for k, g in enumerate(chosen))
+def _magma_generators(
+    rows: list[tuple[int, ...]], identity: int, seeds: Iterable[int]
+) -> tuple[list[int], bool]:
+    """A generating set of the table as a magma, and whether ``seeds``
+    alone generate it.
+
+    Takes the seeds first, then repeatedly the lowest element not yet
+    reached.  The reached elements are the identity and its left-bracketed
+    products ``((e*s1)*s2)*...`` with generators, computed on the raw table;
+    each lies in the magma the generators span, whatever the table.  On a
+    group this is the subgroup the generators span, so without seeds the
+    result is the greedy generating set ``g0, g1, ...``.
+    """
+    reached = bytearray(len(rows))
+    reached[identity] = 1
+    elems = [identity]
+    gens: list[int] = []
+
+    def add(g: int) -> None:
+        gens.append(g)
+        i = 0
+        while i < len(elems):
+            row = rows[elems[i]]
+            for s in gens:
+                x = row[s]
+                if not reached[x]:
+                    reached[x] = 1
+                    elems.append(x)
+            i += 1
+
+    for g in seeds:
+        if not reached[g]:
+            add(g)
+    seeds_generate = len(elems) == len(rows)
+    while len(elems) < len(rows):
+        add(reached.index(0))
+    return gens, seeds_generate
+
+
+def _first_nonassociative_triple(rows: list[tuple[int, ...]]) -> NotAssociativeError:
+    """The error for the first (a, b, c) in row-major order with
+    (a*b)*c != a*(b*c); the caller knows that one exists."""
+    for a, ra in enumerate(rows):
+        for b, ab in enumerate(ra):
+            left = rows[ab]  # left[c] = (a*b)*c
+            right = tuple(map(ra.__getitem__, rows[b]))  # right[c] = a*(b*c)
+            if left != right:
+                c = next(c for c, (u, v) in enumerate(zip(left, right)) if u != v)
+                return NotAssociativeError(a, b, c, left[c], right[c])
+    raise InternalInconsistencyError("Light's test failed on an associative table")
 
 
 # ---------------------------------------------------------------------------

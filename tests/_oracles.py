@@ -127,3 +127,72 @@ def brute_first_commutator_in(
             if c != e and c in members:
                 return (a, b, c)
     return None
+
+
+def brute_first_nonassociative_triple(
+    table: list[list[int]],
+) -> tuple[tuple[int, int, int], int, int] | None:
+    """((a, b, c), (a*b)*c, a*(b*c)) for the first triple in row-major order
+    where the two differ, or None for an associative table.  Checks all n^3
+    triples."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = table[table[a][b]][c]
+                rhs = table[a][table[b][c]]
+                if lhs != rhs:
+                    return (a, b, c), lhs, rhs
+    return None
+
+
+def brute_table_verdict(table: list[list[int]]) -> tuple:
+    """What is wrong with an n x n table of element indices, checked in the
+    order identity, inverses, associativity: ``("no identity",)``;
+    ``("no inverse", a)`` for the first element a whose first right inverse
+    b (in index order) has b*a != e; ``("not associative", (a, b, c), lhs,
+    rhs)``; or ``("group", identity)``."""
+    n = len(table)
+    identities = [
+        e for e in range(n) if all(table[e][a] == a and table[a][e] == a for a in range(n))
+    ]
+    if not identities:
+        return ("no identity",)
+    e = identities[0]
+    for a in range(n):
+        row = table[a]
+        if e not in row or table[row.index(e)][a] != e:
+            return ("no inverse", a)
+    bad = brute_first_nonassociative_triple(table)
+    if bad is not None:
+        return ("not associative",) + bad
+    return ("group", e)
+
+
+def brute_greedy_generators(table: list[list[int]]) -> list[int]:
+    """Generators picked greedily: repeatedly the lowest element outside the
+    subgroup spanned so far, that subgroup found by saturating under
+    products (enough in a finite group)."""
+    n = len(table)
+    span = {brute_identity(table)}
+    gens = []
+    while len(span) < n:
+        g = min(set(range(n)) - span)
+        gens.append(g)
+        span.add(g)
+        while True:
+            products = {table[a][b] for a in span for b in span}
+            if products <= span:
+                break
+            span |= products
+    return gens
+
+
+def relabel(table: list[list[int]], perm: list[int]) -> list[list[int]]:
+    """The table with element a renamed perm[a]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import centlat
 import centlat.cli as centlat_cli
 from centlat import group_from_json, hom_from_json, make_family, verify
 from centlat.errors import InternalInconsistencyError, KernelNotCentralError, NotCrhError
@@ -24,6 +29,23 @@ def test_lattice_json(cli):
     assert doc["group_order"] == 8
     assert [n["order"] for n in doc["nodes"]] == [2, 4, 4, 4, 8]
     assert doc["involution"] == [4, 1, 2, 3, 0]
+
+
+def test_runs_without_numpy(cli):
+    # NumPy is not a dependency: block its import and run a command in-process
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import centlat, centlat.cli\n"
+        "sys.exit(centlat.cli.main(['lattice', 'quaternion(8)']))\n"
+    )
+    src = str(Path(centlat.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == cli("lattice", "quaternion(8)").stdout
 
 
 def test_lattice_dot(cli):

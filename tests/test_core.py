@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from centlat import (
@@ -14,6 +17,7 @@ from centlat import (
     group_to_json,
     is_central,
     all_subgroups,
+    catalog,
     make_family,
     direct_product,
 )
@@ -30,10 +34,13 @@ from centlat.errors import (
 from _oracles import (
     alternating_group_table,
     brute_all_subgroups,
+    brute_greedy_generators,
+    brute_table_verdict,
     brute_center,
     brute_centralizer,
     brute_closure,
     brute_commutator_set,
+    relabel,
     symmetric_group_table,
 )
 
@@ -91,6 +98,18 @@ def test_rejects_non_associative():
     assert exc.value.lhs != exc.value.rhs
 
 
+def test_light_test_checks_every_generator():
+    # C2 x C2 with three products of 2 and 3 overwritten.  The greedy
+    # generators are 1 and 2; (x*1)*y == x*(1*y) still holds for all x, y,
+    # so only the check on the second generator finds the failure.
+    table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 2], [3, 2, 2, 0]]
+    for hints in (None, [("x", 1)]):
+        # hints that do not generate are reported only after associativity
+        with pytest.raises(NotAssociativeError) as exc:
+            from_multiplication_table(4, table, generator_hints=hints)
+        assert (exc.value.triple, exc.value.lhs, exc.value.rhs) == ((1, 2, 2), 2, 1)
+
+
 def test_order_cap():
     with pytest.raises(OrderCapExceededError) as exc:
         direct_product(make_family("cyclic", 4), make_family("cyclic", 4), cap=8)
@@ -115,6 +134,73 @@ def test_generator_hints_must_generate():
         from_multiplication_table(4, z4.table, generator_hints=[("x", 17)])
     with pytest.raises(ValueError):
         from_multiplication_table(4, z4.table, element_labels=["a", "b"])
+
+
+def _verdict(table: list[list[int]]) -> tuple:
+    """from_multiplication_table's answer, in brute_table_verdict's terms."""
+    try:
+        g = from_multiplication_table(len(table), table)
+    except NoIdentityError:
+        return ("no identity",)
+    except NoInverseError as e:
+        return ("no inverse", e.element)
+    except NotAssociativeError as e:
+        return ("not associative", e.triple, e.lhs, e.rhs)
+    return ("group", g.identity)
+
+
+def test_validation_matches_brute_oracle_on_perturbed_tables():
+    # Differential against the O(n^3) row-major scan: relabelled catalog
+    # tables with one or two entries swapped or overwritten.  Light's test
+    # only detects a failure; the reported triple must still be the first.
+    rng = random.Random(20261017)
+    groups = [e.group for e in catalog(32)]
+    seen = Counter()
+    for _ in range(400):
+        g = rng.choice(groups)
+        n = g.order
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = relabel([list(r) for r in g.table], perm)
+        for _ in range(rng.randint(1, 2)):
+            a, b, c, d = (rng.randrange(n) for _ in range(4))
+            if rng.random() < 0.5:
+                table[a][b], table[c][d] = table[c][d], table[a][b]
+            else:
+                table[a][b] = c
+        verdict = brute_table_verdict(table)
+        assert _verdict(table) == verdict, table
+        seen[verdict[0]] += 1
+    assert set(seen) == {"no identity", "no inverse", "not associative", "group"}, seen
+
+
+def test_greedy_generators_match_oracle():
+    # Without hints the generators are the lowest elements outside the
+    # subgroup spanned so far, on tables whose identity is not index 0.
+    rng = random.Random(64)
+    for entry in catalog(64):
+        g = entry.group
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        table = relabel([list(r) for r in g.table], perm)
+        names = from_multiplication_table(g.order, table).generator_names
+        assert [i for _, i in names] == brute_greedy_generators(table), entry.name
+        assert [name for name, _ in names] == [f"g{k}" for k in range(len(names))]
+
+
+def test_numpy_integer_rows_validate_to_the_same_group():
+    np = pytest.importorskip("numpy")
+    q = make_family("quaternion", 8)
+    plain = from_multiplication_table(8, q.table)
+    for table in (np.array(q.table, dtype=np.int64), [np.array(r) for r in q.table]):
+        g = from_multiplication_table(8, table)
+        assert (g.table, g.identity, g.inverse, g.generator_names) == (
+            plain.table, plain.identity, plain.inverse, plain.generator_names,
+        )
+        assert {type(v) for row in g.table for v in row} == {int}
+    with pytest.raises(NotClosedError) as exc:
+        from_multiplication_table(2, np.array([[0, 1], [1, 0]], dtype=bool))
+    assert (exc.value.row, exc.value.col) == (0, 0)
 
 
 # ------------------------------------------------------- oracle comparisons
