@@ -39,6 +39,12 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _is_integral(v) -> bool:
+    """An integer index: any ``numbers.Integral`` (NumPy integers included)
+    except ``bool``, which Python counts as an int."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _mask_of(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
@@ -75,6 +81,7 @@ class FiniteGroup:
         self._cent_masks: tuple[int, ...] | None = None
         self._element_orders: tuple[int, ...] | None = None
         self._subgroups: tuple[SubgroupSet, ...] | None = None
+        self._subgroup_centralizers: tuple[int, ...] | None = None
         self._commutator_pairs: dict[int, tuple[int, int]] | None = None
         self._lattice = None  # set by centlat.lattice
 
@@ -259,8 +266,12 @@ def from_multiplication_table(
     """
     if order < 1:
         raise NotClosedError(0, 0, order)
+    try:
+        table_rows = iter(table)
+    except TypeError:
+        raise NotClosedError(0, 0, f"table of type {type(table).__name__}") from None
     rows = []
-    for a, r in enumerate(table):
+    for a, r in enumerate(table_rows):
         try:
             rows.append(tuple(r))
         except TypeError:
@@ -275,7 +286,7 @@ def from_multiplication_table(
         if len(row) != order:
             raise NotClosedError(a, 0, f"row of length {len(row)}")
         for b, v in enumerate(row):
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or not 0 <= v < order:
+            if not _is_integral(v) or not 0 <= v < order:
                 raise NotClosedError(a, b, v)
         rows[a] = tuple(map(int, row))  # e.g. NumPy integers
 
@@ -298,7 +309,7 @@ def from_multiplication_table(
 
     hints = None
     if generator_hints is not None:
-        hints = tuple((str(name), int(i)) for name, i in generator_hints)
+        hints = tuple(map(_parse_hint, generator_hints))
     seeds = [i for _, i in hints or () if 0 <= i < order]
     gens, hints_generate = _magma_generators(rows, identity, seeds)
     for s in gens:
@@ -322,6 +333,18 @@ def from_multiplication_table(
     else:
         hints = tuple((f"g{k}", g) for k, g in enumerate(gens))
     return FiniteGroup(order, tuple(rows), identity, tuple(inverse), hints, labels)
+
+
+def _parse_hint(hint) -> tuple[str, int]:
+    """A generator hint as a (name, index) pair; ``ValueError`` naming the
+    hint when it is not a pair with an integral index."""
+    try:
+        name, i = hint
+    except (TypeError, ValueError):
+        i = None
+    if not _is_integral(i):
+        raise ValueError(f"generator hint {hint!r} is not a (name, integral index) pair")
+    return str(name), int(i)
 
 
 def _magma_generators(
@@ -528,6 +551,18 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
     return group._subgroups
 
 
+def _subgroup_centralizer_masks(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
+    """C(A) as a mask for every subgroup A of ``all_subgroups(group, cap)``,
+    in the same order, cached: it does not depend on any map out of the
+    group, so every projection of the group reuses it."""
+    _require_order_at_most(group, cap)
+    if group._subgroup_centralizers is None:
+        group._subgroup_centralizers = tuple(
+            _centralizer_mask(group, s.mask) for s in all_subgroups(group, cap)
+        )
+    return group._subgroup_centralizers
+
+
 # ---------------------------------------------------------------------------
 # JSON round-trip
 
@@ -566,12 +601,12 @@ def group_from_json(doc) -> FiniteGroup:
         raise TableJsonError("group document requires 'order' and 'table'")
     order, table = doc["order"], doc["table"]
     rows_ok = isinstance(table, list) and all(isinstance(row, list) for row in table)
-    if not isinstance(order, int) or isinstance(order, bool) or not rows_ok:
+    if not _is_integral(order) or not rows_ok:
         raise TableJsonError("'order' must be an int and 'table' a list of rows")
     gens = None
     if "generators" in doc:
         g = doc["generators"]
-        if not isinstance(g, dict) or not all(isinstance(v, int) for v in g.values()):
+        if not isinstance(g, dict) or not all(map(_is_integral, g.values())):
             raise TableJsonError("'generators' must map names to element indices")
         gens = tuple(sorted(g.items()))
     labels = doc.get("labels")

@@ -155,7 +155,13 @@ class _Parser:
         return tok
 
     def parse_int(self) -> int:
-        return int(self.take("int", ("an integer",)).value)
+        tok = self.take("int", ("an integer",))
+        try:
+            return int(tok.value)
+        except ValueError:  # a digit int() rejects ("²"), or too many digits
+            raise ExprParseError(
+                f"invalid integer {tok.value[:20]!r}", tok.line, tok.col, ("an integer",)
+            ) from None
 
     def parse_expr(self) -> Expr:
         tok = self.take("ident", FAMILY_TOKENS + ("product", "semidirect", "quotient", "table"))

@@ -20,6 +20,7 @@ from .core import (
     _centralizer_mask,
     _first_commutator_pairs,
     _require_order_at_most,
+    _subgroup_centralizer_masks,
     all_subgroups,
     center,
     from_multiplication_table,
@@ -183,10 +184,23 @@ class CrhVerdict:
 
 def _centralizer_sweep(h: GroupHom, cap: int):
     """Yield (A, phi(C(A)), C(phi(A))), both sides as masks, for every
-    subgroup A of the source in (order, members) order."""
-    for a_sub in all_subgroups(h.source, cap):
-        lhs = h.image_mask(_bits(_centralizer_mask(h.source, a_sub.mask)))
-        rhs = _centralizer_mask(h.target, h.image_mask(a_sub.members))
+    subgroup A of the source in (order, members) order.
+
+    C(A) comes from the source group's cache, computed once per group.
+    phi(C(A)) depends only on C(A), and C(phi(A)) only on phi(A), so each
+    side is computed once per distinct mask and kept for this sweep only.
+    """
+    image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
+    centralizer_of: dict[int, int] = {}  # phi(A) -> C(phi(A))
+    subgroups = all_subgroups(h.source, cap)
+    for a_sub, c in zip(subgroups, _subgroup_centralizer_masks(h.source, cap)):
+        lhs = image_of.get(c)
+        if lhs is None:
+            lhs = image_of[c] = h.image_mask(_bits(c))
+        phi_a = h.image_mask(a_sub.members)
+        rhs = centralizer_of.get(phi_a)
+        if rhs is None:
+            rhs = centralizer_of[phi_a] = _centralizer_mask(h.target, phi_a)
         yield a_sub, lhs, rhs
 
 
@@ -195,7 +209,10 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
 
     Requires surjectivity.  Sweeps every subgroup of the source (so the cap
     applies, cached verdicts included); the first failing subgroup in
-    (order, members) order becomes the witness.  The verdict is cached on
+    (order, members) order becomes the witness.  The subgroups and their
+    centralizers are cached on the source group, so every projection of
+    one group shares them; phi(C(A)) and C(phi(A)) are computed once per
+    distinct C(A) and phi(A) within the sweep.  The verdict is cached on
     the homomorphism.
     """
     _require_surjective(h)
@@ -364,6 +381,6 @@ def hom_from_json(doc) -> GroupHom:
     source = _core.group_from_json(doc["source"])
     target = _core.group_from_json(doc["target"])
     mapping = doc["map"]
-    if not isinstance(mapping, list) or not all(isinstance(v, int) for v in mapping):
+    if not isinstance(mapping, list) or not all(map(_core._is_integral, mapping)):
         raise TableJsonError("'map' must be a list of target element indices")
     return hom_from_map(source, target, mapping)

@@ -8,6 +8,7 @@ constructors.  Slow but obviously correct on small groups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -110,6 +111,33 @@ def brute_all_subgroups(table: list[list[int]]) -> set[frozenset[int]]:
             if is_subgroup(table, members):
                 found.add(frozenset(members))
     return found
+
+
+@functools.lru_cache(maxsize=4)
+def _sorted_brute_subgroups(table: tuple[tuple[int, ...], ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(order, sorted members) of every subgroup, ascending; cached because
+    callers check every quotient of one group in a row."""
+    return sorted((len(s), tuple(sorted(s))) for s in brute_all_subgroups(table))
+
+
+def brute_crh_verdict(
+    table: list[list[int]], target_table: list[list[int]], mapping
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None, bool]:
+    """The definitional centralizer check of the map ``mapping`` from the
+    group of ``table`` onto the group of ``target_table``, subgroup by
+    subgroup in (order, sorted members) order.  Returns ``(witness,
+    one_sided)``: witness is (A, phi(C(A)), C(phi(A))) as sorted tuples for
+    the first A where the two sides differ, or None; one_sided says whether
+    phi(C(A)) is contained in C(phi(A)) for every A.  Only sane for order
+    <= 16, like brute_all_subgroups."""
+    witness, one_sided = None, True
+    for _, a in _sorted_brute_subgroups(tuple(map(tuple, table))):
+        lhs = {mapping[g] for g in brute_centralizer(table, set(a))}
+        rhs = brute_centralizer(target_table, {mapping[x] for x in a})
+        if witness is None and lhs != rhs:
+            witness = (a, tuple(sorted(lhs)), tuple(sorted(rhs)))
+        one_sided = one_sided and lhs <= rhs
+    return witness, one_sided
 
 
 def brute_first_commutator_in(

@@ -57,6 +57,10 @@ def test_rejects_wrong_shape():
     with pytest.raises(NotClosedError) as exc:
         from_multiplication_table(2, [[0, 1], 2])
     assert exc.value.row == 1
+    # and so is a table that is not iterable at all
+    with pytest.raises(NotClosedError) as exc:
+        from_multiplication_table(3, 5)
+    assert (exc.value.row, exc.value.col, exc.value.value) == (0, 0, "table of type int")
 
 
 def test_rejects_out_of_range_entry():
@@ -134,6 +138,11 @@ def test_generator_hints_must_generate():
         from_multiplication_table(4, z4.table, generator_hints=[("x", 17)])
     with pytest.raises(ValueError):
         from_multiplication_table(4, z4.table, element_labels=["a", "b"])
+    # a hint that is not a (name, integral index) pair is named in the error
+    for hint in (("x", None), ("x",), "xy", ("x", "1"), ("x", 1.0), ("x", True), 3):
+        with pytest.raises(ValueError, match="generator hint") as exc:
+            from_multiplication_table(4, z4.table, generator_hints=[hint])
+        assert repr(hint) in str(exc.value)
 
 
 def _verdict(table: list[list[int]]) -> tuple:
@@ -369,5 +378,10 @@ def test_group_json_rejects_bad_payloads():
         group_from_json('{"order": 2, "table": [1, 2]}')
     with pytest.raises(TableJsonError):  # a bool is not an order
         group_from_json('{"order": true, "table": [[0]]}')
+    z3 = '"order": 3, "table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]]'
+    assert group_from_json('{%s, "generators": {"x": 1}}' % z3).generator_names == (("x", 1),)
+    for index in ("true", "false", "null", "1.0", '"1"'):  # nor a generator index
+        with pytest.raises(TableJsonError):
+            group_from_json('{%s, "generators": {"x": %s}}' % (z3, index))
     with pytest.raises(TableJsonError):  # bytes that are not UTF-8
         group_from_json(b'\xff\xfe{')

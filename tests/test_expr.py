@@ -83,6 +83,8 @@ def test_parse_dotted_generator_names():
         ('table("unclosed', 1, 6),  # unterminated string
         ("cyclic(4)!", 1, 9),       # stray character
         ("\n  cyclic(!)", 2, 9),    # position tracking across newlines
+        ("cyclic(\u00b2)", 1, 7),   # a digit to str.isdigit, not to int()
+        pytest.param("cyclic(" + "9" * 5000 + ")", 1, 7, id="more-digits-than-int-converts"),
     ],
 )
 def test_parse_error_positions(text, line, col):

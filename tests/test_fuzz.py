@@ -1,14 +1,24 @@
-"""Random input on the two table readers: whatever arrives, the only
+"""Random input on the readers of outside data (tables, group and
+homomorphism documents, group expressions): whatever arrives, the only
 exceptions are the package's own (and the documented ``ValueError`` of
 ``from_multiplication_table`` for labels and generator hints)."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from centlat import catalog, from_multiplication_table, group_from_json
+from centlat import (
+    catalog,
+    from_multiplication_table,
+    group_from_json,
+    group_to_json,
+    hom_from_json,
+    parse_group_expr,
+)
+from centlat.expr import FAMILY_TOKENS, pretty
 from centlat.errors import CentlatError, NotAssociativeError
 
 from _oracles import brute_first_nonassociative_triple, brute_table_verdict
@@ -35,7 +45,11 @@ rows = st.one_of(
     st.none(),
     st.text(max_size=3),
 )
-hints = st.none() | st.lists(st.tuples(st.text(max_size=2), st.integers(-2, 9)), max_size=3)
+tables = st.lists(rows, max_size=6) | st.integers() | st.none()  # the last two are not iterable
+hint_pairs = st.tuples(st.text(max_size=2), st.integers(-2, 9) | st.none() | st.text(max_size=2))
+hints = st.none() | st.lists(
+    hint_pairs | st.tuples(st.text(max_size=2)) | st.text(max_size=3), max_size=3
+)
 labels = st.none() | st.lists(st.text(max_size=2), max_size=6)
 
 SMALL_TABLES = [[list(r) for r in e.group.table] for e in catalog(8)]
@@ -68,7 +82,7 @@ def _check_table(order, table, generator_hints=None, element_labels=None):
 
 
 @FUZZ
-@given(st.integers(-1, 6), st.lists(rows, max_size=6), hints, labels)
+@given(st.integers(-1, 6), tables, hints, labels)
 def test_from_multiplication_table_raises_only_documented_errors(order, table, hints, labels):
     _check_table(order, table, hints, labels)
 
@@ -101,3 +115,63 @@ def test_group_from_json_raises_only_package_errors(doc):
         group_from_json(doc)
     except CentlatError:
         pass
+
+
+SMALL_GROUP_DOCS = [group_to_json(e.group) for e in catalog(8)]
+hom_docs = st.fixed_dictionaries(
+    {
+        "source": json_values | group_docs | st.sampled_from(SMALL_GROUP_DOCS),
+        "target": json_values | group_docs | st.sampled_from(SMALL_GROUP_DOCS),
+        "map": json_values | st.lists(st.integers(-1, 8) | st.booleans(), max_size=8),
+    },
+    optional={"extra": json_values},
+)
+
+
+@FUZZ
+@given(st.one_of(json_values, hom_docs, hom_docs.map(json.dumps), st.text(), st.binary()))
+def test_hom_from_json_raises_only_package_errors(doc):
+    try:
+        hom_from_json(doc)
+    except CentlatError:
+        pass
+
+
+VALID_EXPRS = (
+    "cyclic(8)",
+    "product(dihedral(8), cyclic(2))",
+    "semidirect(4,4,3)",
+    "quotient(quaternion(8), [x^2])",
+    "quotient(product(cyclic(4),cyclic(2)), [x*y^-1, y])",
+    'table("g.json")',
+)
+# grammar pieces, plus characters that str.isdigit or str.isalpha accepts
+# but int() or the grammar does not
+EXPR_PIECES = FAMILY_TOKENS + ("product", "semidirect", "quotient", "table", "x", "y_1", "a.b", "")
+EXPR_PIECES += tuple("()[],*^-") + ("0", "16", "007", "\u00b2", "\u0663", "\u00e9", '"', "\\", "\n")
+
+
+@st.composite
+def expr_texts(draw):
+    """A valid expression with a few pieces replaced or inserted, or random text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=30))
+    pieces = re.findall(r'\w+|"[^"]*"|.', draw(st.sampled_from(VALID_EXPRS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(pieces)))
+        piece = draw(st.sampled_from(EXPR_PIECES))
+        if draw(st.booleans()) and i < len(pieces):
+            pieces[i] = piece
+        else:
+            pieces.insert(i, piece)
+    return "".join(pieces)
+
+
+@FUZZ
+@given(expr_texts())
+def test_parse_group_expr_raises_only_package_errors(text):
+    try:
+        expr = parse_group_expr(text)
+    except CentlatError:
+        return
+    assert parse_group_expr(pretty(expr)) == expr

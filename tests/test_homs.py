@@ -1,25 +1,34 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from centlat import (
+    all_subgroups,
+    catalog,
     center,
     centralizer,
     closure,
     compose,
     crh_central_kernel_criterion,
     direct_product,
+    eval_group_expr,
+    from_multiplication_table,
     group_isomorphic,
     hom_from_json,
     hom_from_map,
     hom_to_json,
     identity_hom,
     image,
+    is_central,
     is_centralizer_respecting,
     is_surjective,
     kernel,
     make_family,
     one_sided_inclusion_holds,
+    parse_group_expr,
     quotient,
     semidirect_cyclic,
 )
@@ -33,7 +42,9 @@ from centlat.errors import (
     TableJsonError,
 )
 
-from _oracles import brute_first_commutator_in
+from centlat import core, homs
+
+from _oracles import brute_crh_verdict, brute_first_commutator_in, relabel
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +222,88 @@ def test_crh_cap_holds_on_cached_verdict():
         is_centralizer_respecting(proj, cap=8)
     with pytest.raises(OrderCapExceededError):
         one_sided_inclusion_holds(proj, cap=8)
+    # a fresh projection has no cached verdict, but d16 has cached subgroup
+    # centralizers; the cap holds on that path too
+    _, fresh = quotient(d16, closure(d16, []))
+    with pytest.raises(OrderCapExceededError):
+        is_centralizer_respecting(fresh, cap=8)
+    with pytest.raises(OrderCapExceededError):
+        one_sided_inclusion_holds(fresh, cap=8)
+    with pytest.raises(OrderCapExceededError):
+        core._subgroup_centralizer_masks(d16, cap=8)
+
+
+def _witness_tuple(verdict):
+    w = verdict.witness
+    return None if w is None else (w.subgroup, w.image_of_centralizer, w.centralizer_of_image)
+
+
+def test_definitional_sweep_matches_brute_oracle():
+    # every central projection of the catalog up to order 16, relabelled so
+    # the identity moves, against an oracle sharing no code with the package
+    rng = random.Random(4)
+    outcomes = Counter()
+    for entry in catalog(16):
+        perm = list(range(entry.group.order))
+        rng.shuffle(perm)
+        table = relabel([list(r) for r in entry.group.table], perm)
+        g = from_multiplication_table(len(table), table)
+        for sub in all_subgroups(g):
+            if not is_central(g, sub):
+                continue
+            q, proj = quotient(g, sub)
+            witness, one_sided = brute_crh_verdict(table, [list(r) for r in q.table], proj.mapping)
+            verdict = is_centralizer_respecting(proj)
+            assert verdict.ok == (witness is None), (entry.name, sub.members)
+            assert _witness_tuple(verdict) == witness, (entry.name, sub.members)
+            assert one_sided_inclusion_holds(proj) == one_sided, (entry.name, sub.members)
+            outcomes[verdict.ok] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def _per_subgroup_sweep(h):
+    """The definitional check as it was before subgroup centralizers were
+    cached: C(A), phi(C(A)), phi(A) and C(phi(A)) computed afresh for every
+    subgroup A.  Returns (witness tuple or None, one-sided inclusion)."""
+    witness, one_sided = None, True
+    for a_sub in all_subgroups(h.source):
+        lhs = {h.mapping[g] for g in centralizer(h.source, a_sub)}
+        rhs = set(centralizer(h.target, {h.mapping[a] for a in a_sub}))
+        if witness is None and lhs != rhs:
+            witness = (a_sub.members, tuple(sorted(lhs)), tuple(sorted(rhs)))
+        one_sided = one_sided and lhs <= rhs
+    return witness, one_sided
+
+
+def test_definitional_sweep_matches_per_subgroup_sweep(sweep_records):
+    assert len(sweep_records) == 779
+    for r in sweep_records:
+        witness, one_sided = _per_subgroup_sweep(r.projection)
+        assert r.definitional.ok == (witness is None), r.group_name
+        assert _witness_tuple(r.definitional) == witness, r.group_name
+        assert one_sided_inclusion_holds(r.projection) == one_sided, r.group_name
+
+
+def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
+    # work counter: C(A) for the source's subgroups A must not be recomputed
+    # for every projection of the same group
+    g = eval_group_expr(parse_group_expr("product(cyclic(4),product(cyclic(4),cyclic(4)))")).group
+    subgroups = all_subgroups(g)
+    projections = [quotient(g, s)[1] for s in subgroups if is_central(g, s)]
+    assert len(projections) == len(subgroups) == 129  # abelian: every subgroup is central
+    calls = Counter()
+    original = core._centralizer_mask
+
+    def counting(group, mask):
+        if group is g:
+            calls[mask] += 1
+        return original(group, mask)
+
+    monkeypatch.setattr(core, "_centralizer_mask", counting)
+    monkeypatch.setattr(homs, "_centralizer_mask", counting)
+    assert all(is_centralizer_respecting(p).ok for p in projections)
+    assert all(one_sided_inclusion_holds(p) for p in projections)
+    assert calls == Counter(s.mask for s in subgroups)
 
 
 def test_isomorphisms_respect_centralizers(d8):
@@ -282,3 +375,5 @@ def test_hom_json_rejects_bad_payloads(d8):
         hom_from_json(broken)
     with pytest.raises(TableJsonError):
         hom_from_json({"source": doc["source"]})
+    with pytest.raises(TableJsonError):  # JSON false is not index 0
+        hom_from_json(dict(doc, map=[False] * 8))
