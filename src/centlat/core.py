@@ -320,7 +320,11 @@ def from_multiplication_table(
 
     labels = None
     if element_labels is not None:
-        labels = tuple(str(s) for s in element_labels)
+        try:
+            labels = tuple(map(str, element_labels))
+        except TypeError:
+            kind = type(element_labels).__name__
+            raise ValueError(f"element labels of type {kind} are not iterable") from None
         if len(labels) != order:
             raise ValueError(f"expected {order} element labels, got {len(labels)}")
 
@@ -502,10 +506,11 @@ def is_central(group: FiniteGroup, s: SubgroupSet) -> bool:
 # subgroup enumeration
 
 
-def _require_order_at_most(group: FiniteGroup, cap: int) -> None:
-    """The order cap, checked before any cached result is returned."""
-    if group.order > cap:
-        raise OrderCapExceededError(group.order, cap)
+def _require_order_at_most(order: int, cap: int, what: str = "group") -> None:
+    """The order cap, checked before anything of that order is built or any
+    cached result is returned; the one place that raises the cap error."""
+    if order > cap:
+        raise OrderCapExceededError(order, cap, what)
 
 
 def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[SubgroupSet, ...]:
@@ -515,7 +520,7 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
     (closure of union); this reaches every subgroup because any subgroup is
     the join of the cyclic subgroups of its members.
     """
-    _require_order_at_most(group, cap)
+    _require_order_at_most(group.order, cap)
     if group._subgroups is None:
         t = group.table
         seen: set[int] = set()
@@ -555,7 +560,7 @@ def _subgroup_centralizer_masks(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP
     """C(A) as a mask for every subgroup A of ``all_subgroups(group, cap)``,
     in the same order, cached: it does not depend on any map out of the
     group, so every projection of the group reuses it."""
-    _require_order_at_most(group, cap)
+    _require_order_at_most(group.order, cap)
     if group._subgroup_centralizers is None:
         group._subgroup_centralizers = tuple(
             _centralizer_mask(group, s.mask) for s in all_subgroups(group, cap)

@@ -11,7 +11,8 @@ with FAMILY one of cyclic, dihedral, quaternion, semidihedral, cover_dq,
 cover_qsd.  For the two covers the argument is the index n (group order
 2^(n+1)); for the other families it is the group order.  Words name
 generators of the group being quotiented; an empty word list quotients by
-the trivial subgroup.  Parse errors carry 1-based line and 0-based column.
+the trivial subgroup.  Parse errors carry 1-based line and 0-based column;
+an expression nested more than ``MAX_NESTING`` constructors deep is one.
 """
 
 from __future__ import annotations
@@ -20,12 +21,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .core import DEFAULT_ORDER_CAP, FiniteGroup, closure, group_from_json
-from .errors import ExprParseError, OrderCapExceededError, TableJsonError, UnknownGeneratorError
+from .core import DEFAULT_ORDER_CAP, FiniteGroup, _require_order_at_most, closure, group_from_json
+from .errors import ExprParseError, TableJsonError, UnknownGeneratorError
 from .families import cover_group, direct_product, make_family, semidirect_cyclic
 from .homs import GroupHom, quotient
 
 FAMILY_TOKENS = ("cyclic", "dihedral", "quaternion", "semidihedral", "cover_dq", "cover_qsd")
+
+#: Deepest nesting of constructors an expression may have; deeper input is a
+#: parse error rather than a recursion overflow.
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,12 @@ class _Parser:
                 f"invalid integer {tok.value[:20]!r}", tok.line, tok.col, ("an integer",)
             ) from None
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self, depth: int = 1) -> Expr:
+        if depth > MAX_NESTING:
+            tok = self.peek()
+            raise ExprParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col
+            )
         tok = self.take("ident", FAMILY_TOKENS + ("product", "semidirect", "quotient", "table"))
         name = tok.value
         if name in FAMILY_TOKENS:
@@ -173,9 +183,9 @@ class _Parser:
             return FamilyExpr(name, n)
         if name == "product":
             self.take("(")
-            left = self.parse_expr()
+            left = self.parse_expr(depth + 1)
             self.take(",")
-            right = self.parse_expr()
+            right = self.parse_expr(depth + 1)
             self.take(")")
             return ProductExpr(left, right)
         if name == "semidirect":
@@ -189,7 +199,7 @@ class _Parser:
             return SemidirectExpr(m, k, a)
         if name == "quotient":
             self.take("(")
-            inner = self.parse_expr()
+            inner = self.parse_expr(depth + 1)
             self.take(",")
             self.take("[")
             words: list[tuple[WordTerm, ...]] = []
@@ -297,12 +307,10 @@ def eval_group_expr(
     if isinstance(expr, FamilyExpr):
         if expr.kind in ("cover_dq", "cover_qsd"):
             order = 1 << (expr.param + 1) if expr.param >= 0 else 0
-            if order > cap:
-                raise OrderCapExceededError(order, cap, "cover group")
+            _require_order_at_most(order, cap, "cover group")
             kind = "dihedral_quaternion" if expr.kind == "cover_dq" else "quaternion_semidihedral"
             return EvalResult(cover_group(kind, expr.param).group)
-        if expr.param > cap:
-            raise OrderCapExceededError(expr.param, cap, f"{expr.kind} group")
+        _require_order_at_most(expr.param, cap, f"{expr.kind} group")
         return EvalResult(make_family(expr.kind, expr.param))
     if isinstance(expr, ProductExpr):
         left = eval_group_expr(expr.left, cap, base_dir).group
@@ -325,7 +333,6 @@ def eval_group_expr(
         except UnicodeDecodeError as e:
             raise TableJsonError(f"{path} is not UTF-8 text: {e}") from e
         group = group_from_json(text)
-        if group.order > cap:
-            raise OrderCapExceededError(group.order, cap, "loaded group")
+        _require_order_at_most(group.order, cap, "loaded group")
         return EvalResult(group)
     raise TypeError(f"not an expression: {expr!r}")

@@ -15,12 +15,13 @@ from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
+    _require_order_at_most,
     center,
     closure,
     commutator_set,
     from_multiplication_table,
 )
-from .errors import InvalidActionError, OrderCapExceededError, UnsupportedParameterError, _ensure
+from .errors import InternalInconsistencyError, InvalidActionError, UnsupportedParameterError, _ensure
 
 FAMILY_KINDS = ("cyclic", "dihedral", "quaternion", "semidihedral")
 COVER_KINDS = ("dihedral_quaternion", "quaternion_semidihedral")
@@ -95,8 +96,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
     Generator names from the factors are prefixed ``l.`` and ``r.``.
     """
     order = a.order * b.order
-    if order > cap:
-        raise OrderCapExceededError(order, cap, "direct product")
+    _require_order_at_most(order, cap, "direct product")
     nb = b.order
     table = [
         [a.table[ia][ja] * nb + b.table[ib][jb] for ja in range(a.order) for jb in range(nb)]
@@ -123,8 +123,7 @@ def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> F
     if m < 1 or k < 1:
         raise UnsupportedParameterError(f"cyclic orders must be >= 1, got m={m}, k={k}")
     order = m * k
-    if order > cap:
-        raise OrderCapExceededError(order, cap, "semidirect product")
+    _require_order_at_most(order, cap, "semidirect product")
     if math.gcd(a, m) != 1:
         raise InvalidActionError(f"action parameter {a} is not invertible mod {m}")
     if pow(a, k, m) != 1 % m:
@@ -224,18 +223,15 @@ def _fiber_product_over_central_quotients(
         for (u1, v1) in pairs
     ]
     labels = [f"({a.label(u)},{b.label(v)})" for u, v in pairs]
-    g = from_multiplication_table(len(pairs), table, None, labels)
-    # name x and y after a's generators when their lowest-index partner pairs
-    # generate the whole fiber product (they do for the family factors here)
-    hints = []
-    for name, ga in a.generator_names:
-        partner = min((i for (u, _), i in index.items() if u == ga), default=None)
-        if partner is None:
-            break
-        hints.append((name, partner))
-    else:
-        if closure(g, [i for _, i in hints]).is_whole_group():
-            g.generator_names = tuple(hints)
+    # x and y are a's generators, each paired with its lowest-index partner;
+    # for the family factors here they generate the fiber product
+    hints = [
+        (name, next(i for i, (u, _) in enumerate(pairs) if u == ga)) for name, ga in a.generator_names
+    ]
+    try:
+        g = from_multiplication_table(len(pairs), table, hints, labels)
+    except ValueError as e:
+        raise InternalInconsistencyError(f"fiber product generator hints: {e}") from e
     z_first = closure(g, [index[(a.identity, zb_gen)]])
     z_second = closure(g, [index[(zb_gen, b.identity)]])
     return g, z_first, z_second

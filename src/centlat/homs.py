@@ -216,7 +216,7 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
     the homomorphism.
     """
     _require_surjective(h)
-    _require_order_at_most(h.source, cap)
+    _require_order_at_most(h.source.order, cap)
     if h._crh_verdict is None:
         h._crh_verdict = next(
             (
@@ -297,8 +297,9 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
     """An isomorphism a -> b as a :class:`GroupHom`, or None.
 
     Backtracks over images of a generating set, forcing the rest of the map
-    by closure; the search is deterministic (ascending candidate order), so
-    the returned isomorphism is stable run to run.
+    along generator edges and keeping the first bijection that
+    :func:`hom_from_map` accepts; the search is deterministic (ascending
+    candidate order), so the returned isomorphism is stable run to run.
     """
     if _iso_fingerprint(a) != _iso_fingerprint(b):
         return None
@@ -313,35 +314,26 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
         [x for x in range(b.order) if b_orders[x] == a_orders[g]] for g in gens
     ]
 
-    def extend(mapping: list[int]) -> list[int] | None:
-        """Force the partial generator assignment to a full map; None on clash."""
+    def extend(mapping: list[int]) -> GroupHom | None:
+        """Force the map along generator edges, full[x*g] = full[x]*v, from
+        the identity; hom_from_map then decides whether it is a homomorphism."""
         full = [-1] * a.order
         full[a.identity] = b.identity
         known = [a.identity]
-        for g, v in zip(gens, mapping):
-            if full[g] == -1:
-                full[g] = v
-                known.append(g)
-            elif full[g] != v:
-                return None
-        i = 0
-        while i < len(known):
-            x = known[i]
-            for y in known[: i + 1]:
-                for p, q in ((x, y), (y, x)):
-                    prod = a.table[p][q]
-                    want = b.table[full[p]][full[q]]
-                    if full[prod] == -1:
-                        full[prod] = want
-                        known.append(prod)
-                    elif full[prod] != want:
-                        return None
-            i += 1
-        if len(known) != a.order:  # generators must generate; guarded at construction
+        for x in known:  # grows as elements are reached
+            row, image_row = a.table[x], b.table[full[x]]
+            for g, v in zip(gens, mapping):
+                if full[row[g]] == -1:
+                    full[row[g]] = image_row[v]
+                    known.append(row[g])
+        if len(set(full)) != b.order:
+            return None  # not a bijection (an unreached -1 fails hom_from_map)
+        try:
+            return hom_from_map(a, b, full)
+        except NotHomomorphismError:
             return None
-        return full if len(set(full)) == b.order else None
 
-    def search(k: int, mapping: list[int], used: int) -> list[int] | None:
+    def search(k: int, mapping: list[int], used: int) -> GroupHom | None:
         if k == len(gens):
             return extend(mapping)
         for x in candidates[k]:
@@ -354,10 +346,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
             mapping.pop()
         return None
 
-    full = search(0, [], 0)
-    if full is None:
-        return None
-    return hom_from_map(a, b, full)
+    return search(0, [], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .errors import (
     NotCrhError,
     _ensure,
 )
-from .homs import GroupHom, identity_hom, is_centralizer_respecting
+from .homs import GroupHom, compose, identity_hom, is_centralizer_respecting
 
 DEFAULT_NODE_CAP = 512
 
@@ -66,9 +66,10 @@ class CentralizerLattice:
         self.meet_table = tuple(
             tuple(index_of[mi & mj] for mj in node_masks) for mi in node_masks
         )
+        # join(X, Y) = C(C(X) meet C(Y)): the involution of a meet of involutions
+        inv, meet = self.involution, self.meet_table
         self.join_table = tuple(
-            tuple(index_of[_centralizer_mask(group, cents[i] & cents[j])] for j in range(count))
-            for i in range(count)
+            tuple(inv[meet[inv[i]][inv[j]]] for j in range(count)) for i in range(count)
         )
         self._validate()
 
@@ -102,19 +103,14 @@ class CentralizerLattice:
         return tuple(len(n) for n in self.nodes)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """(parent, child) pairs of the Hasse diagram, sorted."""
-        count = len(self.nodes)
+        """(parent, child) pairs of the Hasse diagram, sorted: the parents of
+        a child are the minimal elements of its strict up-set."""
         out = []
-        for c in range(count):
-            for p in range(count):
-                if p == c or not self.leq(c, p):
-                    continue
-                if any(
-                    k != c and k != p and self.leq(c, k) and self.leq(k, p)
-                    for k in range(count)
-                ):
-                    continue
-                out.append((p, c))
+        for c, up in enumerate(self.leq_masks):
+            minimal = strict = up & ~(1 << c)
+            for k in _bits(strict):
+                minimal &= ~self.leq_masks[k] | 1 << k  # drop what lies strictly above k
+            out.extend((p, c) for p in _bits(minimal))
         out.sort()
         return tuple(out)
 
@@ -125,7 +121,7 @@ class CentralizerLattice:
 def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
     """Construct the centralizer lattice: single-element centralizers,
     saturated under intersection, plus the whole group."""
-    _require_order_at_most(group, cap)
+    _require_order_at_most(group.order, cap)
     cent = group.centralizer_masks()
     seen = {group.full_mask}
     masks = [group.full_mask]
@@ -146,7 +142,7 @@ def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) 
 
 def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
     """Per-group cached lattice (the lattice is canonical, so sharing is safe)."""
-    _require_order_at_most(group, cap)
+    _require_order_at_most(group.order, cap)
     if group._lattice is None:
         group._lattice = build_centralizer_lattice(group, cap)
     return group._lattice
@@ -393,8 +389,6 @@ def verify_functoriality(
     """
     if not phi.target.same_table(psi.source):
         raise DomainMismatchError("pair is not composable: phi.target differs from psi.source")
-    from .homs import compose  # local import to avoid a cycle at module load
-
     failures = []
     for g in (phi.source, phi.target, psi.target):
         lat = lattice_of(g, cap)

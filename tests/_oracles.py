@@ -224,3 +224,23 @@ def relabel(table: list[list[int]], perm: list[int]) -> list[list[int]]:
         for b in range(n):
             out[perm[a]][perm[b]] = perm[table[a][b]]
     return out
+
+
+def brute_lattice_covers(nodes: list[frozenset[int]]) -> set[tuple[int, int]]:
+    """(parent, child) index pairs of the Hasse diagram of ``nodes`` under
+    inclusion: child strictly inside parent with no node strictly between."""
+    return {
+        (p, c)
+        for c, small in enumerate(nodes)
+        for p, big in enumerate(nodes)
+        if small < big and not any(small < mid < big for mid in nodes)
+    }
+
+
+def brute_lattice_join(nodes: list[frozenset[int]], i: int, j: int) -> int:
+    """Index of the least node containing nodes i and j: the smallest of
+    the nodes that contain both, checked to lie inside every one of them."""
+    above = [k for k, s in enumerate(nodes) if nodes[i] | nodes[j] <= s]
+    least = min(above, key=lambda k: len(nodes[k]))
+    assert all(nodes[least] <= nodes[k] for k in above), "oracle: no least upper bound"
+    return least

@@ -138,6 +138,8 @@ def test_generator_hints_must_generate():
         from_multiplication_table(4, z4.table, generator_hints=[("x", 17)])
     with pytest.raises(ValueError):
         from_multiplication_table(4, z4.table, element_labels=["a", "b"])
+    with pytest.raises(ValueError, match="element labels"):
+        from_multiplication_table(1, [[0]], element_labels=5)  # not iterable
     # a hint that is not a (name, integral index) pair is named in the error
     for hint in (("x", None), ("x",), "xy", ("x", "1"), ("x", 1.0), ("x", True), 3):
         with pytest.raises(ValueError, match="generator hint") as exc:

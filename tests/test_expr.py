@@ -11,6 +11,7 @@ from centlat.errors import (
     UnknownGeneratorError,
 )
 from centlat.expr import (
+    MAX_NESTING,
     FamilyExpr,
     ProductExpr,
     QuotientExpr,
@@ -85,6 +86,10 @@ def test_parse_dotted_generator_names():
         ("\n  cyclic(!)", 2, 9),    # position tracking across newlines
         ("cyclic(\u00b2)", 1, 7),   # a digit to str.isdigit, not to int()
         pytest.param("cyclic(" + "9" * 5000 + ")", 1, 7, id="more-digits-than-int-converts"),
+        # the first constructor past the nesting limit, not a RecursionError
+        pytest.param(
+            "product(" * 1200, 1, len("product(") * MAX_NESTING, id="nested-past-the-limit"
+        ),
     ],
 )
 def test_parse_error_positions(text, line, col):
@@ -151,6 +156,13 @@ def test_eval_quotient_carries_projection():
     # trivial quotient: projection is a bijection
     full = ev("quotient(cyclic(6),[])")
     assert full.group.order == 6 and full.projection.is_bijective()
+
+
+def test_eval_nested_exactly_to_the_limit():
+    text = "cyclic(1)"
+    for _ in range(MAX_NESTING - 1):
+        text = f"product(cyclic(1),{text})"
+    assert ev(text).group.order == 1
 
 
 def test_eval_non_quotient_has_no_projection():

@@ -14,10 +14,12 @@ from centlat import (
     CoverGroup,
     catalog,
     center,
+    cli,
     closure,
     commutator_set,
     cover_group,
     direct_product,
+    families,
     group_isomorphic,
     make_family,
     quotient,
@@ -175,6 +177,27 @@ def test_dihedral_quaternion_cover(n):
 @pytest.mark.parametrize("n", [4, 5])
 def test_quaternion_semidihedral_cover(n):
     _check_cover("quaternion_semidihedral", n, "quaternion", "semidihedral")
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_quaternion_semidihedral_cover_generator_names(n):
+    # the quaternion factor's x and y, each with its lowest-index partner
+    g = cover_group("quaternion_semidihedral", n).group
+    assert g.generator_names == (("x", 2), ("y", 1 << n))
+
+
+def test_fiber_product_hints_that_do_not_generate_are_internal(monkeypatch):
+    real = families.from_multiplication_table
+
+    def drop_last_hint(order, table, hints=None, labels=None):
+        if order == 32:  # the cover itself, not its order-16 factors
+            hints = hints[:-1]
+        return real(order, table, hints, labels)
+
+    monkeypatch.setattr(families, "from_multiplication_table", drop_last_hint)
+    with pytest.raises(InternalInconsistencyError, match="do not generate"):
+        cover_group("quaternion_semidihedral", 4)
+    assert cli.main(["lattice", "cover_qsd(4)"]) == 2
 
 
 def test_cover_parameter_validation():

@@ -1,10 +1,13 @@
 """Random input on the readers of outside data (tables, group and
 homomorphism documents, group expressions): whatever arrives, the only
 exceptions are the package's own (and the documented ``ValueError`` of
-``from_multiplication_table`` for labels and generator hints)."""
+``from_multiplication_table`` for labels and generator hints).  The CLI,
+driven in-process, ends every such input in a documented exit code."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 
@@ -12,13 +15,15 @@ import pytest
 
 from centlat import (
     catalog,
+    cli,
     from_multiplication_table,
     group_from_json,
     group_to_json,
     hom_from_json,
+    make_family,
     parse_group_expr,
 )
-from centlat.expr import FAMILY_TOKENS, pretty
+from centlat.expr import FAMILY_TOKENS, MAX_NESTING, TableExpr, pretty
 from centlat.errors import CentlatError, NotAssociativeError
 
 from _oracles import brute_first_nonassociative_triple, brute_table_verdict
@@ -175,3 +180,59 @@ def test_parse_group_expr_raises_only_package_errors(text):
     except CentlatError:
         return
     assert parse_group_expr(pretty(expr)) == expr
+
+
+MALFORMED_TABLES = {
+    "truncated.json": b'{"order": 3, "table": [[0, 1',
+    "not_utf8.json": b'{"labels": ["\xe9"]}',
+    "array.json": b"[[0]]",
+    "unknown_key.json": b'{"order": 1, "table": [[0]], "extra": 1}',
+    "no_identity.json": b'{"order": 2, "table": [[1, 1], [1, 1]]}',
+    "bad_generators.json": b'{"order": 2, "table": [[0, 1], [1, 0]], "generators": {"x": 0}}',
+    "cyclic64.json": json.dumps(group_to_json(make_family("cyclic", 64))).encode(),  # over small caps
+}
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tables")
+    for name, data in MALFORMED_TABLES.items():
+        (d / name).write_bytes(data)
+    return d
+
+
+def _cli_expr(data, table_dir) -> str:
+    kind = data.draw(st.sampled_from(("perturbed", "nested", "table")))
+    if kind == "perturbed":
+        return data.draw(expr_texts())
+    if kind == "nested":
+        # thousands of levels: Hypothesis raises the recursion limit while it runs
+        depths = st.sampled_from((MAX_NESTING - 1, MAX_NESTING, 5000)) | st.integers(0, 5000)
+        depth = data.draw(depths)
+        if data.draw(st.booleans()):
+            return "product(cyclic(1)," * depth + "cyclic(2)" + ")" * depth
+        return "product(" * depth
+    # a malformed file, a missing one, or the directory itself
+    name = data.draw(st.sampled_from(sorted(MALFORMED_TABLES) + ["missing.json", ""]))
+    return pretty(TableExpr(str(table_dir / name)))
+
+
+@FUZZ
+@given(st.data())
+def test_cli_exits_only_with_documented_codes(table_dir, data):
+    command = data.draw(st.sampled_from(("lattice", "check-crh", "iso", "export", "verify")))
+    if command == "verify":
+        argv = [command, data.draw(st.sampled_from(("figure3", "corollary", "functor-laws", "x")))]
+    else:
+        argv = [command] + [_cli_expr(data, table_dir) for _ in range(1 + (command == "iso"))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        flag = data.draw(st.sampled_from(("--json", "--dot", "--n", "--cap", "--bogus")))
+        argv.append(flag)
+        if flag == "--n":  # a valid n above 4 only makes the run slow
+            argv.append(str(data.draw(st.integers(-1, 4) | st.integers(8, 10))))
+        elif flag == "--cap":
+            argv.append(data.draw(st.integers(-2, 64).map(str) | st.sampled_from(("", "x", "2.5"))))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 64, 74), (argv, err.getvalue())

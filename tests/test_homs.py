@@ -325,6 +325,19 @@ def test_group_isomorphic_positive():
     assert group_isomorphic(b, a) is not None
 
 
+def test_group_isomorphic_checks_every_forced_map():
+    # generators a = b^2 (order 3) and b (order 6); the first candidate
+    # images a -> (0,1) and b -> (1,1) force a bijection that breaks a = b^2,
+    # so only the homomorphism check can reject it
+    c6 = make_family("cyclic", 6)
+    a = from_multiplication_table(6, c6.table, [("a", 2), ("b", 1)])
+    b = direct_product(make_family("cyclic", 2), make_family("cyclic", 3))
+    h = group_isomorphic(a, b)
+    assert h is not None and h.is_bijective()
+    hom_from_map(a, b, h.mapping)
+    assert (h.apply(2), h.apply(1)) == (1, 5)  # the next candidate: (0,1) = (1,2)^2
+
+
 def test_group_isomorphic_distinguishes_equal_fingerprints():
     # same order profile, centralizer profile and center size -- only the
     # backtracking search can tell these apart

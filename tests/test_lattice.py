@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from centlat import (
+    catalog,
     closure,
     identity_hom,
     make_family,
@@ -26,6 +27,8 @@ from centlat.lattice import (
     lattices_isomorphic,
     verify_functoriality,
 )
+
+from _oracles import brute_lattice_covers, brute_lattice_join
 
 Q8_DOT = """digraph centralizer_lattice {
   rankdir=TB;
@@ -114,6 +117,18 @@ def test_join_can_exceed_generated_subgroup():
     generated = closure(g, list(lat.nodes[s].members) + list(lat.nodes[t].members))
     assert len(generated) == 8
     assert generated.mask not in lat.index_of_mask
+
+
+def test_covers_and_joins_match_brute_oracle():
+    # covers come from the order masks and joins from the meet table and the
+    # involution; the oracle works on member sets alone
+    for entry in catalog(32):
+        lat = build_centralizer_lattice(entry.group)
+        nodes = [frozenset(n.members) for n in lat.nodes]
+        assert lat.covers() == tuple(sorted(brute_lattice_covers(nodes))), entry.name
+        count = len(nodes)
+        joins = tuple(tuple(brute_lattice_join(nodes, i, j) for j in range(count)) for i in range(count))
+        assert lat.join_table == joins, entry.name
 
 
 def test_build_matches_cached(q8_lattice):
