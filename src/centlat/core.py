@@ -407,38 +407,49 @@ def _first_nonassociative_triple(rows: list[tuple[int, ...]]) -> NotAssociativeE
 # closure, centralizers, commutators
 
 
-def _close_mask(group: FiniteGroup, seed_mask: int) -> int:
-    """Smallest subgroup mask containing ``seed_mask``.
+def _dimino_step(
+    table: tuple[tuple[int, ...], ...], mask: int, elems: list[int], gens: list[int]
+) -> tuple[int, list[int]]:
+    """Mask and element list of <H, s>, one step of Dimino's inductive
+    coset extension.
 
-    Inductive coset extension (Dimino): grow a subgroup H one generator at a
-    time; the extension by s is the union of right cosets H*r, with new coset
-    representatives found by multiplying known ones by the generators so far.
-    Roughly linear in the result size, where naive pair saturation is
-    quadratic.
+    H is the subgroup with bitmask ``mask`` and element list ``elems``,
+    generated by ``gens[:-1]``; s = ``gens[-1]`` lies outside H.  <H, s> is
+    the union of the left cosets xH, starting from sH; each new coset
+    representative is a generator times a known one.  The union is closed
+    under left multiplication by all of ``gens``, so it is the subgroup they
+    generate only when ``gens[:-1]`` generate H.  Linear in |<H, s>|; it
+    stops with the whole group once the union passes half of it, since no
+    proper subgroup is that large.
     """
-    t = group.table
-    mask = 1 << group.identity
-    gens: list[int] = []
+    n = len(table)
+    out = list(elems)
+    rows = [table[g] for g in gens]
+    reps = [gens[-1]]
+    for x in reps:  # reps grows while it is walked
+        if mask >> x & 1:
+            continue  # xH was added through another representative
+        coset = list(map(table[x].__getitem__, elems))
+        mask |= sum(map((1).__lshift__, coset))  # xH is disjoint from the union
+        out += coset
+        if 2 * len(out) > n:
+            return (1 << n) - 1, list(range(n))
+        for row in rows:
+            y = row[x]
+            if not mask >> y & 1:
+                reps.append(y)
+    return mask, out
+
+
+def _close_mask(group: FiniteGroup, seed_mask: int) -> int:
+    """Smallest subgroup mask containing ``seed_mask``: a Dimino step for
+    each seed element not yet reached.  Roughly linear in the result size,
+    where naive pair saturation is quadratic."""
+    mask, elems, gens = 1 << group.identity, [group.identity], []
     for s in _bits(seed_mask):
-        if mask >> s & 1:
-            continue
-        h_elems = _bits(mask)
-        gens.append(s)
-        new_mask = mask
-        reps = [s]
-        for h in h_elems:
-            new_mask |= 1 << t[h][s]
-        i = 0
-        while i < len(reps):
-            row = t[reps[i]]
-            for g in gens:
-                x = row[g]
-                if not new_mask >> x & 1:
-                    reps.append(x)
-                    for h in h_elems:
-                        new_mask |= 1 << t[h][x]
-            i += 1
-        mask = new_mask
+        if not mask >> s & 1:
+            gens.append(s)
+            mask, elems = _dimino_step(group.table, mask, elems, gens)
     return mask
 
 
@@ -513,47 +524,100 @@ def _require_order_at_most(order: int, cap: int, what: str = "group") -> None:
         raise OrderCapExceededError(order, cap, what)
 
 
+def _zuppos(group: FiniteGroup, primes: set[int]) -> list[tuple[int, int, list[int]]]:
+    """The zuppos of ``group``, its cyclic subgroups of prime-power order
+    > 1, as (least generator, mask, elements), ascending by least generator;
+    ``primes`` are the primes dividing the group order."""
+    n, t, e = group.order, group.table, group.identity
+    prime_powers = {p**k for p in primes for k in range(1, n.bit_length()) if n % p**k == 0}
+    seen: set[int] = set()
+    out = []
+    for g in range(n):
+        elems, x = [e], g
+        while x != e:
+            elems.append(x)
+            x = t[x][g]
+        if len(elems) in prime_powers:
+            mask = sum(map((1).__lshift__, elems))
+            if mask not in seen:  # the first generator met is the least
+                seen.add(mask)
+                out.append((g, mask, elems))
+    return out
+
+
 def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[SubgroupSet, ...]:
     """Every subgroup of ``group``, sorted by (order, members), cached.
 
-    Seeds with all cyclic subgroups, then saturates under pairwise join
-    (closure of union); this reaches every subgroup because any subgroup is
-    the join of the cyclic subgroups of its members.
+    Cyclic extension over zuppos (Neubüser, *Numer. Math.* 2, 1960; GAP's
+    ``LatticeByCyclicExtension``): saturate {1} under "join with one
+    zuppo", a zuppo being a cyclic subgroup of prime-power order.  Every
+    subgroup is generated by its zuppos, since each element is a product of
+    prime-power-order powers of itself.  Each join <K, z> is one Dimino step
+    from K, reusing K's generators and element list.
+
+    Zuppos z_0, z_1, ... are numbered by their least generator.  The
+    canonical index f(K) is the least i such that the zuppos of K with index
+    <= i generate K, and K is extended only by z_i with i > f(K).  This is
+    complete: for K != {1} with f = f(K), let P be generated by the zuppos
+    of K with index < f.  Then K = <P, z_f>, P != K, and the zuppos of P
+    with index < f are exactly those of K, so f(P) < f; by induction P is
+    reached, and extending P by z_f reaches K.  The argument needs no
+    normality or solvability, so perfect subgroups such as A5 inside S5 are
+    found too.  The extensions of {1} are the zuppos, with f(<z_i>) = i.
+
+    Two joins are skipped because their result is known.  A subgroup of
+    order above n/4 is not extended: any subgroup properly containing it
+    has order above n/2, which is G itself.  When <K, z_i> has prime index
+    over K, nothing lies strictly between them, so <K, z> = <K, z_i> for
+    every later zuppo z inside it.
     """
     _require_order_at_most(group.order, cap)
     if group._subgroups is None:
-        t = group.table
-        seen: set[int] = set()
-        masks: list[int] = []
-        for g in range(group.order):
-            m = 1 << group.identity
-            x = g
-            while not m >> x & 1:
-                m |= 1 << x
-                x = t[x][g]
-            if m not in seen:
-                seen.add(m)
-                masks.append(m)
-        i = 0
-        while i < len(masks):
-            a = masks[i]
-            for j in range(i):
-                b = masks[j]
-                union = a | b
-                if union == a or union == b:  # one contains the other
+        t, n = group.table, group.order
+        primes = {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
+        zuppos = _zuppos(group, primes)
+        seen = {1 << group.identity, group.full_mask}
+        todo = []
+        for i, (z, z_mask, z_elems) in enumerate(zuppos):
+            if z_mask not in seen:  # seen already when G is a cyclic p-group
+                seen.add(z_mask)
+                todo.append((z_mask, z_elems, [z], i))
+        for k_mask, k_elems, k_gens, f in todo:  # todo grows while it is walked
+            if 4 * len(k_elems) > n:
+                continue
+            done = k_mask  # z in done: <K, z> is K or an extension already made
+            for z, _, _ in zuppos[f + 1 :]:
+                if done >> z & 1:
                     continue
-                if 2 * union.bit_count() > group.order:
-                    m = group.full_mask  # no proper subgroup exceeds index 2
-                else:
-                    m = _close_mask(group, union)
-                if m not in seen:
-                    seen.add(m)
-                    masks.append(m)
-            i += 1
-        subs = [SubgroupSet._from_mask(group, m) for m in masks]
+                j_mask, j_elems = _dimino_step(t, k_mask, k_elems, [*k_gens, z])
+                if len(j_elems) // len(k_elems) in primes:
+                    done |= j_mask  # nothing lies strictly between K and J
+                if j_mask not in seen:
+                    seen.add(j_mask)
+                    todo.append(_canonical_prefix(t, zuppos, j_mask))
+        subs = [SubgroupSet._from_mask(group, m) for m in seen]
         subs.sort(key=SubgroupSet.sort_key)
         group._subgroups = tuple(subs)
     return group._subgroups
+
+
+def _canonical_prefix(
+    table: tuple[tuple[int, ...], ...], zuppos: list[tuple[int, int, list[int]]], target: int
+) -> tuple[int, list[int], list[int], int]:
+    """The subgroup with mask ``target`` as (mask, elements, generators, f):
+    closed from its zuppos in index order, stopping at the first index f
+    where they generate it, which is the canonical index f(target)."""
+    mask = 0
+    for i, (z, z_mask, z_elems) in enumerate(zuppos):
+        if target >> z & 1 and not mask >> z & 1:
+            if mask:
+                gens.append(z)
+                mask, elems = _dimino_step(table, mask, elems, gens)
+            else:
+                mask, elems, gens = z_mask, z_elems, [z]
+            if mask == target:
+                return mask, elems, gens, i
+    raise InternalInconsistencyError("zuppos of a subgroup do not generate it")
 
 
 def _subgroup_centralizer_masks(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:

@@ -21,7 +21,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .core import DEFAULT_ORDER_CAP, FiniteGroup, _require_order_at_most, closure, group_from_json
+from .core import (
+    _GROUP_KEYS,
+    DEFAULT_ORDER_CAP,
+    FiniteGroup,
+    _is_integral,
+    _json_object,
+    _require_order_at_most,
+    closure,
+    group_from_json,
+)
 from .errors import ExprParseError, TableJsonError, UnknownGeneratorError
 from .families import cover_group, direct_product, make_family, semidirect_cyclic
 from .homs import GroupHom, quotient
@@ -332,7 +341,8 @@ def eval_group_expr(
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as e:
             raise TableJsonError(f"{path} is not UTF-8 text: {e}") from e
-        group = group_from_json(text)
-        _require_order_at_most(group.order, cap, "loaded group")
-        return EvalResult(group)
+        doc = _json_object(text, "group", _GROUP_KEYS)
+        if _is_integral(doc.get("order")):  # refuse before the table is validated
+            _require_order_at_most(doc["order"], cap, "loaded group")
+        return EvalResult(group_from_json(doc))
     raise TypeError(f"not an expression: {expr!r}")

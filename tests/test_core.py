@@ -7,6 +7,7 @@ import pytest
 
 from centlat import (
     SubgroupSet,
+    core,
     centralizer,
     center,
     closure,
@@ -239,6 +240,18 @@ def test_closure_matches_oracle(s3):
             assert got == brute_closure(table, {a, b})
 
 
+def test_closure_matches_oracle_on_random_seeds():
+    # several Dimino steps per closure, non-normal ones included, on tables
+    # whose identity is not index 0
+    rng = random.Random(2026)
+    groups = [e.group for e in catalog(32)] + [from_multiplication_table(24, symmetric_group_table(4))]
+    for _ in range(150):
+        g = _relabelled(rng.choice(groups), rng)
+        seed = rng.sample(range(g.order), rng.randint(1, 3))
+        got = set(closure(g, seed))
+        assert got == brute_closure([list(r) for r in g.table], set(seed)), seed
+
+
 def test_centralizer_matches_oracle(s3):
     table = [list(row) for row in s3.table]
     for a in range(6):
@@ -330,6 +343,195 @@ def test_every_reported_subgroup_validates():
     for h in all_subgroups(g):
         h.validate()
         assert g.order % len(h) == 0  # Lagrange
+
+
+def _pairwise_join_masks(table: list[list[int]], identity: int) -> list[int]:
+    """Subgroup masks as all_subgroups found them before zuppo extension,
+    in plain loops: every cyclic subgroup, then saturation under pairwise
+    joins (the whole group once the union passes half of it, else the
+    closure of the union by right-coset extension), sorted by (order,
+    members).  The reference the enumerator is compared with."""
+    n = len(table)
+
+    def members(mask: int) -> list[int]:
+        return [i for i in range(n) if mask >> i & 1]
+
+    def close(seed: int) -> int:
+        mask, gens = 1 << identity, []
+        for s in members(seed):
+            if mask >> s & 1:
+                continue
+            h_elems = members(mask)
+            gens.append(s)
+            new_mask = mask
+            for h in h_elems:
+                new_mask |= 1 << table[h][s]
+            reps = [s]
+            i = 0
+            while i < len(reps):
+                row = table[reps[i]]
+                for g in gens:
+                    x = row[g]
+                    if not new_mask >> x & 1:
+                        reps.append(x)
+                        for h in h_elems:
+                            new_mask |= 1 << table[h][x]
+                i += 1
+            mask = new_mask
+        return mask
+
+    seen, masks = set(), []
+    for g in range(n):
+        m, x = 1 << identity, g
+        while not m >> x & 1:
+            m |= 1 << x
+            x = table[x][g]
+        if m not in seen:
+            seen.add(m)
+            masks.append(m)
+    i = 0
+    while i < len(masks):
+        for j in range(i):
+            a, b = masks[i], masks[j]
+            union = a | b
+            if union == a or union == b:
+                continue
+            m = (1 << n) - 1 if 2 * bin(union).count("1") > n else close(union)
+            if m not in seen:
+                seen.add(m)
+                masks.append(m)
+        i += 1
+    return sorted(masks, key=lambda m: (bin(m).count("1"), members(m)))
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm))
+
+
+def test_all_subgroups_matches_pairwise_joins():
+    # Differential against the enumerator zuppo extension replaced: the same
+    # masks in the same order, on the catalog and on relabelled copies whose
+    # zuppo numbering (by least generator) differs.
+    rng = random.Random(6)
+    for entry in catalog(32):
+        for g in (entry.group, _relabelled(entry.group, rng), _relabelled(entry.group, rng)):
+            expected = _pairwise_join_masks([list(r) for r in g.table], g.identity)
+            assert [h.mask for h in all_subgroups(g)] == expected, entry.name
+
+
+def test_all_subgroups_matches_brute_oracle_in_order():
+    for entry in catalog(16):
+        g = entry.group
+        expected = sorted(
+            (len(s), tuple(sorted(s))) for s in brute_all_subgroups([list(r) for r in g.table])
+        )
+        assert [h.sort_key() for h in all_subgroups(g)] == expected, entry.name
+
+
+def _is_prime(k: int) -> bool:
+    return k > 1 and all(k % d for d in range(2, k))
+
+
+def _prime_power(k: int) -> bool:
+    if k < 2:
+        return False
+    p = next(d for d in range(2, k + 1) if k % d == 0)  # least prime factor
+    while k % p == 0:
+        k //= p
+    return k == 1
+
+
+def _brute_canonical_index(table, zuppos: list[int], target: set[int]) -> int:
+    """Least i such that the zuppos (given by generators, in index order)
+    inside ``target`` with index <= i generate it."""
+    inside = []
+    for i, z in enumerate(zuppos):
+        if z in target:
+            inside.append(z)
+            if brute_closure(table, set(inside)) == target:
+                return i
+    raise AssertionError("zuppos do not generate the subgroup")
+
+
+def test_canonical_index_is_exact():
+    # f(K) must be the least index, not an upper bound: a larger one drops
+    # joins that the completeness argument relies on
+    rng = random.Random(11)
+    groups = [e.group for e in catalog(16)] + [from_multiplication_table(24, symmetric_group_table(4))]
+    for g0 in groups:
+        g = _relabelled(g0, rng)
+        table = [list(r) for r in g.table]
+        orders = g.element_orders()
+        zuppos = core._zuppos(g, {p for p in range(2, g.order + 1) if g.order % p == 0 and _is_prime(p)})
+        gens = [z for z, _, _ in zuppos]
+        by_generator = {}
+        for a in range(g.order):  # least generator of each prime-power cyclic subgroup
+            if _prime_power(orders[a]):
+                by_generator.setdefault(frozenset(brute_closure(table, {a})), a)
+        assert gens == sorted(by_generator.values())
+        for h in all_subgroups(g):
+            if h.is_trivial():
+                continue
+            mask, elems, k_gens, f = core._canonical_prefix(g.table, zuppos, h.mask)
+            assert f == _brute_canonical_index(table, gens, set(h))
+            assert mask == h.mask and sorted(elems) == list(h.members)
+            assert brute_closure(table, set(k_gens)) == set(h)
+
+
+def test_canonical_index_computed_once_per_subgroup(monkeypatch):
+    # every subgroup but {1}, G and the zuppos (whose index is their own)
+    # gets its canonical index from one closure along its zuppos
+    calls = Counter()
+    original = core._canonical_prefix
+
+    def counting(table, zuppos, target):
+        calls[target] += 1
+        return original(table, zuppos, target)
+
+    monkeypatch.setattr(core, "_canonical_prefix", counting)
+    g = _relabelled(from_multiplication_table(120, symmetric_group_table(5)), random.Random(5))
+    table = [list(r) for r in g.table]
+    subs = all_subgroups(g)
+    zuppo_masks = {
+        h.mask
+        for h in subs
+        if _prime_power(len(h)) and any(brute_closure(table, {a}) == set(h) for a in h)
+    }
+    expected = {h.mask for h in subs} - zuppo_masks - {subs[0].mask, subs[-1].mask}
+    assert calls == Counter(expected)
+
+
+def _elementary_abelian(rank: int):
+    g = make_family("cyclic", 2)
+    for _ in range(rank - 1):
+        g = direct_product(g, make_family("cyclic", 2))
+    return g
+
+
+@pytest.mark.parametrize(
+    "builder,expected_count",
+    [
+        # sum of Gaussian binomials [5 choose k]_2
+        (lambda: _elementary_abelian(5), 374),
+        # D_2m has tau(m) + sigma(m) subgroups
+        (lambda: make_family("dihedral", 256), 263),
+        (lambda: from_multiplication_table(24, symmetric_group_table(4)), 30),
+        (lambda: from_multiplication_table(60, alternating_group_table(5)), 59),
+        (lambda: from_multiplication_table(120, symmetric_group_table(5)), 156),
+    ],
+    ids=["C2^5", "dihedral(256)", "S4", "A5", "S5"],
+)
+def test_subgroup_counts_known(builder, expected_count):
+    g = _relabelled(builder(), random.Random(expected_count))
+    subs = all_subgroups(g)
+    assert len(subs) == expected_count
+    if g.order == 120:
+        # A5 is perfect, so it is no H<z> with H a proper normal subgroup
+        # (K/H cyclic forces K' <= H): extension inside normalisers misses it
+        (a5,) = [h for h in subs if len(h) == 60]
+        assert derived_subgroup(g) == a5
 
 
 # ------------------------------------------------------------- SubgroupSet
