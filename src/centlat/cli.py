@@ -83,7 +83,6 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("verify", help="run one of the built-in verification suites")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=None, help="index for the corollary suite (3..7)")
-    add_cap(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="print a group table (or quotient homomorphism) as JSON")

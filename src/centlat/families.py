@@ -191,37 +191,38 @@ def cover_group(kind: str, n: int) -> CoverGroup:
             raise UnsupportedParameterError(f"quaternion_semidihedral cover needs n >= 4, got {n}")
         q = make_family("quaternion", 1 << n)
         sd = make_family("semidihedral", 1 << n)
-        g, z_quaternion, z_semidihedral = _fiber_product_over_central_quotients(q, sd, n)
+        g, z_quaternion, z_semidihedral = _fiber_product_over_central_quotients(q, sd)
         return CoverGroup(kind, n, g, z_quaternion, z_semidihedral)
     raise UnsupportedParameterError(f"unknown cover kind {kind!r}")
 
 
 def _fiber_product_over_central_quotients(
-    a: FiniteGroup, b: FiniteGroup, n: int
+    a: FiniteGroup, b: FiniteGroup
 ) -> tuple[FiniteGroup, SubgroupSet, SubgroupSet]:
     """Pairs (u, v) whose images agree in the common quotient by the central
-    involution x^(2^(n-2)) of each factor.
+    involution x^(m/2) of each factor.
 
-    Quotienting the result by 1 x ker lands in ``a``; by ker x 1 in ``b``.
+    Both factors are :func:`_twisted_pair` groups on index e*m + i, and the
+    quotient by x^(m/2) keeps e and i mod m/2 in either, so the fibres come
+    straight from that shared encoding.  Quotienting the result by 1 x ker
+    lands in ``a``; by ker x 1 in ``b``.
     """
-    from .homs import group_isomorphic, quotient  # deferred: homs builds on core only
-
-    zb_gen = 1 << (n - 2)  # x^(2^(n-2)) in either factor, central of order 2
-    qa, pa = quotient(a, closure(a, [zb_gen]))
-    qb, pb = quotient(b, closure(b, [zb_gen]))
-    iota = group_isomorphic(qb, qa)
-    _ensure(iota is not None, "both central quotients must be the same dihedral group")
+    m = a.order // 2
+    half = m // 2  # x^(m/2), central of order 2 in either factor
     pairs = [
         (u, v)
         for u in range(a.order)
         for v in range(b.order)
-        if pa.mapping[u] == iota.mapping[pb.mapping[v]]
+        if u // m == v // m and u % half == v % half
     ]
     index = {pair: i for i, pair in enumerate(pairs)}
-    table = [
-        [index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs]
-        for (u1, v1) in pairs
-    ]
+    try:
+        table = [
+            [index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs]
+            for (u1, v1) in pairs
+        ]
+    except KeyError as e:
+        raise InternalInconsistencyError(f"fiber product is not closed: {e.args[0]}") from e
     labels = [f"({a.label(u)},{b.label(v)})" for u, v in pairs]
     # x and y are a's generators, each paired with its lowest-index partner;
     # for the family factors here they generate the fiber product
@@ -232,8 +233,8 @@ def _fiber_product_over_central_quotients(
         g = from_multiplication_table(len(pairs), table, hints, labels)
     except ValueError as e:
         raise InternalInconsistencyError(f"fiber product generator hints: {e}") from e
-    z_first = closure(g, [index[(a.identity, zb_gen)]])
-    z_second = closure(g, [index[(zb_gen, b.identity)]])
+    z_first = closure(g, [index[(a.identity, half)]])
+    z_second = closure(g, [index[(half, b.identity)]])
     return g, z_first, z_second
 
 

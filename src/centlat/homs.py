@@ -121,32 +121,30 @@ def _require_surjective(h: GroupHom) -> None:
 def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]:
     """The quotient by a normal subgroup, plus the projection onto it.
 
-    Cosets are named by their least element index; the coset list is sorted
-    by that representative, so quotient tables are deterministic.  Raises
-    :class:`NotNormalError` with a conjugating witness otherwise.
+    Left cosets are numbered in one ascending pass: the first element not
+    yet in a coset is the least element of its coset gN, so the cosets come
+    out sorted by least element and quotient tables are deterministic.
+    Normality is checked on those representatives only: g^-1 N g = N holds
+    for g exactly when it holds for gy (y in N), so the first failing element
+    is a representative and the :class:`NotNormalError` witness is the one a
+    check of every element would find.
     """
     if not n.group.same_table(group):
         raise DomainMismatchError("subgroup belongs to a different group")
-    t, inverse = group.table, group.inverse
-    mask = n.mask
+    t, inverse, mask = group.table, group.inverse, n.mask
+    proj = [-1] * group.order
+    reps: list[int] = []
     for g in range(group.order):
-        ig = inverse[g]
+        if proj[g] >= 0:
+            continue
+        # g is the least element of gN, so the conjugation check runs once per coset
+        ig, row = inverse[g], t[g]
         for x in n.members:
             conj = t[t[ig][x]][g]
             if not mask >> conj & 1:
                 raise NotNormalError(g, x, conj)
-    rep = [0] * group.order
-    for g in range(group.order):
-        row_min = group.order
-        for x in n.members:
-            v = t[g][x]
-            if v < row_min:
-                row_min = v
-        rep[g] = row_min
-    reps = sorted(set(rep))
-    index_of = {r: i for i, r in enumerate(reps)}
-    proj = tuple(index_of[rep[g]] for g in range(group.order))
-    qorder = len(reps)
+            proj[row[x]] = len(reps)
+        reps.append(g)
     qtable = [[proj[t[ra][rb]] for rb in reps] for ra in reps]
     gens = []
     seen = set()
@@ -156,8 +154,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
             seen.add(v)
             gens.append((name, v))
     qlabels = tuple(group.label(r) for r in reps) if group.element_labels else None
-    q = from_multiplication_table(qorder, qtable, tuple(gens) or None, qlabels)
-    return q, GroupHom(group, q, proj)
+    q = from_multiplication_table(len(reps), qtable, tuple(gens) or None, qlabels)
+    return q, GroupHom(group, q, tuple(proj))
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,9 @@ class CentralizerLattice:
 
     def __init__(self, group: FiniteGroup, node_masks: list[int]) -> None:
         self.group = group
-        node_masks.sort(key=lambda m: (m.bit_count(), _bits(m)))
-        self.nodes: tuple[SubgroupSet, ...] = tuple(
-            SubgroupSet._from_mask(group, m) for m in node_masks
-        )
-        self.node_masks = tuple(node_masks)
+        nodes = sorted((SubgroupSet._from_mask(group, m) for m in node_masks), key=SubgroupSet.sort_key)
+        self.nodes: tuple[SubgroupSet, ...] = tuple(nodes)
+        self.node_masks = node_masks = tuple(s.mask for s in nodes)
         index_of = {m: i for i, m in enumerate(node_masks)}
         self.index_of_mask = index_of
         count = len(node_masks)

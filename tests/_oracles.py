@@ -244,3 +244,22 @@ def brute_lattice_join(nodes: list[frozenset[int]], i: int, j: int) -> int:
     least = min(above, key=lambda k: len(nodes[k]))
     assert all(nodes[least] <= nodes[k] for k in above), "oracle: no least upper bound"
     return least
+
+
+def brute_quotient(table: list[list[int]], members: set[int]):
+    """The quotient by ``members`` as (projection, quotient table), cosets
+    numbered by least element; or, when the subgroup is not normal,
+    ("not normal", g, x, conj) for the first g, then x, in ascending order
+    with conj = g^-1 x g outside it."""
+    n = len(table)
+    e = brute_identity(table)
+    inverse = [next(b for b in range(n) if table[a][b] == e) for a in range(n)]
+    for g in range(n):
+        for x in sorted(members):
+            conj = table[table[inverse[g]][x]][g]
+            if conj not in members:
+                return ("not normal", g, x, conj)
+    cosets = sorted({frozenset(table[g][x] for x in members) for g in range(n)}, key=min)
+    proj = [next(i for i, c in enumerate(cosets) if g in c) for g in range(n)]
+    reps = [min(c) for c in cosets]
+    return proj, [[proj[table[a][b]] for b in reps] for a in reps]

@@ -173,6 +173,12 @@ def test_usage_errors(cli):
     assert cli("export", "quotient(dihedral(8),[y])").returncode == 64
 
 
+def test_verify_takes_no_cap(capsys):
+    # the suites build their groups at fixed orders, so a cap there would be ignored
+    assert centlat_cli.main(["verify", "figure3", "--cap", "8"]) == 64
+    assert "--cap" in capsys.readouterr().err
+
+
 def test_usage_errors_print_to_stderr(cli):
     proc = cli("lattice", "wedge(4)")
     assert proc.stdout == ""

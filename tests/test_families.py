@@ -20,6 +20,7 @@ from centlat import (
     cover_group,
     direct_product,
     families,
+    from_multiplication_table,
     group_isomorphic,
     make_family,
     quotient,
@@ -198,6 +199,73 @@ def test_fiber_product_hints_that_do_not_generate_are_internal(monkeypatch):
     with pytest.raises(InternalInconsistencyError, match="do not generate"):
         cover_group("quaternion_semidihedral", 4)
     assert cli.main(["lattice", "cover_qsd(4)"]) == 2
+
+
+def _fiber_product_by_quotients(a, b, n):
+    # The fiber product built the long way: quotient both factors by
+    # x^(2^(n-2)), find an isomorphism between the quotients, and pair the
+    # elements whose images agree under it.
+    z = 1 << (n - 2)
+    qa, pa = quotient(a, closure(a, [z]))
+    qb, pb = quotient(b, closure(b, [z]))
+    iota = group_isomorphic(qb, qa)
+    pairs = [
+        (u, v)
+        for u in range(a.order)
+        for v in range(b.order)
+        if pa.mapping[u] == iota.mapping[pb.mapping[v]]
+    ]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    table = [
+        [index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs]
+        for (u1, v1) in pairs
+    ]
+    labels = [f"({a.label(u)},{b.label(v)})" for u, v in pairs]
+    hints = [
+        (name, next(i for i, (u, _) in enumerate(pairs) if u == ga)) for name, ga in a.generator_names
+    ]
+    g = from_multiplication_table(len(pairs), table, hints, labels)
+    return g, closure(g, [index[(a.identity, z)]]), closure(g, [index[(z, b.identity)]])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_fiber_product_matches_quotient_construction(n):
+    q, sd = make_family("quaternion", 1 << n), make_family("semidihedral", 1 << n)
+    g, z_first, z_second = families._fiber_product_over_central_quotients(q, sd)
+    h, expected_first, expected_second = _fiber_product_by_quotients(q, sd, n)
+    assert g.table == h.table
+    assert g.generator_names == h.generator_names
+    assert g.element_labels == h.element_labels
+    assert (z_first.mask, z_second.mask) == (expected_first.mask, expected_second.mask)
+
+
+def test_fiber_product_of_mismatched_factors_is_internal():
+    # a cyclic factor does not share the quaternion factor's encoding
+    with pytest.raises(InternalInconsistencyError):
+        families._fiber_product_over_central_quotients(
+            make_family("quaternion", 16), make_family("cyclic", 16)
+        )
+
+
+def test_package_has_no_function_level_imports():
+    # and families builds on core and errors alone, never on homs or above
+    for path in sorted(Path(centlat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [n.lineno for n in ast.walk(func) if isinstance(n, (ast.Import, ast.ImportFrom))]
+                assert not nested, f"{path.name} imports inside {func.name} at lines {nested}"
+    tree = ast.parse(Path(families.__file__).read_text(encoding="utf-8"))
+    package_imports = {
+        node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert package_imports == {"core", "errors"}
+    assert not any(
+        alias.name.startswith("centlat")
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    )
 
 
 def test_cover_parameter_validation():

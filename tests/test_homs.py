@@ -44,7 +44,13 @@ from centlat.errors import (
 
 from centlat import core, homs
 
-from _oracles import brute_crh_verdict, brute_first_commutator_in, relabel
+from _oracles import (
+    brute_crh_verdict,
+    brute_first_commutator_in,
+    brute_quotient,
+    relabel,
+    symmetric_group_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +145,33 @@ def test_quotient_of_domain_mismatch(d8):
     z4 = make_family("cyclic", 4)
     with pytest.raises(DomainMismatchError):
         quotient(d8, closure(z4, [2]))
+
+
+def _quotient_or_witness(g, sub):
+    try:
+        q, proj = quotient(g, sub)
+    except NotNormalError as e:
+        return ("not normal", e.conjugator, e.element, e.conjugate)
+    return list(proj.mapping), [list(row) for row in q.table]
+
+
+def test_quotient_matches_brute_oracle():
+    # Coset numbering and the first non-normal witness on every subgroup of
+    # the catalog, of two relabelled copies of each group (where both differ
+    # from the catalog's) and of S4.
+    rng = random.Random(7)
+    groups = [from_multiplication_table(24, symmetric_group_table(4))]
+    for entry in catalog(32):
+        g = entry.group
+        groups.append(g)
+        for _ in range(2):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            groups.append(from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm)))
+    for g in groups:
+        table = [list(r) for r in g.table]
+        for sub in all_subgroups(g):
+            assert _quotient_or_witness(g, sub) == brute_quotient(table, set(sub.members))
 
 
 # ------------------------------------------------- centralizer-respecting maps
