@@ -1,8 +1,11 @@
 """Finite groups as validated multiplication tables.
 
 Elements of a group of order n are the indices 0..n-1.  A group is stored as
-its full multiplication table; construction validates the four group axioms
-and locates the identity (which need not be index 0).  Subsets of a group are
+its full multiplication table; construction from a table validates the four
+group axioms and locates the identity (which need not be index 0).  The one
+construction trusted without validation is a quotient by a normal subgroup
+(:func:`centlat.homs.quotient`), a group by construction with the fields
+validation would give.  Subsets of a group are
 :class:`SubgroupSet` values backed by an integer bitmask, so intersection,
 union and containment are single machine-word operations for the orders this
 package targets (a few hundred elements at most).
@@ -45,10 +48,15 @@ def _is_integral(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _mask_of(indices: Iterable[int]) -> int:
+def _mask_of(group: FiniteGroup, indices: Iterable[int]) -> int:
+    """Bitmask of ``indices``; the one check of element indices passed in
+    from outside the package.  Each must be integral and in range for
+    ``group``, else ``ValueError`` naming the first one that is not."""
     mask = 0
     for i in indices:
-        mask |= 1 << i
+        if not _is_integral(i) or not 0 <= i < group.order:
+            raise ValueError(f"{i!r} is not an element index of a group of order {group.order}")
+        mask |= 1 << int(i)
     return mask
 
 
@@ -57,8 +65,11 @@ class FiniteGroup:
 
     Instances are immutable once built; derived data (centralizer masks,
     element orders, the subgroup list, ...) is computed lazily and cached on
-    the instance.  Use :func:`from_multiplication_table` to construct one
-    from untrusted data.
+    the instance.  The constructor checks nothing: use
+    :func:`from_multiplication_table` to construct one from untrusted data.
+    Besides that function, only :func:`centlat.homs.quotient` calls it: a
+    quotient of a group by a normal subgroup is a group by construction,
+    and it passes the fields validation would produce.
     """
 
     def __init__(
@@ -166,11 +177,7 @@ class SubgroupSet:
     __slots__ = ("group", "mask", "members")
 
     def __init__(self, group: FiniteGroup, members: Iterable[int]) -> None:
-        mask = 0
-        for m in members:
-            if not 0 <= m < group.order:
-                raise ValueError(f"element index {m} out of range for order {group.order}")
-            mask |= 1 << m
+        mask = _mask_of(group, members)
         self.group = group
         self.mask = mask
         self.members = tuple(_bits(mask))
@@ -455,7 +462,7 @@ def _close_mask(group: FiniteGroup, seed_mask: int) -> int:
 
 def closure(group: FiniteGroup, seed: Iterable[int]) -> SubgroupSet:
     """Subgroup generated by ``seed`` (which may be empty: the trivial subgroup)."""
-    return SubgroupSet._from_mask(group, _close_mask(group, _mask_of(seed)))
+    return SubgroupSet._from_mask(group, _close_mask(group, _mask_of(group, seed)))
 
 
 def _centralizer_mask(group: FiniteGroup, mask: int) -> int:
@@ -475,7 +482,7 @@ def centralizer(group: FiniteGroup, target) -> SubgroupSet:
     ``target`` may be any iterable of element indices or a
     :class:`SubgroupSet`; the empty set yields the whole group.
     """
-    mask = target.mask if isinstance(target, SubgroupSet) else _mask_of(target)
+    mask = target.mask if isinstance(target, SubgroupSet) else _mask_of(group, target)
     return SubgroupSet._from_mask(group, _centralizer_mask(group, mask))
 
 

@@ -19,11 +19,12 @@ from .core import (
     _bits,
     _centralizer_mask,
     _first_commutator_pairs,
+    _is_integral,
     _require_order_at_most,
     _subgroup_centralizer_masks,
     all_subgroups,
     center,
-    from_multiplication_table,
+    from_multiplication_table,  # uncalled here; kept importable from homs
 )
 from .errors import (
     DomainMismatchError,
@@ -68,13 +69,19 @@ class GroupHom:
 
 
 def hom_from_map(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHom:
-    """Validate that ``mapping`` (an element->element sequence) is a homomorphism."""
-    m = tuple(int(v) for v in mapping)
+    """Validate that ``mapping`` (an element->element sequence) is a homomorphism.
+
+    Every entry must be an integral element index of ``target`` (bools,
+    floats and strings are not); any other entry is reported like an
+    out-of-range one.
+    """
+    m = tuple(mapping)
     if len(m) != source.order:
         raise NotHomomorphismError(0, 0, -1, -1)
     for v in m:
-        if not 0 <= v < target.order:
+        if not _is_integral(v) or not 0 <= v < target.order:
             raise NotHomomorphismError(0, 0, v, -1)
+    m = tuple(map(int, m))  # e.g. NumPy integers
     ts, tt = source.table, target.table
     for a in range(source.order):
         fa = m[a]
@@ -128,6 +135,16 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     for g exactly when it holds for gy (y in N), so the first failing element
     is a representative and the :class:`NotNormalError` witness is the one a
     check of every element would find.
+
+    The quotient is the package's one :class:`FiniteGroup` built without
+    :func:`from_multiplication_table`, because it is a group by
+    construction: G is associative and N is normal (just checked), so the
+    coset product is well defined and associative; N is the identity coset
+    and g^-1 N is the inverse of gN.  Every group carries generator names
+    that generate it (:func:`from_multiplication_table` checks this for the
+    groups it builds, and quotients keep it), so their de-duplicated images
+    generate the quotient.  Every field read off the projection is the one
+    validation would have produced.
     """
     if not n.group.same_table(group):
         raise DomainMismatchError("subgroup belongs to a different group")
@@ -145,7 +162,7 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
                 raise NotNormalError(g, x, conj)
             proj[row[x]] = len(reps)
         reps.append(g)
-    qtable = [[proj[t[ra][rb]] for rb in reps] for ra in reps]
+    qtable = tuple(tuple(proj[t[ra][rb]] for rb in reps) for ra in reps)
     gens = []
     seen = set()
     for name, g in group.generator_names:
@@ -154,7 +171,14 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
             seen.add(v)
             gens.append((name, v))
     qlabels = tuple(group.label(r) for r in reps) if group.element_labels else None
-    q = from_multiplication_table(len(reps), qtable, tuple(gens) or None, qlabels)
+    q = FiniteGroup(
+        len(reps),
+        qtable,
+        proj[group.identity],
+        tuple(proj[inverse[r]] for r in reps),
+        tuple(gens),
+        qlabels,
+    )
     return q, GroupHom(group, q, tuple(proj))
 
 
@@ -368,6 +392,6 @@ def hom_from_json(doc) -> GroupHom:
     source = _core.group_from_json(doc["source"])
     target = _core.group_from_json(doc["target"])
     mapping = doc["map"]
-    if not isinstance(mapping, list) or not all(map(_core._is_integral, mapping)):
+    if not isinstance(mapping, list) or not all(map(_is_integral, mapping)):
         raise TableJsonError("'map' must be a list of target element indices")
     return hom_from_map(source, target, mapping)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -547,6 +548,34 @@ def test_subgroupset_ops(s3):
         assert (h & whole) == h
     with pytest.raises(ValueError):
         SubgroupSet(s3, [1])  # a transposition alone is not closed
+
+
+@pytest.mark.parametrize("index", [99, 8, -1, 1.5, 2.0, True, "1", None])
+def test_element_indices_are_checked_at_the_boundary(index):
+    # one check for closure, centralizer and SubgroupSet: an index that is
+    # not an integral element of the group raises ValueError naming it,
+    # never IndexError, TypeError, a negative shift or True taken as 1
+    g = make_family("dihedral", 8)
+    calls = (
+        lambda: closure(g, [index]),
+        lambda: centralizer(g, [0, index]),
+        lambda: SubgroupSet(g, [0, index]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(index))):
+            call()
+
+
+def test_numpy_integer_indices_give_the_same_subsets():
+    # NumPy shifts wrap at 64 bits: 1 << np.int64(100) is 0
+    np = pytest.importorskip("numpy")
+    g = make_family("dihedral", 128)
+    x100 = closure(g, [100])
+    assert closure(g, [np.int64(100)]) == x100
+    assert centralizer(g, [np.int64(100)]) == centralizer(g, [100])
+    assert SubgroupSet(g, np.array(x100.members)) == x100
+    with pytest.raises(ValueError):
+        closure(g, [np.bool_(True)])
 
 
 def test_subgroupset_hash_and_eq(s3):

@@ -1,5 +1,5 @@
-"""Random input on the readers of outside data (tables, group and
-homomorphism documents, group expressions): whatever arrives, the only
+"""Random input on the readers of outside data (tables, element maps,
+group and homomorphism documents, group expressions): whatever arrives, the only
 exceptions are the package's own (and the documented ``ValueError`` of
 ``from_multiplication_table`` for labels and generator hints).  The CLI,
 driven in-process, ends every such input in a documented exit code."""
@@ -20,6 +20,7 @@ from centlat import (
     group_from_json,
     group_to_json,
     hom_from_json,
+    hom_from_map,
     make_family,
     parse_group_expr,
 )
@@ -96,6 +97,33 @@ def test_from_multiplication_table_raises_only_documented_errors(order, table, h
 @given(perturbed_group_tables(), hints)
 def test_perturbed_tables_get_the_oracle_verdict(table, hints):
     _check_table(len(table), table, hints)
+
+
+SMALL_GROUPS = [e.group for e in catalog(8)]
+
+
+@st.composite
+def element_maps(draw):
+    """A source, a target and the trivial map between them with a few
+    entries overwritten by arbitrary cells, or any short list of cells."""
+    source, target = draw(st.sampled_from(SMALL_GROUPS)), draw(st.sampled_from(SMALL_GROUPS))
+    mapping = [target.identity] * source.order
+    for _ in range(draw(st.integers(0, 2))):
+        mapping[draw(st.integers(0, source.order - 1))] = draw(cells)
+    return source, target, draw(st.just(mapping) | st.lists(cells, max_size=9))
+
+
+@FUZZ
+@given(element_maps())
+def test_hom_from_map_raises_only_package_errors(case):
+    source, target, mapping = case
+    try:
+        h = hom_from_map(source, target, mapping)
+    except CentlatError:
+        return
+    assert all(type(v) is int for v in mapping) and h.mapping == tuple(mapping)
+    pairs = [(a, b) for a in range(source.order) for b in range(source.order)]
+    assert all(target.mul(h.apply(a), h.apply(b)) == h.apply(source.mul(a, b)) for a, b in pairs)
 
 
 json_values = st.recursive(

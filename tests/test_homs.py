@@ -22,10 +22,12 @@ from centlat import (
     hom_to_json,
     identity_hom,
     image,
+    induced_map,
     is_central,
     is_centralizer_respecting,
     is_surjective,
     kernel,
+    lattice_of,
     make_family,
     one_sided_inclusion_holds,
     parse_group_expr,
@@ -84,6 +86,14 @@ def test_hom_from_map_validates(d8):
         hom_from_map(d8, z2, sign[:-1])  # wrong length
     with pytest.raises(NotHomomorphismError):
         hom_from_map(d8, z2, [0, 0, 0, 0, 1, 1, 1, 9])  # out of range
+    # non-integral entries are reported like out-of-range ones, never
+    # truncated or coerced to 1 (nor, for None, a bare TypeError)
+    z4 = make_family("cyclic", 4)
+    assert hom_from_map(z4, z2, [0, 1, 0, 1]).mapping == (0, 1, 0, 1)
+    for entry in (1.9, 1.0, True, "1", None):
+        with pytest.raises(NotHomomorphismError) as exc:
+            hom_from_map(z4, z2, [0, 1, 0, entry])
+        assert exc.value.pair == (0, 0) and exc.value.got is entry and exc.value.expected == -1
 
 
 def test_identity_and_compose(d8):
@@ -155,10 +165,11 @@ def _quotient_or_witness(g, sub):
     return list(proj.mapping), [list(row) for row in q.table]
 
 
-def test_quotient_matches_brute_oracle():
-    # Coset numbering and the first non-normal witness on every subgroup of
-    # the catalog, of two relabelled copies of each group (where both differ
-    # from the catalog's) and of S4.
+@pytest.fixture(scope="module")
+def quotient_groups():
+    """The catalog, two relabelled copies of each group (where both the
+    identity and the coset numbering differ from the catalog's, and there
+    are no labels) and S4."""
     rng = random.Random(7)
     groups = [from_multiplication_table(24, symmetric_group_table(4))]
     for entry in catalog(32):
@@ -168,10 +179,67 @@ def test_quotient_matches_brute_oracle():
             perm = list(range(g.order))
             rng.shuffle(perm)
             groups.append(from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm)))
-    for g in groups:
+    return groups
+
+
+def test_quotient_matches_brute_oracle(quotient_groups):
+    # coset numbering and the first non-normal witness on every subgroup
+    for g in quotient_groups:
         table = [list(r) for r in g.table]
         for sub in all_subgroups(g):
             assert _quotient_or_witness(g, sub) == brute_quotient(table, set(sub.members))
+
+
+def _assert_quotient_fields(g, q, proj):
+    """q = g/N, built without validation, has exactly the fields that
+    from_multiplication_table gives its table; the generator names and
+    labels, which validation only echoes, match the parent's directly."""
+    again = from_multiplication_table(q.order, q.table, q.generator_names or None, q.element_labels)
+    fields = ("order", "table", "identity", "inverse", "generator_names", "element_labels")
+    assert [getattr(q, f) for f in fields] == [getattr(again, f) for f in fields]
+    assert type(q.table) is tuple and all(type(row) is tuple for row in q.table)
+    least, first_name = {}, {}
+    for x, c in enumerate(proj.mapping):
+        least.setdefault(c, x)
+    for name, x in g.generator_names:
+        first_name.setdefault(proj.mapping[x], name)
+    assert q.generator_names == tuple((name, c) for c, name in first_name.items())
+    labels = tuple(g.label(least[c]) for c in range(q.order))
+    assert q.element_labels == (labels if g.element_labels is not None else None)
+
+
+def test_quotient_fields_match_validation(quotient_groups):
+    # every normal subgroup of the oracle set, and two levels deep, so that
+    # the generator names of derived groups are shown to generate them
+    levels = Counter()
+
+    def descend(g, depth):
+        for sub in all_subgroups(g):
+            try:
+                q, proj = quotient(g, sub)
+            except NotNormalError:
+                continue
+            _assert_quotient_fields(g, q, proj)
+            levels[depth] += 1
+            if depth < 2:
+                descend(q, depth + 1)
+
+    for g in quotient_groups:
+        descend(g, 1)
+    assert levels == Counter({1: 3199, 2: 13231})
+
+
+def test_quotient_fields_of_trivial_and_whole(d8):
+    trivial = from_multiplication_table(1, [[0]])
+    assert trivial.generator_names == ()
+    for g in (trivial, make_family("cyclic", 1), d8):
+        q, proj = quotient(g, closure(g, range(g.order)))
+        _assert_quotient_fields(g, q, proj)
+        assert q.order == 1 and q.table == ((0,),) and q.identity == 0 and q.inverse == (0,)
+    q, _ = quotient(trivial, closure(trivial, []))
+    assert q.generator_names == () and q.element_labels is None
+    q, _ = quotient(d8, closure(d8, range(8)))
+    assert q.generator_names == (("x", 0),) and q.element_labels == (d8.label(0),)
 
 
 # ------------------------------------------------- centralizer-respecting maps
@@ -337,6 +405,28 @@ def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     assert all(is_centralizer_respecting(p).ok for p in projections)
     assert all(one_sided_inclusion_holds(p) for p in projections)
     assert calls == Counter(s.mask for s in subgroups)
+
+
+def test_quotients_are_not_revalidated(monkeypatch):
+    # work counter: once the source group is built, quotienting it and
+    # deciding its projections by both routes validates no table
+    g = eval_group_expr(parse_group_expr("product(cyclic(4),product(cyclic(4),cyclic(4)))")).group
+    central = [s for s in all_subgroups(g) if is_central(g, s)]
+    assert len(central) == 129
+    calls = Counter()
+    for name in ("from_multiplication_table", "_magma_generators"):
+
+        def counting(*args, _name=name, _original=getattr(core, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, counting)
+    for s in central:
+        q, proj = quotient(g, s)
+        assert is_centralizer_respecting(proj).ok
+        assert crh_central_kernel_criterion(proj).ok
+        assert len(induced_map(proj).node_map) == len(lattice_of(g).nodes)
+    assert calls == Counter()
 
 
 def test_isomorphisms_respect_centralizers(d8):
