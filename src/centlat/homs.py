@@ -24,7 +24,6 @@ from .core import (
     _subgroup_centralizer_masks,
     all_subgroups,
     center,
-    from_multiplication_table,  # uncalled here; kept importable from homs
 )
 from .errors import (
     DomainMismatchError,
