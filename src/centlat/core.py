@@ -18,6 +18,7 @@ import numbers
 from typing import Iterable, Iterator
 
 from .errors import (
+    DomainMismatchError,
     InternalInconsistencyError,
     NoIdentityError,
     NoInverseError,
@@ -51,7 +52,13 @@ def _is_integral(v) -> bool:
 def _mask_of(group: FiniteGroup, indices: Iterable[int]) -> int:
     """Bitmask of ``indices``; the one check of element indices passed in
     from outside the package.  Each must be integral and in range for
-    ``group``, else ``ValueError`` naming the first one that is not."""
+    ``group``, else ``ValueError`` naming the first one that is not.  A
+    :class:`SubgroupSet` gives its mask if it belongs to a group with the
+    same table, else :class:`DomainMismatchError`."""
+    if isinstance(indices, SubgroupSet):
+        if not indices.group.same_table(group):
+            raise DomainMismatchError("subgroup belongs to a different group")
+        return indices.mask
     mask = 0
     for i in indices:
         if not _is_integral(i) or not 0 <= i < group.order:
@@ -480,10 +487,9 @@ def centralizer(group: FiniteGroup, target) -> SubgroupSet:
     """Elements commuting with everything in ``target``.
 
     ``target`` may be any iterable of element indices or a
-    :class:`SubgroupSet`; the empty set yields the whole group.
+    :class:`SubgroupSet` of ``group``; the empty set yields the whole group.
     """
-    mask = target.mask if isinstance(target, SubgroupSet) else _mask_of(group, target)
-    return SubgroupSet._from_mask(group, _centralizer_mask(group, mask))
+    return SubgroupSet._from_mask(group, _centralizer_mask(group, _mask_of(group, target)))
 
 
 def center(group: FiniteGroup) -> SubgroupSet:

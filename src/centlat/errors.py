@@ -87,6 +87,14 @@ class NotHomomorphismError(CentlatError):
             f"but phi({a})*phi({b}) = {got}"
         )
 
+    @classmethod
+    def _bad_map(cls, problem: str, got: object = -1) -> "NotHomomorphismError":
+        """A map rejected before any product: pair (0, 0), expected -1."""
+        self = cls.__new__(cls)
+        CentlatError.__init__(self, f"map is not a homomorphism: {problem}")
+        self.pair, self.got, self.expected = (0, 0), got, -1
+        return self
+
 
 class NotNormalError(CentlatError):
     def __init__(self, conjugator: int, element: int, conjugate: int) -> None:

@@ -36,6 +36,7 @@ from .families import cover_group, direct_product, make_family, semidirect_cycli
 from .homs import GroupHom, quotient
 
 FAMILY_TOKENS = ("cyclic", "dihedral", "quaternion", "semidihedral", "cover_dq", "cover_qsd")
+_CONSTRUCTOR_TOKENS = FAMILY_TOKENS + ("product", "semidirect", "quotient", "table")
 
 #: Deepest nesting of constructors an expression may have; deeper input is a
 #: parse error rather than a recursion overflow.
@@ -183,7 +184,7 @@ class _Parser:
             raise ExprParseError(
                 f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col
             )
-        tok = self.take("ident", FAMILY_TOKENS + ("product", "semidirect", "quotient", "table"))
+        tok = self.take("ident", _CONSTRUCTOR_TOKENS)
         name = tok.value
         if name in FAMILY_TOKENS:
             self.take("(")
@@ -226,10 +227,7 @@ class _Parser:
             self.take(")")
             return TableExpr(path)
         raise ExprParseError(
-            f"unknown constructor {name!r}",
-            tok.line,
-            tok.col,
-            FAMILY_TOKENS + ("product", "semidirect", "quotient", "table"),
+            f"unknown constructor {name!r}", tok.line, tok.col, _CONSTRUCTOR_TOKENS
         )
 
     def parse_word(self) -> tuple[WordTerm, ...]:

@@ -2,7 +2,9 @@
 
 All constructors produce validated :class:`~centlat.core.FiniteGroup` values
 with named generators and human-readable element labels.  Encodings are
-fixed and documented per family, so element indices are stable across runs.
+fixed, so element indices are stable across runs: every family,
+:func:`semidirect_cyclic` and the ``dihedral_quaternion`` cover come from one
+table builder, :func:`_cyclic_by_cyclic`, with x^i*y^j at index j*m + i.
 """
 
 from __future__ import annotations
@@ -23,21 +25,10 @@ from .core import (
 )
 from .errors import InternalInconsistencyError, InvalidActionError, UnsupportedParameterError, _ensure
 
-FAMILY_KINDS = ("cyclic", "dihedral", "quaternion", "semidihedral")
-COVER_KINDS = ("dihedral_quaternion", "quaternion_semidihedral")
 
-
-def _power_label(sym: str, e: int) -> str:
-    return sym if e == 1 else f"{sym}^{e}"
-
-
-def _pair_label(i: int, j: int, xsym: str = "x", ysym: str = "y") -> str:
-    parts = []
-    if i:
-        parts.append(_power_label(xsym, i))
-    if j:
-        parts.append(_power_label(ysym, j))
-    return "*".join(parts) if parts else "1"
+def _pair_label(i: int, j: int) -> str:
+    """x^i*y^j with zero powers dropped and exponent 1 unwritten; "1" if both are 0."""
+    return "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in (("x", i), ("y", j)) if e) or "1"
 
 
 def make_family(kind: str, order: int) -> FiniteGroup:
@@ -49,45 +40,44 @@ def make_family(kind: str, order: int) -> FiniteGroup:
     if kind == "cyclic":
         if order < 1:
             raise UnsupportedParameterError(f"cyclic group order must be >= 1, got {order}")
-        table = [[(a + b) % order for b in range(order)] for a in range(order)]
-        labels = [_pair_label(i, 0) for i in range(order)]
-        gens = (("x", 1 % order),)
-        return from_multiplication_table(order, table, gens, labels)
+        return _cyclic_by_cyclic(order, 1, 1, named_y=False)
     if kind == "dihedral":
         if order < 4 or order % 2:
             raise UnsupportedParameterError(f"dihedral group order must be even and >= 4, got {order}")
-        return _twisted_pair(order // 2, twist=order // 2 - 1, square=0)
+        return _cyclic_by_cyclic(order // 2, 2, order // 2 - 1)
     if kind == "quaternion":
         if order < 8 or order & (order - 1):
             raise UnsupportedParameterError(f"quaternion group order must be 2^k with k >= 3, got {order}")
         m = order // 2
-        return _twisted_pair(m, twist=m - 1, square=m // 2)
+        return _cyclic_by_cyclic(m, 2, m - 1, square=m // 2)
     if kind == "semidihedral":
         if order < 16 or order & (order - 1):
             raise UnsupportedParameterError(f"semidihedral group order must be 2^k with k >= 4, got {order}")
         m = order // 2
-        return _twisted_pair(m, twist=m // 2 - 1, square=0)
+        return _cyclic_by_cyclic(m, 2, m // 2 - 1)
     raise UnsupportedParameterError(f"unknown family kind {kind!r}")
 
 
-def _twisted_pair(m: int, twist: int, square: int) -> FiniteGroup:
-    """Group on pairs (i, e) with i mod m, e in {0,1}, index e*m + i.
+def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = True) -> FiniteGroup:
+    """Group on pairs (i mod m, j mod k) for x^i*y^j, at index j*m + i.
 
-    Relations: x^m = 1, y*x = x^twist*y, y^2 = x^square.  Covers the
-    dihedral, (generalised) quaternion and semidihedral presentations.
+    Relations: x^m = 1, y*x = x^a*y, y^k = x^square; x = 1 and y = m (0 when
+    k = 1; named only if ``named_y``).  Callers check the parameters; the
+    table is validated like any other.
     """
-    order = 2 * m
-    table = [[0] * order for _ in range(order)]
-    for e1 in (0, 1):
-        coef = twist if e1 else 1
+    table = []
+    for j1 in range(k):
+        c = pow(a, j1, m)
         for i1 in range(m):
-            row = table[e1 * m + i1]
-            for e2 in (0, 1):
-                for i2 in range(m):
-                    i = (i1 + coef * i2 + (square if e1 and e2 else 0)) % m
-                    row[e2 * m + i2] = (e1 ^ e2) * m + i
-    labels = [_pair_label(i, e) for e in (0, 1) for i in range(m)]
-    return from_multiplication_table(order, table, (("x", 1), ("y", m)), labels)
+            row = []
+            for j2 in range(k):
+                # x^i1*y^j1 * x^i2*y^j2 = x^(i1 + a^j1*i2)*y^(j1 + j2), and y^k = x^square
+                base, shift = ((j1 + j2) % k) * m, i1 + (square if j1 + j2 >= k else 0)
+                row += [base + (shift + c * i2) % m for i2 in range(m)]
+            table.append(row)
+    labels = [_pair_label(i, j) for j in range(k) for i in range(m)]
+    gens = (("x", 1 % m), ("y", m if k > 1 else 0))
+    return from_multiplication_table(m * k, table, gens if named_y else gens[:1], labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -116,9 +106,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
 def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Z_m twisted by Z_k, where y acts on x by x |-> x^a.
 
-    Pairs (i, j) with index j*m + i; requires gcd(a, m) = 1 and
-    a^k = 1 (mod m) so the action is by an automorphism of order dividing k.
-    Generators: x = (1, 0), y = (0, 1).
+    Built by :func:`_cyclic_by_cyclic`: x^i*y^j has index j*m + i.  Requires
+    gcd(a, m) = 1 and a^k = 1 (mod m) so the action is by an automorphism of
+    order dividing k.  Generators: x = (1, 0), y = (0, 1).
     """
     if m < 1 or k < 1:
         raise UnsupportedParameterError(f"cyclic orders must be >= 1, got m={m}, k={k}")
@@ -128,15 +118,7 @@ def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> F
         raise InvalidActionError(f"action parameter {a} is not invertible mod {m}")
     if pow(a, k, m) != 1 % m:
         raise InvalidActionError(f"{a}^{k} != 1 (mod {m}); the action does not close")
-    apow = [pow(a, j, m) for j in range(k)]
-    table = [
-        [((j1 + j2) % k) * m + (i1 + apow[j1] * i2) % m for j2 in range(k) for i2 in range(m)]
-        for j1 in range(k)
-        for i1 in range(m)
-    ]
-    labels = [_pair_label(i, j) for j in range(k) for i in range(m)]
-    gens = (("x", 1 % m), ("y", (m if k > 1 else 0)))
-    return from_multiplication_table(order, table, gens, labels)
+    return _cyclic_by_cyclic(m, k, a)
 
 
 @dataclass(frozen=True)
@@ -171,8 +153,10 @@ def cover_group(kind: str, n: int) -> CoverGroup:
     - ``dihedral_quaternion`` (n >= 3): dihedral(2^n) and quaternion(2^n);
     - ``quaternion_semidihedral`` (n >= 4): quaternion(2^n) and semidihedral(2^n).
 
-    The first is Z_{2^(n-1)} twisted by a Z_4 acting by inversion, with
-    distinguished subgroups generated by y^2 and x^(2^(n-2))*y^2.  The second
+    The first is Z_{2^(n-1)} twisted by a Z_4 acting by inversion, built by
+    :func:`_cyclic_by_cyclic` with m = 2^(n-1), so its distinguished
+    subgroups, generated by y^2 and x^(m/2)*y^2, sit at indices 2m and
+    2m + m/2.  The second
     is the fiber product of the two families over their common dihedral
     quotient of order 2^(n-1): no split extension of Z_{2^(n-1)} by Z_4 has a
     quaternion quotient except the inversion one, so the pair (quaternion,
@@ -182,7 +166,7 @@ def cover_group(kind: str, n: int) -> CoverGroup:
         if n < 3:
             raise UnsupportedParameterError(f"dihedral_quaternion cover needs n >= 3, got {n}")
         m = 1 << (n - 1)
-        g = semidirect_cyclic(m, 4, m - 1, cap=2 * m * 4)
+        g = _cyclic_by_cyclic(m, 4, m - 1)
         z_dihedral = closure(g, [2 * m])  # y^2
         z_quaternion = closure(g, [2 * m + m // 2])  # x^(m/2) * y^2
         return CoverGroup(kind, n, g, z_dihedral, z_quaternion)
@@ -202,10 +186,10 @@ def _fiber_product_over_central_quotients(
     """Pairs (u, v) whose images agree in the common quotient by the central
     involution x^(m/2) of each factor.
 
-    Both factors are :func:`_twisted_pair` groups on index e*m + i, and the
-    quotient by x^(m/2) keeps e and i mod m/2 in either, so the fibres come
-    straight from that shared encoding.  Quotienting the result by 1 x ker
-    lands in ``a``; by ker x 1 in ``b``.
+    Both factors are :func:`_cyclic_by_cyclic` groups with k = 2 (x^i*y^j at
+    index j*m + i), and the quotient by x^(m/2) keeps j and i mod m/2 in
+    either, so the fibres come straight from that shared encoding.
+    Quotienting the result by 1 x ker lands in ``a``; by ker x 1 in ``b``.
     """
     m = a.order // 2
     half = m // 2  # x^(m/2), central of order 2 in either factor

@@ -70,16 +70,20 @@ class GroupHom:
 def hom_from_map(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHom:
     """Validate that ``mapping`` (an element->element sequence) is a homomorphism.
 
-    Every entry must be an integral element index of ``target`` (bools,
-    floats and strings are not); any other entry is reported like an
-    out-of-range one.
+    It needs one entry per source element, each an integral element index
+    of ``target`` (bools, floats and strings are not); a failure is a
+    :class:`NotHomomorphismError` that names it.
     """
-    m = tuple(mapping)
+    bad = NotHomomorphismError._bad_map
+    try:
+        m = tuple(mapping)
+    except TypeError:
+        raise bad(f"{type(mapping).__name__} is not a sequence of element indices", mapping) from None
     if len(m) != source.order:
-        raise NotHomomorphismError(0, 0, -1, -1)
-    for v in m:
+        raise bad(f"it has {len(m)} entries but the source has order {source.order}")
+    for i, v in enumerate(m):
         if not _is_integral(v) or not 0 <= v < target.order:
-            raise NotHomomorphismError(0, 0, v, -1)
+            raise bad(f"entry {i} is {v!r}, not an element index of the order-{target.order} target", v)
     m = tuple(map(int, m))  # e.g. NumPy integers
     ts, tt = source.table, target.table
     for a in range(source.order):
@@ -145,9 +149,7 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     generate the quotient.  Every field read off the projection is the one
     validation would have produced.
     """
-    if not n.group.same_table(group):
-        raise DomainMismatchError("subgroup belongs to a different group")
-    t, inverse, mask = group.table, group.inverse, n.mask
+    t, inverse, mask = group.table, group.inverse, _core._mask_of(group, n)  # n of another group raises
     proj = [-1] * group.order
     reps: list[int] = []
     for g in range(group.order):
@@ -325,7 +327,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
     if _iso_fingerprint(a) != _iso_fingerprint(b):
         return None
     if a.same_table(b):
-        return identity_hom(a) if a is b else GroupHom(a, b, tuple(range(a.order)))
+        return GroupHom(a, b, tuple(range(a.order)))
     gens = [g for _, g in a.generator_names]
     seen = set()
     gens = [g for g in gens if not (g in seen or seen.add(g))]

@@ -151,6 +151,118 @@ def test_semidirect_trivial_action_is_product():
     assert group_isomorphic(g, h) is not None
 
 
+# The three tables the families used to write out separately, kept here as
+# plain loops: the cyclic table, the dihedral/quaternion/semidihedral table on
+# pairs (i, e) with e in {0, 1}, and the semidirect_cyclic table.  Each returns
+# the arguments it passed to from_multiplication_table; the shared builder
+# must pass the same ones, and so build the same group.
+
+
+def _reference_label(i, j):
+    parts = []
+    if i:
+        parts.append("x" if i == 1 else f"x^{i}")
+    if j:
+        parts.append("y" if j == 1 else f"y^{j}")
+    return "*".join(parts) if parts else "1"
+
+
+def _reference_cyclic(n):
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[a][b] = (a + b) % n
+    return n, table, (("x", 1 % n),), [_reference_label(i, 0) for i in range(n)]
+
+
+def _reference_twisted_pair(m, twist, square):
+    # x^m = 1, y*x = x^twist*y, y^2 = x^square; x^i*y^e at index e*m + i
+    order = 2 * m
+    table = [[0] * order for _ in range(order)]
+    for e1 in (0, 1):
+        coef = twist if e1 else 1
+        for i1 in range(m):
+            for e2 in (0, 1):
+                for i2 in range(m):
+                    i = (i1 + coef * i2 + (square if e1 and e2 else 0)) % m
+                    table[e1 * m + i1][e2 * m + i2] = (e1 ^ e2) * m + i
+    labels = [_reference_label(i, e) for e in (0, 1) for i in range(m)]
+    return order, table, (("x", 1), ("y", m)), labels
+
+
+def _reference_semidirect(m, k, a):
+    # y acts on x by x -> x^a; x^i*y^j at index j*m + i
+    order = m * k
+    table = [[0] * order for _ in range(order)]
+    for j1 in range(k):
+        for i1 in range(m):
+            for j2 in range(k):
+                for i2 in range(m):
+                    i = (i1 + pow(a, j1, m) * i2) % m
+                    table[j1 * m + i1][j2 * m + i2] = ((j1 + j2) % k) * m + i
+    labels = [_reference_label(i, j) for j in range(k) for i in range(m)]
+    return order, table, (("x", 1 % m), ("y", m if k > 1 else 0)), labels
+
+
+def _family_references(max_order):
+    for n in range(1, max_order + 1):
+        yield ("cyclic", n), _reference_cyclic(n)
+    for n in range(4, max_order + 1, 2):
+        yield ("dihedral", n), _reference_twisted_pair(n // 2, n // 2 - 1, 0)
+    for n in (8, 16, 32, 64, 128, 256):
+        m = n // 2
+        if n <= max_order:
+            yield ("quaternion", n), _reference_twisted_pair(m, m - 1, m // 2)
+        if 16 <= n <= max_order:
+            yield ("semidihedral", n), _reference_twisted_pair(m, m // 2 - 1, 0)
+
+
+def _assert_same_group(g, h):
+    assert g.table == h.table
+    assert (g.identity, g.inverse) == (h.identity, h.inverse)
+    assert g.generator_names == h.generator_names
+    assert g.element_labels == h.element_labels
+
+
+def test_family_tables_match_the_separate_constructions(monkeypatch):
+    # up to order 64, the validated groups agree in full
+    for (kind, n), args in _family_references(64):
+        _assert_same_group(make_family(kind, n), from_multiplication_table(*args))
+    # up to order 256, the builder hands the validator the same table,
+    # generator names and labels; validation is deterministic, so the
+    # groups agree too
+    calls = []
+    monkeypatch.setattr(families, "from_multiplication_table", lambda *args: calls.append(args))
+    kinds = Counter()
+    for (kind, n), args in _family_references(256):
+        make_family(kind, n)
+        assert calls.pop() == args, (kind, n)
+        kinds[kind] += 1
+    assert kinds == {"cyclic": 256, "dihedral": 127, "quaternion": 6, "semidihedral": 5}
+
+
+def test_semidirect_tables_match_the_separate_construction():
+    params = [
+        tuple(map(int, e.name[len("semidirect(") : -1].split(",")))
+        for e in catalog(64)
+        if e.name.startswith("semidirect(")
+    ]
+    assert len(params) > 50
+    for m, k, a in params + [(5, 1, 1), (1, 1, 1), (6, 2, 1)]:
+        reference = from_multiplication_table(*_reference_semidirect(m, k, a))
+        _assert_same_group(semidirect_cyclic(m, k, a), reference)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_dihedral_quaternion_cover_matches_the_semidirect_construction(n):
+    # the cover used to be semidirect_cyclic(m, 4, m - 1) with the cap lifted
+    m = 1 << (n - 1)
+    cov = cover_group("dihedral_quaternion", n)
+    _assert_same_group(cov.group, from_multiplication_table(*_reference_semidirect(m, 4, m - 1)))
+    assert cov.z_first == closure(cov.group, [2 * m])  # y^2
+    assert cov.z_second == closure(cov.group, [2 * m + m // 2])  # x^(m/2)*y^2
+
+
 # ------------------------------------------------------------------- covers
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from collections import Counter
 
@@ -95,6 +96,24 @@ def test_hom_from_map_validates(d8):
         with pytest.raises(NotHomomorphismError) as exc:
             hom_from_map(z4, z2, [0, 1, 0, entry])
         assert exc.value.pair == (0, 0) and exc.value.got is entry and exc.value.expected == -1
+
+
+def test_hom_from_map_names_what_is_wrong_with_the_map():
+    # a map rejected before any product is compared says why, rather than
+    # describing a product phi(0*0) that was never computed
+    z4, z2 = make_family("cyclic", 4), make_family("cyclic", 2)
+    cases = [
+        ([0, 1], "it has 2 entries but the source has order 4"),
+        (None, "NoneType is not a sequence of element indices"),
+        (7, "int is not a sequence of element indices"),
+        ([0, 1, 0, 9], "entry 3 is 9, not an element index of the order-2 target"),
+        ([0, 1, 0, "1"], "entry 3 is '1', not an element index of the order-2 target"),
+    ]
+    for mapping, problem in cases:
+        with pytest.raises(NotHomomorphismError, match=re.escape(problem)) as exc:
+            hom_from_map(z4, z2, mapping)
+        assert "phi(" not in str(exc.value)
+        assert exc.value.pair == (0, 0) and exc.value.expected == -1
 
 
 def test_identity_and_compose(d8):
