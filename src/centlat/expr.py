@@ -303,13 +303,11 @@ def resolve_word(group: FiniteGroup, word: tuple[WordTerm, ...]) -> int:
     return value
 
 
-def eval_group_expr(
-    expr: Expr, cap: int = DEFAULT_ORDER_CAP, base_dir: str | Path | None = None
-) -> EvalResult:
+def eval_group_expr(expr: Expr, cap: int = DEFAULT_ORDER_CAP) -> EvalResult:
     """Evaluate an expression to a group (plus projection for quotients).
 
-    ``cap`` bounds the order of every group constructed along the way;
-    ``base_dir`` anchors relative table() paths.
+    ``cap`` bounds the order of every group constructed along the way; a
+    relative table() path resolves against the working directory.
     """
     if isinstance(expr, FamilyExpr):
         if expr.kind in ("cover_dq", "cover_qsd"):
@@ -320,21 +318,19 @@ def eval_group_expr(
         _require_order_at_most(expr.param, cap, f"{expr.kind} group")
         return EvalResult(make_family(expr.kind, expr.param))
     if isinstance(expr, ProductExpr):
-        left = eval_group_expr(expr.left, cap, base_dir).group
-        right = eval_group_expr(expr.right, cap, base_dir).group
+        left = eval_group_expr(expr.left, cap).group
+        right = eval_group_expr(expr.right, cap).group
         return EvalResult(direct_product(left, right, cap))
     if isinstance(expr, SemidirectExpr):
         return EvalResult(semidirect_cyclic(expr.m, expr.k, expr.a, cap))
     if isinstance(expr, QuotientExpr):
-        inner = eval_group_expr(expr.inner, cap, base_dir).group
+        inner = eval_group_expr(expr.inner, cap).group
         elements = [resolve_word(inner, word) for word in expr.words]
         sub = closure(inner, elements)
         q, proj = quotient(inner, sub)
         return EvalResult(q, proj)
     if isinstance(expr, TableExpr):
         path = Path(expr.path)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as e:

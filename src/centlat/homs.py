@@ -149,6 +149,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     generate the quotient.  Every field read off the projection is the one
     validation would have produced.
     """
+    if not isinstance(n, SubgroupSet):
+        raise DomainMismatchError(f"quotient needs a SubgroupSet, not {type(n).__name__}")
     t, inverse, mask = group.table, group.inverse, _core._mask_of(group, n)  # n of another group raises
     proj = [-1] * group.order
     reps: list[int] = []

@@ -183,24 +183,15 @@ class LatticeMap:
         return f"LatticeMap({len(self.source.nodes)} -> {len(self.target.nodes)} nodes)"
 
 
-def induced_map(
-    phi: GroupHom,
-    source_lattice: CentralizerLattice | None = None,
-    target_lattice: CentralizerLattice | None = None,
-    cap: int = DEFAULT_ORDER_CAP,
-) -> LatticeMap:
+def induced_map(phi: GroupHom) -> LatticeMap:
     """The node map sending C(A) to phi(C(A)), defined for crh surjections.
 
     Verifies the definitional centralizer-respecting property first and
     raises :class:`NotCrhError` (with the witness subgroup) when it fails.
     """
-    source_lattice = source_lattice or lattice_of(phi.source, cap)
-    target_lattice = target_lattice or lattice_of(phi.target, cap)
-    if not source_lattice.group.same_table(phi.source):
-        raise DomainMismatchError("source lattice does not belong to the map's source")
-    if not target_lattice.group.same_table(phi.target):
-        raise DomainMismatchError("target lattice does not belong to the map's target")
-    verdict = is_centralizer_respecting(phi, cap)
+    source_lattice = lattice_of(phi.source)
+    target_lattice = lattice_of(phi.target)
+    verdict = is_centralizer_respecting(phi)
     if not verdict:
         w = verdict.witness
         raise NotCrhError(
@@ -306,19 +297,18 @@ def _order_fingerprints(lattice: CentralizerLattice) -> list[tuple]:
     return [(base[i], base[lattice.involution[i]]) for i in range(count)]
 
 
-def lattices_isomorphic(
-    a: CentralizerLattice, b: CentralizerLattice, node_cap: int = DEFAULT_NODE_CAP
-) -> LatticeMap | None:
+def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> LatticeMap | None:
     """An isomorphism of bounded involution lattices a -> b, or None.
 
     Matches only order structure (and the induced meet/join/involution),
     never the underlying subgroup sizes.  Deterministic backtracking over
     fingerprint-compatible candidates; the found map is verified in full
-    before being returned.
+    before being returned.  Lattices of more than ``DEFAULT_NODE_CAP``
+    nodes are refused.
     """
     count = len(a.nodes)
-    if count > node_cap or len(b.nodes) > node_cap:
-        raise NodeCapExceededError(max(count, len(b.nodes)), node_cap)
+    if count > DEFAULT_NODE_CAP or len(b.nodes) > DEFAULT_NODE_CAP:
+        raise NodeCapExceededError(max(count, len(b.nodes)), DEFAULT_NODE_CAP)
     if count != len(b.nodes):
         return None
     fa, fb = _order_fingerprints(a), _order_fingerprints(b)
@@ -376,9 +366,7 @@ class FunctorialityVerdict:
         return self.ok
 
 
-def verify_functoriality(
-    phi: GroupHom, psi: GroupHom, cap: int = DEFAULT_ORDER_CAP
-) -> FunctorialityVerdict:
+def verify_functoriality(phi: GroupHom, psi: GroupHom) -> FunctorialityVerdict:
     """Check the functor laws on a composable pair of crh surjections.
 
     Verifies that identities induce identities on all three lattices, that
@@ -389,13 +377,12 @@ def verify_functoriality(
         raise DomainMismatchError("pair is not composable: phi.target differs from psi.source")
     failures = []
     for g in (phi.source, phi.target, psi.target):
-        lat = lattice_of(g, cap)
-        ind = induced_map(identity_hom(g), lat, lat, cap)
-        if ind.node_map != tuple(range(len(lat.nodes))):
+        ind = induced_map(identity_hom(g))
+        if ind.node_map != tuple(range(len(ind.source.nodes))):
             failures.append(f"identity law fails on lattice of order-{g.order} group")
-    m_phi = induced_map(phi, cap=cap)
-    m_psi = induced_map(psi, cap=cap)
-    m_comp = induced_map(compose(psi, phi), cap=cap)
+    m_phi = induced_map(phi)
+    m_psi = induced_map(psi)
+    m_comp = induced_map(compose(psi, phi))
     if m_comp.node_map != compose_lattice_maps(m_psi, m_phi).node_map:
         failures.append("composition law fails: induced(psi o phi) != induced(psi) o induced(phi)")
     for name, m in (("phi", m_phi), ("psi", m_psi), ("psi o phi", m_comp)):

@@ -13,6 +13,7 @@ either one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .core import (
     FiniteGroup,
@@ -44,6 +45,12 @@ from .lattice import (
     lattices_isomorphic,
     verify_functoriality,
 )
+
+#: Catalog orders covered by the central-quotient sweep and the functor laws.
+SWEEP_MAX_ORDER = 32
+#: Chained quotient pairs the composition law collects, and the fewest it accepts.
+COMPOSABLE_PAIRS_TARGET = 40
+MIN_COMPOSABLE_PAIRS = 25
 
 
 def _case(name: str, ok: bool, detail: str) -> dict:
@@ -89,29 +96,24 @@ class ProjectionRecord:
     criterion: CentralKernelVerdict
 
 
-_sweep_cache: dict[int, tuple[ProjectionRecord, ...]] = {}
-
-
-def central_quotient_sweep(max_order: int = 32) -> tuple[ProjectionRecord, ...]:
-    """Quotient every catalog group by each of its central subgroups and run
-    both crh routes on the projection.  Disagreement raises immediately."""
-    if max_order in _sweep_cache:
-        return _sweep_cache[max_order]
+@cache
+def central_quotient_sweep() -> tuple[ProjectionRecord, ...]:
+    """Quotient every catalog group up to ``SWEEP_MAX_ORDER`` by each of its
+    central subgroups and run both crh routes on the projection.
+    Disagreement raises immediately; the records are computed once."""
     records = []
-    for name, g in catalog(max_order):
+    for name, g in catalog(SWEEP_MAX_ORDER):
         for sub in _central_subgroups(g):
             q, proj = quotient(g, sub)
             criterion, definitional = _both_routes(proj, f"{name} with kernel {list(sub.members)}")
             records.append(
                 ProjectionRecord(name, g, sub, q, proj, definitional, criterion)
             )
-    result = tuple(records)
-    _sweep_cache[max_order] = result
-    return result
+    return tuple(records)
 
 
-def central_kernel_sweep_report(max_order: int = 32) -> dict:
-    records = central_quotient_sweep(max_order)
+def central_kernel_sweep_report() -> dict:
+    records = central_quotient_sweep()
     cases = []
     by_group: dict[str, list[ProjectionRecord]] = {}
     for r in records:
@@ -184,14 +186,13 @@ def worked_example_report() -> dict:
             "commutator criterion and definitional sweep both pass",
         )
     )
-    qlat = lattice_of(result.group)
-    ind = induced_map(proj, lat, qlat)
+    ind = induced_map(proj)
     hom_verdict = is_lattice_hom(ind)
     cases.append(
         _case(
             "induced lattice map is a bijective lattice isomorphism",
             ind.is_bijective() and bool(hom_verdict),
-            f"quotient lattice node orders {list(qlat.node_orders())}, "
+            f"quotient lattice node orders {list(ind.target.node_orders())}, "
             f"node map {list(ind.node_map)}",
         )
     )
@@ -290,12 +291,12 @@ def family_lattice_report(n: int) -> dict:
 
 
 def composable_pairs(
-    records: tuple[ProjectionRecord, ...], target: int = 40
+    records: tuple[ProjectionRecord, ...],
 ) -> list[tuple[ProjectionRecord, SubgroupSet, GroupHom]]:
     """Deterministic chained central quotients: follow each sweep projection
     with a quotient of its quotient by a central subgroup that passes the
     commutator criterion.  Pairs where both kernels are trivial are skipped;
-    collection stops at ``target`` pairs."""
+    collection stops at ``COMPOSABLE_PAIRS_TARGET`` pairs."""
     pairs = []
     for r in records:
         if not r.definitional.ok:
@@ -308,19 +309,18 @@ def composable_pairs(
             if not crh_central_kernel_criterion(proj2):
                 continue
             pairs.append((r, sub, proj2))
-            if len(pairs) >= target:
+            if len(pairs) >= COMPOSABLE_PAIRS_TARGET:
                 return pairs
     return pairs
 
 
-def functor_law_report(max_order: int = 32, min_pairs: int = 25) -> dict:
+def functor_law_report() -> dict:
     cases = []
-    entries = catalog(max_order)
+    entries = catalog(SWEEP_MAX_ORDER)
     identity_ok = 0
     for name, g in entries:
-        lat = lattice_of(g)
-        ind = induced_map(identity_hom(g), lat, lat)
-        if ind.node_map == tuple(range(len(lat.nodes))):
+        ind = induced_map(identity_hom(g))
+        if ind.node_map == tuple(range(len(ind.source.nodes))):
             identity_ok += 1
     cases.append(
         _case(
@@ -329,7 +329,7 @@ def functor_law_report(max_order: int = 32, min_pairs: int = 25) -> dict:
             f"{identity_ok}/{len(entries)} catalog lattices",
         )
     )
-    records = central_quotient_sweep(max_order)
+    records = central_quotient_sweep()
     crh_records = [r for r in records if r.definitional.ok]
     hom_ok = 0
     for r in crh_records:
@@ -352,8 +352,8 @@ def functor_law_report(max_order: int = 32, min_pairs: int = 25) -> dict:
             comp_ok += 1
     cases.append(
         _case(
-            f"composition law on chained central quotients (minimum {min_pairs} pairs)",
-            len(pairs) >= min_pairs and comp_ok == len(pairs),
+            f"composition law on chained central quotients (minimum {MIN_COMPOSABLE_PAIRS} pairs)",
+            len(pairs) >= MIN_COMPOSABLE_PAIRS and comp_ok == len(pairs),
             f"{comp_ok}/{len(pairs)} composable pairs verified",
         )
     )

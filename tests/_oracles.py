@@ -263,3 +263,26 @@ def brute_quotient(table: list[list[int]], members: set[int]):
     proj = [next(i for i, c in enumerate(cosets) if g in c) for g in range(n)]
     reps = [min(c) for c in cosets]
     return proj, [[proj[table[a][b]] for b in reps] for a in reps]
+
+
+def brute_lattice_isomorphism(
+    a: tuple[list[frozenset], list[int]], b: tuple[list[frozenset], list[int]]
+) -> tuple[int, ...] | None:
+    """The lexicographically least isomorphism between two lattices of at
+    most 7 nodes, or None.  Each lattice is (nodes, involution) with the
+    nodes ordered by inclusion; every permutation of the nodes is tried in
+    lexicographic order, and the first that preserves inclusion both ways
+    and commutes with the involutions is returned."""
+    (a_nodes, a_inv), (b_nodes, b_inv) = a, b
+    n = len(a_nodes)
+    assert n <= 7 and len(b_nodes) <= 7, "oracle: too many nodes"
+    if n != len(b_nodes):
+        return None
+    for f in itertools.permutations(range(n)):
+        if all(
+            (a_nodes[s] <= a_nodes[t]) == (b_nodes[f[s]] <= b_nodes[f[t]])
+            for s in range(n)
+            for t in range(n)
+        ) and all(f[a_inv[s]] == b_inv[f[s]] for s in range(n)):
+            return f
+    return None

@@ -35,4 +35,4 @@ def sweep_records():
     audit it (computed once per session)."""
     from centlat.verify import central_quotient_sweep
 
-    return central_quotient_sweep(max_order=32)
+    return central_quotient_sweep()

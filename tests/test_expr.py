@@ -183,14 +183,15 @@ def test_eval_cap_applies_everywhere():
         ev("quotient(cyclic(32),[x])", cap=16)
 
 
-def test_eval_table_round_trip(tmp_path):
+def test_eval_table_round_trip(tmp_path, monkeypatch):
     g = make_family("semidihedral", 16)
     path = tmp_path / "sd16.json"
     path.write_text(json.dumps(group_to_json(g)), encoding="utf-8")
     loaded = ev(f'table("{path}")').group
     assert loaded.same_table(g)
-    # relative paths resolve against base_dir
-    rel = eval_group_expr(parse_group_expr('table("sd16.json")'), base_dir=tmp_path)
+    # relative paths resolve against the working directory
+    monkeypatch.chdir(tmp_path)
+    rel = ev('table("sd16.json")')
     assert rel.group.same_table(g)
     # and a loaded table can feed any constructor
     quot = eval_group_expr(

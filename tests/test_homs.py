@@ -177,6 +177,12 @@ def test_quotient_of_domain_mismatch(d8):
         quotient(d8, closure(z4, [2]))
 
 
+def test_quotient_rejects_a_plain_index_list(d8):
+    # a list is not a validated subgroup: refused by type, before any member is read
+    with pytest.raises(DomainMismatchError, match="not list"):
+        quotient(d8, [0, 2])
+
+
 def _quotient_or_witness(g, sub):
     try:
         q, proj = quotient(g, sub)

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from centlat import (
     catalog,
     closure,
+    from_multiplication_table,
     identity_hom,
     make_family,
     quotient,
     semidirect_cyclic,
 )
-from centlat.errors import NotCrhError, OrderCapExceededError
+from centlat.errors import NodeCapExceededError, NotCrhError, OrderCapExceededError
 from centlat.lattice import (
+    DEFAULT_NODE_CAP,
+    LatticeMap,
     build_centralizer_lattice,
     cl_involution,
     cl_join,
@@ -28,7 +34,12 @@ from centlat.lattice import (
     verify_functoriality,
 )
 
-from _oracles import brute_lattice_covers, brute_lattice_join
+from _oracles import (
+    brute_lattice_covers,
+    brute_lattice_isomorphism,
+    brute_lattice_join,
+    relabel,
+)
 
 Q8_DOT = """digraph centralizer_lattice {
   rankdir=TB;
@@ -199,7 +210,122 @@ def test_functoriality_rejects_non_composable():
         verify_functoriality(p1, p1)
 
 
+@pytest.mark.parametrize(
+    "group, node_map, law, witness, top, bottom",
+    [
+        # images that break the involution: node 1 is self-paired and its image,
+        # the bottom, is not; the bottom and the top's image are not partners
+        ("q8", (0, 0, 0, 0, 4), "involution", (1,), True, True),
+        ("q8", (1, 0, 0, 0, 4), "involution", (0,), True, False),
+        ("q8", (0, 0, 0, 0, 0), "involution", (0,), False, True),
+        ("q8", (1, 0, 0, 0, 0), "involution", (0,), False, False),
+        # atoms 1 and 2 meet in the bottom, their images in atom 1
+        ("q8", (0, 1, 1, 1, 4), "meet", (1, 2), True, True),
+        ("q8", (1, 1, 1, 2, 1), "meet", (0, 3), False, False),
+        # the join of atoms 1 and 2 is node 5; sending it to node 4 keeps the
+        # involution and every meet scanned before the pair (1, 2)
+        ("sd64", (0, 1, 2, 3, 4, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14), "join", (1, 2), True, True),
+        # a constant map onto a self-paired node keeps every law but neither bound
+        ("q8", (1, 1, 1, 1, 1), None, None, False, False),
+    ],
+)
+def test_is_lattice_hom_reports_the_first_broken_law(group, node_map, law, witness, top, bottom):
+    groups = {"q8": lambda: make_family("quaternion", 8), "sd64": lambda: semidirect_cyclic(16, 4, 5)}
+    lat = lattice_of(groups[group]())
+    verdict = is_lattice_hom(LatticeMap(lat, lat, node_map))
+    assert verdict.ok == (law is None)
+    assert (verdict.law, verdict.witness) == (law, witness)
+    assert (verdict.preserves_top, verdict.preserves_bottom) == (top, bottom)
+
+
 # ------------------------------------------------------- lattice isomorphism
+
+
+class _AbstractLattice:
+    """A bounded involution lattice that is no group's centralizer lattice:
+    nodes are sets ordered by inclusion, meet and join found by search.  It
+    carries only the fields lattices_isomorphic and is_lattice_hom read."""
+
+    def __init__(self, nodes: list[frozenset], involution: list[int]) -> None:
+        count = len(nodes)
+        self.nodes, self.involution = nodes, tuple(involution)
+        self.leq_masks = tuple(
+            sum(1 << j for j in range(count) if nodes[i] <= nodes[j]) for i in range(count)
+        )
+        by_size = sorted(range(count), key=lambda k: len(nodes[k]))
+        self.bottom, self.top = by_size[0], by_size[-1]
+
+        def below(x):  # the largest node inside x
+            return [k for k in by_size if nodes[k] <= x][-1]
+
+        def above(x):  # the smallest node containing x
+            return [k for k in by_size if x <= nodes[k]][0]
+
+        self.meet_table = tuple(tuple(below(x & y) for y in nodes) for x in nodes)
+        self.join_table = tuple(tuple(above(x | y) for y in nodes) for x in nodes)
+
+
+def _sets(*members: str) -> list[frozenset]:
+    return [frozenset(m) for m in members]
+
+
+# (nodes, involution): nodes that share fingerprints without being
+# interchangeable make the search reject candidates and backtrack
+ABSTRACT_LATTICES = [
+    # hexagon 0 < a < c < 1, 0 < b < d < 1: complements paired, or each chain reversed
+    (_sets("", "a", "b", "ac", "bd", "abcd"), [5, 4, 3, 2, 1, 0]),
+    (_sets("", "a", "b", "ac", "bd", "abcd"), [5, 3, 4, 1, 2, 0]),
+    # the hexagon with a self-paired middle node m
+    (_sets("", "a", "b", "m", "ac", "bd", "abcdm"), [6, 5, 4, 3, 2, 1, 0]),
+    (_sets("", "a", "b", "m", "ac", "bd", "abcdm"), [6, 4, 5, 3, 1, 2, 0]),
+    # pentagon 0 < a < c < 1, 0 < b < 1, and three atoms with two of them paired
+    (_sets("", "a", "ac", "b", "abc"), [4, 2, 1, 3, 0]),
+    (_sets("", "a", "b", "c", "abc"), [4, 2, 1, 3, 0]),
+    # four atoms in two couples: b may take the image that c, a's partner,
+    # needs, and the search must give it back when it retreats
+    (_sets("", "a", "b", "c", "d", "abcd"), [5, 3, 4, 1, 2, 0]),
+]
+
+
+def _relabel_nodes(nodes, involution, rng):
+    perm = list(range(len(nodes)))
+    rng.shuffle(perm)
+    out, out_inv = [None] * len(nodes), [0] * len(nodes)
+    for i, node in enumerate(nodes):
+        out[perm[i]], out_inv[perm[i]] = node, perm[involution[i]]
+    return out, out_inv
+
+
+def test_lattices_isomorphic_matches_brute_oracle():
+    # catalog lattices of at most 7 nodes, each with a copy of its group under
+    # seeded element relabelling, and abstract lattices with node relabellings
+    rng = random.Random(2410)
+    lattices = []
+    for entry in catalog(24):
+        g = entry.group
+        if len(lattice_of(g).nodes) > 7:
+            continue
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        twin = from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm))
+        for lat in (lattice_of(g), lattice_of(twin)):
+            lattices.append((lat, ([frozenset(n.members) for n in lat.nodes], list(lat.involution))))
+    for nodes, involution in ABSTRACT_LATTICES:
+        for plain in [(nodes, involution)] + [_relabel_nodes(nodes, involution, rng) for _ in range(3)]:
+            lattices.append((_AbstractLattice(*plain), plain))
+    found = 0
+    for i, (a, plain_a) in enumerate(lattices):
+        for b, plain_b in lattices[i:]:
+            m = lattices_isomorphic(a, b)
+            assert (m.node_map if m else None) == brute_lattice_isomorphism(plain_a, plain_b)
+            found += m is not None
+    assert found and found < len(lattices) * (len(lattices) + 1) // 2
+
+
+def test_lattices_isomorphic_refuses_oversized_lattices(q8_lattice):
+    big = SimpleNamespace(nodes=range(DEFAULT_NODE_CAP + 1))
+    with pytest.raises(NodeCapExceededError, match="513 exceeds cap 512"):
+        lattices_isomorphic(q8_lattice, big)
 
 
 def test_lattices_isomorphic_across_nonisomorphic_groups(q8_lattice):
