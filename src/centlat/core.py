@@ -76,7 +76,9 @@ class FiniteGroup:
     :func:`from_multiplication_table` to construct one from untrusted data.
     Besides that function, only :func:`centlat.homs.quotient` calls it: a
     quotient of a group by a normal subgroup is a group by construction,
-    and it passes the fields validation would produce.
+    and it passes the fields validation would produce.  Both guarantee that
+    the elements of ``generator_names`` generate the group, which
+    :func:`center` and :func:`all_subgroups` rely on.
     """
 
     def __init__(
@@ -99,6 +101,7 @@ class FiniteGroup:
         self._cent_masks: tuple[int, ...] | None = None
         self._element_orders: tuple[int, ...] | None = None
         self._subgroups: tuple[SubgroupSet, ...] | None = None
+        self._subgroup_generators: tuple[tuple[int, ...], ...] | None = None
         self._subgroup_centralizers: tuple[int, ...] | None = None
         self._commutator_pairs: dict[int, tuple[int, int]] | None = None
         self._lattice = None  # set by centlat.lattice
@@ -493,7 +496,9 @@ def centralizer(group: FiniteGroup, target) -> SubgroupSet:
 
 
 def center(group: FiniteGroup) -> SubgroupSet:
-    return SubgroupSet._from_mask(group, _centralizer_mask(group, group.full_mask))
+    """Z(G): the centralizer of the named generators, which generate G."""
+    gens = sum({1 << g for _, g in group.generator_names})
+    return SubgroupSet._from_mask(group, _centralizer_mask(group, gens))
 
 
 def _first_commutator_pairs(group: FiniteGroup) -> dict[int, tuple[int, int]]:
@@ -537,25 +542,26 @@ def _require_order_at_most(order: int, cap: int, what: str = "group") -> None:
         raise OrderCapExceededError(order, cap, what)
 
 
-def _zuppos(group: FiniteGroup, primes: set[int]) -> list[tuple[int, int, list[int]]]:
+def _zuppos(group: FiniteGroup, primes: set[int]) -> tuple[list[tuple[int, int, list[int]]], list[int]]:
     """The zuppos of ``group``, its cyclic subgroups of prime-power order
     > 1, as (least generator, mask, elements), ascending by least generator;
-    ``primes`` are the primes dividing the group order."""
+    and the mask of <g> for every element g.  ``primes`` are the primes
+    dividing the group order."""
     n, t, e = group.order, group.table, group.identity
     prime_powers = {p**k for p in primes for k in range(1, n.bit_length()) if n % p**k == 0}
     seen: set[int] = set()
-    out = []
+    out, cyclic = [], []
     for g in range(n):
         elems, x = [e], g
         while x != e:
             elems.append(x)
             x = t[x][g]
-        if len(elems) in prime_powers:
-            mask = sum(map((1).__lshift__, elems))
-            if mask not in seen:  # the first generator met is the least
-                seen.add(mask)
-                out.append((g, mask, elems))
-    return out
+        mask = sum(map((1).__lshift__, elems))
+        cyclic.append(mask)
+        if len(elems) in prime_powers and mask not in seen:  # the first generator met is the least
+            seen.add(mask)
+            out.append((g, mask, elems))
+    return out, cyclic
 
 
 def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[SubgroupSet, ...]:
@@ -578,38 +584,56 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
     normality or solvability, so perfect subgroups such as A5 inside S5 are
     found too.  The extensions of {1} are the zuppos, with f(<z_i>) = i.
 
-    Two joins are skipped because their result is known.  A subgroup of
+    Some joins are skipped because their result is known.  A subgroup of
     order above n/4 is not extended: any subgroup properly containing it
-    has order above n/2, which is G itself.  When <K, z_i> has prime index
-    over K, nothing lies strictly between them, so <K, z> = <K, z_i> for
-    every later zuppo z inside it.
+    has order above n/2, which is G itself.  Nor is a join that bit
+    operations alone show to exceed n/2 elements: it contains the product
+    set K<z>, of size |K| |<z>| / |K & <z>|, and the union of K, <z> and
+    every <gz> over K's generators g.  When <K, z_i> has prime index over
+    K, nothing lies strictly between them, so <K, z> = <K, z_i> for every
+    later zuppo z inside it.
+
+    A generating set of each subgroup is kept in the same order in
+    ``group._subgroup_generators``: none for {1}, its least generator for a
+    zuppo, the generator names for G (they generate every group), and the
+    canonical prefix for any other subgroup.
     """
     _require_order_at_most(group.order, cap)
     if group._subgroups is None:
         t, n = group.table, group.order
         primes = {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
-        zuppos = _zuppos(group, primes)
-        seen = {1 << group.identity, group.full_mask}
+        zuppos, cyclic = _zuppos(group, primes)
+        # subgroup mask -> a generating set
+        gens_of = {1 << group.identity: (), group.full_mask: tuple(g for _, g in group.generator_names)}
         todo = []
         for i, (z, z_mask, z_elems) in enumerate(zuppos):
-            if z_mask not in seen:  # seen already when G is a cyclic p-group
-                seen.add(z_mask)
+            if z_mask not in gens_of:  # seen already when G is a cyclic p-group
+                gens_of[z_mask] = (z,)
                 todo.append((z_mask, z_elems, [z], i))
         for k_mask, k_elems, k_gens, f in todo:  # todo grows while it is walked
             if 4 * len(k_elems) > n:
                 continue
             done = k_mask  # z in done: <K, z> is K or an extension already made
-            for z, _, _ in zuppos[f + 1 :]:
+            for z, z_mask, _ in zuppos[f + 1 :]:
                 if done >> z & 1:
                     continue
-                j_mask, j_elems = _dimino_step(t, k_mask, k_elems, [*k_gens, z])
-                if len(j_elems) // len(k_elems) in primes:
+                union = k_mask | z_mask
+                for g in k_gens:
+                    union |= cyclic[t[g][z]]
+                product = len(k_elems) * z_mask.bit_count() // (k_mask & z_mask).bit_count()
+                if 2 * max(product, union.bit_count()) > n:
+                    j_mask, j_order = group.full_mask, n
+                else:
+                    j_mask, j_elems = _dimino_step(t, k_mask, k_elems, [*k_gens, z])
+                    j_order = len(j_elems)
+                if j_order // len(k_elems) in primes:
                     done |= j_mask  # nothing lies strictly between K and J
-                if j_mask not in seen:
-                    seen.add(j_mask)
+                if j_mask not in gens_of:
                     todo.append(_canonical_prefix(t, zuppos, j_mask))
-        subs = [SubgroupSet._from_mask(group, m) for m in seen]
+                    gens_of[j_mask] = tuple(todo[-1][2])
+        subs = [SubgroupSet._from_mask(group, m) for m in gens_of]
         subs.sort(key=SubgroupSet.sort_key)
+        group._subgroup_generators = tuple(gens_of[s.mask] for s in subs)
         group._subgroups = tuple(subs)
     return group._subgroups
 
@@ -636,11 +660,13 @@ def _canonical_prefix(
 def _subgroup_centralizer_masks(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
     """C(A) as a mask for every subgroup A of ``all_subgroups(group, cap)``,
     in the same order, cached: it does not depend on any map out of the
-    group, so every projection of the group reuses it."""
+    group, so every projection of the group reuses it.  C(A) is taken over
+    A's stored generators, as over any set that generates A."""
     _require_order_at_most(group.order, cap)
     if group._subgroup_centralizers is None:
+        all_subgroups(group, cap)  # fills group._subgroup_generators
         group._subgroup_centralizers = tuple(
-            _centralizer_mask(group, s.mask) for s in all_subgroups(group, cap)
+            _centralizer_mask(group, sum({1 << g for g in gens})) for gens in group._subgroup_generators
         )
     return group._subgroup_centralizers
 

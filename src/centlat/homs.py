@@ -17,7 +17,6 @@ from .core import (
     FiniteGroup,
     SubgroupSet,
     _bits,
-    _centralizer_mask,
     _first_commutator_pairs,
     _is_integral,
     _require_order_at_most,
@@ -211,21 +210,24 @@ def _centralizer_sweep(h: GroupHom, cap: int):
     """Yield (A, phi(C(A)), C(phi(A))), both sides as masks, for every
     subgroup A of the source in (order, members) order.
 
-    C(A) comes from the source group's cache, computed once per group.
-    phi(C(A)) depends only on C(A), and C(phi(A)) only on phi(A), so each
-    side is computed once per distinct mask and kept for this sweep only.
+    Both sides come from the generating set that ``all_subgroups`` keeps
+    for each A.  C(A) is their centralizer, from the source group's cache,
+    computed once per group; phi(C(A)) depends only on C(A), so it is
+    computed once per distinct C(A) and kept for this sweep only.  The
+    images of A's generators generate phi(A), so C(phi(A)) is the
+    intersection of their centralizers in the target.
     """
     image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
-    centralizer_of: dict[int, int] = {}  # phi(A) -> C(phi(A))
     subgroups = all_subgroups(h.source, cap)
-    for a_sub, c in zip(subgroups, _subgroup_centralizer_masks(h.source, cap)):
+    centralizers = _subgroup_centralizer_masks(h.source, cap)
+    cent, mapping = h.target.centralizer_masks(), h.mapping
+    for a_sub, gens, c in zip(subgroups, h.source._subgroup_generators, centralizers):
         lhs = image_of.get(c)
         if lhs is None:
             lhs = image_of[c] = h.image_mask(_bits(c))
-        phi_a = h.image_mask(a_sub.members)
-        rhs = centralizer_of.get(phi_a)
-        if rhs is None:
-            rhs = centralizer_of[phi_a] = _centralizer_mask(h.target, phi_a)
+        rhs = h.target.full_mask
+        for g in gens:
+            rhs &= cent[mapping[g]]
         yield a_sub, lhs, rhs
 
 
@@ -234,10 +236,11 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
 
     Requires surjectivity.  Sweeps every subgroup of the source (so the cap
     applies, cached verdicts included); the first failing subgroup in
-    (order, members) order becomes the witness.  The subgroups and their
-    centralizers are cached on the source group, so every projection of
-    one group shares them; phi(C(A)) and C(phi(A)) are computed once per
-    distinct C(A) and phi(A) within the sweep.  The verdict is cached on
+    (order, members) order becomes the witness.  The subgroups, their
+    generating sets and their centralizers are cached on the source group,
+    so every projection of one group shares them; phi(C(A)) is computed
+    once per distinct C(A) within the sweep, and C(phi(A)) as the
+    centralizer of the images of A's generators.  The verdict is cached on
     the homomorphism.
     """
     _require_surjective(h)

@@ -121,17 +121,21 @@ def _sorted_brute_subgroups(table: tuple[tuple[int, ...], ...]) -> list[tuple[in
 
 
 def brute_crh_verdict(
-    table: list[list[int]], target_table: list[list[int]], mapping
+    table: list[list[int]], target_table: list[list[int]], mapping, subgroups=None
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None, bool]:
     """The definitional centralizer check of the map ``mapping`` from the
     group of ``table`` onto the group of ``target_table``, subgroup by
     subgroup in (order, sorted members) order.  Returns ``(witness,
     one_sided)``: witness is (A, phi(C(A)), C(phi(A))) as sorted tuples for
     the first A where the two sides differ, or None; one_sided says whether
-    phi(C(A)) is contained in C(phi(A)) for every A.  Only sane for order
-    <= 16, like brute_all_subgroups."""
+    phi(C(A)) is contained in C(phi(A)) for every A.  The subgroups come
+    from brute_all_subgroups, only sane for order <= 16, unless given as
+    ``subgroups``, sorted member tuples in that order; both sides are then
+    still computed member by member."""
     witness, one_sided = None, True
-    for _, a in _sorted_brute_subgroups(tuple(map(tuple, table))):
+    if subgroups is None:
+        subgroups = [a for _, a in _sorted_brute_subgroups(tuple(map(tuple, table)))]
+    for a in subgroups:
         lhs = {mapping[g] for g in brute_centralizer(table, set(a))}
         rhs = brute_centralizer(target_table, {mapping[x] for x in a})
         if witness is None and lhs != rhs:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from collections import Counter
@@ -432,6 +433,20 @@ def test_all_subgroups_matches_brute_oracle_in_order():
         assert [h.sort_key() for h in all_subgroups(g)] == expected, entry.name
 
 
+def test_all_subgroups_on_catalog64_is_frozen():
+    # every subgroup mask of every catalog(64) group, in order, hashed from
+    # the enumerator as it was before joins bounded above n/2 were skipped;
+    # the brute oracle cannot reach these orders
+    digest = hashlib.sha256()
+    count = 0
+    for entry in catalog(64):
+        subs = all_subgroups(entry.group)
+        count += len(subs)
+        digest.update(f"{entry.name}:{','.join(format(h.mask, 'x') for h in subs)};".encode())
+    assert count == 7347
+    assert digest.hexdigest() == "fcc1451a45c7121a528644947c70efec563beef9c971111b2c5815fef9e0bf16"
+
+
 def _is_prime(k: int) -> bool:
     return k > 1 and all(k % d for d in range(2, k))
 
@@ -466,7 +481,8 @@ def test_canonical_index_is_exact():
         g = _relabelled(g0, rng)
         table = [list(r) for r in g.table]
         orders = g.element_orders()
-        zuppos = core._zuppos(g, {p for p in range(2, g.order + 1) if g.order % p == 0 and _is_prime(p)})
+        zuppos, cyclic = core._zuppos(g, {p for p in range(2, g.order + 1) if g.order % p == 0 and _is_prime(p)})
+        assert [set(core._bits(m)) for m in cyclic] == [brute_closure(table, {a}) for a in range(g.order)]
         gens = [z for z, _, _ in zuppos]
         by_generator = {}
         for a in range(g.order):  # least generator of each prime-power cyclic subgroup
@@ -503,6 +519,35 @@ def test_canonical_index_computed_once_per_subgroup(monkeypatch):
     }
     expected = {h.mask for h in subs} - zuppo_masks - {subs[0].mask, subs[-1].mask}
     assert calls == Counter(expected)
+
+
+@pytest.mark.parametrize(
+    "builder,subgroups,steps",
+    [
+        # 20,492 steps, 10,668 of them returning G, before the skip
+        (lambda: make_family("dihedral", 256), 263, 9824),
+        # 264 more steps, each returning G, with the union bound alone
+        (lambda: direct_product(make_family("cyclic", 4), direct_product(*[make_family("cyclic", 4)] * 2)), 129, 1146),
+    ],
+    ids=["dihedral(256)", "C4^3"],
+)
+def test_joins_that_must_be_the_whole_group_are_skipped(monkeypatch, builder, subgroups, steps):
+    # work counter: a join whose product set K<z>, or union of K, <z> and
+    # every <gz> over K's generators g, passes half the group is G, so no
+    # Dimino step is run for it
+    orders = []
+    original = core._dimino_step
+
+    def counting(table, mask, elems, gens):
+        out = original(table, mask, elems, gens)
+        orders.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(core, "_dimino_step", counting)
+    g = builder()
+    assert len(all_subgroups(g)) == subgroups
+    assert len(orders) == steps
+    assert max(orders) < g.order
 
 
 def _elementary_abelian(rank: int):

@@ -46,9 +46,12 @@ from centlat.errors import (
     TableJsonError,
 )
 
-from centlat import core, homs
+from centlat import core
 
 from _oracles import (
+    brute_center,
+    brute_centralizer,
+    brute_closure,
     brute_crh_verdict,
     brute_first_commutator_in,
     brute_quotient,
@@ -106,6 +109,7 @@ def test_hom_from_map_names_what_is_wrong_with_the_map():
         ([0, 1], "it has 2 entries but the source has order 4"),
         (None, "NoneType is not a sequence of element indices"),
         (7, "int is not a sequence of element indices"),
+        ([0, 1, 0, 2], "entry 3 is 2, not an element index of the order-2 target"),
         ([0, 1, 0, 9], "entry 3 is 9, not an element index of the order-2 target"),
         ([0, 1, 0, "1"], "entry 3 is '1', not an element index of the order-2 target"),
     ]
@@ -125,6 +129,14 @@ def test_identity_and_compose(d8):
     z2 = make_family("cyclic", 2)
     with pytest.raises(DomainMismatchError):
         compose(hom_from_map(z2, z2, [0, 1]), proj)
+
+
+def test_is_bijective_needs_both_equal_orders_and_onto(d8):
+    _, proj = quotient(d8, center(d8))
+    assert is_surjective(proj) and not proj.is_bijective()  # onto, but smaller
+    z2 = make_family("cyclic", 2)
+    trivial = hom_from_map(z2, z2, [z2.identity] * 2)
+    assert not is_surjective(trivial) and not trivial.is_bijective()  # same order, not onto
 
 
 def test_image_and_kernel(d8):
@@ -388,6 +400,40 @@ def test_definitional_sweep_matches_brute_oracle():
     assert outcomes[True] and outcomes[False]
 
 
+def test_generator_derived_values_match_brute_oracles():
+    # the stored generating sets, and everything derived from them instead
+    # of from members (C(A), Z(G), C(phi(A)) in the definitional sweep), on
+    # catalog(32) and a seeded relabelling of each group, against oracles
+    # that walk every member; the subgroup list itself is checked against
+    # the brute and pairwise-join enumerations in test_core
+    rng = random.Random(11)
+    outcomes = Counter()
+    for entry in catalog(32):
+        perm = list(range(entry.group.order))
+        rng.shuffle(perm)
+        relabelled = relabel([list(r) for r in entry.group.table], perm)
+        for g in (entry.group, from_multiplication_table(len(relabelled), relabelled)):
+            table = [list(r) for r in g.table]
+            subs = all_subgroups(g)
+            gens = g._subgroup_generators
+            assert len(gens) == len(subs), entry.name
+            for sub, m, c in zip(subs, gens, core._subgroup_centralizer_masks(g)):
+                assert brute_closure(table, set(m)) == set(sub), (entry.name, sub.members)
+                assert set(core._bits(c)) == brute_centralizer(table, set(sub)), (entry.name, sub.members)
+            assert set(center(g)) == brute_center(table), entry.name
+            members = [sub.members for sub in subs]
+            for sub in subs:
+                if not is_central(g, sub):
+                    continue
+                q, proj = quotient(g, sub)
+                witness, _ = brute_crh_verdict(table, [list(r) for r in q.table], proj.mapping, members)
+                verdict = is_centralizer_respecting(proj)
+                assert verdict.ok == (witness is None), (entry.name, sub.members)
+                assert _witness_tuple(verdict) == witness, (entry.name, sub.members)
+                outcomes[verdict.ok] += 1
+    assert outcomes == Counter({True: 2 * 779 - 2 * 40, False: 2 * 40})
+
+
 def _per_subgroup_sweep(h):
     """The definitional check as it was before subgroup centralizers were
     cached: C(A), phi(C(A)), phi(A) and C(phi(A)) computed afresh for every
@@ -412,8 +458,8 @@ def test_definitional_sweep_matches_per_subgroup_sweep(sweep_records):
 
 
 def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
-    # work counter: C(A) for the source's subgroups A must not be recomputed
-    # for every projection of the same group
+    # work counter: C(A) for the source's subgroups A is computed once per
+    # group, from A's stored generating set, and no projection recomputes it
     g = eval_group_expr(parse_group_expr("product(cyclic(4),product(cyclic(4),cyclic(4)))")).group
     subgroups = all_subgroups(g)
     projections = [quotient(g, s)[1] for s in subgroups if is_central(g, s)]
@@ -422,15 +468,21 @@ def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     original = core._centralizer_mask
 
     def counting(group, mask):
-        if group is g:
-            calls[mask] += 1
+        calls[group is g, mask] += 1
         return original(group, mask)
 
     monkeypatch.setattr(core, "_centralizer_mask", counting)
-    monkeypatch.setattr(homs, "_centralizer_mask", counting)
+    core._subgroup_centralizer_masks(g)
+    # one call per subgroup, on a generating set of at most 3 elements
+    # (249 in all) instead of its 1347 members
+    gens = g._subgroup_generators
+    assert [closure(g, m) for m in gens] == list(subgroups)
+    assert max(map(len, gens)) == 3 and sum(map(len, gens)) == 249
+    assert calls == Counter((True, sum(1 << a for a in m)) for m in gens)
+    calls.clear()
     assert all(is_centralizer_respecting(p).ok for p in projections)
     assert all(one_sided_inclusion_holds(p) for p in projections)
-    assert calls == Counter(s.mask for s in subgroups)
+    assert not calls  # the 129 sweeps reuse the cache
 
 
 def test_quotients_are_not_revalidated(monkeypatch):
