@@ -17,6 +17,7 @@ from .core import (
     FiniteGroup,
     SubgroupSet,
     _bits,
+    _center_mask,
     _first_commutator_pairs,
     _is_integral,
     _require_order_at_most,
@@ -208,20 +209,25 @@ class CrhVerdict:
 
 def _centralizer_sweep(h: GroupHom, cap: int):
     """Yield (A, phi(C(A)), C(phi(A))), both sides as masks, for every
-    subgroup A of the source in (order, members) order.
+    non-central subgroup A of the source in (order, members) order.
 
-    Both sides come from the generating set that ``all_subgroups`` keeps
-    for each A.  C(A) is their centralizer, from the source group's cache,
-    computed once per group; phi(C(A)) depends only on C(A), so it is
-    computed once per distinct C(A) and kept for this sweep only.  The
-    images of A's generators generate phi(A), so C(phi(A)) is the
-    intersection of their centralizers in the target.
+    A central subgroup A (C(A) = G) is skipped, as it can never fail:
+    phi(C(A)) = phi(G) = Q since phi is onto, and C(phi(A)) contains
+    phi(C(A)), so both sides are Q.  Both sides come from the generating
+    set that ``all_subgroups`` keeps for each A.  C(A) is their
+    centralizer, from the source group's cache, computed once per group;
+    phi(C(A)) depends only on C(A), so it is computed once per distinct
+    C(A) and kept for this sweep only.  The images of A's generators
+    generate phi(A), so C(phi(A)) is the intersection of their
+    centralizers in the target.
     """
     image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
     subgroups = all_subgroups(h.source, cap)
     centralizers = _subgroup_centralizer_masks(h.source, cap)
-    cent, mapping = h.target.centralizer_masks(), h.mapping
+    cent, mapping, whole = h.target.centralizer_masks(), h.mapping, h.source.full_mask
     for a_sub, gens, c in zip(subgroups, h.source._subgroup_generators, centralizers):
+        if c == whole:
+            continue
         lhs = image_of.get(c)
         if lhs is None:
             lhs = image_of[c] = h.image_mask(_bits(c))
@@ -234,14 +240,15 @@ def _centralizer_sweep(h: GroupHom, cap: int):
 def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhVerdict:
     """Definitional check: phi(C(A)) = C(phi(A)) for every subgroup A.
 
-    Requires surjectivity.  Sweeps every subgroup of the source (so the cap
-    applies, cached verdicts included); the first failing subgroup in
-    (order, members) order becomes the witness.  The subgroups, their
-    generating sets and their centralizers are cached on the source group,
-    so every projection of one group shares them; phi(C(A)) is computed
-    once per distinct C(A) within the sweep, and C(phi(A)) as the
-    centralizer of the images of A's generators.  The verdict is cached on
-    the homomorphism.
+    Requires surjectivity.  Sweeps every non-central subgroup of the
+    source (so the cap applies, cached verdicts included); a central one
+    can never fail, so the first failing subgroup in (order, members)
+    order, the witness, is the same as over every subgroup.  The
+    subgroups, their generating sets and their centralizers are cached on
+    the source group, so every projection of one group shares them;
+    phi(C(A)) is computed once per distinct C(A) within the sweep, and
+    C(phi(A)) as the centralizer of the images of A's generators.  The
+    verdict is cached on the homomorphism.
     """
     _require_surjective(h)
     _require_order_at_most(h.source.order, cap)
@@ -296,7 +303,7 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
     _require_surjective(h)
     g = h.source
     ker = kernel(h)
-    stray = ker.mask & ~center(g).mask
+    stray = ker.mask & ~_center_mask(g)
     if stray:
         k = _bits(stray)[0]
         witness = _bits(g.full_mask & ~g.centralizer_masks()[k])[0]

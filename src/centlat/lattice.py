@@ -18,6 +18,7 @@ from .core import (
     FiniteGroup,
     SubgroupSet,
     _bits,
+    _center_mask,
     _centralizer_mask,
     _require_order_at_most,
 )
@@ -57,7 +58,9 @@ class CentralizerLattice:
         )
         self.top = count - 1
         self.bottom = 0
-        cents = [_centralizer_mask(group, m) for m in node_masks]
+        # C(X) = C(X - Z): central elements commute with everything
+        non_central = group.full_mask & ~_center_mask(group)
+        cents = [_centralizer_mask(group, m & non_central) for m in node_masks]
         _ensure(node_masks[self.top] == group.full_mask, "top node must be the whole group")
         _ensure(node_masks[self.bottom] == cents[self.top], "bottom node must be the center")
         self.involution = tuple(index_of[c] for c in cents)
@@ -120,13 +123,8 @@ def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) 
     """Construct the centralizer lattice: single-element centralizers,
     saturated under intersection, plus the whole group."""
     _require_order_at_most(group.order, cap)
-    cent = group.centralizer_masks()
-    seen = {group.full_mask}
-    masks = [group.full_mask]
-    for x in range(group.order):
-        if cent[x] not in seen:
-            seen.add(cent[x])
-            masks.append(cent[x])
+    masks = list(dict.fromkeys((group.full_mask, *group.centralizer_masks())))
+    seen = set(masks)
     i = 0
     while i < len(masks):
         for j in range(i):

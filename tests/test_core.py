@@ -23,6 +23,7 @@ from centlat import (
     catalog,
     make_family,
     direct_product,
+    quotient,
 )
 from centlat.errors import (
     DomainMismatchError,
@@ -272,6 +273,54 @@ def test_commutator_set_matches_oracle(s3, a4):
     for g in (s3, a4):
         table = [list(row) for row in g.table]
         assert set(commutator_set(g)) == brute_commutator_set(table)
+
+
+@pytest.fixture(scope="module")
+def center_groups():
+    """catalog(64), a seeded relabelling of each group, every central
+    quotient of catalog(32), and the centerless S4 and A5 (Z = {1}, so no
+    centralizer row or commutator pair is shared across a coset)."""
+    rng = random.Random(12)
+    groups = []
+    for entry in catalog(64):
+        groups += [(entry.name, entry.group), (f"{entry.name} relabelled", _relabelled(entry.group, rng))]
+    for entry in catalog(32):
+        for sub in all_subgroups(entry.group):
+            if is_central(entry.group, sub):
+                groups.append((f"{entry.name} mod {sub.members}", quotient(entry.group, sub)[0]))
+    groups.append(("S4", from_multiplication_table(24, symmetric_group_table(4))))
+    groups.append(("A5", from_multiplication_table(60, alternating_group_table(5))))
+    return groups
+
+
+def test_centralizer_masks_match_brute_oracle(center_groups):
+    # one row per center coset, copied to the rest of the coset, against an
+    # oracle that tests every element against every other
+    assert len(center_groups) == 2 * 373 + 779 + 2
+    for name, g in center_groups:
+        table = [list(r) for r in g.table]
+        got = [set(core._bits(m)) for m in g.centralizer_masks()]
+        assert got == [brute_centralizer(table, {x}) for x in range(g.order)], name
+
+
+def _row_major_first_commutator_pairs(g) -> dict[int, tuple[int, int]]:
+    """The first-pair map as a plain row-major walk of all n^2 pairs."""
+    t, inverse = g.table, g.inverse
+    first: dict[int, tuple[int, int]] = {}
+    for a in range(g.order):
+        ia = inverse[a]
+        for b in range(g.order):
+            c = t[t[t[ia][inverse[b]]][a]][b]
+            if c not in first:
+                first[c] = (a, b)
+    return first
+
+
+def test_commutator_pairs_match_row_major_walk(center_groups):
+    # the walk over pairs of least center-coset representatives finds the
+    # same first pair for every commutator as the walk over all n^2 pairs
+    for name, g in center_groups:
+        assert core._first_commutator_pairs(g) == _row_major_first_commutator_pairs(g), name
 
 
 def test_derived_subgroup_is_closure_of_commutator_set():

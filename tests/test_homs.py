@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from centlat import (
+    GroupHom,
     all_subgroups,
     catalog,
     center,
@@ -480,9 +481,21 @@ def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     assert max(map(len, gens)) == 3 and sum(map(len, gens)) == 249
     assert calls == Counter((True, sum(1 << a for a in m)) for m in gens)
     calls.clear()
+    images = Counter()
+    image_mask = GroupHom.image_mask
+
+    def counting_images(h, members=None):
+        images[members is None] += 1
+        return image_mask(h, members)
+
+    monkeypatch.setattr(GroupHom, "image_mask", counting_images)
     assert all(is_centralizer_respecting(p).ok for p in projections)
     assert all(one_sided_inclusion_holds(p) for p in projections)
     assert not calls  # the 129 sweeps reuse the cache
+    # every subgroup is central, so no sweep computes a phi(C(A)): the only
+    # images are the surjectivity checks' (two per projection), and the one
+    # walk of members is the first of them filling the whole-image cache
+    assert images == Counter({True: 258, False: 129})
 
 
 def test_quotients_are_not_revalidated(monkeypatch):
