@@ -111,9 +111,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inverse[a], -k
@@ -125,9 +122,6 @@ class FiniteGroup:
             base = self.table[base][base]
             k >>= 1
         return result
-
-    def element_order(self, a: int) -> int:
-        return self.element_orders()[a]
 
     def element_orders(self) -> tuple[int, ...]:
         if self._element_orders is None:
@@ -494,7 +488,7 @@ def _centralizer_mask(group: FiniteGroup, mask: int) -> int:
     """Bitmask of the elements commuting with every element of ``mask``."""
     masks = group.centralizer_masks()
     out = group.full_mask
-    while mask:  # set bits in place, without _bits' list: this is the sweep's inner loop
+    while mask:  # set bits in place, without _bits' list
         low = mask & -mask
         out &= masks[low.bit_length() - 1]
         mask ^= low
@@ -556,11 +550,6 @@ def _first_commutator_pairs(group: FiniteGroup) -> dict[int, tuple[int, int]]:
 def commutator_set(group: FiniteGroup) -> frozenset[int]:
     """The set of commutators a^-1 b^-1 a b — the set itself, not its closure."""
     return frozenset(_first_commutator_pairs(group))
-
-
-def derived_subgroup(group: FiniteGroup) -> SubgroupSet:
-    """Closure of the commutator set."""
-    return closure(group, commutator_set(group))
 
 
 def is_central(group: FiniteGroup, s: SubgroupSet) -> bool:

@@ -132,15 +132,6 @@ class NotCrhError(CentlatError):
         super().__init__(message)
 
 
-class ImageNotANodeError(CentlatError):
-    def __init__(self, node_members: tuple[int, ...], image: tuple[int, ...]) -> None:
-        self.node_members, self.image = node_members, image
-        super().__init__(
-            f"image {list(image)} of lattice node {list(node_members)} "
-            "is not a node of the target lattice"
-        )
-
-
 # ---------------------------------------------------------------------------
 # expression language and I/O
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .core import (
@@ -227,23 +228,19 @@ class CatalogEntry(NamedTuple):
     group: FiniteGroup
 
 
-_catalog_cache: dict[int, tuple[CatalogEntry, ...]] = {}
-
-
-def catalog(max_order: int = 32) -> tuple[CatalogEntry, ...]:
+@cache
+def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     """A deterministic list of named groups of order <= max_order.
 
     Contains all cyclic, dihedral, quaternion and semidihedral groups, all
     products of two or three cyclic factors (factors >= 2, ascending), and
     every valid semidirect_cyclic(m, k, a) with m, k >= 2 and 2 <= a < m.
     Entry names are expressions the CLI accepts.  Groups are cached, so the
-    lazy per-group data is shared by everything in one process.
+    lazy per-group data is shared by everything in one process; each
+    cyclic group is built once and is also the factor of every product.
     """
-    if max_order in _catalog_cache:
-        return _catalog_cache[max_order]
-    entries: list[CatalogEntry] = []
-    for n in range(1, max_order + 1):
-        entries.append(CatalogEntry(f"cyclic({n})", make_family("cyclic", n)))
+    cyclic = {n: make_family("cyclic", n) for n in range(1, max_order + 1)}
+    entries = [CatalogEntry(f"cyclic({n})", g) for n, g in cyclic.items()]
     for n in range(4, max_order + 1, 2):
         entries.append(CatalogEntry(f"dihedral({n})", make_family("dihedral", n)))
     n = 8
@@ -256,13 +253,12 @@ def catalog(max_order: int = 32) -> tuple[CatalogEntry, ...]:
         n *= 2
     for a in range(2, max_order + 1):
         for b in range(a, max_order // a + 1):
-            g = direct_product(make_family("cyclic", a), make_family("cyclic", b))
+            g = direct_product(cyclic[a], cyclic[b])
             entries.append(CatalogEntry(f"product(cyclic({a}),cyclic({b}))", g))
     for a in range(2, max_order + 1):
         for b in range(a, max_order + 1):
             for c in range(b, max_order // (a * b) + 1):
-                inner = direct_product(make_family("cyclic", b), make_family("cyclic", c))
-                g = direct_product(make_family("cyclic", a), inner)
+                g = direct_product(cyclic[a], direct_product(cyclic[b], cyclic[c]))
                 entries.append(
                     CatalogEntry(f"product(cyclic({a}),product(cyclic({b}),cyclic({c})))", g)
                 )
@@ -273,6 +269,4 @@ def catalog(max_order: int = 32) -> tuple[CatalogEntry, ...]:
                     entries.append(
                         CatalogEntry(f"semidirect({m},{k},{a})", semidirect_cyclic(m, k, a))
                     )
-    result = tuple(entries)
-    _catalog_cache[max_order] = result
-    return result
+    return tuple(entries)

@@ -46,9 +46,6 @@ class GroupHom:
         self._image_mask: int | None = None
         self._crh_verdict: "CrhVerdict | None" = None
 
-    def apply(self, a: int) -> int:
-        return self.mapping[a]
-
     def image_mask(self, members: Iterable[int] | None = None) -> int:
         """Bitmask of the image of ``members`` (default: the whole source, cached)."""
         if members is None:

@@ -24,7 +24,7 @@ from .core import (
 )
 from .errors import (
     DomainMismatchError,
-    ImageNotANodeError,
+    InternalInconsistencyError,
     NodeCapExceededError,
     NotCrhError,
     _ensure,
@@ -144,18 +144,6 @@ def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerL
     return group._lattice
 
 
-def cl_meet(lattice: CentralizerLattice, s: int, t: int) -> int:
-    return lattice.meet_table[s][t]
-
-
-def cl_join(lattice: CentralizerLattice, s: int, t: int) -> int:
-    return lattice.join_table[s][t]
-
-
-def cl_involution(lattice: CentralizerLattice, s: int) -> int:
-    return lattice.involution[s]
-
-
 # ---------------------------------------------------------------------------
 # maps between lattices
 
@@ -167,9 +155,6 @@ class LatticeMap:
     source: CentralizerLattice
     target: CentralizerLattice
     node_map: tuple[int, ...]
-
-    def apply(self, s: int) -> int:
-        return self.node_map[s]
 
     def is_bijective(self) -> bool:
         return (
@@ -201,8 +186,11 @@ def induced_map(phi: GroupHom) -> LatticeMap:
     for node in source_lattice.nodes:
         img = phi.image_mask(node.members)
         idx = target_lattice.index_of_mask.get(img)
-        if idx is None:
-            raise ImageNotANodeError(node.members, tuple(_bits(img)))
+        if idx is None:  # cannot happen: a crh phi maps C(A) onto C(phi(A)), a node
+            raise InternalInconsistencyError(
+                f"image {_bits(img)} of lattice node {list(node.members)} "
+                "is not a node of the target lattice"
+            )
         mapping.append(idx)
     return LatticeMap(source_lattice, target_lattice, tuple(mapping))
 
@@ -226,10 +214,6 @@ def invert_lattice_map(m: LatticeMap) -> LatticeMap:
     for s, t in enumerate(m.node_map):
         inverse[t] = s
     return LatticeMap(m.target, m.source, tuple(inverse))
-
-
-def identity_lattice_map(lattice: CentralizerLattice) -> LatticeMap:
-    return LatticeMap(lattice, lattice, tuple(range(len(lattice.nodes))))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from centlat import (
     semidirect_cyclic,
 )
 from centlat.lattice import (
-    cl_join,
     induced_map,
     is_lattice_hom,
     lattice_of,
@@ -268,7 +267,7 @@ def test_acceptance_8_join_is_not_generated_subgroup():
     g = make_family("dihedral", 16)
     lat = lattice_of(g)
     s, t = 1, 3
-    join_node = lat.nodes[cl_join(lat, s, t)]
+    join_node = lat.nodes[lat.join_table[s][t]]
     generated = closure(g, list(lat.nodes[s].members) + list(lat.nodes[t].members))
     assert set(generated) < set(join_node)
     assert len(generated) == 8 and len(join_node) == 16

@@ -63,7 +63,7 @@ def test_dihedral_relations():
     g = make_family("dihedral", 8)
     x, y = gen(g, "x"), gen(g, "y")
     assert order_census(g) == Counter({1: 1, 2: 5, 4: 2})
-    assert g.element_order(x) == 4 and g.element_order(y) == 2
+    assert g.element_orders()[x] == 4 and g.element_orders()[y] == 2
     # y * x = x^-1 * y
     assert g.mul(y, x) == g.mul(g.inverse[x], y)
 
@@ -75,7 +75,7 @@ def test_quaternion_relations():
     assert g.power(y, 2) == g.power(x, 2)  # y^2 = x^2
     assert g.mul(y, x) == g.mul(g.inverse[x], y)
     # unique involution
-    assert sum(1 for a in range(8) if g.element_order(a) == 2) == 1
+    assert sum(1 for a in range(8) if g.element_orders()[a] == 2) == 1
 
 
 def test_quaternion_16():
@@ -87,7 +87,7 @@ def test_semidihedral_relations():
     g = make_family("semidihedral", 16)
     x, y = gen(g, "x"), gen(g, "y")
     assert order_census(g) == Counter({1: 1, 2: 5, 4: 6, 8: 4})
-    assert g.element_order(y) == 2
+    assert g.element_orders()[y] == 2
     # y * x = x^(m/2 - 1) * y with m = 8
     assert g.mul(y, x) == g.mul(g.power(x, 3), y)
 
@@ -129,7 +129,7 @@ def test_semidirect_cyclic():
     g = semidirect_cyclic(4, 4, 3)
     assert g.order == 16
     x, y = gen(g, "x"), gen(g, "y")
-    assert g.element_order(x) == 4 and g.element_order(y) == 4
+    assert g.element_orders()[x] == 4 and g.element_orders()[y] == 4
     # y acts on x by x -> x^3
     assert g.mul(g.mul(y, x), g.inverse[y]) == g.power(x, 3)
     assert len(center(g)) == 4

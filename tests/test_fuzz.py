@@ -123,7 +123,7 @@ def test_hom_from_map_raises_only_package_errors(case):
         return
     assert all(type(v) is int for v in mapping) and h.mapping == tuple(mapping)
     pairs = [(a, b) for a in range(source.order) for b in range(source.order)]
-    assert all(target.mul(h.apply(a), h.apply(b)) == h.apply(source.mul(a, b)) for a, b in pairs)
+    assert all(target.mul(h.mapping[a], h.mapping[b]) == h.mapping[source.mul(a, b)] for a, b in pairs)
 
 
 json_values = st.recursive(

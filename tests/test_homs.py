@@ -555,7 +555,16 @@ def test_group_isomorphic_checks_every_forced_map():
     h = group_isomorphic(a, b)
     assert h is not None and h.is_bijective()
     hom_from_map(a, b, h.mapping)
-    assert (h.apply(2), h.apply(1)) == (1, 5)  # the next candidate: (0,1) = (1,2)^2
+    assert (h.mapping[2], h.mapping[1]) == (1, 5)  # the next candidate: (0,1) = (1,2)^2
+
+
+def test_group_isomorphic_ignores_repeated_generators():
+    # C2 whose two named generators are the same element: searching both
+    # names would give them distinct images, and C2 has only one involution
+    a = from_multiplication_table(2, [[0, 1], [1, 0]], [("a", 1), ("b", 1)])
+    b = from_multiplication_table(2, [[1, 0], [0, 1]])  # identity at index 1
+    h = group_isomorphic(a, b)
+    assert h is not None and h.mapping == (1, 0)
 
 
 def test_group_isomorphic_distinguishes_equal_fingerprints():

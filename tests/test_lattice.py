@@ -19,11 +19,7 @@ from centlat.lattice import (
     DEFAULT_NODE_CAP,
     LatticeMap,
     build_centralizer_lattice,
-    cl_involution,
-    cl_join,
-    cl_meet,
     compose_lattice_maps,
-    identity_lattice_map,
     induced_map,
     invert_lattice_map,
     is_lattice_hom,
@@ -87,17 +83,18 @@ def test_meet_join_involution(q8_lattice):
     lat = q8_lattice
     # the three four-element nodes are pairwise incomparable atoms over the
     # bottom; meets drop to the center, joins rise to the whole group
+    meet, join, inv = lat.meet_table, lat.join_table, lat.involution
     for s, t in ((1, 2), (1, 3), (2, 3)):
-        assert cl_meet(lat, s, t) == 0
-        assert cl_join(lat, s, t) == 4
+        assert meet[s][t] == 0
+        assert join[s][t] == 4
         assert not lat.leq(s, t) and not lat.leq(t, s)
     for s in range(5):
-        assert cl_meet(lat, s, s) == s == cl_join(lat, s, s)
-        assert cl_meet(lat, s, lat.top) == s
-        assert cl_join(lat, s, lat.bottom) == s
+        assert meet[s][s] == s == join[s][s]
+        assert meet[s][lat.top] == s
+        assert join[s][lat.bottom] == s
         # involution is its own inverse and antitone
-        assert cl_involution(lat, cl_involution(lat, s)) == s
-    assert cl_involution(lat, lat.top) == lat.bottom
+        assert inv[inv[s]] == s
+    assert inv[lat.top] == lat.bottom
 
 
 def test_every_node_is_a_centralizer(q8_lattice):
@@ -123,7 +120,7 @@ def test_join_can_exceed_generated_subgroup():
     lat = lattice_of(g)
     assert lat.node_orders() == (2, 4, 4, 4, 4, 8, 16)
     s, t = 1, 3
-    join = cl_join(lat, s, t)
+    join = lat.join_table[s][t]
     assert join == 6 and len(lat.nodes[join]) == 16
     generated = closure(g, list(lat.nodes[s].members) + list(lat.nodes[t].members))
     assert len(generated) == 8
@@ -174,7 +171,7 @@ def test_induced_map_of_worked_quotient():
 
     # inverting and composing gives the identity node map
     back = invert_lattice_map(m)
-    assert compose_lattice_maps(back, m).node_map == identity_lattice_map(m.source).node_map
+    assert compose_lattice_maps(back, m).node_map == tuple(range(len(m.source.nodes)))
 
 
 def test_induced_map_rejects_non_crh():
