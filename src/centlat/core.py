@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import numbers
-from typing import Iterable, Iterator
+import operator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DomainMismatchError,
@@ -41,6 +42,16 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A function taking a row to the tuple of its entries at ``indices``,
+    in order: ``operator.itemgetter(*indices)``, which picks them at C
+    speed, wrapped so that one index still gives a 1-tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return operator.itemgetter(*indices)
 
 
 def _is_integral(v) -> bool:
@@ -287,8 +298,11 @@ def from_multiplication_table(
     that pass form a set closed under the product.  S must generate the
     table as a magma, so it is grown by right-multiplication closure on the
     raw table (:func:`_magma_generators`), never by :func:`_close_mask`,
-    which assumes the table is already a group.  On failure every triple is
-    scanned in row-major order and the first failing one is reported.
+    which assumes the table is already a group.  Row x of x*(s*y) is row x
+    read at the entries of row s, picked by :func:`_gather` at C speed and
+    compared whole with row x*s.  On failure every triple is scanned in
+    row-major order, with the same gather, and the first failing one is
+    reported.
     """
     if order < 1:
         raise NotClosedError(0, 0, order)
@@ -339,9 +353,9 @@ def from_multiplication_table(
     seeds = [i for _, i in hints or () if 0 <= i < order]
     gens, hints_generate = _magma_generators(rows, identity, seeds)
     for s in gens:
-        row_s = rows[s]
+        right = _gather(rows[s])  # right(rows[x])[y] = x*(s*y)
         for rx in rows:
-            if tuple(map(rx.__getitem__, row_s)) != rows[rx[s]]:
+            if right(rx) != rows[rx[s]]:  # rows[x*s][y] = (x*s)*y
                 raise _first_nonassociative_triple(rows)
 
     labels = None
@@ -419,10 +433,11 @@ def _magma_generators(
 def _first_nonassociative_triple(rows: list[tuple[int, ...]]) -> NotAssociativeError:
     """The error for the first (a, b, c) in row-major order with
     (a*b)*c != a*(b*c); the caller knows that one exists."""
+    gathers = [_gather(r) for r in rows]  # gathers[b](rows[a])[c] = a*(b*c)
     for a, ra in enumerate(rows):
         for b, ab in enumerate(ra):
             left = rows[ab]  # left[c] = (a*b)*c
-            right = tuple(map(ra.__getitem__, rows[b]))  # right[c] = a*(b*c)
+            right = gathers[b](ra)
             if left != right:
                 c = next(c for c, (u, v) in enumerate(zip(left, right)) if u != v)
                 return NotAssociativeError(a, b, c, left[c], right[c])
@@ -444,18 +459,20 @@ def _dimino_step(
     the union of the left cosets xH, starting from sH; each new coset
     representative is a generator times a known one.  The union is closed
     under left multiplication by all of ``gens``, so it is the subgroup they
-    generate only when ``gens[:-1]`` generate H.  Linear in |<H, s>|; it
-    stops with the whole group once the union passes half of it, since no
-    proper subgroup is that large.
+    generate only when ``gens[:-1]`` generate H.  Each coset xH is row x of
+    the table read at H's elements, picked by one :func:`_gather` built from
+    ``elems``.  Linear in |<H, s>|; it stops with the whole group once the
+    union passes half of it, since no proper subgroup is that large.
     """
     n = len(table)
     out = list(elems)
     rows = [table[g] for g in gens]
+    coset_of = _gather(elems)  # coset_of(table[x]) = xH
     reps = [gens[-1]]
     for x in reps:  # reps grows while it is walked
         if mask >> x & 1:
             continue  # xH was added through another representative
-        coset = list(map(table[x].__getitem__, elems))
+        coset = coset_of(table[x])
         mask |= sum(map((1).__lshift__, coset))  # xH is disjoint from the union
         out += coset
         if 2 * len(out) > n:
@@ -553,7 +570,9 @@ def commutator_set(group: FiniteGroup) -> frozenset[int]:
 
 
 def is_central(group: FiniteGroup, s: SubgroupSet) -> bool:
-    return s.mask & ~_center_mask(group) == 0
+    """True when every element of ``s`` (a :class:`SubgroupSet` of
+    ``group`` or element indices) lies in Z(G)."""
+    return _mask_of(group, s) & ~_center_mask(group) == 0
 
 
 # ---------------------------------------------------------------------------

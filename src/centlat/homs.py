@@ -19,6 +19,7 @@ from .core import (
     _bits,
     _center_mask,
     _first_commutator_pairs,
+    _gather,
     _is_integral,
     _require_order_at_most,
     _subgroup_centralizer_masks,
@@ -69,7 +70,10 @@ def hom_from_map(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHom:
 
     It needs one entry per source element, each an integral element index
     of ``target`` (bools, floats and strings are not); a failure is a
-    :class:`NotHomomorphismError` that names it.
+    :class:`NotHomomorphismError` that names it.  Then phi(a)*phi(b) =
+    phi(a*b) is checked a whole row at a time, each row picked at C speed by
+    :func:`~centlat.core._gather`; on a mismatch the first differing b of
+    the first failing a is the witness.
     """
     bad = NotHomomorphismError._bad_map
     try:
@@ -83,14 +87,13 @@ def hom_from_map(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHom:
             raise bad(f"entry {i} is {v!r}, not an element index of the order-{target.order} target", v)
     m = tuple(map(int, m))  # e.g. NumPy integers
     ts, tt = source.table, target.table
+    images = _gather(m)  # images(tt[v])[b] = v*phi(b)
     for a in range(source.order):
-        fa = m[a]
-        row = ts[a]
-        for b in range(source.order):
-            got = tt[fa][m[b]]
-            expected = m[row[b]]
-            if got != expected:
-                raise NotHomomorphismError(a, b, got, expected)
+        got = images(tt[m[a]])  # got[b] = phi(a)*phi(b)
+        expected = _gather(ts[a])(m)  # expected[b] = phi(a*b)
+        if got != expected:
+            b = next(b for b, (u, v) in enumerate(zip(got, expected)) if u != v)
+            raise NotHomomorphismError(a, b, got[b], expected[b])
     return GroupHom(source, target, m)
 
 
@@ -144,7 +147,9 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     that generate it (:func:`from_multiplication_table` checks this for the
     groups it builds, and quotients keep it), so their de-duplicated images
     generate the quotient.  Every field read off the projection is the one
-    validation would have produced.
+    validation would have produced.  Row a of the quotient table is
+    proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
+    steps at C speed.
     """
     if not isinstance(n, SubgroupSet):
         raise DomainMismatchError(f"quotient needs a SubgroupSet, not {type(n).__name__}")
@@ -162,7 +167,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
                 raise NotNormalError(g, x, conj)
             proj[row[x]] = len(reps)
         reps.append(g)
-    qtable = tuple(tuple(proj[t[ra][rb]] for rb in reps) for ra in reps)
+    at_reps, proj = _gather(reps), tuple(proj)
+    qtable = tuple(_gather(at_reps(t[ra]))(proj) for ra in reps)  # proj[ra*rb] over rb
     gens = []
     seen = set()
     for name, g in group.generator_names:
@@ -179,7 +185,7 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
         tuple(gens),
         qlabels,
     )
-    return q, GroupHom(group, q, tuple(proj))
+    return q, GroupHom(group, q, proj)
 
 
 # ---------------------------------------------------------------------------

@@ -661,18 +661,24 @@ def test_element_indices_are_checked_at_the_boundary(index):
 
 
 def test_a_subgroup_of_another_group_is_rejected():
-    # closure, centralizer and SubgroupSet share one check: a SubgroupSet of a
-    # group with another table raises DomainMismatchError, never an IndexError
-    # or an answer read off the other group's mask
+    # closure, centralizer, is_central and SubgroupSet share one check: a
+    # SubgroupSet of a group with another table raises DomainMismatchError,
+    # never an IndexError or an answer read off the other group's mask
     d8 = make_family("dihedral", 8)
-    for other in (closure(make_family("cyclic", 16), [15]), closure(make_family("cyclic", 4), [1])):
-        for call in (centralizer, closure, SubgroupSet):
+    others = (
+        closure(make_family("cyclic", 16), [15]),
+        closure(make_family("cyclic", 4), [1]),
+        all_subgroups(make_family("quaternion", 8))[3],  # same order, other table
+    )
+    for other in others:
+        for call in (centralizer, closure, is_central, SubgroupSet):
             with pytest.raises(DomainMismatchError, match="different group"):
                 call(d8, other)
     # a subgroup of an equal table is as good as its members
     twin = make_family("dihedral", 8)
     assert centralizer(d8, closure(twin, [1])) == centralizer(d8, [0, 1, 2, 3])
     assert closure(d8, closure(twin, [4])) == SubgroupSet(d8, closure(twin, [4])) == closure(d8, [4])
+    assert is_central(d8, closure(twin, [2])) and not is_central(d8, closure(twin, [4]))
 
 
 def test_numpy_integer_indices_give_the_same_subsets():

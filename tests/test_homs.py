@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import sys
@@ -204,6 +205,12 @@ def _quotient_or_witness(g, sub):
     return list(proj.mapping), [list(row) for row in q.table]
 
 
+def _relabelled(g, rng):
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    return from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm))
+
+
 @pytest.fixture(scope="module")
 def quotient_groups():
     """The catalog, two relabelled copies of each group (where both the
@@ -212,12 +219,7 @@ def quotient_groups():
     rng = random.Random(7)
     groups = [from_multiplication_table(24, symmetric_group_table(4))]
     for entry in catalog(32):
-        g = entry.group
-        groups.append(g)
-        for _ in range(2):
-            perm = list(range(g.order))
-            rng.shuffle(perm)
-            groups.append(from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm)))
+        groups += [entry.group, _relabelled(entry.group, rng), _relabelled(entry.group, rng)]
     return groups
 
 
@@ -279,6 +281,96 @@ def test_quotient_fields_of_trivial_and_whole(d8):
     assert q.generator_names == () and q.element_labels is None
     q, _ = quotient(d8, closure(d8, range(8)))
     assert q.generator_names == (("x", 0),) and q.element_labels == (d8.label(0),)
+
+
+def _nested_quotient_table(g, proj):
+    """The quotient table built element by element, as a nested generator
+    expression over the least element of each coset."""
+    t, reps, seen = g.table, [], set()
+    for x, c in enumerate(proj):
+        if c not in seen:
+            seen.add(c)
+            reps.append(x)
+    return tuple(tuple(proj[t[ra][rb]] for rb in reps) for ra in reps)
+
+
+def test_quotient_tables_match_the_nested_formula():
+    # differential against the element-by-element table that gathering whole
+    # rows replaced: every central quotient of catalog(32) and of a relabelled
+    # copy of each group, whose identity and coset numbering differ
+    rng = random.Random(1432)
+    count = 0
+    for entry in catalog(32):
+        for g in (entry.group, _relabelled(entry.group, rng)):
+            for sub in all_subgroups(g):
+                if is_central(g, sub):
+                    q, proj = quotient(g, sub)
+                    assert q.table == _nested_quotient_table(g, proj.mapping), (entry.name, sub)
+                    count += 1
+    assert count == 2 * 779
+
+
+def _first_failed_product(source, target, m):
+    """(a, b, got, expected) for the first a, then b, with phi(a)*phi(b) !=
+    phi(a*b), by a double loop over single products; None for a homomorphism."""
+    ts, tt = source.table, target.table
+    for a in range(source.order):
+        for b in range(source.order):
+            got, expected = tt[m[a]][m[b]], m[ts[a][b]]
+            if got != expected:
+                return a, b, got, expected
+    return None
+
+
+def test_hom_from_map_witness_matches_the_double_loop():
+    # valid maps over catalog(16) -- every projection onto a quotient and an
+    # isomorphism onto a relabelled copy -- with one entry overwritten; the
+    # row-at-a-time check must name the product a double loop finds first
+    rng = random.Random(1433)
+    maps = []
+    for entry in catalog(16):
+        g = entry.group
+        for sub in all_subgroups(g):
+            try:
+                q, proj = quotient(g, sub)
+            except NotNormalError:
+                continue
+            maps.append((g, q, proj.mapping))
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        maps.append((g, from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm)), perm))
+    outcomes = Counter()
+    for source, target, mapping in maps:
+        assert hom_from_map(source, target, mapping).mapping == tuple(mapping)
+        for _ in range(3):
+            m = list(mapping)
+            m[rng.randrange(source.order)] = rng.randrange(target.order)
+            want = _first_failed_product(source, target, m)
+            try:
+                hom_from_map(source, target, m)
+            except NotHomomorphismError as e:
+                assert (*e.pair, e.got, e.expected) == want, (source, target, m)
+                outcomes["rejected"] += 1
+            else:
+                assert want is None
+                outcomes["accepted"] += 1
+    assert outcomes == Counter(rejected=663, accepted=372)
+
+
+def test_one_element_rows_are_gathered_as_tuples():
+    # each gather site on a row of one entry: validation of the order-1 table,
+    # a Dimino step from the trivial subgroup, the quotient of a group by
+    # itself, and maps out of the trivial group
+    trivial = from_multiplication_table(1, [[0]])
+    assert (trivial.table, trivial.identity, trivial.inverse) == (((0,),), 0, (0,))
+    c3 = make_family("cyclic", 3)
+    assert closure(c3, [2]).members == (0, 1, 2)
+    q, proj = quotient(c3, closure(c3, [1]))
+    assert q.table == ((0,),) and proj.mapping == (0, 0, 0)
+    assert hom_from_map(trivial, c3, [0]).mapping == (0,)
+    with pytest.raises(NotHomomorphismError) as exc:
+        hom_from_map(trivial, c3, [1])
+    assert (exc.value.pair, exc.value.got, exc.value.expected) == ((0, 0), 2, 1)
 
 
 # ------------------------------------------------- centralizer-respecting maps
@@ -595,6 +687,61 @@ def test_group_isomorphic_is_deterministic():
     h2 = group_isomorphic(a, b)
     assert h1.mapping == h2.mapping
 
+
+def _forced_maps(a, b):
+    """group_isomorphic(a, b), and how many generator images it forced into
+    a full map: calls of its nested ``extend``, counted by a profile hook."""
+    extend = next(c for c in group_isomorphic.__code__.co_consts if getattr(c, "co_name", None) == "extend")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is extend:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        h = group_isomorphic(a, b)
+    finally:
+        sys.setprofile(previous)
+    return h, calls
+
+
+def _injective_images_up_to(a, b, h):
+    """Distinct-image tuples for a's distinct named generators, each image of
+    the generator's order, in ascending order up to h's (all without h)."""
+    gens = list(dict.fromkeys(g for _, g in a.generator_names))
+    a_orders, b_orders = a.element_orders(), b.element_orders()
+    candidates = [[x for x in range(b.order) if b_orders[x] == a_orders[g]] for g in gens]
+    found = None if h is None else tuple(h.mapping[g] for g in gens)
+    count = 0
+    for images in itertools.product(*candidates):
+        if len(set(images)) == len(images):
+            count += 1
+            if images == found:
+                break
+    return count
+
+
+def test_group_isomorphic_forces_only_injective_generator_images():
+    # work counter: the search never forces a map from generator images
+    # that repeat an element (no such map is a bijection), so it forces
+    # exactly the injective image tuples up to the one that succeeds.
+    # Q8's two generators share an order, so repeated images are candidates.
+    rng = random.Random(1434)
+    cases = [(semidirect_cyclic(4, 4, 3), direct_product(make_family("quaternion", 8), make_family("cyclic", 2)))]
+    for family in ("quaternion", "dihedral"):
+        g = make_family(family, 8)
+        cases += [(g, _relabelled(g, rng)) for _ in range(4)]
+    repeats = 0
+    for a, b in cases:
+        h, calls = _forced_maps(a, b)
+        assert (h is None) == (a.order == 16)
+        assert calls == _injective_images_up_to(a, b, h), (a, b)
+        gens = list(dict.fromkeys(g for _, g in a.generator_names))
+        repeats += len({a.element_orders()[g] for g in gens}) < len(gens)
+    assert repeats == 5
 
 # --------------------------------------------------------------------- JSON
 
