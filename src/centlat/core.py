@@ -82,8 +82,10 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     Instances are immutable once built; derived data (centralizer masks,
-    element orders, the subgroup list, ...) is computed lazily and cached on
-    the instance.  The constructor checks nothing: use
+    element orders, the subgroup table of :func:`_subgroup_table`, first
+    commutator pairs) is computed lazily, each value in one field that only
+    this module fills; ``_lattice`` alone is filled by ``lattice.lattice_of``.
+    The constructor checks nothing: use
     :func:`from_multiplication_table` to construct one from untrusted data.
     Besides that function, only :func:`centlat.homs.quotient` calls it: a
     quotient of a group by a normal subgroup is a group by construction,
@@ -111,9 +113,7 @@ class FiniteGroup:
         # lazy caches
         self._cent_masks: tuple[int, ...] | None = None
         self._element_orders: tuple[int, ...] | None = None
-        self._subgroups: tuple[SubgroupSet, ...] | None = None
-        self._subgroup_generators: tuple[tuple[int, ...], ...] | None = None
-        self._subgroup_centralizers: tuple[int, ...] | None = None
+        self._subgroups: tuple | None = None  # the subgroup table, see _subgroup_table
         self._commutator_pairs: dict[int, tuple[int, int]] | None = None
         self._lattice = None  # set by centlat.lattice
 
@@ -609,7 +609,18 @@ def _zuppos(group: FiniteGroup, primes: set[int]) -> tuple[list[tuple[int, int, 
 
 
 def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[SubgroupSet, ...]:
-    """Every subgroup of ``group``, sorted by (order, members), cached.
+    """Every subgroup of ``group``, sorted by (order, members): the first
+    column of the group's subgroup table (:func:`_subgroup_table`), which
+    is built on the first call and cached.  The cap is checked on every
+    call, cached ones included."""
+    _require_order_at_most(group.order, cap)
+    return _subgroup_table(group)[0]
+
+
+def _subgroup_table(group: FiniteGroup) -> tuple:
+    """The subgroup table of ``group``, cached: three aligned tuples, the
+    subgroups sorted by (order, members), a generating set of each, and
+    each one's centralizer C(A) as a mask.
 
     Cyclic extension over zuppos (Neubüser, *Numer. Math.* 2, 1960; GAP's
     ``LatticeByCyclicExtension``): saturate {1} under "join with one
@@ -637,12 +648,13 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
     K, nothing lies strictly between them, so <K, z> = <K, z_i> for every
     later zuppo z inside it.
 
-    A generating set of each subgroup is kept in the same order in
-    ``group._subgroup_generators``: none for {1}, its least generator for a
-    zuppo, the generator names for G (they generate every group), and the
-    canonical prefix for any other subgroup.
+    The generating set kept for each subgroup is none for {1}, its least
+    generator for a zuppo, the generator names for G (they generate every
+    group), and the canonical prefix for any other subgroup.  C(A) is the
+    centralizer of that set, as of any set that generates A; it does not
+    depend on any map out of the group, so every projection of the group
+    reuses it.
     """
-    _require_order_at_most(group.order, cap)
     if group._subgroups is None:
         t, n = group.table, group.order
         primes = {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
@@ -675,10 +687,10 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
                 if j_mask not in gens_of:
                     todo.append(_canonical_prefix(t, zuppos, j_mask))
                     gens_of[j_mask] = tuple(todo[-1][2])
-        subs = [SubgroupSet._from_mask(group, m) for m in gens_of]
-        subs.sort(key=SubgroupSet.sort_key)
-        group._subgroup_generators = tuple(gens_of[s.mask] for s in subs)
-        group._subgroups = tuple(subs)
+        subs = sorted((SubgroupSet._from_mask(group, m) for m in gens_of), key=SubgroupSet.sort_key)
+        gens = tuple(gens_of[s.mask] for s in subs)
+        cents = tuple(_centralizer_mask(group, sum({1 << g for g in a})) for a in gens)
+        group._subgroups = (tuple(subs), gens, cents)
     return group._subgroups
 
 
@@ -699,20 +711,6 @@ def _canonical_prefix(
             if mask == target:
                 return mask, elems, gens, i
     raise InternalInconsistencyError("zuppos of a subgroup do not generate it")
-
-
-def _subgroup_centralizer_masks(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, ...]:
-    """C(A) as a mask for every subgroup A of ``all_subgroups(group, cap)``,
-    in the same order, cached: it does not depend on any map out of the
-    group, so every projection of the group reuses it.  C(A) is taken over
-    A's stored generators, as over any set that generates A."""
-    _require_order_at_most(group.order, cap)
-    if group._subgroup_centralizers is None:
-        all_subgroups(group, cap)  # fills group._subgroup_generators
-        group._subgroup_centralizers = tuple(
-            _centralizer_mask(group, sum({1 << g for g in gens})) for gens in group._subgroup_generators
-        )
-    return group._subgroup_centralizers
 
 
 # ---------------------------------------------------------------------------

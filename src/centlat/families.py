@@ -236,8 +236,8 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     products of two or three cyclic factors (factors >= 2, ascending), and
     every valid semidirect_cyclic(m, k, a) with m, k >= 2 and 2 <= a < m.
     Entry names are expressions the CLI accepts.  Groups are cached, so the
-    lazy per-group data is shared by everything in one process; each
-    cyclic group is built once and is also the factor of every product.
+    lazy per-group data is shared by everything in one process; each cyclic
+    group and each product of two is built once and reused as a factor.
     """
     cyclic = {n: make_family("cyclic", n) for n in range(1, max_order + 1)}
     entries = [CatalogEntry(f"cyclic({n})", g) for n, g in cyclic.items()]
@@ -251,14 +251,15 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     while n <= max_order:
         entries.append(CatalogEntry(f"semidihedral({n})", make_family("semidihedral", n)))
         n *= 2
+    pairs = {}
     for a in range(2, max_order + 1):
         for b in range(a, max_order // a + 1):
-            g = direct_product(cyclic[a], cyclic[b])
-            entries.append(CatalogEntry(f"product(cyclic({a}),cyclic({b}))", g))
+            pairs[a, b] = direct_product(cyclic[a], cyclic[b])
+            entries.append(CatalogEntry(f"product(cyclic({a}),cyclic({b}))", pairs[a, b]))
     for a in range(2, max_order + 1):
         for b in range(a, max_order + 1):
             for c in range(b, max_order // (a * b) + 1):
-                g = direct_product(cyclic[a], direct_product(cyclic[b], cyclic[c]))
+                g = direct_product(cyclic[a], pairs[b, c])
                 entries.append(
                     CatalogEntry(f"product(cyclic({a}),product(cyclic({b}),cyclic({c})))", g)
                 )

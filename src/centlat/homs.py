@@ -22,7 +22,7 @@ from .core import (
     _gather,
     _is_integral,
     _require_order_at_most,
-    _subgroup_centralizer_masks,
+    _subgroup_table,
     all_subgroups,
     center,
 )
@@ -44,15 +44,10 @@ class GroupHom:
         self.source = source
         self.target = target
         self.mapping = mapping
-        self._image_mask: int | None = None
         self._crh_verdict: "CrhVerdict | None" = None
 
-    def image_mask(self, members: Iterable[int] | None = None) -> int:
-        """Bitmask of the image of ``members`` (default: the whole source, cached)."""
-        if members is None:
-            if self._image_mask is None:
-                self._image_mask = self.image_mask(range(self.source.order))
-            return self._image_mask
+    def image_mask(self, members: Iterable[int]) -> int:
+        """Bitmask of the image of ``members``."""
         m, mapping = 0, self.mapping
         for a in members:
             m |= 1 << mapping[a]
@@ -116,16 +111,16 @@ def kernel(h: GroupHom) -> SubgroupSet:
 
 
 def image(h: GroupHom) -> SubgroupSet:
-    return SubgroupSet._from_mask(h.target, h.image_mask())
+    return SubgroupSet._from_mask(h.target, h.image_mask(range(h.source.order)))
 
 
 def is_surjective(h: GroupHom) -> bool:
-    return h.image_mask() == h.target.full_mask
+    return len(set(h.mapping)) == h.target.order
 
 
 def _require_surjective(h: GroupHom) -> None:
     if not is_surjective(h):
-        raise NotSurjectiveError(_bits(h.target.full_mask & ~h.image_mask())[0])
+        raise NotSurjectiveError(min(set(range(h.target.order)).difference(h.mapping)))
 
 
 def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]:
@@ -216,9 +211,10 @@ def _centralizer_sweep(h: GroupHom, cap: int):
 
     A central subgroup A (C(A) = G) is skipped, as it can never fail:
     phi(C(A)) = phi(G) = Q since phi is onto, and C(phi(A)) contains
-    phi(C(A)), so both sides are Q.  Both sides come from the generating
-    set that ``all_subgroups`` keeps for each A.  C(A) is their
-    centralizer, from the source group's cache, computed once per group;
+    phi(C(A)), so both sides are Q.  ``all_subgroups`` checks the cap and
+    fills the source group's subgroup table once per group
+    (:func:`~centlat.core._subgroup_table`); both sides come from the
+    generating set the table keeps for each A, and C(A) is read from it.
     phi(C(A)) depends only on C(A), so it is computed once per distinct
     C(A) and kept for this sweep only.  The images of A's generators
     generate phi(A), so C(phi(A)) is the intersection of their
@@ -226,9 +222,9 @@ def _centralizer_sweep(h: GroupHom, cap: int):
     """
     image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
     subgroups = all_subgroups(h.source, cap)
-    centralizers = _subgroup_centralizer_masks(h.source, cap)
+    _, generators, centralizers = _subgroup_table(h.source)
     cent, mapping, whole = h.target.centralizer_masks(), h.mapping, h.source.full_mask
-    for a_sub, gens, c in zip(subgroups, h.source._subgroup_generators, centralizers):
+    for a_sub, gens, c in zip(subgroups, generators, centralizers):
         if c == whole:
             continue
         lhs = image_of.get(c)
@@ -246,9 +242,9 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
     Requires surjectivity.  Sweeps every non-central subgroup of the
     source (so the cap applies, cached verdicts included); a central one
     can never fail, so the first failing subgroup in (order, members)
-    order, the witness, is the same as over every subgroup.  The
-    subgroups, their generating sets and their centralizers are cached on
-    the source group, so every projection of one group shares them;
+    order, the witness, is the same as over every subgroup.  The subgroups,
+    their generating sets and their centralizers come from the source
+    group's subgroup table, so every projection of one group shares them;
     phi(C(A)) is computed once per distinct C(A) within the sweep, and
     C(phi(A)) as the centralizer of the images of A's generators.  The
     verdict is cached on the homomorphism.

@@ -20,6 +20,7 @@ from .core import (
     _bits,
     _center_mask,
     _centralizer_mask,
+    _is_integral,
     _require_order_at_most,
 )
 from .errors import (
@@ -35,7 +36,9 @@ DEFAULT_NODE_CAP = 512
 
 
 class CentralizerLattice:
-    """The centralizer lattice of a finite group.
+    """The centralizer lattice of a finite group, built from the group
+    alone: its nodes are the whole group and the single-element
+    centralizers, saturated under intersection.
 
     ``nodes`` is sorted by (subgroup order, members); node 0 is the bottom
     (the center) and the last node is the top (the whole group).  ``leq``,
@@ -43,8 +46,15 @@ class CentralizerLattice:
     indices.
     """
 
-    def __init__(self, group: FiniteGroup, node_masks: list[int]) -> None:
+    def __init__(self, group: FiniteGroup) -> None:
         self.group = group
+        node_masks = list(dict.fromkeys((group.full_mask, *group.centralizer_masks())))
+        seen = set(node_masks)
+        for i, mi in enumerate(node_masks):  # node_masks grows while it is walked
+            for mj in node_masks[:i]:
+                if mi & mj not in seen:
+                    seen.add(mi & mj)
+                    node_masks.append(mi & mj)
         nodes = sorted((SubgroupSet._from_mask(group, m) for m in node_masks), key=SubgroupSet.sort_key)
         self.nodes: tuple[SubgroupSet, ...] = tuple(nodes)
         self.node_masks = node_masks = tuple(s.mask for s in nodes)
@@ -120,20 +130,9 @@ class CentralizerLattice:
 
 
 def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
-    """Construct the centralizer lattice: single-element centralizers,
-    saturated under intersection, plus the whole group."""
+    """The centralizer lattice of ``group``, after the order cap check."""
     _require_order_at_most(group.order, cap)
-    masks = list(dict.fromkeys((group.full_mask, *group.centralizer_masks())))
-    seen = set(masks)
-    i = 0
-    while i < len(masks):
-        for j in range(i):
-            m = masks[i] & masks[j]
-            if m not in seen:
-                seen.add(m)
-                masks.append(m)
-        i += 1
-    return CentralizerLattice(group, masks)
+    return CentralizerLattice(group)
 
 
 def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
@@ -150,17 +149,20 @@ def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerL
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """A node map between two centralizer lattices."""
+    """A node map between two centralizer lattices: one target node index
+    per source node, else :class:`DomainMismatchError`."""
 
     source: CentralizerLattice
     target: CentralizerLattice
     node_map: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        n, m = len(self.source.nodes), len(self.target.nodes)
+        if len(self.node_map) != n or not all(_is_integral(v) and 0 <= v < m for v in self.node_map):
+            raise DomainMismatchError(f"node map {list(self.node_map)} does not send {n} nodes into {m}")
+
     def is_bijective(self) -> bool:
-        return (
-            len(self.source.nodes) == len(self.target.nodes)
-            and len(set(self.node_map)) == len(self.node_map)
-        )
+        return len(set(self.node_map)) == len(self.node_map) == len(self.target.nodes)
 
     def __repr__(self) -> str:
         return f"LatticeMap({len(self.source.nodes)} -> {len(self.target.nodes)} nodes)"

@@ -85,12 +85,11 @@ def _central_subgroups(g: FiniteGroup) -> list[SubgroupSet]:
 
 @dataclass(frozen=True)
 class ProjectionRecord:
-    """One central quotient of a catalog group, with both crh verdicts."""
+    """One central quotient of a catalog group, with both crh verdicts; the
+    group and its quotient are ``projection.source`` and ``.target``."""
 
     group_name: str
-    group: FiniteGroup
     kernel: SubgroupSet
-    quotient_group: FiniteGroup
     projection: GroupHom
     definitional: CrhVerdict
     criterion: CentralKernelVerdict
@@ -104,11 +103,9 @@ def central_quotient_sweep() -> tuple[ProjectionRecord, ...]:
     records = []
     for name, g in catalog(SWEEP_MAX_ORDER):
         for sub in _central_subgroups(g):
-            q, proj = quotient(g, sub)
+            _, proj = quotient(g, sub)
             criterion, definitional = _both_routes(proj, f"{name} with kernel {list(sub.members)}")
-            records.append(
-                ProjectionRecord(name, g, sub, q, proj, definitional, criterion)
-            )
+            records.append(ProjectionRecord(name, sub, proj, definitional, criterion))
     return tuple(records)
 
 
@@ -301,7 +298,7 @@ def composable_pairs(
     for r in records:
         if not r.definitional.ok:
             continue
-        h = r.quotient_group
+        h = r.projection.target
         for sub in _central_subgroups(h):
             if r.kernel.is_trivial() and sub.is_trivial():
                 continue

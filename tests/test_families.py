@@ -380,6 +380,47 @@ def test_package_has_no_function_level_imports():
     )
 
 
+def test_finite_group_caches_have_one_owner():
+    # every lazy cache FiniteGroup.__init__ declares is named only in core,
+    # which fills it; the one exception is the lattice, cached by lattice
+    core_path = Path(centlat.core.__file__)
+    tree = ast.parse(core_path.read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FiniteGroup")
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    caches = {
+        target.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.AnnAssign | ast.Assign)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and target.attr.startswith("_")
+    }
+    assert {"_cent_masks", "_subgroups", "_lattice"} <= caches
+    named = {
+        (path.name, node.attr)
+        for path in sorted(core_path.parent.glob("*.py"))
+        if path != core_path
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in caches
+    }
+    assert named == {("lattice.py", "_lattice")}
+
+
+def test_catalog_validates_each_entry_once(monkeypatch):
+    # work counter: every entry's table is validated once and nothing else
+    # is; the inner product of each triple is the pair entry already built
+    calls = Counter()
+    validate = families.from_multiplication_table
+
+    def counting(order, *args):
+        calls[order] += 1
+        return validate(order, *args)
+
+    monkeypatch.setattr(families, "from_multiplication_table", counting)
+    entries = catalog.__wrapped__(64)  # uncached: build it afresh
+    assert sum(calls.values()) == len(entries) == 373
+    assert calls == Counter(e.group.order for e in entries)
+
+
 def test_cover_parameter_validation():
     with pytest.raises(UnsupportedParameterError):
         cover_group("dihedral_quaternion", 2)

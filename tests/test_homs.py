@@ -440,7 +440,7 @@ def test_criterion_witness_matches_row_major_scan(sweep_records):
     failing = [r for r in sweep_records if not r.criterion.ok]
     assert len(failing) == 40
     for r in failing:
-        table = [list(row) for row in r.group.table]
+        table = [list(row) for row in r.projection.source.table]
         expected = brute_first_commutator_in(table, set(r.kernel.members))
         got = (*r.criterion.witness_pair, r.criterion.witness_commutator)
         assert got == expected, r.group_name
@@ -454,15 +454,15 @@ def test_crh_cap_holds_on_cached_verdict():
         is_centralizer_respecting(proj, cap=8)
     with pytest.raises(OrderCapExceededError):
         one_sided_inclusion_holds(proj, cap=8)
-    # a fresh projection has no cached verdict, but d16 has cached subgroup
-    # centralizers; the cap holds on that path too
+    # a fresh projection has no cached verdict, but d16 has a cached subgroup
+    # table; the cap holds on that path too
     _, fresh = quotient(d16, closure(d16, []))
     with pytest.raises(OrderCapExceededError):
         is_centralizer_respecting(fresh, cap=8)
     with pytest.raises(OrderCapExceededError):
         one_sided_inclusion_holds(fresh, cap=8)
     with pytest.raises(OrderCapExceededError):
-        core._subgroup_centralizer_masks(d16, cap=8)
+        all_subgroups(d16, cap=8)
 
 
 def _witness_tuple(verdict):
@@ -508,9 +508,9 @@ def test_generator_derived_values_match_brute_oracles():
         for g in (entry.group, from_multiplication_table(len(relabelled), relabelled)):
             table = [list(r) for r in g.table]
             subs = all_subgroups(g)
-            gens = g._subgroup_generators
-            assert len(gens) == len(subs), entry.name
-            for sub, m, c in zip(subs, gens, core._subgroup_centralizer_masks(g)):
+            _, gens, cents = core._subgroup_table(g)
+            assert len(gens) == len(cents) == len(subs), entry.name
+            for sub, m, c in zip(subs, gens, cents):
                 assert brute_closure(table, set(m)) == set(sub), (entry.name, sub.members)
                 assert set(core._bits(c)) == brute_centralizer(table, set(sub)), (entry.name, sub.members)
             assert set(center(g)) == brute_center(table), entry.name
@@ -552,11 +552,9 @@ def test_definitional_sweep_matches_per_subgroup_sweep(sweep_records):
 
 def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     # work counter: C(A) for the source's subgroups A is computed once per
-    # group, from A's stored generating set, and no projection recomputes it
+    # group, from A's stored generating set, in the pass that enumerates
+    # them, and no projection recomputes it
     g = eval_group_expr(parse_group_expr("product(cyclic(4),product(cyclic(4),cyclic(4)))")).group
-    subgroups = all_subgroups(g)
-    projections = [quotient(g, s)[1] for s in subgroups if is_central(g, s)]
-    assert len(projections) == len(subgroups) == 129  # abelian: every subgroup is central
     calls = Counter()
     original = core._centralizer_mask
 
@@ -565,29 +563,30 @@ def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
         return original(group, mask)
 
     monkeypatch.setattr(core, "_centralizer_mask", counting)
-    core._subgroup_centralizer_masks(g)
+    subgroups = all_subgroups(g)
     # one call per subgroup, on a generating set of at most 3 elements
     # (249 in all) instead of its 1347 members
-    gens = g._subgroup_generators
+    _, gens, _ = core._subgroup_table(g)
     assert [closure(g, m) for m in gens] == list(subgroups)
     assert max(map(len, gens)) == 3 and sum(map(len, gens)) == 249
     assert calls == Counter((True, sum(1 << a for a in m)) for m in gens)
+    projections = [quotient(g, s)[1] for s in subgroups if is_central(g, s)]
+    assert len(projections) == len(subgroups) == 129  # abelian: every subgroup is central
     calls.clear()
     images = Counter()
     image_mask = GroupHom.image_mask
 
-    def counting_images(h, members=None):
-        images[members is None] += 1
+    def counting_images(h, members):
+        images[h.source is g] += 1
         return image_mask(h, members)
 
     monkeypatch.setattr(GroupHom, "image_mask", counting_images)
     assert all(is_centralizer_respecting(p).ok for p in projections)
     assert all(one_sided_inclusion_holds(p) for p in projections)
-    assert not calls  # the 129 sweeps reuse the cache
-    # every subgroup is central, so no sweep computes a phi(C(A)): the only
-    # images are the surjectivity checks' (two per projection), and the one
-    # walk of members is the first of them filling the whole-image cache
-    assert images == Counter({True: 258, False: 129})
+    assert not calls  # the 129 sweeps reuse the table
+    # every subgroup is central, so no sweep computes a phi(C(A)), and the
+    # surjectivity checks read the mapping without taking an image
+    assert images == Counter()
 
 
 def test_quotients_are_not_revalidated(monkeypatch):

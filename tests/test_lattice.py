@@ -14,7 +14,7 @@ from centlat import (
     quotient,
     semidirect_cyclic,
 )
-from centlat.errors import NodeCapExceededError, NotCrhError, OrderCapExceededError
+from centlat.errors import DomainMismatchError, NodeCapExceededError, NotCrhError, OrderCapExceededError
 from centlat.lattice import (
     DEFAULT_NODE_CAP,
     LatticeMap,
@@ -199,8 +199,6 @@ def test_functor_laws_on_abelian_tower():
 
 
 def test_functoriality_rejects_non_composable():
-    from centlat.errors import DomainMismatchError
-
     z8 = make_family("cyclic", 8)
     q4, p1 = quotient(z8, closure(z8, [4]))
     with pytest.raises(DomainMismatchError):
@@ -233,6 +231,31 @@ def test_is_lattice_hom_reports_the_first_broken_law(group, node_map, law, witne
     assert verdict.ok == (law is None)
     assert (verdict.law, verdict.witness) == (law, witness)
     assert (verdict.preserves_top, verdict.preserves_bottom) == (top, bottom)
+
+
+def test_lattice_map_rejects_malformed_node_maps():
+    # one entry per source node, each a node of the target; a short map
+    # once passed is_bijective, and an entry out of range reached
+    # is_lattice_hom and compose_lattice_maps as a bare IndexError
+    lat = lattice_of(make_family("dihedral", 8))
+    point = lattice_of(make_family("cyclic", 2))  # one node
+    assert (lat.node_count(), point.node_count()) == (5, 1)
+    for target, node_map in [
+        (lat, (0, 1)),
+        (lat, (0, 1, 2, 3, 4, 0)),
+        (lat, (0, 1, 2, 3, 7)),
+        (lat, (-1, 1, 2, 3, 4)),
+        (lat, (0, 1.0, 2, 3, 4)),
+        (lat, (0, True, 2, 3, 4)),
+        (point, (0, 0, 0, 0, 1)),
+        (point, (0,)),
+    ]:
+        with pytest.raises(DomainMismatchError):
+            LatticeMap(lat, target, node_map)
+    collapse = LatticeMap(lat, point, (0,) * 5)
+    assert not collapse.is_bijective()
+    identity = invert_lattice_map(LatticeMap(lat, lat, tuple(range(5))))
+    assert compose_lattice_maps(collapse, identity).node_map == (0,) * 5
 
 
 # ------------------------------------------------------- lattice isomorphism
