@@ -2,10 +2,14 @@
 
 Elements of a group of order n are the indices 0..n-1.  A group is stored as
 its full multiplication table; construction from a table validates the four
-group axioms and locates the identity (which need not be index 0).  The one
-construction trusted without validation is a quotient by a normal subgroup
-(:func:`centlat.homs.quotient`), a group by construction with the fields
-validation would give.  Subsets of a group are
+group axioms and locates the identity (which need not be index 0).  One
+trust rule holds for every type: a public constructor
+(:func:`from_multiplication_table`, ``SubgroupSet``, ``homs.GroupHom``)
+establishes its type's invariant, and package code that builds a value by
+construction skips the check through a private path: the bare
+:class:`FiniteGroup` constructor for quotients and direct products,
+``SubgroupSet._from_mask`` for a subgroup just closed, ``GroupHom._trusted``
+for projections, composites and identities.  Subsets of a group are
 :class:`SubgroupSet` values backed by an integer bitmask, so intersection,
 union and containment are single machine-word operations for the orders this
 package targets (a few hundred elements at most).
@@ -85,13 +89,13 @@ class FiniteGroup:
     element orders, the subgroup table of :func:`_subgroup_table`, first
     commutator pairs) is computed lazily, each value in one field that only
     this module fills; ``_lattice`` alone is filled by ``lattice.lattice_of``.
-    The constructor checks nothing: use
-    :func:`from_multiplication_table` to construct one from untrusted data.
-    Besides that function, only :func:`centlat.homs.quotient` calls it: a
-    quotient of a group by a normal subgroup is a group by construction,
-    and it passes the fields validation would produce.  Both guarantee that
-    the elements of ``generator_names`` generate the group, which
-    :func:`center` and :func:`all_subgroups` rely on.
+    The constructor checks nothing (the trusted path of the module's trust
+    rule): use :func:`from_multiplication_table` for untrusted data.  Only
+    :func:`centlat.homs.quotient` and :func:`centlat.families.direct_product`
+    call it otherwise, each with a group by construction and the fields
+    validation would produce.  All three guarantee that the elements of
+    ``generator_names`` generate the group, which :func:`center` and
+    :func:`all_subgroups` rely on.
     """
 
     def __init__(
@@ -567,12 +571,6 @@ def _first_commutator_pairs(group: FiniteGroup) -> dict[int, tuple[int, int]]:
 def commutator_set(group: FiniteGroup) -> frozenset[int]:
     """The set of commutators a^-1 b^-1 a b — the set itself, not its closure."""
     return frozenset(_first_commutator_pairs(group))
-
-
-def is_central(group: FiniteGroup, s: SubgroupSet) -> bool:
-    """True when every element of ``s`` (a :class:`SubgroupSet` of
-    ``group`` or element indices) lies in Z(G)."""
-    return _mask_of(group, s) & ~_center_mask(group) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Constructors for the standard group families and the two cover groups.
 
-All constructors produce validated :class:`~centlat.core.FiniteGroup` values
-with named generators and human-readable element labels.  Encodings are
+All constructors produce :class:`~centlat.core.FiniteGroup` values with
+named generators and human-readable element labels; family and fiber-product
+tables are validated, direct products built by construction.  Encodings are
 fixed, so element indices are stable across runs: every family,
 :func:`semidirect_cyclic` and the ``dihedral_quaternion`` cover come from one
 table builder, :func:`_cyclic_by_cyclic`, with x^i*y^j at index j*m + i.
@@ -84,24 +85,26 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
 def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Componentwise product on pairs; (ia, ib) has index ia*|b| + ib.
 
-    Generator names from the factors are prefixed ``l.`` and ``r.``.
+    Generator names from the factors are prefixed ``l.`` and ``r.``.  The
+    product of two groups is a group, so it is built by construction, not
+    validated: its identity, inverses and generators are the factors'
+    paired, the fields validation would give.
     """
     order = a.order * b.order
     _require_order_at_most(order, cap, "direct product")
     nb = b.order
-    table = [
-        [a.table[ia][ja] * nb + b.table[ib][jb] for ja in range(a.order) for jb in range(nb)]
-        for ia in range(a.order)
-        for ib in range(nb)
-    ]
-    labels = [
-        f"({a.label(ia)},{b.label(ib)})" for ia in range(a.order) for ib in range(nb)
-    ]
+    table = tuple(
+        tuple(x + y for x in shifted for y in rb)
+        for shifted in ([v * nb for v in ra] for ra in a.table)
+        for rb in b.table
+    )
+    labels = tuple(f"({a.label(ia)},{b.label(ib)})" for ia in range(a.order) for ib in range(nb))
     gens = tuple(
         [(f"l.{name}", i * nb + b.identity) for name, i in a.generator_names]
         + [(f"r.{name}", a.identity * nb + i) for name, i in b.generator_names]
     )
-    return from_multiplication_table(order, table, gens, labels)
+    inverse = tuple(u * nb + v for u in a.inverse for v in b.inverse)
+    return FiniteGroup(order, table, a.identity * nb + b.identity, inverse, gens, labels)
 
 
 def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

@@ -38,13 +38,47 @@ from . import core as _core
 
 
 class GroupHom:
-    """A validated homomorphism between two finite groups."""
+    """A homomorphism between two finite groups, as its full element map.
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: tuple[int, ...]) -> None:
-        self.source = source
-        self.target = target
-        self.mapping = mapping
+    The constructor checks ``mapping``: one entry per source element, each
+    an integral element index of ``target`` (not a bool, float or string),
+    else a :class:`NotHomomorphismError` that names the problem; then
+    phi(a)*phi(b) = phi(a*b) a whole row at a time, each row picked at C
+    speed by :func:`~centlat.core._gather`, with the first differing b of
+    the first failing a as the witness.  Maps that the package builds as
+    homomorphisms (projections, composites, identities) go through
+    :meth:`_trusted` instead.
+    """
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping) -> None:
+        bad = NotHomomorphismError._bad_map
+        try:
+            m = tuple(mapping)
+        except TypeError:
+            raise bad(f"{type(mapping).__name__} is not a sequence of element indices", mapping) from None
+        if len(m) != source.order:
+            raise bad(f"it has {len(m)} entries but the source has order {source.order}")
+        for i, v in enumerate(m):
+            if not _is_integral(v) or not 0 <= v < target.order:
+                raise bad(f"entry {i} is {v!r}, not an element index of the order-{target.order} target", v)
+        m = tuple(map(int, m))  # e.g. NumPy integers
+        ts, tt = source.table, target.table
+        images = _gather(m)  # images(tt[v])[b] = v*phi(b)
+        for a in range(source.order):
+            got = images(tt[m[a]])  # got[b] = phi(a)*phi(b)
+            expected = _gather(ts[a])(m)  # expected[b] = phi(a*b)
+            if got != expected:
+                b = next(b for b, (u, v) in enumerate(zip(got, expected)) if u != v)
+                raise NotHomomorphismError(a, b, got[b], expected[b])
+        self.source, self.target, self.mapping = source, target, m
         self._crh_verdict: "CrhVerdict | None" = None
+
+    @classmethod
+    def _trusted(cls, source: FiniteGroup, target: FiniteGroup, mapping: tuple[int, ...]) -> "GroupHom":
+        """A map the package built as a homomorphism, taken unchecked."""
+        self = object.__new__(cls)
+        self.source, self.target, self.mapping, self._crh_verdict = source, target, mapping, None
+        return self
 
     def image_mask(self, members: Iterable[int]) -> int:
         """Bitmask of the image of ``members``."""
@@ -61,46 +95,19 @@ class GroupHom:
 
 
 def hom_from_map(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHom:
-    """Validate that ``mapping`` (an element->element sequence) is a homomorphism.
-
-    It needs one entry per source element, each an integral element index
-    of ``target`` (bools, floats and strings are not); a failure is a
-    :class:`NotHomomorphismError` that names it.  Then phi(a)*phi(b) =
-    phi(a*b) is checked a whole row at a time, each row picked at C speed by
-    :func:`~centlat.core._gather`; on a mismatch the first differing b of
-    the first failing a is the witness.
-    """
-    bad = NotHomomorphismError._bad_map
-    try:
-        m = tuple(mapping)
-    except TypeError:
-        raise bad(f"{type(mapping).__name__} is not a sequence of element indices", mapping) from None
-    if len(m) != source.order:
-        raise bad(f"it has {len(m)} entries but the source has order {source.order}")
-    for i, v in enumerate(m):
-        if not _is_integral(v) or not 0 <= v < target.order:
-            raise bad(f"entry {i} is {v!r}, not an element index of the order-{target.order} target", v)
-    m = tuple(map(int, m))  # e.g. NumPy integers
-    ts, tt = source.table, target.table
-    images = _gather(m)  # images(tt[v])[b] = v*phi(b)
-    for a in range(source.order):
-        got = images(tt[m[a]])  # got[b] = phi(a)*phi(b)
-        expected = _gather(ts[a])(m)  # expected[b] = phi(a*b)
-        if got != expected:
-            b = next(b for b, (u, v) in enumerate(zip(got, expected)) if u != v)
-            raise NotHomomorphismError(a, b, got[b], expected[b])
-    return GroupHom(source, target, m)
+    """``GroupHom(source, target, mapping)``: the checked homomorphism."""
+    return GroupHom(source, target, mapping)
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
-    return GroupHom(group, group, tuple(range(group.order)))
+    return GroupHom._trusted(group, group, tuple(range(group.order)))
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     """outer after inner; requires inner.target and outer.source to agree."""
     if not inner.target.same_table(outer.source):
         raise DomainMismatchError("cannot compose: inner target differs from outer source")
-    return GroupHom(inner.source, outer.target, tuple(outer.mapping[v] for v in inner.mapping))
+    return GroupHom._trusted(inner.source, outer.target, tuple(outer.mapping[v] for v in inner.mapping))
 
 
 def kernel(h: GroupHom) -> SubgroupSet:
@@ -134,14 +141,12 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     is a representative and the :class:`NotNormalError` witness is the one a
     check of every element would find.
 
-    The quotient is the package's one :class:`FiniteGroup` built without
-    :func:`from_multiplication_table`, because it is a group by
-    construction: G is associative and N is normal (just checked), so the
-    coset product is well defined and associative; N is the identity coset
-    and g^-1 N is the inverse of gN.  Every group carries generator names
-    that generate it (:func:`from_multiplication_table` checks this for the
-    groups it builds, and quotients keep it), so their de-duplicated images
-    generate the quotient.  Every field read off the projection is the one
+    The quotient is trusted by construction (see :mod:`centlat.core`): G
+    is associative and N is normal (just checked), so the coset product is
+    well defined and associative; N is the identity coset and g^-1 N is the
+    inverse of gN.  Every group carries generator names that generate it,
+    so their de-duplicated images generate the quotient.  Every field read
+    off the projection, itself a homomorphism by construction, is the one
     validation would have produced.  Row a of the quotient table is
     proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
     steps at C speed.
@@ -164,23 +169,19 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
         reps.append(g)
     at_reps, proj = _gather(reps), tuple(proj)
     qtable = tuple(_gather(at_reps(t[ra]))(proj) for ra in reps)  # proj[ra*rb] over rb
-    gens = []
-    seen = set()
+    first_name: dict[int, str] = {}  # image -> the first generator name mapped to it
     for name, g in group.generator_names:
-        v = proj[g]
-        if v not in seen:
-            seen.add(v)
-            gens.append((name, v))
+        first_name.setdefault(proj[g], name)
     qlabels = tuple(group.label(r) for r in reps) if group.element_labels else None
     q = FiniteGroup(
         len(reps),
         qtable,
         proj[group.identity],
         tuple(proj[inverse[r]] for r in reps),
-        tuple(gens),
+        tuple((name, v) for v, name in first_name.items()),
         qlabels,
     )
-    return q, GroupHom(group, q, proj)
+    return q, GroupHom._trusted(group, q, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +339,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
     if _iso_fingerprint(a) != _iso_fingerprint(b):
         return None
     if a.same_table(b):
-        return GroupHom(a, b, tuple(range(a.order)))
+        return GroupHom._trusted(a, b, tuple(range(a.order)))
     gens = [g for _, g in a.generator_names]
     seen = set()
     gens = [g for g in gens if not (g in seen or seen.add(g))]

@@ -33,6 +33,8 @@ from centlat.errors import (
 )
 from centlat.expr import eval_group_expr, parse_group_expr, pretty
 
+from _oracles import relabel
+
 
 def gen(g, name):
     return dict(g.generator_names)[name]
@@ -224,6 +226,33 @@ def _assert_same_group(g, h):
     assert g.element_labels == h.element_labels
 
 
+def test_direct_products_equal_their_validated_tables():
+    # a direct product is built by construction; validating its own table,
+    # generator names and labels gives the same group, field by field
+    products = [e.group for e in catalog(64) if e.name.startswith("product(")]
+    assert len(products) == 373 - 255
+    d8, q8, s3 = make_family("dihedral", 8), make_family("quaternion", 8), semidirect_cyclic(3, 2, 2)
+    # Q8 relabelled by a rotation, so its identity sits at index 3
+    perm = [(a + 3) % 8 for a in range(8)]
+    labels = [""] * 8
+    for a in range(8):
+        labels[perm[a]] = q8.label(a)
+    hints = [(f"s{name}", perm[i]) for name, i in q8.generator_names]
+    shifted = from_multiplication_table(8, relabel(q8.table, perm), hints, labels)
+    assert shifted.identity == 3
+    products += [
+        direct_product(d8, q8),
+        direct_product(s3, d8),
+        direct_product(shifted, s3),
+        direct_product(d8, shifted),
+        direct_product(shifted, shifted),
+    ]
+    for g in products:
+        validated = from_multiplication_table(g.order, g.table, g.generator_names, g.element_labels)
+        _assert_same_group(g, validated)
+    assert products[-1].identity == 3 * 8 + 3
+
+
 def test_family_tables_match_the_separate_constructions(monkeypatch):
     # up to order 64, the validated groups agree in full
     for (kind, n), args in _family_references(64):
@@ -406,8 +435,9 @@ def test_finite_group_caches_have_one_owner():
 
 
 def test_catalog_validates_each_entry_once(monkeypatch):
-    # work counter: every entry's table is validated once and nothing else
-    # is; the inner product of each triple is the pair entry already built
+    # work counter: every entry that is not a direct product has its table
+    # validated once and nothing else is; products are built by
+    # construction from factors already built
     calls = Counter()
     validate = families.from_multiplication_table
 
@@ -417,8 +447,10 @@ def test_catalog_validates_each_entry_once(monkeypatch):
 
     monkeypatch.setattr(families, "from_multiplication_table", counting)
     entries = catalog.__wrapped__(64)  # uncached: build it afresh
-    assert sum(calls.values()) == len(entries) == 373
-    assert calls == Counter(e.group.order for e in entries)
+    assert len(entries) == 373
+    validated = [e for e in entries if not e.name.startswith("product(")]
+    assert sum(calls.values()) == len(validated) == 255
+    assert calls == Counter(e.group.order for e in validated)
 
 
 def test_cover_parameter_validation():

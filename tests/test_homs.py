@@ -27,7 +27,6 @@ from centlat import (
     identity_hom,
     image,
     induced_map,
-    is_central,
     is_centralizer_respecting,
     is_surjective,
     kernel,
@@ -105,21 +104,31 @@ def test_hom_from_map_validates(d8):
 
 def test_hom_from_map_names_what_is_wrong_with_the_map():
     # a map rejected before any product is compared says why, rather than
-    # describing a product phi(0*0) that was never computed
+    # describing a product phi(0*0) that was never computed; the public
+    # GroupHom constructor runs the same check as hom_from_map
     z4, z2 = make_family("cyclic", 4), make_family("cyclic", 2)
+    d8 = make_family("dihedral", 8)
     cases = [
-        ([0, 1], "it has 2 entries but the source has order 4"),
-        (None, "NoneType is not a sequence of element indices"),
-        (7, "int is not a sequence of element indices"),
-        ([0, 1, 0, 2], "entry 3 is 2, not an element index of the order-2 target"),
-        ([0, 1, 0, 9], "entry 3 is 9, not an element index of the order-2 target"),
-        ([0, 1, 0, "1"], "entry 3 is '1', not an element index of the order-2 target"),
+        (z4, [0, 1], "it has 2 entries but the source has order 4"),
+        (z4, None, "NoneType is not a sequence of element indices"),
+        (z4, 7, "int is not a sequence of element indices"),
+        (z4, [0, 1, 0, 2], "entry 3 is 2, not an element index of the order-2 target"),
+        (z4, [0, 1, 0, 9], "entry 3 is 9, not an element index of the order-2 target"),
+        (z4, [0, 1, 0, "1"], "entry 3 is '1', not an element index of the order-2 target"),
+        (d8, (0, 1), "it has 2 entries but the source has order 8"),
+        (d8, (0, 1, 2, 3) * 2, "entry 2 is 2, not an element index of the order-2 target"),
     ]
-    for mapping, problem in cases:
-        with pytest.raises(NotHomomorphismError, match=re.escape(problem)) as exc:
-            hom_from_map(z4, z2, mapping)
-        assert "phi(" not in str(exc.value)
-        assert exc.value.pair == (0, 0) and exc.value.expected == -1
+    for door in (hom_from_map, GroupHom):
+        for source, mapping, problem in cases:
+            with pytest.raises(NotHomomorphismError, match=re.escape(problem)) as exc:
+                door(source, z2, mapping)
+            assert "phi(" not in str(exc.value)
+            assert exc.value.pair == (0, 0) and exc.value.expected == -1
+        # onto, right length and range, but not a homomorphism: rejected at
+        # construction, so no crh route can give it a verdict
+        with pytest.raises(NotHomomorphismError, match=re.escape("phi(1*1) = 1 but phi(1)*phi(1) = 0")) as exc:
+            door(d8, z2, (0, 1, 1, 0, 0, 0, 0, 0))
+        assert exc.value.pair == (1, 1)
 
 
 def test_identity_and_compose(d8):
@@ -303,7 +312,7 @@ def test_quotient_tables_match_the_nested_formula():
     for entry in catalog(32):
         for g in (entry.group, _relabelled(entry.group, rng)):
             for sub in all_subgroups(g):
-                if is_central(g, sub):
+                if sub <= center(g):
                     q, proj = quotient(g, sub)
                     assert q.table == _nested_quotient_table(g, proj.mapping), (entry.name, sub)
                     count += 1
@@ -481,7 +490,7 @@ def test_definitional_sweep_matches_brute_oracle():
         table = relabel([list(r) for r in entry.group.table], perm)
         g = from_multiplication_table(len(table), table)
         for sub in all_subgroups(g):
-            if not is_central(g, sub):
+            if not sub <= center(g):
                 continue
             q, proj = quotient(g, sub)
             witness, one_sided = brute_crh_verdict(table, [list(r) for r in q.table], proj.mapping)
@@ -516,7 +525,7 @@ def test_generator_derived_values_match_brute_oracles():
             assert set(center(g)) == brute_center(table), entry.name
             members = [sub.members for sub in subs]
             for sub in subs:
-                if not is_central(g, sub):
+                if not sub <= center(g):
                     continue
                 q, proj = quotient(g, sub)
                 witness, _ = brute_crh_verdict(table, [list(r) for r in q.table], proj.mapping, members)
@@ -570,7 +579,7 @@ def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     assert [closure(g, m) for m in gens] == list(subgroups)
     assert max(map(len, gens)) == 3 and sum(map(len, gens)) == 249
     assert calls == Counter((True, sum(1 << a for a in m)) for m in gens)
-    projections = [quotient(g, s)[1] for s in subgroups if is_central(g, s)]
+    projections = [quotient(g, s)[1] for s in subgroups if s <= center(g)]
     assert len(projections) == len(subgroups) == 129  # abelian: every subgroup is central
     calls.clear()
     images = Counter()
@@ -590,10 +599,11 @@ def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
 
 
 def test_quotients_are_not_revalidated(monkeypatch):
-    # work counter: once the source group is built, quotienting it and
-    # deciding its projections by both routes validates no table
+    # work counter: once the source group is built, quotienting it,
+    # deciding its projections by both routes and inducing their lattice
+    # maps validates no table and checks no homomorphism
     g = eval_group_expr(parse_group_expr("product(cyclic(4),product(cyclic(4),cyclic(4)))")).group
-    central = [s for s in all_subgroups(g) if is_central(g, s)]
+    central = [s for s in all_subgroups(g) if s <= center(g)]
     assert len(central) == 129
     calls = Counter()
     modules = [m for n, m in sys.modules.items() if n == "centlat" or n.startswith("centlat.")]
@@ -609,6 +619,15 @@ def test_quotients_are_not_revalidated(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
+    check = GroupHom.__init__
+
+    def counting_checks(*args, **kwargs):
+        calls["GroupHom.__init__"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(GroupHom, "__init__", counting_checks)
+    hom_from_map(g, g, range(g.order))  # the public door is counted
+    assert calls.pop("GroupHom.__init__") == 1
     for s in central:
         q, proj = quotient(g, s)
         assert is_centralizer_respecting(proj).ok
