@@ -18,6 +18,7 @@ package targets (a few hundred elements at most).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
 from typing import Callable, Iterable, Iterator, Sequence
@@ -80,6 +81,16 @@ def _mask_of(group: FiniteGroup, indices: Iterable[int]) -> int:
             raise ValueError(f"{i!r} is not an element index of a group of order {group.order}")
         mask |= 1 << int(i)
     return mask
+
+
+def _require_group(where: str, *groups, cap: int | None = None) -> None:
+    """The first check of a public entry point taking groups: a non-group raises
+    :class:`DomainMismatchError` naming its type; then the order ``cap``."""
+    for group in groups:
+        if not isinstance(group, FiniteGroup):
+            raise DomainMismatchError(f"{where} needs a FiniteGroup, not {type(group).__name__}")
+        if cap is not None:
+            _require_order_at_most(group.order, cap)
 
 
 class FiniteGroup:
@@ -211,18 +222,15 @@ class SubgroupSet:
     __slots__ = ("group", "mask", "members")
 
     def __init__(self, group: FiniteGroup, members: Iterable[int]) -> None:
-        mask = _mask_of(group, members)
-        self.group = group
-        self.mask = mask
-        self.members = tuple(_bits(mask))
+        _require_group("SubgroupSet", group)
+        self.group, self.mask = group, _mask_of(group, members)
+        self.members = tuple(_bits(self.mask))
         self.validate()
 
     @classmethod
     def _from_mask(cls, group: FiniteGroup, mask: int) -> "SubgroupSet":
         self = object.__new__(cls)
-        self.group = group
-        self.mask = mask
-        self.members = tuple(_bits(mask))
+        self.group, self.mask, self.members = group, mask, tuple(_bits(mask))
         return self
 
     def validate(self) -> None:
@@ -453,7 +461,7 @@ def _first_nonassociative_triple(rows: list[tuple[int, ...]]) -> NotAssociativeE
 
 
 def _dimino_step(
-    table: tuple[tuple[int, ...], ...], mask: int, elems: list[int], gens: list[int]
+    table: tuple[tuple[int, ...], ...], mask: int, elems: list[int], gens: Sequence[int]
 ) -> tuple[int, list[int]]:
     """Mask and element list of <H, s>, one step of Dimino's inductive
     coset extension.
@@ -502,6 +510,7 @@ def _close_mask(group: FiniteGroup, seed_mask: int) -> int:
 
 def closure(group: FiniteGroup, seed: Iterable[int]) -> SubgroupSet:
     """Subgroup generated by ``seed`` (which may be empty: the trivial subgroup)."""
+    _require_group("closure", group)
     return SubgroupSet._from_mask(group, _close_mask(group, _mask_of(group, seed)))
 
 
@@ -522,6 +531,7 @@ def centralizer(group: FiniteGroup, target) -> SubgroupSet:
     ``target`` may be any iterable of element indices or a
     :class:`SubgroupSet` of ``group``; the empty set yields the whole group.
     """
+    _require_group("centralizer", group)
     return SubgroupSet._from_mask(group, _centralizer_mask(group, _mask_of(group, target)))
 
 
@@ -533,6 +543,7 @@ def _center_mask(group: FiniteGroup) -> int:
 
 def center(group: FiniteGroup) -> SubgroupSet:
     """Z(G), the centralizer of the named generators, as a subgroup."""
+    _require_group("center", group)
     return SubgroupSet._from_mask(group, _center_mask(group))
 
 
@@ -570,6 +581,7 @@ def _first_commutator_pairs(group: FiniteGroup) -> dict[int, tuple[int, int]]:
 
 def commutator_set(group: FiniteGroup) -> frozenset[int]:
     """The set of commutators a^-1 b^-1 a b — the set itself, not its closure."""
+    _require_group("commutator_set", group)
     return frozenset(_first_commutator_pairs(group))
 
 
@@ -587,21 +599,23 @@ def _require_order_at_most(order: int, cap: int, what: str = "group") -> None:
 def _zuppos(group: FiniteGroup, primes: set[int]) -> tuple[list[tuple[int, int, list[int]]], list[int]]:
     """The zuppos of ``group``, its cyclic subgroups of prime-power order
     > 1, as (least generator, mask, elements), ascending by least generator;
-    and the mask of <g> for every element g.  ``primes`` are the primes
-    dividing the group order."""
+    and the mask of <g> for every element g, ``primes`` being the primes
+    dividing n.  Each cyclic subgroup is walked once, from its least
+    generator, and fills the entry of every generator g^k, gcd(k, |g|) = 1."""
     n, t, e = group.order, group.table, group.identity
     prime_powers = {p**k for p in primes for k in range(1, n.bit_length()) if n % p**k == 0}
-    seen: set[int] = set()
-    out, cyclic = [], []
+    out, cyclic = [], [0] * n
     for g in range(n):
+        if cyclic[g]:
+            continue  # g generates a cyclic subgroup already walked
         elems, x = [e], g
         while x != e:
             elems.append(x)
             x = t[x][g]
-        mask = sum(map((1).__lshift__, elems))
-        cyclic.append(mask)
-        if len(elems) in prime_powers and mask not in seen:  # the first generator met is the least
-            seen.add(mask)
+        mask, m = sum(map((1).__lshift__, elems)), len(elems)
+        for x in (x for k, x in enumerate(elems) if math.gcd(k, m) == 1):  # the generators of <g>
+            cyclic[x] = mask
+        if m in prime_powers:
             out.append((g, mask, elems))
     return out, cyclic
 
@@ -611,7 +625,7 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
     column of the group's subgroup table (:func:`_subgroup_table`), which
     is built on the first call and cached.  The cap is checked on every
     call, cached ones included."""
-    _require_order_at_most(group.order, cap)
+    _require_group("all_subgroups", group, cap=cap)
     return _subgroup_table(group)[0]
 
 
@@ -620,38 +634,36 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
     subgroups sorted by (order, members), a generating set of each, and
     each one's centralizer C(A) as a mask.
 
-    Cyclic extension over zuppos (Neubüser, *Numer. Math.* 2, 1960; GAP's
-    ``LatticeByCyclicExtension``): saturate {1} under "join with one
-    zuppo", a zuppo being a cyclic subgroup of prime-power order.  Every
-    subgroup is generated by its zuppos, since each element is a product of
-    prime-power-order powers of itself.  Each join <K, z> is one Dimino step
-    from K, reusing K's generators and element list.
+    Cyclic extension over zuppos (Neubüser, *Numer. Math.* 2, 1960), each
+    subgroup built once, from its canonical parent (McKay, *J. Algorithms*
+    26, 1998).  Every subgroup is generated by its zuppos, the cyclic
+    subgroups of prime-power order, numbered z_0, z_1, ... by least
+    generator.  f(J) is the least i such that the zuppos of J with index
+    <= i generate J; those below z_f(J) generate its parent P(J), and
+    J = <P(J), z_f(J)>.  K is extended only by z_i with i > f(K), one Dimino
+    step reusing K's generators and elements, and J = <K, z_i> is kept only
+    when no zuppo of J below z_i lies outside K (``bad`` holds their least
+    generators): those zuppos then lie in K and include the ones that
+    generate K, so K = P(J) and i = f(J).  Complete: for J != {1}, P(J) !=
+    J has the zuppos of J below z_f(J), so f(P(J)) < f(J); by induction
+    P(J) is reached and extended by z_f(J), from the zuppos, which are
+    seeded with f(<z_i>) = i.  No normality or solvability is used, so
+    perfect subgroups such as A5 in S5 are found too.  A zuppo can come
+    back as <K, z> with K inside <z>, so kept joins are looked up.
 
-    Zuppos z_0, z_1, ... are numbered by their least generator.  The
-    canonical index f(K) is the least i such that the zuppos of K with index
-    <= i generate K, and K is extended only by z_i with i > f(K).  This is
-    complete: for K != {1} with f = f(K), let P be generated by the zuppos
-    of K with index < f.  Then K = <P, z_f>, P != K, and the zuppos of P
-    with index < f are exactly those of K, so f(P) < f; by induction P is
-    reached, and extending P by z_f reaches K.  The argument needs no
-    normality or solvability, so perfect subgroups such as A5 inside S5 are
-    found too.  The extensions of {1} are the zuppos, with f(<z_i>) = i.
+    Joins are skipped before their Dimino step when the union of K, <z>
+    and every <gz> over K's generators g, which lies in the join, meets
+    ``bad``; or when it or the product set K<z> (|K| |<z>| / |K & <z>|
+    elements) passes n/2, which makes the join G.  A subgroup of order
+    above n/4 is not extended: anything properly above it is G.  When
+    <K, z_i> has prime index over K, <K, z> = <K, z_i> for every later
+    zuppo z inside it.  Dihedral(256) takes 126 Dimino steps and 0.02 s,
+    C2^6 0.07-0.10 s and C2^7 1.3-1.8 s (Python 3.11, 2-vCPU Xeon VM).
 
-    Some joins are skipped because their result is known.  A subgroup of
-    order above n/4 is not extended: any subgroup properly containing it
-    has order above n/2, which is G itself.  Nor is a join that bit
-    operations alone show to exceed n/2 elements: it contains the product
-    set K<z>, of size |K| |<z>| / |K & <z>|, and the union of K, <z> and
-    every <gz> over K's generators g.  When <K, z_i> has prime index over
-    K, nothing lies strictly between them, so <K, z> = <K, z_i> for every
-    later zuppo z inside it.
-
-    The generating set kept for each subgroup is none for {1}, its least
-    generator for a zuppo, the generator names for G (they generate every
-    group), and the canonical prefix for any other subgroup.  C(A) is the
-    centralizer of that set, as of any set that generates A; it does not
-    depend on any map out of the group, so every projection of the group
-    reuses it.
+    The generating set kept is none for {1}, the least generator for a
+    zuppo, the generator names for G, and the parent's set plus z_f(J)
+    otherwise.  C(A) is the centralizer of that set, as of any generating
+    set; no map out of the group changes it, so all projections reuse it.
     """
     if group._subgroups is None:
         t, n = group.table, group.order
@@ -659,56 +671,42 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
         zuppos, cyclic = _zuppos(group, primes)
         # subgroup mask -> a generating set
         gens_of = {1 << group.identity: (), group.full_mask: tuple(g for _, g in group.generator_names)}
-        todo = []
+        todo, below = [], [0]  # below[i]: the least generators of z_0 .. z_{i-1}
         for i, (z, z_mask, z_elems) in enumerate(zuppos):
+            below.append(below[-1] | 1 << z)
             if z_mask not in gens_of:  # seen already when G is a cyclic p-group
                 gens_of[z_mask] = (z,)
-                todo.append((z_mask, z_elems, [z], i))
+                todo.append((z_mask, z_elems, (z,), i))
         for k_mask, k_elems, k_gens, f in todo:  # todo grows while it is walked
             if 4 * len(k_elems) > n:
                 continue
             done = k_mask  # z in done: <K, z> is K or an extension already made
-            for z, z_mask, _ in zuppos[f + 1 :]:
+            for i, (z, z_mask, _) in enumerate(zuppos[f + 1 :], f + 1):
                 if done >> z & 1:
                     continue
+                bad = below[i] & ~k_mask  # K is the canonical parent of <K, z> iff it holds none
                 union = k_mask | z_mask
                 for g in k_gens:
                     union |= cyclic[t[g][z]]
+                if union & bad:
+                    continue
                 product = len(k_elems) * z_mask.bit_count() // (k_mask & z_mask).bit_count()
                 if 2 * max(product, union.bit_count()) > n:
                     j_mask, j_order = group.full_mask, n
                 else:
-                    j_mask, j_elems = _dimino_step(t, k_mask, k_elems, [*k_gens, z])
+                    j_gens = (*k_gens, z)
+                    j_mask, j_elems = _dimino_step(t, k_mask, k_elems, j_gens)
                     j_order = len(j_elems)
                 if j_order // len(k_elems) in primes:
                     done |= j_mask  # nothing lies strictly between K and J
-                if j_mask not in gens_of:
-                    todo.append(_canonical_prefix(t, zuppos, j_mask))
-                    gens_of[j_mask] = tuple(todo[-1][2])
+                if j_mask not in gens_of and not j_mask & bad:
+                    gens_of[j_mask] = j_gens
+                    todo.append((j_mask, j_elems, j_gens, i))
         subs = sorted((SubgroupSet._from_mask(group, m) for m in gens_of), key=SubgroupSet.sort_key)
         gens = tuple(gens_of[s.mask] for s in subs)
         cents = tuple(_centralizer_mask(group, sum({1 << g for g in a})) for a in gens)
         group._subgroups = (tuple(subs), gens, cents)
     return group._subgroups
-
-
-def _canonical_prefix(
-    table: tuple[tuple[int, ...], ...], zuppos: list[tuple[int, int, list[int]]], target: int
-) -> tuple[int, list[int], list[int], int]:
-    """The subgroup with mask ``target`` as (mask, elements, generators, f):
-    closed from its zuppos in index order, stopping at the first index f
-    where they generate it, which is the canonical index f(target)."""
-    mask = 0
-    for i, (z, z_mask, z_elems) in enumerate(zuppos):
-        if target >> z & 1 and not mask >> z & 1:
-            if mask:
-                gens.append(z)
-                mask, elems = _dimino_step(table, mask, elems, gens)
-            else:
-                mask, elems, gens = z_mask, z_elems, [z]
-            if mask == target:
-                return mask, elems, gens, i
-    raise InternalInconsistencyError("zuppos of a subgroup do not generate it")
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +716,7 @@ _GROUP_KEYS = {"order", "table", "generators", "labels"}
 
 
 def group_to_json(group: FiniteGroup) -> dict:
+    _require_group("group_to_json", group)
     doc: dict = {"order": group.order, "table": [list(r) for r in group.table]}
     if group.generator_names:
         doc["generators"] = {name: i for name, i in group.generator_names}

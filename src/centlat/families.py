@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
+    _require_group,
     _require_order_at_most,
     center,
     closure,
@@ -90,6 +91,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
     validated: its identity, inverses and generators are the factors'
     paired, the fields validation would give.
     """
+    _require_group("direct_product", a, b)
     order = a.order * b.order
     _require_order_at_most(order, cap, "direct product")
     nb = b.order

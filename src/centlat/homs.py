@@ -51,6 +51,7 @@ class GroupHom:
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping) -> None:
+        _core._require_group("GroupHom", source, target)
         bad = NotHomomorphismError._bad_map
         try:
             m = tuple(mapping)
@@ -100,6 +101,7 @@ def hom_from_map(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHom:
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
+    _core._require_group("identity_hom", group)
     return GroupHom._trusted(group, group, tuple(range(group.order)))
 
 
@@ -151,6 +153,7 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
     steps at C speed.
     """
+    _core._require_group("quotient", group)
     if not isinstance(n, SubgroupSet):
         raise DomainMismatchError(f"quotient needs a SubgroupSet, not {type(n).__name__}")
     t, inverse, mask = group.table, group.inverse, _core._mask_of(group, n)  # n of another group raises
@@ -173,14 +176,9 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     for name, g in group.generator_names:
         first_name.setdefault(proj[g], name)
     qlabels = tuple(group.label(r) for r in reps) if group.element_labels else None
-    q = FiniteGroup(
-        len(reps),
-        qtable,
-        proj[group.identity],
-        tuple(proj[inverse[r]] for r in reps),
-        tuple((name, v) for v, name in first_name.items()),
-        qlabels,
-    )
+    qinverse = tuple(proj[inverse[r]] for r in reps)
+    qgens = tuple((name, v) for v, name in first_name.items())
+    q = FiniteGroup(len(reps), qtable, proj[group.identity], qinverse, qgens, qlabels)
     return q, GroupHom._trusted(group, q, proj)
 
 
@@ -336,6 +334,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
     :func:`hom_from_map` accepts; the search is deterministic (ascending
     candidate order), so the returned isomorphism is stable run to run.
     """
+    _core._require_group("group_isomorphic", a, b)
     if _iso_fingerprint(a) != _iso_fingerprint(b):
         return None
     if a.same_table(b):

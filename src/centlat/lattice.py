@@ -21,7 +21,7 @@ from .core import (
     _center_mask,
     _centralizer_mask,
     _is_integral,
-    _require_order_at_most,
+    _require_group,
 )
 from .errors import (
     DomainMismatchError,
@@ -47,6 +47,7 @@ class CentralizerLattice:
     """
 
     def __init__(self, group: FiniteGroup) -> None:
+        _require_group("CentralizerLattice", group)
         self.group = group
         node_masks = list(dict.fromkeys((group.full_mask, *group.centralizer_masks())))
         seen = set(node_masks)
@@ -58,8 +59,7 @@ class CentralizerLattice:
         nodes = sorted((SubgroupSet._from_mask(group, m) for m in node_masks), key=SubgroupSet.sort_key)
         self.nodes: tuple[SubgroupSet, ...] = tuple(nodes)
         self.node_masks = node_masks = tuple(s.mask for s in nodes)
-        index_of = {m: i for i, m in enumerate(node_masks)}
-        self.index_of_mask = index_of
+        self.index_of_mask = index_of = {m: i for i, m in enumerate(node_masks)}
         count = len(node_masks)
 
         self.leq_masks = tuple(
@@ -131,13 +131,13 @@ class CentralizerLattice:
 
 def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
     """The centralizer lattice of ``group``, after the order cap check."""
-    _require_order_at_most(group.order, cap)
+    _require_group("build_centralizer_lattice", group, cap=cap)
     return CentralizerLattice(group)
 
 
 def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
     """Per-group cached lattice (the lattice is canonical, so sharing is safe)."""
-    _require_order_at_most(group.order, cap)
+    _require_group("lattice_of", group, cap=cap)
     if group._lattice is None:
         group._lattice = build_centralizer_lattice(group, cap)
     return group._lattice

@@ -8,7 +8,13 @@ from collections import Counter
 import pytest
 
 from centlat import (
+    CentralizerLattice,
+    GroupHom,
     SubgroupSet,
+    build_centralizer_lattice,
+    group_isomorphic,
+    identity_hom,
+    lattice_of,
     core,
     centralizer,
     center,
@@ -494,6 +500,29 @@ def test_all_subgroups_on_catalog64_is_frozen():
     assert digest.hexdigest() == "fcc1451a45c7121a528644947c70efec563beef9c971111b2c5815fef9e0bf16"
 
 
+def test_subgroup_table_matches_the_enumerator_before_canonical_parents():
+    # every subgroup mask, in order, and every stored C(A) mask of
+    # relabelled catalog(64) groups, S4, A5 and S5, hashed from the
+    # enumerator as it was before each subgroup was kept only from its
+    # canonical parent (which re-closed each new subgroup along its zuppos)
+    rng = random.Random(17)
+    named = [(e.name, _relabelled(e.group, rng)) for e in catalog(64)]
+    named += [
+        ("S4", _relabelled(from_multiplication_table(24, symmetric_group_table(4)), rng)),
+        ("A5", _relabelled(from_multiplication_table(60, alternating_group_table(5)), rng)),
+        ("S5", _relabelled(from_multiplication_table(120, symmetric_group_table(5)), rng)),
+    ]
+    digest = hashlib.sha256()
+    count = 0
+    for name, g in named:
+        subs, _, cents = core._subgroup_table(g)
+        count += len(subs)
+        masks, cs = ",".join(format(h.mask, "x") for h in subs), ",".join(format(c, "x") for c in cents)
+        digest.update(f"{name}:{masks}|{cs};".encode())
+    assert count == 7592
+    assert digest.hexdigest() == "19f317c3649c14673e3dfbad07096a43c9916dabb20e11c5957b65c482c2d9c9"
+
+
 def _is_prime(k: int) -> bool:
     return k > 1 and all(k % d for d in range(2, k))
 
@@ -510,78 +539,69 @@ def _prime_power(k: int) -> bool:
 def _brute_canonical_index(table, zuppos: list[int], target: set[int]) -> int:
     """Least i such that the zuppos (given by generators, in index order)
     inside ``target`` with index <= i generate it."""
-    inside = []
+    inside, closed = [], set()
     for i, z in enumerate(zuppos):
-        if z in target:
+        if z in target and z not in closed:  # a zuppo already inside leaves the closure as it is
             inside.append(z)
-            if brute_closure(table, set(inside)) == target:
+            closed = brute_closure(table, set(inside))
+            if closed == target:
                 return i
     raise AssertionError("zuppos do not generate the subgroup")
 
 
-def test_canonical_index_is_exact():
-    # f(K) must be the least index, not an upper bound: a larger one drops
-    # joins that the completeness argument relies on
+def test_kept_generators_follow_the_canonical_parent():
+    # every subgroup J but {1}, G and the zuppos is kept from its canonical
+    # parent P(J), the closure of its zuppos below z_f(J): its kept
+    # generators are P(J)'s followed by z_f(J), with f(J) the least index
+    # (a larger one drops joins that the completeness argument relies on)
     rng = random.Random(11)
-    groups = [e.group for e in catalog(16)] + [from_multiplication_table(24, symmetric_group_table(4))]
+    groups = [e.group for e in catalog(16)] + [
+        from_multiplication_table(24, symmetric_group_table(4)),
+        from_multiplication_table(120, symmetric_group_table(5)),
+    ]
     for g0 in groups:
         g = _relabelled(g0, rng)
         table = [list(r) for r in g.table]
         orders = g.element_orders()
         zuppos, cyclic = core._zuppos(g, {p for p in range(2, g.order + 1) if g.order % p == 0 and _is_prime(p)})
         assert [set(core._bits(m)) for m in cyclic] == [brute_closure(table, {a}) for a in range(g.order)]
-        gens = [z for z, _, _ in zuppos]
+        zgens = [z for z, _, _ in zuppos]
         by_generator = {}
         for a in range(g.order):  # least generator of each prime-power cyclic subgroup
             if _prime_power(orders[a]):
                 by_generator.setdefault(frozenset(brute_closure(table, {a})), a)
-        assert gens == sorted(by_generator.values())
-        for h in all_subgroups(g):
-            if h.is_trivial():
+        assert zgens == sorted(by_generator.values())
+        subs, gens, _ = core._subgroup_table(g)
+        for h, h_gens in zip(subs[1:-1], gens[1:-1]):
+            members = set(h)
+            assert brute_closure(table, set(h_gens)) == members
+            if frozenset(members) in by_generator:
+                assert h_gens == (by_generator[frozenset(members)],)
                 continue
-            mask, elems, k_gens, f = core._canonical_prefix(g.table, zuppos, h.mask)
-            assert f == _brute_canonical_index(table, gens, set(h))
-            assert mask == h.mask and sorted(elems) == list(h.members)
-            assert brute_closure(table, set(k_gens)) == set(h)
-
-
-def test_canonical_index_computed_once_per_subgroup(monkeypatch):
-    # every subgroup but {1}, G and the zuppos (whose index is their own)
-    # gets its canonical index from one closure along its zuppos
-    calls = Counter()
-    original = core._canonical_prefix
-
-    def counting(table, zuppos, target):
-        calls[target] += 1
-        return original(table, zuppos, target)
-
-    monkeypatch.setattr(core, "_canonical_prefix", counting)
-    g = _relabelled(from_multiplication_table(120, symmetric_group_table(5)), random.Random(5))
-    table = [list(r) for r in g.table]
-    subs = all_subgroups(g)
-    zuppo_masks = {
-        h.mask
-        for h in subs
-        if _prime_power(len(h)) and any(brute_closure(table, {a}) == set(h) for a in h)
-    }
-    expected = {h.mask for h in subs} - zuppo_masks - {subs[0].mask, subs[-1].mask}
-    assert calls == Counter(expected)
+            f = _brute_canonical_index(table, zgens, members)
+            assert h_gens[-1] == zgens[f]
+            parent = brute_closure(table, {z for z in zgens[:f] if z in members})
+            assert brute_closure(table, set(h_gens[:-1])) == parent != members
 
 
 @pytest.mark.parametrize(
-    "builder,subgroups,steps",
+    "builder,subgroups,steps,whole",
     [
-        # 20,492 steps, 10,668 of them returning G, before the skip
-        (lambda: make_family("dihedral", 256), 263, 9824),
-        # 264 more steps, each returning G, with the union bound alone
-        (lambda: direct_product(make_family("cyclic", 4), direct_product(*[make_family("cyclic", 4)] * 2)), 129, 1146),
+        # 20,492 steps before the G bound, 9,824 before the canonical-parent test
+        (lambda: make_family("dihedral", 256), 263, 126, 0),
+        # 1,146 steps before the canonical-parent test
+        (lambda: direct_product(make_family("cyclic", 4), direct_product(*[make_family("cyclic", 4)] * 2)), 129, 248, 0),
+        # 3,342 steps before the canonical-parent test; 89 of the 368 still
+        # return G, joins the bounds cannot see to be the whole group
+        (lambda: from_multiplication_table(120, symmetric_group_table(5)), 156, 368, 89),
     ],
-    ids=["dihedral(256)", "C4^3"],
+    ids=["dihedral(256)", "C4^3", "S5"],
 )
-def test_joins_that_must_be_the_whole_group_are_skipped(monkeypatch, builder, subgroups, steps):
+def test_joins_that_must_be_the_whole_group_are_skipped(monkeypatch, builder, subgroups, steps, whole):
     # work counter: a join whose product set K<z>, or union of K, <z> and
-    # every <gz> over K's generators g, passes half the group is G, so no
-    # Dimino step is run for it
+    # every <gz> over K's generators g, passes half the group is G, and a
+    # join that holds a zuppo below z outside K is not kept from K (it is
+    # built from its canonical parent), so no Dimino step is run for either
     orders = []
     original = core._dimino_step
 
@@ -594,7 +614,7 @@ def test_joins_that_must_be_the_whole_group_are_skipped(monkeypatch, builder, su
     g = builder()
     assert len(all_subgroups(g)) == subgroups
     assert len(orders) == steps
-    assert max(orders) < g.order
+    assert orders.count(g.order) == whole
 
 
 def _elementary_abelian(rank: int):
@@ -656,6 +676,34 @@ def test_element_indices_are_checked_at_the_boundary(index):
     )
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(repr(index))):
+            call()
+
+
+def test_entry_points_reject_what_is_not_a_group():
+    # every public function taking a group raises DomainMismatchError
+    # naming the type it got, before reading any attribute of it (a bare
+    # AttributeError before); the first four are the reported calls
+    d8 = make_family("dihedral", 8)
+    calls = [
+        ("direct_product", "list", lambda: direct_product(d8, [[0]])),
+        ("GroupHom", "str", lambda: GroupHom(d8, "x", range(8))),
+        ("center", "list", lambda: center([[0]])),
+        ("all_subgroups", "list", lambda: all_subgroups([[0]])),
+        ("direct_product", "tuple", lambda: direct_product((), d8)),
+        ("closure", "list", lambda: closure([[0]], [0])),
+        ("centralizer", "list", lambda: centralizer([[0]], [0])),
+        ("commutator_set", "NoneType", lambda: commutator_set(None)),
+        ("group_to_json", "dict", lambda: group_to_json(group_to_json(d8))),
+        ("SubgroupSet", "list", lambda: SubgroupSet([[0]], [0])),
+        ("identity_hom", "list", lambda: identity_hom([[0]])),
+        ("quotient", "list", lambda: quotient([[0]], all_subgroups(d8)[0])),
+        ("group_isomorphic", "int", lambda: group_isomorphic(d8, 8)),
+        ("CentralizerLattice", "list", lambda: CentralizerLattice([[0]])),
+        ("build_centralizer_lattice", "list", lambda: build_centralizer_lattice([[0]])),
+        ("lattice_of", "list", lambda: lattice_of([[0]])),
+    ]
+    for where, type_name, call in calls:
+        with pytest.raises(DomainMismatchError, match=f"^{where} needs a FiniteGroup, not {type_name}$"):
             call()
 
 
