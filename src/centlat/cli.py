@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .core import DEFAULT_ORDER_CAP, group_to_json
 from .errors import (
@@ -106,16 +107,6 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     return 0
 
 
-def _witness_doc(witness) -> dict | None:
-    if witness is None:
-        return None
-    return {
-        "subgroup": list(witness.subgroup),
-        "image_of_centralizer": list(witness.image_of_centralizer),
-        "centralizer_of_image": list(witness.centralizer_of_image),
-    }
-
-
 def cmd_check_crh(args: argparse.Namespace) -> int:
     result = eval_group_expr(parse_group_expr(args.expr), args.cap)
     if result.projection is None:
@@ -127,16 +118,11 @@ def cmd_check_crh(args: argparse.Namespace) -> int:
         "source_order": proj.source.order,
         "quotient_order": proj.target.order,
         "kernel": list(kernel(proj).members),
-        "definitional": {"ok": definitional.ok, "witness": _witness_doc(definitional.witness)},
+        "definitional": asdict(definitional),
     }
     try:
         criterion = crh_central_kernel_criterion(proj)
-        doc["criterion"] = {
-            "applicable": True,
-            "ok": criterion.ok,
-            "witness_pair": list(criterion.witness_pair) if criterion.witness_pair else None,
-            "witness_commutator": criterion.witness_commutator,
-        }
+        doc["criterion"] = {"applicable": True, **asdict(criterion)}
     except KernelNotCentralError as e:
         criterion = None
         doc["criterion"] = {"applicable": False, "reason": str(e)}

@@ -97,9 +97,9 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     Instances are immutable once built; derived data (centralizer masks,
-    element orders, the subgroup table of :func:`_subgroup_table`, first
-    commutator pairs) is computed lazily, each value in one field that only
-    this module fills; ``_lattice`` alone is filled by ``lattice.lattice_of``.
+    the subgroup table of :func:`_subgroup_table`, first commutator pairs)
+    is computed lazily, each value in one field that only this module
+    fills.
     The constructor checks nothing (the trusted path of the module's trust
     rule): use :func:`from_multiplication_table` for untrusted data.  Only
     :func:`centlat.homs.quotient` and :func:`centlat.families.direct_product`
@@ -127,10 +127,8 @@ class FiniteGroup:
         self.full_mask = (1 << order) - 1
         # lazy caches
         self._cent_masks: tuple[int, ...] | None = None
-        self._element_orders: tuple[int, ...] | None = None
         self._subgroups: tuple | None = None  # the subgroup table, see _subgroup_table
         self._commutator_pairs: dict[int, tuple[int, int]] | None = None
-        self._lattice = None  # set by centlat.lattice
 
     # -- basic operations ---------------------------------------------------
 
@@ -150,16 +148,8 @@ class FiniteGroup:
         return result
 
     def element_orders(self) -> tuple[int, ...]:
-        if self._element_orders is None:
-            orders = []
-            for a in range(self.order):
-                k, x = 1, a
-                while x != self.identity:
-                    x = self.table[x][a]
-                    k += 1
-                orders.append(k)
-            self._element_orders = tuple(orders)
-        return self._element_orders
+        """The order of each element g, |<g>|, read off :func:`_cyclic_subgroups`."""
+        return tuple(m.bit_count() for m in _cyclic_subgroups(self)[1])
 
     def label(self, a: int) -> str:
         if self.element_labels is not None:
@@ -267,10 +257,12 @@ class SubgroupSet:
         return hash((self.mask, self.group.order))
 
     def __le__(self, other: "SubgroupSet") -> bool:
-        return self.mask & ~other.mask == 0
+        return self.mask & ~_mask_of(self.group, other) == 0
 
     def __and__(self, other: "SubgroupSet") -> "SubgroupSet":
-        return SubgroupSet._from_mask(self.group, self.mask & other.mask)
+        if not isinstance(other, SubgroupSet):
+            return NotImplemented  # the meet with a mere index set need not be a subgroup
+        return SubgroupSet._from_mask(self.group, self.mask & _mask_of(self.group, other))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (len(self.members), self.members)
@@ -596,14 +588,13 @@ def _require_order_at_most(order: int, cap: int, what: str = "group") -> None:
         raise OrderCapExceededError(order, cap, what)
 
 
-def _zuppos(group: FiniteGroup, primes: set[int]) -> tuple[list[tuple[int, int, list[int]]], list[int]]:
-    """The zuppos of ``group``, its cyclic subgroups of prime-power order
-    > 1, as (least generator, mask, elements), ascending by least generator;
-    and the mask of <g> for every element g, ``primes`` being the primes
-    dividing n.  Each cyclic subgroup is walked once, from its least
-    generator, and fills the entry of every generator g^k, gcd(k, |g|) = 1."""
+def _cyclic_subgroups(group: FiniteGroup) -> tuple[list[tuple[int, int, list[int]]], list[int]]:
+    """The cyclic subgroups of ``group``, {1} included, as (least generator,
+    mask, elements), ascending by least generator; and the mask of <g> for
+    every element g, whose popcount is the order of g.  Each cyclic subgroup
+    is walked once, from its least generator, and fills the entry of every
+    generator g^k, gcd(k, |g|) = 1."""
     n, t, e = group.order, group.table, group.identity
-    prime_powers = {p**k for p in primes for k in range(1, n.bit_length()) if n % p**k == 0}
     out, cyclic = [], [0] * n
     for g in range(n):
         if cyclic[g]:
@@ -615,8 +606,7 @@ def _zuppos(group: FiniteGroup, primes: set[int]) -> tuple[list[tuple[int, int, 
         mask, m = sum(map((1).__lshift__, elems)), len(elems)
         for x in (x for k, x in enumerate(elems) if math.gcd(k, m) == 1):  # the generators of <g>
             cyclic[x] = mask
-        if m in prime_powers:
-            out.append((g, mask, elems))
+        out.append((g, mask, elems))
     return out, cyclic
 
 
@@ -668,7 +658,9 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
     if group._subgroups is None:
         t, n = group.table, group.order
         primes = {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
-        zuppos, cyclic = _zuppos(group, primes)
+        prime_powers = {p**k for p in primes for k in range(1, n.bit_length()) if n % p**k == 0}
+        cyclics, cyclic = _cyclic_subgroups(group)
+        zuppos = [c for c in cyclics if len(c[2]) in prime_powers]
         # subgroup mask -> a generating set
         gens_of = {1 << group.identity: (), group.full_mask: tuple(g for _, g in group.generator_names)}
         todo, below = [], [0]  # below[i]: the least generators of z_0 .. z_{i-1}

@@ -187,6 +187,17 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
 
 
 @dataclass(frozen=True)
+class _Verdict:
+    """A decision with its evidence in the fields of a subclass; true
+    exactly when ``ok``."""
+
+    ok: bool
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+@dataclass(frozen=True)
 class CrhWitness:
     """A subgroup on which phi(C(A)) != C(phi(A)), with both sides."""
 
@@ -196,12 +207,8 @@ class CrhWitness:
 
 
 @dataclass(frozen=True)
-class CrhVerdict:
-    ok: bool
+class CrhVerdict(_Verdict):
     witness: CrhWitness | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _centralizer_sweep(h: GroupHom, cap: int):
@@ -273,7 +280,7 @@ def one_sided_inclusion_holds(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> bool
 
 
 @dataclass(frozen=True)
-class CentralKernelVerdict:
+class CentralKernelVerdict(_Verdict):
     """Outcome of the commutator criterion for a central-kernel surjection.
 
     ``ok`` means: kernel is central and contains no nontrivial commutator.
@@ -281,13 +288,8 @@ class CentralKernelVerdict:
     the commutator value are recorded.
     """
 
-    ok: bool
-    kernel: tuple[int, ...]
     witness_pair: tuple[int, int] | None = None
     witness_commutator: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
@@ -312,8 +314,8 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
     hits = [(first[c], c) for c in ker.members if c != g.identity and c in first]
     if hits:
         pair, c = min(hits)
-        return CentralKernelVerdict(False, ker.members, pair, c)
-    return CentralKernelVerdict(True, ker.members)
+        return CentralKernelVerdict(False, pair, c)
+    return CentralKernelVerdict(True)
 
 
 # ---------------------------------------------------------------------------

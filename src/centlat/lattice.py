@@ -30,7 +30,7 @@ from .errors import (
     NotCrhError,
     _ensure,
 )
-from .homs import GroupHom, compose, identity_hom, is_centralizer_respecting
+from .homs import GroupHom, _Verdict, compose, identity_hom, is_centralizer_respecting
 
 DEFAULT_NODE_CAP = 512
 
@@ -136,11 +136,13 @@ def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) 
 
 
 def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
-    """Per-group cached lattice (the lattice is canonical, so sharing is safe)."""
+    """Per-group cached lattice (the lattice is canonical, so sharing is
+    safe), kept in ``group._lattice``, which only this function sets."""
     _require_group("lattice_of", group, cap=cap)
-    if group._lattice is None:
-        group._lattice = build_centralizer_lattice(group, cap)
-    return group._lattice
+    lattice = getattr(group, "_lattice", None)
+    if lattice is None:
+        lattice = group._lattice = build_centralizer_lattice(group, cap)
+    return lattice
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def invert_lattice_map(m: LatticeMap) -> LatticeMap:
 
 
 @dataclass(frozen=True)
-class LatticeHomVerdict:
+class LatticeHomVerdict(_Verdict):
     """Whether a lattice map preserves meet, join and the involution.
 
     ``law``/``witness`` describe the first failure (pairs scanned in
@@ -228,14 +230,10 @@ class LatticeHomVerdict:
     holds when the laws do.
     """
 
-    ok: bool
     law: str | None = None
     witness: tuple[int, ...] | None = None
     preserves_top: bool = True
     preserves_bottom: bool = True
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_lattice_hom(m: LatticeMap) -> LatticeHomVerdict:
@@ -342,12 +340,8 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
 
 
 @dataclass(frozen=True)
-class FunctorialityVerdict:
-    ok: bool
+class FunctorialityVerdict(_Verdict):
     failures: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_functoriality(phi: GroupHom, psi: GroupHom) -> FunctorialityVerdict:

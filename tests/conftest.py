@@ -18,6 +18,7 @@ def run_cli(*args: str, cwd: str | None = None) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "centlat", *args],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         env=env,
         cwd=cwd,
         timeout=600,

@@ -42,7 +42,7 @@ def test_runs_without_numpy(cli):
     src = str(Path(centlat.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", env=env, timeout=120
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == cli("lattice", "quaternion(8)").stdout

@@ -523,10 +523,6 @@ def test_subgroup_table_matches_the_enumerator_before_canonical_parents():
     assert digest.hexdigest() == "19f317c3649c14673e3dfbad07096a43c9916dabb20e11c5957b65c482c2d9c9"
 
 
-def _is_prime(k: int) -> bool:
-    return k > 1 and all(k % d for d in range(2, k))
-
-
 def _prime_power(k: int) -> bool:
     if k < 2:
         return False
@@ -563,7 +559,8 @@ def test_kept_generators_follow_the_canonical_parent():
         g = _relabelled(g0, rng)
         table = [list(r) for r in g.table]
         orders = g.element_orders()
-        zuppos, cyclic = core._zuppos(g, {p for p in range(2, g.order + 1) if g.order % p == 0 and _is_prime(p)})
+        cyclics, cyclic = core._cyclic_subgroups(g)
+        zuppos = [c for c in cyclics if _prime_power(len(c[2]))]
         assert [set(core._bits(m)) for m in cyclic] == [brute_closure(table, {a}) for a in range(g.order)]
         zgens = [z for z, _, _ in zuppos]
         by_generator = {}
@@ -663,6 +660,19 @@ def test_subgroupset_ops(s3):
         SubgroupSet(s3, [1])  # a transposition alone is not closed
 
 
+def test_subgroupset_rejects_a_set_missing_an_inverse():
+    c6 = make_family("cyclic", 6)  # element k is k mod 6
+    with pytest.raises(ValueError, match="missing the inverse of 1"):
+        SubgroupSet(c6, [0, 1])
+
+
+def test_subgroupset_rejects_a_set_that_is_not_closed():
+    # inverses are all present (2 and 4 pair up, 3 is its own), 2+3 is not
+    c6 = make_family("cyclic", 6)
+    with pytest.raises(ValueError, match=re.escape("not closed: 2*3 escapes")):
+        SubgroupSet(c6, [0, 2, 3, 4])
+
+
 @pytest.mark.parametrize("index", [99, 8, -1, 1.5, 2.0, True, "1", None])
 def test_element_indices_are_checked_at_the_boundary(index):
     # one check for closure, centralizer and SubgroupSet: an index that is
@@ -727,6 +737,22 @@ def test_a_subgroup_of_another_group_is_rejected():
     assert closure(d8, closure(twin, [4])) == SubgroupSet(d8, closure(twin, [4])) == closure(d8, [4])
 
 
+def test_subgroup_operators_reject_a_subgroup_of_another_group():
+    # & and <= read the other mask only for a subgroup of the same table:
+    # S3 & C6's {0, 2, 4} would be a trusted "subgroup" of S3 that the
+    # public constructor rejects; & takes no plain index list either, as
+    # its meet with a subgroup need not be one
+    s3, c6 = all_subgroups(make_family("dihedral", 6)), all_subgroups(make_family("cyclic", 6))
+    with pytest.raises(DomainMismatchError, match="different group"):
+        s3[-1] & c6[2]
+    with pytest.raises(DomainMismatchError, match="different group"):
+        s3[1] <= c6[1]
+    with pytest.raises(TypeError):
+        s3[-1] & [0, 2, 4]
+    twin = all_subgroups(make_family("dihedral", 6))
+    assert s3[1] <= twin[-1] and (s3[-1] & twin[2]) == s3[2]
+
+
 def test_numpy_integer_indices_give_the_same_subsets():
     # NumPy shifts wrap at 64 bits: 1 << np.int64(100) is 0
     np = pytest.importorskip("numpy")
@@ -777,5 +803,7 @@ def test_group_json_rejects_bad_payloads():
     for index in ("true", "false", "null", "1.0", '"1"'):  # nor a generator index
         with pytest.raises(TableJsonError):
             group_from_json('{%s, "generators": {"x": %s}}' % (z3, index))
+    with pytest.raises(TableJsonError, match="'labels' must be a list of strings"):
+        group_from_json('{%s, "labels": ["e", 1, "x^2"]}' % z3)
     with pytest.raises(TableJsonError):  # bytes that are not UTF-8
         group_from_json(b'\xff\xfe{')

@@ -411,7 +411,8 @@ def test_package_has_no_function_level_imports():
 
 def test_finite_group_caches_have_one_owner():
     # every lazy cache FiniteGroup.__init__ declares is named only in core,
-    # which fills it; the one exception is the lattice, cached by lattice
+    # which fills it; the lattice cache is not declared there, and only
+    # lattice names it
     core_path = Path(centlat.core.__file__)
     tree = ast.parse(core_path.read_text(encoding="utf-8"))
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FiniteGroup")
@@ -423,15 +424,27 @@ def test_finite_group_caches_have_one_owner():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Attribute) and target.attr.startswith("_")
     }
-    assert {"_cent_masks", "_subgroups", "_lattice"} <= caches
-    named = {
-        (path.name, node.attr)
+    assert {"_cent_masks", "_subgroups"} <= caches and "_lattice" not in caches
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(core_path.parent.glob("*.py"))
-        if path != core_path
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    named = {
+        (name, node.attr)
+        for name, tree in trees.items()
+        if name != core_path.name
+        for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in caches
     }
-    assert named == {("lattice.py", "_lattice")}
+    assert named == set()
+    lattice_named = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_lattice"
+        or isinstance(node, ast.Constant) and node.value == "_lattice"  # getattr's name
+    }
+    assert lattice_named == {"lattice.py"}
 
 
 def test_catalog_validates_each_entry_once(monkeypatch):
@@ -483,7 +496,8 @@ def test_structural_checks_survive_python_O():
     src = str(Path(centlat.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "distinguished subgroups must be central\n"

@@ -48,6 +48,7 @@ from centlat.errors import (
 )
 
 from centlat import core
+from centlat.verify import COMPOSABLE_PAIRS_TARGET, composable_pairs
 
 from _oracles import (
     brute_center,
@@ -397,7 +398,7 @@ def test_worked_quotient_respects_centralizers(g16):
 
     criterion = crh_central_kernel_criterion(proj)
     assert criterion.ok
-    assert criterion.kernel == (0, 10)
+    assert kernel(proj).members == (0, 10)
     assert criterion.witness_pair is None
 
 
@@ -453,6 +454,37 @@ def test_criterion_witness_matches_row_major_scan(sweep_records):
         expected = brute_first_commutator_in(table, set(r.kernel.members))
         got = (*r.criterion.witness_pair, r.criterion.witness_commutator)
         assert got == expected, r.group_name
+
+
+def test_composable_pairs_skip_what_fails_either_step(sweep_records):
+    # the last 60 records hold 23 that are not crh and second quotients
+    # that fail the criterion; their 29 pairs stay under the target, so the
+    # walk runs to the end; the expected pairs are read off brute oracles
+    records = sweep_records[-60:]
+    assert sum(not r.definitional.ok for r in records) == 23
+    pairs = composable_pairs(records)
+    assert len(pairs) == 29 < COMPOSABLE_PAIRS_TARGET
+    expected, failing = [], 0
+    for r in records:
+        if not r.definitional.ok:
+            continue
+        h = r.projection.target
+        table = [list(row) for row in h.table]
+        central = brute_center(table)
+        for sub in all_subgroups(h):
+            if not set(sub) <= central or r.kernel.is_trivial() and sub.is_trivial():
+                continue
+            if brute_first_commutator_in(table, set(sub)) is None:
+                expected.append((r, sub))
+            else:
+                failing += 1
+    assert failing > 0
+    assert [(r, sub) for r, sub, _ in pairs] == expected
+    for r, sub, proj2 in pairs:
+        table = [list(row) for row in r.projection.target.table]
+        assert proj2.source is r.projection.target
+        got = (list(proj2.mapping), [list(row) for row in proj2.target.table])
+        assert brute_quotient(table, set(sub)) == got
 
 
 def test_crh_cap_holds_on_cached_verdict():
