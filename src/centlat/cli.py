@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .core import DEFAULT_ORDER_CAP, group_to_json
 from .errors import (
@@ -113,16 +112,17 @@ def cmd_check_crh(args: argparse.Namespace) -> int:
         raise _UsageError("check-crh requires a quotient(...) expression")
     proj = result.projection
     definitional = is_centralizer_respecting(proj, args.cap)
+    witness = definitional.witness
     doc = {
         "expression": args.expr,
         "source_order": proj.source.order,
         "quotient_order": proj.target.order,
         "kernel": list(kernel(proj).members),
-        "definitional": asdict(definitional),
+        "definitional": {**definitional._asdict(), "witness": witness and witness._asdict()},
     }
     try:
         criterion = crh_central_kernel_criterion(proj)
-        doc["criterion"] = {"applicable": True, **asdict(criterion)}
+        doc["criterion"] = {"applicable": True, **criterion._asdict()}
     except KernelNotCentralError as e:
         criterion = None
         doc["criterion"] = {"applicable": False, "reason": str(e)}

@@ -17,9 +17,8 @@ an expression nested more than ``MAX_NESTING`` constructors deep is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import (
     _GROUP_KEYS,
@@ -43,39 +42,33 @@ _CONSTRUCTOR_TOKENS = FAMILY_TOKENS + ("product", "semidirect", "quotient", "tab
 MAX_NESTING = 200
 
 
-@dataclass(frozen=True)
-class FamilyExpr:
+class FamilyExpr(NamedTuple):
     kind: str
     param: int
 
 
-@dataclass(frozen=True)
-class ProductExpr:
+class ProductExpr(NamedTuple):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class SemidirectExpr:
+class SemidirectExpr(NamedTuple):
     m: int
     k: int
     a: int
 
 
-@dataclass(frozen=True)
-class WordTerm:
+class WordTerm(NamedTuple):
     name: str
     exponent: int = 1
 
 
-@dataclass(frozen=True)
-class QuotientExpr:
+class QuotientExpr(NamedTuple):
     inner: "Expr"
     words: tuple[tuple[WordTerm, ...], ...]
 
 
-@dataclass(frozen=True)
-class TableExpr:
+class TableExpr(NamedTuple):
     path: str
 
 
@@ -88,8 +81,7 @@ Expr = Union[FamilyExpr, ProductExpr, SemidirectExpr, QuotientExpr, TableExpr]
 _SYMBOLS = "()[],*^-"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | one of _SYMBOLS | "eof"
     value: str
     line: int
@@ -283,8 +275,7 @@ def pretty(expr: Expr) -> str:
 # evaluation
 
 
-@dataclass
-class EvalResult:
+class EvalResult(NamedTuple):
     """A constructed group, plus the quotient projection when the top-level
     expression was a quotient."""
 

@@ -11,7 +11,6 @@ table builder, :func:`_cyclic_by_cyclic`, with x^i*y^j at index j*m + i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -19,6 +18,7 @@ from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
+    _is_integral,
     _require_group,
     _require_order_at_most,
     center,
@@ -34,12 +34,20 @@ def _pair_label(i: int, j: int) -> str:
     return "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in (("x", i), ("y", j)) if e) or "1"
 
 
+def _require_integers(**params) -> None:
+    """Refuse the first parameter that :func:`~centlat.core._is_integral` rejects."""
+    for name, v in params.items():
+        if not _is_integral(v):
+            raise UnsupportedParameterError(f"{name} must be an integer, got {v!r}")
+
+
 def make_family(kind: str, order: int) -> FiniteGroup:
     """One of the four supported families, by total order.
 
     cyclic(n), n >= 1; dihedral(2m), m >= 2; quaternion(2^k), k >= 3;
     semidihedral(2^k), k >= 4.
     """
+    _require_integers(order=order)
     if kind == "cyclic":
         if order < 1:
             raise UnsupportedParameterError(f"cyclic group order must be >= 1, got {order}")
@@ -116,6 +124,7 @@ def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> F
     gcd(a, m) = 1 and a^k = 1 (mod m) so the action is by an automorphism of
     order dividing k.  Generators: x = (1, 0), y = (0, 1).
     """
+    _require_integers(m=m, k=k, a=a)
     if m < 1 or k < 1:
         raise UnsupportedParameterError(f"cyclic orders must be >= 1, got m={m}, k={k}")
     order = m * k
@@ -127,22 +136,26 @@ def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> F
     return _cyclic_by_cyclic(m, k, a)
 
 
-@dataclass(frozen=True)
-class CoverGroup:
-    """A group with two distinguished central order-2 subgroups.
-
-    Quotienting by one central subgroup or the other lands in two different
-    families; both subgroups avoid every nontrivial commutator, which is
-    checked at construction time.
-    """
-
+class _CoverGroupFields(NamedTuple):
     kind: str
     n: int
     group: FiniteGroup
     z_first: SubgroupSet
     z_second: SubgroupSet
 
-    def __post_init__(self) -> None:
+
+class CoverGroup(_CoverGroupFields):
+    """A group with two distinguished central order-2 subgroups.
+
+    Quotienting by one central subgroup or the other lands in two different
+    families; both subgroups avoid every nontrivial commutator, which the
+    constructor and ``_replace`` check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "CoverGroup":
+        self = super().__new__(cls, *fields, **named)
         g = self.group
         zmask = center(g).mask
         comms = commutator_set(g)
@@ -151,6 +164,11 @@ class CoverGroup:
             _ensure(z.mask & ~zmask == 0, "distinguished subgroups must be central")
             misses = all(c == g.identity or c not in z for c in comms)
             _ensure(misses, "distinguished subgroups must miss every nontrivial commutator")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "CoverGroup":
+        return cls(*fields)
 
 
 def cover_group(kind: str, n: int) -> CoverGroup:
@@ -168,6 +186,7 @@ def cover_group(kind: str, n: int) -> CoverGroup:
     quaternion quotient except the inversion one, so the pair (quaternion,
     semidihedral) forces this shape.
     """
+    _require_integers(n=n)
     if kind == "dihedral_quaternion":
         if n < 3:
             raise UnsupportedParameterError(f"dihedral_quaternion cover needs n >= 3, got {n}")
@@ -233,7 +252,6 @@ class CatalogEntry(NamedTuple):
     group: FiniteGroup
 
 
-@cache
 def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     """A deterministic list of named groups of order <= max_order.
 
@@ -243,7 +261,14 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     Entry names are expressions the CLI accepts.  Groups are cached, so the
     lazy per-group data is shared by everything in one process; each cyclic
     group and each product of two is built once and reused as a factor.
+    ``max_order`` is checked before the cache, where True and 1 are one key.
     """
+    _require_integers(max_order=max_order)
+    return _catalog(max_order)
+
+
+@cache
+def _catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     cyclic = {n: make_family("cyclic", n) for n in range(1, max_order + 1)}
     entries = [CatalogEntry(f"cyclic({n})", g) for n, g in cyclic.items()]
     for n in range(4, max_order + 1, 2):

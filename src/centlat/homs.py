@@ -5,12 +5,16 @@ A homomorphism is stored as the full element map of a validated
 respects centralizers — the definitional subgroup sweep and the
 central-kernel commutator criterion — are deliberately kept independent;
 callers that run both treat disagreement as an internal error.
+
+Verdicts here and in :mod:`centlat.lattice` are immutable ``NamedTuple``
+records, each true exactly when its first field ``ok`` is (the one
+:func:`_verdict_ok`; a bare tuple is always true).  A record equals a plain
+tuple of its values, so the package dispatches on records by ``isinstance``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     DEFAULT_ORDER_CAP,
@@ -186,19 +190,12 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
 # centralizer-respecting checks
 
 
-@dataclass(frozen=True)
-class _Verdict:
-    """A decision with its evidence in the fields of a subclass; true
-    exactly when ``ok``."""
-
-    ok: bool
-
-    def __bool__(self) -> bool:
-        return self.ok
+def _verdict_ok(verdict) -> bool:
+    """``__bool__`` of every verdict: true exactly when ``ok``."""
+    return verdict.ok
 
 
-@dataclass(frozen=True)
-class CrhWitness:
+class CrhWitness(NamedTuple):
     """A subgroup on which phi(C(A)) != C(phi(A)), with both sides."""
 
     subgroup: tuple[int, ...]
@@ -206,9 +203,10 @@ class CrhWitness:
     centralizer_of_image: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CrhVerdict(_Verdict):
+class CrhVerdict(NamedTuple):
+    ok: bool
     witness: CrhWitness | None = None
+    __bool__ = _verdict_ok
 
 
 def _centralizer_sweep(h: GroupHom, cap: int):
@@ -279,8 +277,7 @@ def one_sided_inclusion_holds(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> bool
     return all(lhs & ~rhs == 0 for _, lhs, rhs in _centralizer_sweep(h, cap))
 
 
-@dataclass(frozen=True)
-class CentralKernelVerdict(_Verdict):
+class CentralKernelVerdict(NamedTuple):
     """Outcome of the commutator criterion for a central-kernel surjection.
 
     ``ok`` means: kernel is central and contains no nontrivial commutator.
@@ -288,8 +285,10 @@ class CentralKernelVerdict(_Verdict):
     the commutator value are recorded.
     """
 
+    ok: bool
     witness_pair: tuple[int, int] | None = None
     witness_commutator: int | None = None
+    __bool__ = _verdict_ok
 
 
 def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
@@ -322,10 +321,9 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
 # isomorphism testing
 
 
-def _iso_fingerprint(g: FiniteGroup) -> tuple:
-    orders = sorted(g.element_orders())
+def _iso_fingerprint(g: FiniteGroup, orders: tuple[int, ...]) -> tuple:
     cents = sorted(m.bit_count() for m in g.centralizer_masks())
-    return (g.order, tuple(orders), tuple(cents), len(center(g)))
+    return (g.order, tuple(sorted(orders)), tuple(cents), len(center(g)))
 
 
 def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
@@ -337,18 +335,13 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
     candidate order), so the returned isomorphism is stable run to run.
     """
     _core._require_group("group_isomorphic", a, b)
-    if _iso_fingerprint(a) != _iso_fingerprint(b):
+    a_orders, b_orders = a.element_orders(), b.element_orders()  # one walk of each group
+    if _iso_fingerprint(a, a_orders) != _iso_fingerprint(b, b_orders):
         return None
     if a.same_table(b):
         return GroupHom._trusted(a, b, tuple(range(a.order)))
-    gens = [g for _, g in a.generator_names]
-    seen = set()
-    gens = [g for g in gens if not (g in seen or seen.add(g))]
-    a_orders = a.element_orders()
-    b_orders = b.element_orders()
-    candidates = [
-        [x for x in range(b.order) if b_orders[x] == a_orders[g]] for g in gens
-    ]
+    gens = list(dict.fromkeys(g for _, g in a.generator_names))
+    candidates = [[x for x in range(b.order) if b_orders[x] == a_orders[g]] for g in gens]
 
     def extend(mapping: list[int]) -> GroupHom | None:
         """Force the map along generator edges, full[x*g] = full[x]*v, from

@@ -11,7 +11,7 @@ at build time rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_ORDER_CAP,
@@ -30,7 +30,7 @@ from .errors import (
     NotCrhError,
     _ensure,
 )
-from .homs import GroupHom, _Verdict, compose, identity_hom, is_centralizer_respecting
+from .homs import GroupHom, _verdict_ok, compose, identity_hom, is_centralizer_respecting
 
 DEFAULT_NODE_CAP = 512
 
@@ -149,19 +149,28 @@ def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerL
 # maps between lattices
 
 
-@dataclass(frozen=True)
-class LatticeMap:
-    """A node map between two centralizer lattices: one target node index
-    per source node, else :class:`DomainMismatchError`."""
-
+class _LatticeMapFields(NamedTuple):
     source: CentralizerLattice
     target: CentralizerLattice
     node_map: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class LatticeMap(_LatticeMapFields):
+    """A node map between two centralizer lattices: one target node index
+    per source node, else :class:`DomainMismatchError`, on ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "LatticeMap":
+        self = super().__new__(cls, *fields, **named)
         n, m = len(self.source.nodes), len(self.target.nodes)
         if len(self.node_map) != n or not all(_is_integral(v) and 0 <= v < m for v in self.node_map):
             raise DomainMismatchError(f"node map {list(self.node_map)} does not send {n} nodes into {m}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "LatticeMap":
+        return cls(*fields)
 
     def is_bijective(self) -> bool:
         return len(set(self.node_map)) == len(self.node_map) == len(self.target.nodes)
@@ -220,8 +229,7 @@ def invert_lattice_map(m: LatticeMap) -> LatticeMap:
     return LatticeMap(m.target, m.source, tuple(inverse))
 
 
-@dataclass(frozen=True)
-class LatticeHomVerdict(_Verdict):
+class LatticeHomVerdict(NamedTuple):
     """Whether a lattice map preserves meet, join and the involution.
 
     ``law``/``witness`` describe the first failure (pairs scanned in
@@ -230,10 +238,12 @@ class LatticeHomVerdict(_Verdict):
     holds when the laws do.
     """
 
+    ok: bool
     law: str | None = None
     witness: tuple[int, ...] | None = None
     preserves_top: bool = True
     preserves_bottom: bool = True
+    __bool__ = _verdict_ok
 
 
 def is_lattice_hom(m: LatticeMap) -> LatticeHomVerdict:
@@ -339,9 +349,10 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
 # functor laws
 
 
-@dataclass(frozen=True)
-class FunctorialityVerdict(_Verdict):
+class FunctorialityVerdict(NamedTuple):
+    ok: bool
     failures: tuple[str, ...] = ()
+    __bool__ = _verdict_ok
 
 
 def verify_functoriality(phi: GroupHom, psi: GroupHom) -> FunctorialityVerdict:

@@ -12,8 +12,8 @@ either one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .core import (
     FiniteGroup,
@@ -83,8 +83,7 @@ def _central_subgroups(g: FiniteGroup) -> list[SubgroupSet]:
     return [sub for sub in all_subgroups(g) if sub.mask & ~zmask == 0]
 
 
-@dataclass(frozen=True)
-class ProjectionRecord:
+class ProjectionRecord(NamedTuple):
     """One central quotient of a catalog group, with both crh verdicts; the
     group and its quotient are ``projection.source`` and ``.target``."""
 

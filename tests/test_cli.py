@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -46,6 +45,37 @@ def test_runs_without_numpy(cli):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == cli("lattice", "quaternion(8)").stdout
+
+
+def test_runs_without_dataclasses(cli):
+    # records are NamedTuples: importing the package loads neither dataclasses
+    # nor inspect, and with dataclasses blocked every kind of command prints
+    # what it prints normally
+    commands = [
+        ["lattice", "quaternion(8)"],
+        ["check-crh", "quotient(semidirect(4,4,3),[x^2*y^2])"],  # crh
+        ["check-crh", "quotient(dihedral(8),[x^2])"],  # not crh, with a witness
+        ["check-crh", "quotient(dihedral(8),[x])"],  # criterion inapplicable
+        ["iso", "dihedral(8)", "quaternion(8)"],
+        ["export", "quotient(dihedral(8),[x^2])"],
+    ]
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import centlat, centlat.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "sys.modules['dataclasses'] = None\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print(centlat.cli.main(argv))\n"
+    )
+    src = str(Path(centlat.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
+    )
+    expected = "".join(f"{p.stdout}{p.returncode}\n" for p in (cli(*argv) for argv in commands))
+    assert (proc.stderr, proc.stdout) == ("", "[]\n" + expected)
 
 
 def test_lattice_dot(cli):
@@ -218,7 +248,7 @@ def test_crh_route_disagreement_exits_2(monkeypatch, capsys):
 
     def flipped(h):
         verdict = real(h)
-        return dataclasses.replace(verdict, ok=not verdict.ok)
+        return verdict._replace(ok=not verdict.ok)
 
     monkeypatch.setattr(verify, "crh_central_kernel_criterion", flipped)
     for argv in (["verify", "corollary", "--n", "3"], ["verify", "figure3"]):

@@ -459,7 +459,7 @@ def test_catalog_validates_each_entry_once(monkeypatch):
         return validate(order, *args)
 
     monkeypatch.setattr(families, "from_multiplication_table", counting)
-    entries = catalog.__wrapped__(64)  # uncached: build it afresh
+    entries = families._catalog.__wrapped__(64)  # uncached: build it afresh
     assert len(entries) == 373
     validated = [e for e in entries if not e.name.startswith("product(")]
     assert sum(calls.values()) == len(validated) == 255
@@ -480,6 +480,31 @@ def test_cover_rejects_non_central_subgroup():
     reflection, centre = closure(d8, [4]), closure(d8, [2])  # {1, y}, {1, x^2}
     with pytest.raises(InternalInconsistencyError, match="must be central"):
         CoverGroup("dihedral_quaternion", 3, d8, reflection, centre)
+    # _replace checks as the constructor does
+    cover = cover_group("dihedral_quaternion", 3)
+    with pytest.raises(InternalInconsistencyError, match="must have order 2"):
+        cover._replace(z_second=closure(cover.group, []))
+    with pytest.raises(InternalInconsistencyError, match="must be central"):
+        cover._replace(group=d8, z_first=reflection, z_second=centre)
+    swapped = cover._replace(z_first=cover.z_second, z_second=cover.z_first)
+    assert (swapped.z_first, swapped.z_second) == (cover.z_second, cover.z_first)
+
+
+def test_family_parameters_must_be_integers():
+    # a bool or a float is no group parameter, not even one equal to an int
+    catalog(1)  # catalog(True) must not be answered from this cache entry
+    calls = [
+        (make_family, ("cyclic", True)),
+        (make_family, ("cyclic", 2.5)),
+        (semidirect_cyclic, (4, 2, True)),
+        (semidirect_cyclic, (4, 2, 1.5)),
+        (cover_group, ("dihedral_quaternion", 3.0)),
+        (catalog, (2.5,)),
+        (catalog, (True,)),
+    ]
+    for call, args in calls:
+        with pytest.raises(UnsupportedParameterError, match="must be an integer"):
+            call(*args)
 
 
 def test_structural_checks_survive_python_O():

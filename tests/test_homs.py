@@ -738,6 +738,28 @@ def test_group_isomorphic_is_deterministic():
     assert h1.mapping == h2.mapping
 
 
+def test_group_isomorphic_walks_each_group_once(monkeypatch):
+    # work counter: the fingerprint and the candidate lists read the
+    # element orders of one cyclic-subgroup walk per group per call
+    walk, walks = core._cyclic_subgroups, Counter()
+
+    def counting(group):
+        walks[id(group)] += 1
+        return walk(group)
+
+    monkeypatch.setattr(core, "_cyclic_subgroups", counting)
+    q16 = make_family("quaternion", 16)
+    cases = [
+        (q16, _relabelled(q16, random.Random(19))),  # isomorphic
+        (make_family("dihedral", 8), make_family("quaternion", 8)),  # fingerprints differ
+        (semidirect_cyclic(4, 4, 3), direct_product(make_family("quaternion", 8), make_family("cyclic", 2))),
+    ]
+    for a, b in cases:
+        walks.clear()
+        group_isomorphic(a, b)
+        assert walks == Counter({id(a): 1, id(b): 1})
+
+
 def _forced_maps(a, b):
     """group_isomorphic(a, b), and how many generator images it forced into
     a full map: calls of its nested ``extend``, counted by a profile hook."""

@@ -8,8 +8,10 @@ import pytest
 from centlat import (
     catalog,
     closure,
+    crh_central_kernel_criterion,
     from_multiplication_table,
     identity_hom,
+    is_centralizer_respecting,
     make_family,
     quotient,
     semidirect_cyclic,
@@ -252,10 +254,42 @@ def test_lattice_map_rejects_malformed_node_maps():
     ]:
         with pytest.raises(DomainMismatchError):
             LatticeMap(lat, target, node_map)
+        with pytest.raises(DomainMismatchError):  # _replace checks as the constructor does
+            LatticeMap(lat, lat, tuple(range(5)))._replace(target=target, node_map=node_map)
     collapse = LatticeMap(lat, point, (0,) * 5)
     assert not collapse.is_bijective()
     identity = invert_lattice_map(LatticeMap(lat, lat, tuple(range(5))))
     assert compose_lattice_maps(collapse, identity).node_map == (0,) * 5
+    assert identity._replace(node_map=(4, 1, 2, 3, 0)).node_map == (4, 1, 2, 3, 0)
+
+
+def test_verdicts_are_immutable_records_true_exactly_when_ok():
+    # each verdict is a tuple, which would always be true without the
+    # shared __bool__; one passing and one failing verdict of each type
+    d8 = make_family("dihedral", 8)
+    _, fails = quotient(d8, closure(d8, [2]))  # D8 -> C2^2, not crh
+    _, passes = quotient(d8, closure(d8, []))
+    lat = lattice_of(d8)
+    swap = LatticeMap(lat, lat, (0, 2, 1, 3, 4))  # swaps two order-4 nodes
+    pairs = [
+        (is_centralizer_respecting(passes), is_centralizer_respecting(fails)),
+        (crh_central_kernel_criterion(passes), crh_central_kernel_criterion(fails)),
+        (is_lattice_hom(swap), is_lattice_hom(LatticeMap(lat, lat, (0, 0, 2, 3, 4)))),
+        (verify_functoriality(passes, identity_hom(passes.target)), None),
+    ]
+    for ok, failed in pairs:
+        if failed is None:
+            failed = ok._replace(ok=False, failures=("a law fails",))
+        assert (ok.ok, failed.ok) == (True, False) and type(ok) is type(failed)
+        for v in (ok, failed):
+            assert bool(v) is v.ok
+            flipped = v._replace(ok=not v.ok)
+            assert bool(flipped) is flipped.ok is not v.ok
+            assert type(flipped) is type(v) and flipped[1:] == v[1:]
+            with pytest.raises(AttributeError):
+                v.ok = not v.ok
+            with pytest.raises(AttributeError):
+                v.note = "a new attribute"
 
 
 # ------------------------------------------------------- lattice isomorphism
