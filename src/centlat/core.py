@@ -32,6 +32,7 @@ from .errors import (
     NotClosedError,
     OrderCapExceededError,
     TableJsonError,
+    UnsupportedParameterError,
     _ensure,
 )
 
@@ -61,20 +62,31 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]
 
 def _is_integral(v) -> bool:
     """An integer index: any ``numbers.Integral`` (NumPy integers included)
-    except ``bool``, which Python counts as an int."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    except ``bool``, which Python counts as an int; plain ints skip the ABC."""
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _require_integers(**params) -> None:
+    """Refuse the first parameter that :func:`_is_integral` rejects."""
+    for name, v in params.items():
+        if not _is_integral(v):
+            raise UnsupportedParameterError(f"{name} must be an integer, got {v!r}")
 
 
 def _mask_of(group: FiniteGroup, indices: Iterable[int]) -> int:
     """Bitmask of ``indices``; the one check of element indices passed in
-    from outside the package.  Each must be integral and in range for
-    ``group``, else ``ValueError`` naming the first one that is not.  A
-    :class:`SubgroupSet` gives its mask if it belongs to a group with the
-    same table, else :class:`DomainMismatchError`."""
+    from outside the package.  ``indices`` must be iterable and each index
+    integral and in range for ``group``, else ``ValueError`` naming the
+    first that is not.  A :class:`SubgroupSet` gives its mask if it belongs
+    to a group with the same table, else :class:`DomainMismatchError`."""
     if isinstance(indices, SubgroupSet):
         if not indices.group.same_table(group):
             raise DomainMismatchError("subgroup belongs to a different group")
         return indices.mask
+    try:
+        indices = iter(indices)
+    except TypeError:
+        raise ValueError(f"{type(indices).__name__} is not an iterable of element indices") from None
     mask = 0
     for i in indices:
         if not _is_integral(i) or not 0 <= i < group.order:
@@ -83,14 +95,13 @@ def _mask_of(group: FiniteGroup, indices: Iterable[int]) -> int:
     return mask
 
 
-def _require_group(where: str, *groups, cap: int | None = None) -> None:
-    """The first check of a public entry point taking groups: a non-group raises
-    :class:`DomainMismatchError` naming its type; then the order ``cap``."""
-    for group in groups:
-        if not isinstance(group, FiniteGroup):
-            raise DomainMismatchError(f"{where} needs a FiniteGroup, not {type(group).__name__}")
-        if cap is not None:
-            _require_order_at_most(group.order, cap)
+def _require(where: str, kind: type, *values) -> None:
+    """The first check of a public function taking a package type: any
+    other value raises :class:`DomainMismatchError` naming the function,
+    the type it needs and the type it got."""
+    for value in values:
+        if not isinstance(value, kind):
+            raise DomainMismatchError(f"{where} needs a {kind.__name__}, not {type(value).__name__}")
 
 
 class FiniteGroup:
@@ -156,9 +167,6 @@ class FiniteGroup:
             return self.element_labels[a]
         return str(a)
 
-    def is_abelian(self) -> bool:
-        return _center_mask(self) == self.full_mask
-
     # -- plumbing -----------------------------------------------------------
 
     def centralizer_masks(self) -> tuple[int, ...]:
@@ -212,7 +220,7 @@ class SubgroupSet:
     __slots__ = ("group", "mask", "members")
 
     def __init__(self, group: FiniteGroup, members: Iterable[int]) -> None:
-        _require_group("SubgroupSet", group)
+        _require("SubgroupSet", FiniteGroup, group)
         self.group, self.mask = group, _mask_of(group, members)
         self.members = tuple(_bits(self.mask))
         self.validate()
@@ -270,9 +278,6 @@ class SubgroupSet:
     def is_trivial(self) -> bool:
         return self.members == (self.group.identity,)
 
-    def is_whole_group(self) -> bool:
-        return self.mask == self.group.full_mask
-
     def __repr__(self) -> str:
         return f"SubgroupSet(order={len(self.members)}, members={list(self.members)})"
 
@@ -308,8 +313,9 @@ def from_multiplication_table(
     row-major order, with the same gather, and the first failing one is
     reported.
     """
-    if order < 1:
+    if not _is_integral(order) or order < 1:
         raise NotClosedError(0, 0, order)
+    order = int(order)  # e.g. a NumPy integer
     try:
         table_rows = iter(table)
     except TypeError:
@@ -502,7 +508,7 @@ def _close_mask(group: FiniteGroup, seed_mask: int) -> int:
 
 def closure(group: FiniteGroup, seed: Iterable[int]) -> SubgroupSet:
     """Subgroup generated by ``seed`` (which may be empty: the trivial subgroup)."""
-    _require_group("closure", group)
+    _require("closure", FiniteGroup, group)
     return SubgroupSet._from_mask(group, _close_mask(group, _mask_of(group, seed)))
 
 
@@ -523,7 +529,7 @@ def centralizer(group: FiniteGroup, target) -> SubgroupSet:
     ``target`` may be any iterable of element indices or a
     :class:`SubgroupSet` of ``group``; the empty set yields the whole group.
     """
-    _require_group("centralizer", group)
+    _require("centralizer", FiniteGroup, group)
     return SubgroupSet._from_mask(group, _centralizer_mask(group, _mask_of(group, target)))
 
 
@@ -535,7 +541,7 @@ def _center_mask(group: FiniteGroup) -> int:
 
 def center(group: FiniteGroup) -> SubgroupSet:
     """Z(G), the centralizer of the named generators, as a subgroup."""
-    _require_group("center", group)
+    _require("center", FiniteGroup, group)
     return SubgroupSet._from_mask(group, _center_mask(group))
 
 
@@ -573,7 +579,7 @@ def _first_commutator_pairs(group: FiniteGroup) -> dict[int, tuple[int, int]]:
 
 def commutator_set(group: FiniteGroup) -> frozenset[int]:
     """The set of commutators a^-1 b^-1 a b — the set itself, not its closure."""
-    _require_group("commutator_set", group)
+    _require("commutator_set", FiniteGroup, group)
     return frozenset(_first_commutator_pairs(group))
 
 
@@ -583,7 +589,9 @@ def commutator_set(group: FiniteGroup) -> frozenset[int]:
 
 def _require_order_at_most(order: int, cap: int, what: str = "group") -> None:
     """The order cap, checked before anything of that order is built or any
-    cached result is returned; the one place that raises the cap error."""
+    cached result is returned; the one place that raises the cap error,
+    after refusing a cap that is not an integer."""
+    _require_integers(cap=cap)
     if order > cap:
         raise OrderCapExceededError(order, cap, what)
 
@@ -615,7 +623,8 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
     column of the group's subgroup table (:func:`_subgroup_table`), which
     is built on the first call and cached.  The cap is checked on every
     call, cached ones included."""
-    _require_group("all_subgroups", group, cap=cap)
+    _require("all_subgroups", FiniteGroup, group)
+    _require_order_at_most(group.order, cap)
     return _subgroup_table(group)[0]
 
 
@@ -708,7 +717,7 @@ _GROUP_KEYS = {"order", "table", "generators", "labels"}
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    _require_group("group_to_json", group)
+    _require("group_to_json", FiniteGroup, group)
     doc: dict = {"order": group.order, "table": [list(r) for r in group.table]}
     if group.generator_names:
         doc["generators"] = {name: i for name, i in group.generator_names}

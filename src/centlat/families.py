@@ -18,8 +18,8 @@ from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
-    _is_integral,
-    _require_group,
+    _require,
+    _require_integers,
     _require_order_at_most,
     center,
     closure,
@@ -32,13 +32,6 @@ from .errors import InternalInconsistencyError, InvalidActionError, UnsupportedP
 def _pair_label(i: int, j: int) -> str:
     """x^i*y^j with zero powers dropped and exponent 1 unwritten; "1" if both are 0."""
     return "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in (("x", i), ("y", j)) if e) or "1"
-
-
-def _require_integers(**params) -> None:
-    """Refuse the first parameter that :func:`~centlat.core._is_integral` rejects."""
-    for name, v in params.items():
-        if not _is_integral(v):
-            raise UnsupportedParameterError(f"{name} must be an integer, got {v!r}")
 
 
 def make_family(kind: str, order: int) -> FiniteGroup:
@@ -99,7 +92,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
     validated: its identity, inverses and generators are the factors'
     paired, the fields validation would give.
     """
-    _require_group("direct_product", a, b)
+    _require("direct_product", FiniteGroup, a, b)
     order = a.order * b.order
     _require_order_at_most(order, cap, "direct product")
     nb = b.order

@@ -25,6 +25,7 @@ from .core import (
     _first_commutator_pairs,
     _gather,
     _is_integral,
+    _require,
     _require_order_at_most,
     _subgroup_table,
     all_subgroups,
@@ -55,7 +56,7 @@ class GroupHom:
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping) -> None:
-        _core._require_group("GroupHom", source, target)
+        _require("GroupHom", FiniteGroup, source, target)
         bad = NotHomomorphismError._bad_map
         try:
             m = tuple(mapping)
@@ -105,33 +106,33 @@ def hom_from_map(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHom:
 
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
-    _core._require_group("identity_hom", group)
+    _require("identity_hom", FiniteGroup, group)
     return GroupHom._trusted(group, group, tuple(range(group.order)))
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
     """outer after inner; requires inner.target and outer.source to agree."""
+    _require("compose", GroupHom, outer, inner)
     if not inner.target.same_table(outer.source):
         raise DomainMismatchError("cannot compose: inner target differs from outer source")
     return GroupHom._trusted(inner.source, outer.target, tuple(outer.mapping[v] for v in inner.mapping))
 
 
 def kernel(h: GroupHom) -> SubgroupSet:
+    _require("kernel", GroupHom, h)
     e = h.target.identity
     return SubgroupSet._from_mask(
         h.source, sum(1 << a for a, v in enumerate(h.mapping) if v == e)
     )
 
 
-def image(h: GroupHom) -> SubgroupSet:
-    return SubgroupSet._from_mask(h.target, h.image_mask(range(h.source.order)))
-
-
 def is_surjective(h: GroupHom) -> bool:
+    _require("is_surjective", GroupHom, h)
     return len(set(h.mapping)) == h.target.order
 
 
-def _require_surjective(h: GroupHom) -> None:
+def _require_surjective(where: str, h: GroupHom) -> None:
+    _require(where, GroupHom, h)
     if not is_surjective(h):
         raise NotSurjectiveError(min(set(range(h.target.order)).difference(h.mapping)))
 
@@ -157,9 +158,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
     steps at C speed.
     """
-    _core._require_group("quotient", group)
-    if not isinstance(n, SubgroupSet):
-        raise DomainMismatchError(f"quotient needs a SubgroupSet, not {type(n).__name__}")
+    _require("quotient", FiniteGroup, group)
+    _require("quotient", SubgroupSet, n)
     t, inverse, mask = group.table, group.inverse, _core._mask_of(group, n)  # n of another group raises
     proj = [-1] * group.order
     reps: list[int] = []
@@ -253,7 +253,7 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
     C(phi(A)) as the centralizer of the images of A's generators.  The
     verdict is cached on the homomorphism.
     """
-    _require_surjective(h)
+    _require_surjective("is_centralizer_respecting", h)
     _require_order_at_most(h.source.order, cap)
     if h._crh_verdict is None:
         h._crh_verdict = next(
@@ -273,7 +273,7 @@ def one_sided_inclusion_holds(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> bool
     This direction holds for every surjective homomorphism; it is exposed
     separately so the containment can be demonstrated on maps that fail the
     full equality."""
-    _require_surjective(h)
+    _require_surjective("one_sided_inclusion_holds", h)
     return all(lhs & ~rhs == 0 for _, lhs, rhs in _centralizer_sweep(h, cap))
 
 
@@ -299,7 +299,7 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
     (the criterion does not apply), and :class:`NotSurjectiveError` when the
     map is not onto.
     """
-    _require_surjective(h)
+    _require_surjective("crh_central_kernel_criterion", h)
     g = h.source
     ker = kernel(h)
     stray = ker.mask & ~_center_mask(g)
@@ -334,7 +334,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
     :func:`hom_from_map` accepts; the search is deterministic (ascending
     candidate order), so the returned isomorphism is stable run to run.
     """
-    _core._require_group("group_isomorphic", a, b)
+    _require("group_isomorphic", FiniteGroup, a, b)
     a_orders, b_orders = a.element_orders(), b.element_orders()  # one walk of each group
     if _iso_fingerprint(a, a_orders) != _iso_fingerprint(b, b_orders):
         return None
@@ -385,6 +385,7 @@ _HOM_KEYS = {"source", "target", "map"}
 
 
 def hom_to_json(h: GroupHom) -> dict:
+    _require("hom_to_json", GroupHom, h)
     return {
         "source": _core.group_to_json(h.source),
         "target": _core.group_to_json(h.target),

@@ -21,7 +21,8 @@ from .core import (
     _center_mask,
     _centralizer_mask,
     _is_integral,
-    _require_group,
+    _require,
+    _require_order_at_most,
 )
 from .errors import (
     DomainMismatchError,
@@ -47,7 +48,7 @@ class CentralizerLattice:
     """
 
     def __init__(self, group: FiniteGroup) -> None:
-        _require_group("CentralizerLattice", group)
+        _require("CentralizerLattice", FiniteGroup, group)
         self.group = group
         node_masks = list(dict.fromkeys((group.full_mask, *group.centralizer_masks())))
         seen = set(node_masks)
@@ -131,14 +132,16 @@ class CentralizerLattice:
 
 def build_centralizer_lattice(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
     """The centralizer lattice of ``group``, after the order cap check."""
-    _require_group("build_centralizer_lattice", group, cap=cap)
+    _require("build_centralizer_lattice", FiniteGroup, group)
+    _require_order_at_most(group.order, cap)
     return CentralizerLattice(group)
 
 
 def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerLattice:
     """Per-group cached lattice (the lattice is canonical, so sharing is
     safe), kept in ``group._lattice``, which only this function sets."""
-    _require_group("lattice_of", group, cap=cap)
+    _require("lattice_of", FiniteGroup, group)
+    _require_order_at_most(group.order, cap)
     lattice = getattr(group, "_lattice", None)
     if lattice is None:
         lattice = group._lattice = build_centralizer_lattice(group, cap)
@@ -185,6 +188,7 @@ def induced_map(phi: GroupHom) -> LatticeMap:
     Verifies the definitional centralizer-respecting property first and
     raises :class:`NotCrhError` (with the witness subgroup) when it fails.
     """
+    _require("induced_map", GroupHom, phi)
     source_lattice = lattice_of(phi.source)
     target_lattice = lattice_of(phi.target)
     verdict = is_centralizer_respecting(phi)
@@ -213,6 +217,7 @@ def _same_lattice(a: CentralizerLattice, b: CentralizerLattice) -> bool:
 
 
 def compose_lattice_maps(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
+    _require("compose_lattice_maps", LatticeMap, outer, inner)
     if not _same_lattice(inner.target, outer.source):
         raise DomainMismatchError("cannot compose: inner target lattice differs from outer source")
     return LatticeMap(
@@ -221,6 +226,7 @@ def compose_lattice_maps(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
 
 
 def invert_lattice_map(m: LatticeMap) -> LatticeMap:
+    _require("invert_lattice_map", LatticeMap, m)
     if not m.is_bijective():
         raise DomainMismatchError("only bijective lattice maps can be inverted")
     inverse = [0] * len(m.node_map)
@@ -247,6 +253,7 @@ class LatticeHomVerdict(NamedTuple):
 
 
 def is_lattice_hom(m: LatticeMap) -> LatticeHomVerdict:
+    _require("is_lattice_hom", LatticeMap, m)
     src, dst, f = m.source, m.target, m.node_map
     count = len(src.nodes)
     preserves_top = f[src.top] == dst.top
@@ -362,6 +369,7 @@ def verify_functoriality(phi: GroupHom, psi: GroupHom) -> FunctorialityVerdict:
     the induced map of ``psi o phi`` equals the composite of the induced
     maps, and that every induced map involved is a lattice homomorphism.
     """
+    _require("verify_functoriality", GroupHom, phi, psi)
     if not phi.target.same_table(psi.source):
         raise DomainMismatchError("pair is not composable: phi.target differs from psi.source")
     failures = []
@@ -386,6 +394,7 @@ def verify_functoriality(phi: GroupHom, psi: GroupHom) -> FunctorialityVerdict:
 
 
 def lattice_to_json(lattice: CentralizerLattice) -> dict:
+    _require("lattice_to_json", CentralizerLattice, lattice)
     pairs = [
         [i, j]
         for i in range(len(lattice.nodes))
@@ -412,6 +421,7 @@ def lattice_to_dot(lattice: CentralizerLattice) -> str:
     0; the involution is drawn as dashed undirected edges between paired
     nodes (self-paired nodes get none).
     """
+    _require("lattice_to_dot", CentralizerLattice, lattice)
     lines = ["digraph centralizer_lattice {", "  rankdir=TB;", '  node [shape=box];']
     for i, node in enumerate(lattice.nodes):
         lines.append(f'  N{i} [label="N{i} (|.|={len(node)})"];')

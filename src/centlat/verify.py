@@ -20,11 +20,11 @@ from .core import (
     SubgroupSet,
     all_subgroups,
     center,
+    closure,
     commutator_set,
 )
 from .errors import InternalInconsistencyError
-from .expr import eval_group_expr, parse_group_expr
-from .families import catalog, cover_group, make_family
+from .families import catalog, cover_group, make_family, semidirect_cyclic
 from .homs import (
     CentralKernelVerdict,
     CrhVerdict,
@@ -134,7 +134,7 @@ def worked_example_report() -> dict:
     """The order-16 twisted product with a central order-2 kernel whose
     quotient is the quaternion group of order 8."""
     cases = []
-    g = eval_group_expr(parse_group_expr("semidirect(4,4,3)")).group
+    g = semidirect_cyclic(4, 4, 3)
     z = center(g)
     cases.append(
         _case(
@@ -151,8 +151,9 @@ def worked_example_report() -> dict:
             f"node orders {list(lat.node_orders())}",
         )
     )
-    result = eval_group_expr(parse_group_expr("quotient(semidirect(4,4,3),[x^2*y^2])"))
-    proj = result.projection
+    gens = dict(g.generator_names)
+    x2y2 = g.mul(g.power(gens["x"], 2), g.power(gens["y"], 2))
+    q, proj = quotient(g, closure(g, [x2y2]))
     ker_members = kernel(proj).members
     comms = commutator_set(g)
     cases.append(
@@ -166,12 +167,12 @@ def worked_example_report() -> dict:
         )
     )
     q8 = make_family("quaternion", 8)
-    iso = group_isomorphic(result.group, q8)
+    iso = group_isomorphic(q, q8)
     cases.append(
         _case(
             "quotient is isomorphic to quaternion(8)",
-            result.group.order == 8 and iso is not None,
-            f"quotient order {result.group.order}",
+            q.order == 8 and iso is not None,
+            f"quotient order {q.order}",
         )
     )
     criterion, definitional = _both_routes(proj, "the worked example")
@@ -199,14 +200,13 @@ def worked_example_report() -> dict:
 # family lattices agree, directly and through the covers
 
 
-def _cover_route(kind: str, n: int, first_family: str, second_family: str, cases: list[dict]):
+def _cover_route(kind: str, n: int, first_family: str, second_family: str, fams: dict, cases: list[dict]):
     """Verify one cover: both projections crh by both routes, both induced
     maps bijective, and the composite lattice isomorphism between the two
-    family groups.  Returns the composite map, or None when a step fails."""
+    family groups in ``fams``.  Returns the composite map, or None when a step fails."""
     cov = cover_group(kind, n)
     legs = []
     for z, family in ((cov.z_first, first_family), (cov.z_second, second_family)):
-        fam = make_family(family, 1 << n)
         q, proj = quotient(cov.group, z)
         mod = f"mod {cov.group.label(z.members[-1])}"
         criterion, _ = _both_routes(proj, f"{kind}(n={n}) {mod}")
@@ -218,7 +218,7 @@ def _cover_route(kind: str, n: int, first_family: str, second_family: str, cases
             )
         )
         ind = induced_map(proj)
-        bridge_iso = group_isomorphic(q, fam)
+        bridge_iso = group_isomorphic(q, fams[family])
         if bridge_iso is None:
             cases.append(
                 _case(f"{kind}(n={n}): quotient is {family}({1 << n})", False, "no isomorphism")
@@ -265,10 +265,10 @@ def family_lattice_report(n: int) -> dict:
                     f"{len(lattice_of(fams[a]).nodes)} nodes each",
                 )
             )
-    routes = [_cover_route("dihedral_quaternion", n, "dihedral", "quaternion", cases)]
+    routes = [_cover_route("dihedral_quaternion", n, "dihedral", "quaternion", fams, cases)]
     if n >= 4:
         routes.append(
-            _cover_route("quaternion_semidihedral", n, "quaternion", "semidihedral", cases)
+            _cover_route("quaternion_semidihedral", n, "quaternion", "semidihedral", fams, cases)
         )
         if all(r is not None for r in routes):
             combined = compose_lattice_maps(routes[1], routes[0])

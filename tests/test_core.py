@@ -12,9 +12,23 @@ from centlat import (
     GroupHom,
     SubgroupSet,
     build_centralizer_lattice,
+    compose,
+    compose_lattice_maps,
+    crh_central_kernel_criterion,
     group_isomorphic,
+    hom_to_json,
     identity_hom,
+    induced_map,
+    invert_lattice_map,
+    is_centralizer_respecting,
+    is_lattice_hom,
+    is_surjective,
+    kernel,
     lattice_of,
+    lattice_to_dot,
+    lattice_to_json,
+    one_sided_inclusion_holds,
+    verify_functoriality,
     core,
     centralizer,
     center,
@@ -38,6 +52,7 @@ from centlat.errors import (
     OrderCapExceededError,
     TableJsonError,
     TableValidationError,
+    UnsupportedParameterError,
 )
 
 from _oracles import (
@@ -221,6 +236,20 @@ def test_numpy_integer_rows_validate_to_the_same_group():
     with pytest.raises(NotClosedError) as exc:
         from_multiplication_table(2, np.array([[0, 1], [1, 0]], dtype=bool))
     assert (exc.value.row, exc.value.col) == (0, 0)
+    # a NumPy order is stored as an int: full_mask was 1 << np.int64(64) - 1,
+    # which wraps to -1, and center() then overflowed
+    c64 = make_family("cyclic", 64)
+    g = from_multiplication_table(np.int64(64), c64.table)
+    assert type(g.order) is int and g.full_mask == c64.full_mask == center(g).mask
+
+
+@pytest.mark.parametrize("order", [True, False, "2", 1.5, 1.0, None, 0])
+def test_group_order_must_be_a_positive_integer(order):
+    # refused like order < 1, before the table is read: True was taken as
+    # order 1, "2" ended in a bare TypeError and 1.5 reported "expected 1.5 rows"
+    with pytest.raises(NotClosedError) as exc:
+        from_multiplication_table(order, [[0]])
+    assert (exc.value.row, exc.value.col, exc.value.value) == (0, 0, order)
 
 
 # ------------------------------------------------------- oracle comparisons
@@ -270,7 +299,7 @@ def test_centralizer_matches_oracle(s3):
 
 
 def test_centralizer_of_empty_is_whole_group(s3):
-    assert centralizer(s3, []).is_whole_group()
+    assert centralizer(s3, []).mask == s3.full_mask
 
 
 def test_commutator_set_matches_oracle(s3, a4):
@@ -652,7 +681,7 @@ def test_subgroupset_ops(s3):
     subs = all_subgroups(s3)
     whole = subs[-1]
     triv = subs[0]
-    assert triv.is_trivial() and whole.is_whole_group()
+    assert triv.is_trivial() and whole.mask == s3.full_mask
     for h in subs:
         assert triv <= h <= whole
         assert (h & whole) == h
@@ -690,9 +719,10 @@ def test_element_indices_are_checked_at_the_boundary(index):
 
 
 def test_entry_points_reject_what_is_not_a_group():
-    # every public function taking a group raises DomainMismatchError
-    # naming the type it got, before reading any attribute of it (a bare
-    # AttributeError before); the first four are the reported calls
+    # every public function taking a group, homomorphism, lattice or lattice
+    # map raises DomainMismatchError naming itself, the type it needs and
+    # the type it got, before reading any attribute of it (a bare
+    # AttributeError before); the first four of each list are reported calls
     d8 = make_family("dihedral", 8)
     calls = [
         ("direct_product", "list", lambda: direct_product(d8, [[0]])),
@@ -715,6 +745,57 @@ def test_entry_points_reject_what_is_not_a_group():
     for where, type_name, call in calls:
         with pytest.raises(DomainMismatchError, match=f"^{where} needs a FiniteGroup, not {type_name}$"):
             call()
+    h, lat = identity_hom(d8), lattice_of(d8)
+    m = induced_map(h)
+    calls = [
+        ("is_centralizer_respecting", "GroupHom", "FiniteGroup", lambda: is_centralizer_respecting(d8)),
+        ("induced_map", "GroupHom", "FiniteGroup", lambda: induced_map(d8)),
+        ("is_lattice_hom", "LatticeMap", "CentralizerLattice", lambda: is_lattice_hom(lat)),
+        ("quotient", "SubgroupSet", "list", lambda: quotient(d8, [0, 4])),
+        ("kernel", "GroupHom", "FiniteGroup", lambda: kernel(d8)),
+        ("is_surjective", "GroupHom", "tuple", lambda: is_surjective(h.mapping)),
+        ("compose", "GroupHom", "FiniteGroup", lambda: compose(h, d8)),
+        ("one_sided_inclusion_holds", "GroupHom", "FiniteGroup", lambda: one_sided_inclusion_holds(d8)),
+        ("crh_central_kernel_criterion", "GroupHom", "NoneType", lambda: crh_central_kernel_criterion(None)),
+        ("hom_to_json", "GroupHom", "dict", lambda: hom_to_json(group_to_json(d8))),
+        ("verify_functoriality", "GroupHom", "LatticeMap", lambda: verify_functoriality(h, m)),
+        ("compose_lattice_maps", "LatticeMap", "GroupHom", lambda: compose_lattice_maps(m, h)),
+        ("invert_lattice_map", "LatticeMap", "CentralizerLattice", lambda: invert_lattice_map(lat)),
+        ("lattice_to_json", "CentralizerLattice", "FiniteGroup", lambda: lattice_to_json(d8)),
+        ("lattice_to_dot", "CentralizerLattice", "LatticeMap", lambda: lattice_to_dot(m)),
+    ]
+    for where, kind, type_name, call in calls:
+        with pytest.raises(DomainMismatchError, match=f"^{where} needs a {kind}, not {type_name}$"):
+            call()
+
+
+@pytest.mark.parametrize("cap", ["x", None, 2.5, True, 8.0])
+def test_caps_must_be_integers(cap):
+    # the reported calls: "x" and None ended in a bare TypeError, 2.5 was
+    # taken as a cap, and True gave "exceeds cap True"; a cap of None no
+    # longer switches the check off where a group is checked directly
+    d8 = make_family("dihedral", 8)
+    h = identity_hom(d8)
+    calls = (
+        lambda: all_subgroups(d8, cap=cap),
+        lambda: direct_product(d8, d8, cap=cap),
+        lambda: is_centralizer_respecting(h, cap=cap),
+        lambda: one_sided_inclusion_holds(h, cap=cap),
+        lambda: lattice_of(d8, cap=cap),
+        lambda: build_centralizer_lattice(d8, cap=cap),
+    )
+    for call in calls:
+        with pytest.raises(UnsupportedParameterError, match=re.escape(f"cap must be an integer, got {cap!r}")):
+            call()
+
+
+def test_element_sets_must_be_iterable():
+    # closure(d8, 5), centralizer(d8, 5) and SubgroupSet(d8, 5) ended in a
+    # bare TypeError; they raise the ValueError of a bad element index
+    d8 = make_family("dihedral", 8)
+    for call in (closure, centralizer, SubgroupSet):
+        with pytest.raises(ValueError, match="^int is not an iterable of element indices$"):
+            call(d8, 5)
 
 
 def test_a_subgroup_of_another_group_is_rejected():

@@ -25,7 +25,6 @@ from centlat import (
     hom_from_map,
     hom_to_json,
     identity_hom,
-    image,
     induced_map,
     is_centralizer_respecting,
     is_surjective,
@@ -156,7 +155,7 @@ def test_image_and_kernel(d8):
     z2 = make_family("cyclic", 2)
     inclusion = hom_from_map(z2, z4, [0, 2])
     assert not is_surjective(inclusion)
-    assert set(image(inclusion)) == {0, 2}
+    assert inclusion.image_mask(range(z2.order)) == 1 << 0 | 1 << 2
     assert kernel(inclusion).is_trivial()
     with pytest.raises(NotSurjectiveError) as exc:
         is_centralizer_respecting(inclusion)
@@ -169,7 +168,7 @@ def test_image_and_kernel(d8):
 def test_quotient_by_center_of_dihedral(d8):
     q, proj = quotient(d8, closure(d8, [2]))
     assert q.order == 4
-    assert q.is_abelian()
+    assert center(q).mask == q.full_mask  # abelian
     # cosets named by least element: {0,2},{1,3},{4,6},{5,7}
     assert proj.mapping == (0, 1, 0, 1, 2, 3, 2, 3)
     # projection is a genuine homomorphism
