@@ -107,10 +107,10 @@ def _require(where: str, kind: type, *values) -> None:
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    Instances are immutable once built; derived data (centralizer masks,
-    the subgroup table of :func:`_subgroup_table`, first commutator pairs)
-    is computed lazily, each value in one field that only this module
-    fills.
+    Instances are immutable once built; derived data (the centralizer
+    table of :func:`_centralizer_table`, the subgroup table of
+    :func:`_subgroup_table`, first commutator pairs) is computed lazily,
+    each value in one field that only this module fills.
     The constructor checks nothing (the trusted path of the module's trust
     rule): use :func:`from_multiplication_table` for untrusted data.  Only
     :func:`centlat.homs.quotient` and :func:`centlat.families.direct_product`
@@ -137,7 +137,7 @@ class FiniteGroup:
         self.element_labels = element_labels
         self.full_mask = (1 << order) - 1
         # lazy caches
-        self._cent_masks: tuple[int, ...] | None = None
+        self._centralizers: tuple | None = None  # the centralizer table, see _centralizer_table
         self._subgroups: tuple | None = None  # the subgroup table, see _subgroup_table
         self._commutator_pairs: dict[int, tuple[int, int]] | None = None
 
@@ -170,34 +170,9 @@ class FiniteGroup:
     # -- plumbing -----------------------------------------------------------
 
     def centralizer_masks(self) -> tuple[int, ...]:
-        """For each element x, the bitmask of elements commuting with x.
-
-        C(xz) = C(x) for z in the center Z, so one row is computed per coset
-        xZ and copied to the rest of the coset.  Z is the intersection of the
-        rows of the named generators, which generate the group: n/|Z| plus
-        |generators| rows instead of n."""
-        if self._cent_masks is None:
-            t, n = self.table, self.order
-
-            def row(x: int) -> int:
-                tx, m = t[x], 0
-                for g in range(n):
-                    if t[g][x] == tx[g]:
-                        m |= 1 << g
-                return m
-
-            generator_rows = {g: row(g) for _, g in self.generator_names}
-            z = self.full_mask
-            for m in generator_rows.values():
-                z &= m
-            zs = _bits(z)
-            masks = [0] * n
-            for x in _least_coset_representatives(self, zs):
-                m = generator_rows[x] if x in generator_rows else row(x)
-                for w in zs:
-                    masks[t[x][w]] = m
-            self._cent_masks = tuple(masks)
-        return self._cent_masks
+        """For each element x, the bitmask of elements commuting with x: the
+        first column of :func:`_centralizer_table`."""
+        return _centralizer_table(self)[0]
 
     def same_table(self, other: "FiniteGroup") -> bool:
         """True when the two objects describe literally the same table."""
@@ -514,7 +489,7 @@ def closure(group: FiniteGroup, seed: Iterable[int]) -> SubgroupSet:
 
 def _centralizer_mask(group: FiniteGroup, mask: int) -> int:
     """Bitmask of the elements commuting with every element of ``mask``."""
-    masks = group.centralizer_masks()
+    masks = _centralizer_table(group)[0]
     out = group.full_mask
     while mask:  # set bits in place, without _bits' list
         low = mask & -mask
@@ -533,10 +508,51 @@ def centralizer(group: FiniteGroup, target) -> SubgroupSet:
     return SubgroupSet._from_mask(group, _centralizer_mask(group, _mask_of(group, target)))
 
 
+def _left_cosets(group: FiniteGroup, members: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Each element's number among the left cosets of the subgroup with
+    elements ``members``, and their representatives, in one ascending pass:
+    the first element not yet in a coset is its least, so the cosets are
+    numbered by least element."""
+    coset, reps = [-1] * group.order, []
+    for g in range(group.order):
+        if coset[g] < 0:
+            row = group.table[g]
+            for x in members:
+                coset[row[x]] = len(reps)
+            reps.append(g)
+    return coset, reps
+
+
+def _centralizer_table(group: FiniteGroup) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The centralizer table of ``group``, cached: each element's
+    centralizer as a mask, the center Z as a mask, and the least element of
+    each coset xZ, ascending.  Z is the intersection of the centralizers of
+    the named generators, which generate the group.  C(xz) = C(x) for z in
+    Z, so one row is computed per coset xZ and shared by the whole coset:
+    n/|Z| plus |generators| rows instead of n."""
+    if group._centralizers is None:
+        t, n = group.table, group.order
+
+        def row(x: int) -> int:
+            tx, m = t[x], 0
+            for g in range(n):
+                if t[g][x] == tx[g]:
+                    m |= 1 << g
+            return m
+
+        generator_rows = {g: row(g) for _, g in group.generator_names}
+        z = group.full_mask
+        for m in generator_rows.values():
+            z &= m
+        coset, reps = _left_cosets(group, _bits(z))
+        rows = [generator_rows[x] if x in generator_rows else row(x) for x in reps]
+        group._centralizers = (tuple(rows[c] for c in coset), z, tuple(reps))
+    return group._centralizers
+
+
 def _center_mask(group: FiniteGroup) -> int:
-    """Z(G) as a mask: the centralizer of the named generators, which
-    generate G."""
-    return _centralizer_mask(group, sum({1 << g for _, g in group.generator_names}))
+    """Z(G) as a mask, read off the centralizer table."""
+    return _centralizer_table(group)[1]
 
 
 def center(group: FiniteGroup) -> SubgroupSet:
@@ -545,27 +561,16 @@ def center(group: FiniteGroup) -> SubgroupSet:
     return SubgroupSet._from_mask(group, _center_mask(group))
 
 
-def _least_coset_representatives(group: FiniteGroup, center_elements: list[int]) -> list[int]:
-    """The least element of each coset xZ of the center Z, ascending."""
-    reps, covered = [], 0
-    for x in range(group.order):
-        if not covered >> x & 1:
-            reps.append(x)
-            row = group.table[x]
-            for w in center_elements:
-                covered |= 1 << row[w]
-    return reps
-
-
 def _first_commutator_pairs(group: FiniteGroup) -> dict[int, tuple[int, int]]:
     """Each commutator a^-1 b^-1 a b, mapped to its first pair (a, b) in
     row-major order, cached.  [az, bz'] = [a, b] for z, z' in the center Z,
-    so the walk covers only pairs of least coset representatives: the first
-    pair (a, b) of a commutator is one, as (min aZ, min bZ) has the same
-    commutator and comes no later.  (n/|Z|)^2 pairs instead of n^2."""
+    so the walk covers only pairs of the centralizer table's least coset
+    representatives: the first pair (a, b) of a commutator is one, as
+    (min aZ, min bZ) has the same commutator and comes no later.
+    (n/|Z|)^2 pairs instead of n^2."""
     if group._commutator_pairs is None:
         t, inverse = group.table, group.inverse
-        reps = _least_coset_representatives(group, _bits(_center_mask(group)))
+        reps = _centralizer_table(group)[2]
         first: dict[int, tuple[int, int]] = {}
         for a in reps:
             ia = inverse[a]

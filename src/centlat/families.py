@@ -18,10 +18,10 @@ from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
+    _center_mask,
     _require,
     _require_integers,
     _require_order_at_most,
-    center,
     closure,
     commutator_set,
     from_multiplication_table,
@@ -150,7 +150,7 @@ class CoverGroup(_CoverGroupFields):
     def __new__(cls, *fields, **named) -> "CoverGroup":
         self = super().__new__(cls, *fields, **named)
         g = self.group
-        zmask = center(g).mask
+        zmask = _center_mask(g)
         comms = commutator_set(g)
         for z in (self.z_first, self.z_second):
             _ensure(len(z) == 2, "distinguished subgroups must have order 2")

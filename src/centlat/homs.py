@@ -22,6 +22,7 @@ from .core import (
     SubgroupSet,
     _bits,
     _center_mask,
+    _centralizer_mask,
     _first_commutator_pairs,
     _gather,
     _is_integral,
@@ -29,7 +30,6 @@ from .core import (
     _require_order_at_most,
     _subgroup_table,
     all_subgroups,
-    center,
 )
 from .errors import (
     DomainMismatchError,
@@ -140,12 +140,13 @@ def _require_surjective(where: str, h: GroupHom) -> None:
 def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]:
     """The quotient by a normal subgroup, plus the projection onto it.
 
-    Left cosets are numbered in one ascending pass: the first element not
-    yet in a coset is the least element of its coset gN, so the cosets come
-    out sorted by least element and quotient tables are deterministic.
-    Normality is checked on those representatives only: g^-1 N g = N holds
-    for g exactly when it holds for gy (y in N), so the first failing element
-    is a representative and the :class:`NotNormalError` witness is the one a
+    Left cosets are numbered by :func:`~centlat.core._left_cosets`, the
+    package's one coset walk, so the cosets come out sorted by least element
+    and quotient tables are deterministic.  The left cosets of any subgroup
+    partition G, normal or not, so normality is checked afterwards, on the
+    representatives only, in ascending order: g^-1 N g = N holds for g
+    exactly when it holds for gy (y in N), so the first failing element is a
+    representative and the :class:`NotNormalError` witness is the one a
     check of every element would find.
 
     The quotient is trusted by construction (see :mod:`centlat.core`): G
@@ -161,19 +162,13 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     _require("quotient", FiniteGroup, group)
     _require("quotient", SubgroupSet, n)
     t, inverse, mask = group.table, group.inverse, _core._mask_of(group, n)  # n of another group raises
-    proj = [-1] * group.order
-    reps: list[int] = []
-    for g in range(group.order):
-        if proj[g] >= 0:
-            continue
-        # g is the least element of gN, so the conjugation check runs once per coset
-        ig, row = inverse[g], t[g]
+    proj, reps = _core._left_cosets(group, n.members)
+    for g in reps:  # g is the least element of gN, so the conjugation check runs once per coset
+        ig = inverse[g]
         for x in n.members:
             conj = t[t[ig][x]][g]
             if not mask >> conj & 1:
                 raise NotNormalError(g, x, conj)
-            proj[row[x]] = len(reps)
-        reps.append(g)
     at_reps, proj = _gather(reps), tuple(proj)
     qtable = tuple(_gather(at_reps(t[ra]))(proj) for ra in reps)  # proj[ra*rb] over rb
     first_name: dict[int, str] = {}  # image -> the first generator name mapped to it
@@ -221,23 +216,19 @@ def _centralizer_sweep(h: GroupHom, cap: int):
     generating set the table keeps for each A, and C(A) is read from it.
     phi(C(A)) depends only on C(A), so it is computed once per distinct
     C(A) and kept for this sweep only.  The images of A's generators
-    generate phi(A), so C(phi(A)) is the intersection of their
-    centralizers in the target.
+    generate phi(A), so C(phi(A)) is the centralizer of their image in the
+    target.
     """
     image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
     subgroups = all_subgroups(h.source, cap)
     _, generators, centralizers = _subgroup_table(h.source)
-    cent, mapping, whole = h.target.centralizer_masks(), h.mapping, h.source.full_mask
     for a_sub, gens, c in zip(subgroups, generators, centralizers):
-        if c == whole:
+        if c == h.source.full_mask:
             continue
         lhs = image_of.get(c)
         if lhs is None:
             lhs = image_of[c] = h.image_mask(_bits(c))
-        rhs = h.target.full_mask
-        for g in gens:
-            rhs &= cent[mapping[g]]
-        yield a_sub, lhs, rhs
+        yield a_sub, lhs, _centralizer_mask(h.target, h.image_mask(gens))
 
 
 def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhVerdict:
@@ -323,7 +314,7 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
 
 def _iso_fingerprint(g: FiniteGroup, orders: tuple[int, ...]) -> tuple:
     cents = sorted(m.bit_count() for m in g.centralizer_masks())
-    return (g.order, tuple(sorted(orders)), tuple(cents), len(center(g)))
+    return (g.order, tuple(sorted(orders)), tuple(cents), _center_mask(g).bit_count())
 
 
 def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:

@@ -166,6 +166,7 @@ class LatticeMap(_LatticeMapFields):
 
     def __new__(cls, *fields, **named) -> "LatticeMap":
         self = super().__new__(cls, *fields, **named)
+        _require("LatticeMap", CentralizerLattice, self.source, self.target)
         n, m = len(self.source.nodes), len(self.target.nodes)
         if len(self.node_map) != n or not all(_is_integral(v) and 0 <= v < m for v in self.node_map):
             raise DomainMismatchError(f"node map {list(self.node_map)} does not send {n} nodes into {m}")
@@ -305,6 +306,7 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
     before being returned.  Lattices of more than ``DEFAULT_NODE_CAP``
     nodes are refused.
     """
+    _require("lattices_isomorphic", CentralizerLattice, a, b)
     count = len(a.nodes)
     if count > DEFAULT_NODE_CAP or len(b.nodes) > DEFAULT_NODE_CAP:
         raise NodeCapExceededError(max(count, len(b.nodes)), DEFAULT_NODE_CAP)

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .core import (
     FiniteGroup,
     SubgroupSet,
+    _center_mask,
     all_subgroups,
     center,
     closure,
@@ -79,7 +80,7 @@ def _both_routes(proj: GroupHom, what: str) -> tuple[CentralKernelVerdict, CrhVe
 
 
 def _central_subgroups(g: FiniteGroup) -> list[SubgroupSet]:
-    zmask = center(g).mask
+    zmask = _center_mask(g)
     return [sub for sub in all_subgroups(g) if sub.mask & ~zmask == 0]
 
 

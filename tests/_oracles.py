@@ -250,6 +250,13 @@ def brute_lattice_join(nodes: list[frozenset[int]], i: int, j: int) -> int:
     return least
 
 
+def brute_left_cosets(table: list[list[int]], members: set[int]) -> tuple[list[int], list[int]]:
+    """Each element's left coset number and the coset representatives, the
+    cosets gH found as sets and numbered by least element."""
+    cosets = sorted({frozenset(table[g][x] for x in members) for g in range(len(table))}, key=min)
+    return [next(i for i, c in enumerate(cosets) if g in c) for g in range(len(table))], [min(c) for c in cosets]
+
+
 def brute_quotient(table: list[list[int]], members: set[int]):
     """The quotient by ``members`` as (projection, quotient table), cosets
     numbered by least element; or, when the subgroup is not normal,
@@ -263,9 +270,7 @@ def brute_quotient(table: list[list[int]], members: set[int]):
             conj = table[table[inverse[g]][x]][g]
             if conj not in members:
                 return ("not normal", g, x, conj)
-    cosets = sorted({frozenset(table[g][x] for x in members) for g in range(n)}, key=min)
-    proj = [next(i for i, c in enumerate(cosets) if g in c) for g in range(n)]
-    reps = [min(c) for c in cosets]
+    proj, reps = brute_left_cosets(table, members)
     return proj, [[proj[table[a][b]] for b in reps] for a in reps]
 
 

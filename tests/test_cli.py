@@ -240,6 +240,19 @@ def test_io_errors(cli, tmp_path):
         assert proc.stdout == "" and "Traceback" not in proc.stderr, name
 
 
+def test_io_errors_name_the_path_pathlib_normalises(cli, tmp_path):
+    # table() reads through pathlib, which drops a leading "./", collapses
+    # "//" and strips a trailing "/"; the message names the normalised path
+    (tmp_path / "dir").mkdir()
+    for arg, message in (
+        ("./missing.json", "[Errno 2] No such file or directory: 'missing.json'"),
+        ("dir//missing.json", "[Errno 2] No such file or directory: 'dir/missing.json'"),
+        ("dir/", "[Errno 21] Is a directory: 'dir'"),
+    ):
+        proc = cli("lattice", f'table("{arg}")', cwd=tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (74, "", f"centlat: error: {message}\n"), arg
+
+
 # ------------------------------------------------------ error classes to codes
 
 

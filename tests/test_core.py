@@ -10,6 +10,7 @@ import pytest
 from centlat import (
     CentralizerLattice,
     GroupHom,
+    LatticeMap,
     SubgroupSet,
     build_centralizer_lattice,
     compose,
@@ -27,6 +28,7 @@ from centlat import (
     lattice_of,
     lattice_to_dot,
     lattice_to_json,
+    lattices_isomorphic,
     one_sided_inclusion_holds,
     verify_functoriality,
     core,
@@ -722,7 +724,8 @@ def test_entry_points_reject_what_is_not_a_group():
     # every public function taking a group, homomorphism, lattice or lattice
     # map raises DomainMismatchError naming itself, the type it needs and
     # the type it got, before reading any attribute of it (a bare
-    # AttributeError before); the first four of each list are reported calls
+    # AttributeError before); the first four of each list and the last two
+    # of the second are reported calls
     d8 = make_family("dihedral", 8)
     calls = [
         ("direct_product", "list", lambda: direct_product(d8, [[0]])),
@@ -763,6 +766,8 @@ def test_entry_points_reject_what_is_not_a_group():
         ("invert_lattice_map", "LatticeMap", "CentralizerLattice", lambda: invert_lattice_map(lat)),
         ("lattice_to_json", "CentralizerLattice", "FiniteGroup", lambda: lattice_to_json(d8)),
         ("lattice_to_dot", "CentralizerLattice", "LatticeMap", lambda: lattice_to_dot(m)),
+        ("lattices_isomorphic", "CentralizerLattice", "FiniteGroup", lambda: lattices_isomorphic(d8, d8)),
+        ("LatticeMap", "CentralizerLattice", "FiniteGroup", lambda: LatticeMap(d8, d8, ())),
     ]
     for where, kind, type_name, call in calls:
         with pytest.raises(DomainMismatchError, match=f"^{where} needs a {kind}, not {type_name}$"):

@@ -424,7 +424,7 @@ def test_finite_group_caches_have_one_owner():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Attribute) and target.attr.startswith("_")
     }
-    assert {"_cent_masks", "_subgroups"} <= caches and "_lattice" not in caches
+    assert {"_centralizers", "_subgroups"} <= caches and "_lattice" not in caches
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(core_path.parent.glob("*.py"))

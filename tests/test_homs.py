@@ -15,6 +15,7 @@ from centlat import (
     center,
     centralizer,
     closure,
+    commutator_set,
     compose,
     crh_central_kernel_criterion,
     direct_product,
@@ -55,6 +56,7 @@ from _oracles import (
     brute_closure,
     brute_crh_verdict,
     brute_first_commutator_in,
+    brute_left_cosets,
     brute_quotient,
     relabel,
     symmetric_group_table,
@@ -238,6 +240,15 @@ def test_quotient_matches_brute_oracle(quotient_groups):
         table = [list(r) for r in g.table]
         for sub in all_subgroups(g):
             assert _quotient_or_witness(g, sub) == brute_quotient(table, set(sub.members))
+
+
+def test_left_cosets_match_brute_oracle(quotient_groups):
+    # the package's one coset walk, which quotient and the centralizer table
+    # share, on every subgroup, normal or not
+    for g in quotient_groups:
+        table = [list(r) for r in g.table]
+        for sub in all_subgroups(g):
+            assert core._left_cosets(g, sub.members) == brute_left_cosets(table, set(sub.members))
 
 
 def _assert_quotient_fields(g, q, proj):
@@ -588,6 +599,32 @@ def test_definitional_sweep_matches_per_subgroup_sweep(sweep_records):
         assert r.definitional.ok == (witness is None), r.group_name
         assert _witness_tuple(r.definitional) == witness, r.group_name
         assert one_sided_inclusion_holds(r.projection) == one_sided, r.group_name
+
+
+def test_center_cosets_walked_once_per_group(monkeypatch):
+    # work counter: the centralizer masks, the center, the commutator walk,
+    # the commutator criterion and the lattice all read Z and its least
+    # coset representatives off the one centralizer table, which walks the
+    # cosets of Z once; the quotient walks its kernel's cosets with the same
+    # function
+    g = _relabelled(semidirect_cyclic(4, 4, 3), random.Random(1))  # fresh: no cache filled
+    calls = Counter()
+    original = core._left_cosets
+
+    def counting(group, members):
+        calls[group is g, tuple(members)] += 1
+        return original(group, members)
+
+    monkeypatch.setattr(core, "_left_cosets", counting)
+    masks = g.centralizer_masks()
+    z = center(g)
+    assert len(commutator_set(g)) == 2
+    n = next(s for s in all_subgroups(g) if len(s) == 2 and s <= z)
+    _, proj = quotient(g, n)
+    crh_central_kernel_criterion(proj)
+    lattice = lattice_of(g)
+    assert len(z) == 4 and lattice.nodes[lattice.bottom] == z and g.centralizer_masks() is masks
+    assert calls == Counter({(True, z.members): 1, (True, n.members): 1})
 
 
 def test_subgroup_centralizers_computed_once_per_group(monkeypatch):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +18,7 @@ from centlat import (
 from centlat.errors import DomainMismatchError, NodeCapExceededError, NotCrhError, OrderCapExceededError
 from centlat.lattice import (
     DEFAULT_NODE_CAP,
+    CentralizerLattice,
     LatticeMap,
     build_centralizer_lattice,
     compose_lattice_maps,
@@ -295,10 +295,12 @@ def test_verdicts_are_immutable_records_true_exactly_when_ok():
 # ------------------------------------------------------- lattice isomorphism
 
 
-class _AbstractLattice:
+class _AbstractLattice(CentralizerLattice):
     """A bounded involution lattice that is no group's centralizer lattice:
     nodes are sets ordered by inclusion, meet and join found by search.  It
-    carries only the fields lattices_isomorphic and is_lattice_hom read."""
+    carries only the fields lattices_isomorphic and is_lattice_hom read; it
+    subclasses CentralizerLattice to pass their type gates, and its own
+    __init__ builds no group."""
 
     def __init__(self, nodes: list[frozenset], involution: list[int]) -> None:
         count = len(nodes)
@@ -377,7 +379,8 @@ def test_lattices_isomorphic_matches_brute_oracle():
 
 
 def test_lattices_isomorphic_refuses_oversized_lattices(q8_lattice):
-    big = SimpleNamespace(nodes=range(DEFAULT_NODE_CAP + 1))
+    big = object.__new__(CentralizerLattice)  # the cap reads only the node count
+    big.nodes = range(DEFAULT_NODE_CAP + 1)
     with pytest.raises(NodeCapExceededError, match="513 exceeds cap 512"):
         lattices_isomorphic(q8_lattice, big)
 
