@@ -658,11 +658,10 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
     Joins are skipped before their Dimino step when the union of K, <z>
     and every <gz> over K's generators g, which lies in the join, meets
     ``bad``; or when it or the product set K<z> (|K| |<z>| / |K & <z>|
-    elements) passes n/2, which makes the join G.  A subgroup of order
-    above n/4 is not extended: anything properly above it is G.  When
-    <K, z_i> has prime index over K, <K, z> = <K, z_i> for every later
-    zuppo z inside it.  Dihedral(256) takes 126 Dimino steps and 0.02 s,
-    C2^6 0.07-0.10 s and C2^7 1.3-1.8 s (Python 3.11, 2-vCPU Xeon VM).
+    elements) passes n/2, which makes the join G.  When <K, z_i> has prime
+    index over K, <K, z> = <K, z_i> for every later zuppo z inside it.
+    Dihedral(256) takes 126 Dimino steps and 0.02 s, C2^6 0.07-0.10 s and
+    C2^7 1.3-1.8 s (Python 3.11, 2-vCPU Xeon VM).
 
     The generating set kept is none for {1}, the least generator for a
     zuppo, the generator names for G, and the parent's set plus z_f(J)
@@ -684,8 +683,6 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
                 gens_of[z_mask] = (z,)
                 todo.append((z_mask, z_elems, (z,), i))
         for k_mask, k_elems, k_gens, f in todo:  # todo grows while it is walked
-            if 4 * len(k_elems) > n:
-                continue
             done = k_mask  # z in done: <K, z> is K or an extension already made
             for i, (z, z_mask, _) in enumerate(zuppos[f + 1 :], f + 1):
                 if done >> z & 1:

@@ -254,9 +254,11 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     Entry names are expressions the CLI accepts.  Groups are cached, so the
     lazy per-group data is shared by everything in one process; each cyclic
     group and each product of two is built once and reused as a factor.
-    ``max_order`` is checked before the cache, where True and 1 are one key.
+    ``max_order`` is checked before the cache, where True and 1 are one key,
+    and refused above the order cap before any group is built.
     """
     _require_integers(max_order=max_order)
+    _require_order_at_most(max_order, DEFAULT_ORDER_CAP, "catalog")
     return _catalog(max_order)
 
 

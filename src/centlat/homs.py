@@ -314,7 +314,8 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
 
 def _iso_fingerprint(g: FiniteGroup, orders: tuple[int, ...]) -> tuple:
     cents = sorted(m.bit_count() for m in g.centralizer_masks())
-    return (g.order, tuple(sorted(orders)), tuple(cents), _center_mask(g).bit_count())
+    # |G| is the length of each tuple, |Z(G)| the count of centralizers of size |G|
+    return (tuple(sorted(orders)), tuple(cents))
 
 
 def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:

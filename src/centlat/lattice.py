@@ -279,19 +279,20 @@ def _order_fingerprints(lattice: CentralizerLattice) -> list[tuple]:
     """Per-node invariants of the abstract (lattice + involution) structure.
 
     Deliberately ignores subgroup sizes: different groups can carry the same
-    abstract lattice on subgroups of different orders.
+    abstract lattice on subgroups of different orders.  The involution
+    reverses the order, so the pair for i holds the count of nodes above i:
+    the count below involution[i].
     """
     count = len(lattice.nodes)
     leq = lattice.leq_masks
     down = [sum(1 for j in range(count) if leq[j] >> i & 1) for i in range(count)]
-    up = [leq[i].bit_count() for i in range(count)]
     heights = [0] * count
     for i in sorted(range(count), key=lambda v: down[v]):
         below = [j for j in range(count) if j != i and leq[j] >> i & 1]
         heights[i] = 1 + max((heights[j] for j in below), default=-1)
     fixed = [lattice.involution[i] == i for i in range(count)]
     base = [
-        (down[i], up[i], heights[i], fixed[i])
+        (down[i], heights[i], fixed[i])
         for i in range(count)
     ]
     return [(base[i], base[lattice.involution[i]]) for i in range(count)]
@@ -310,8 +311,6 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
     count = len(a.nodes)
     if count > DEFAULT_NODE_CAP or len(b.nodes) > DEFAULT_NODE_CAP:
         raise NodeCapExceededError(max(count, len(b.nodes)), DEFAULT_NODE_CAP)
-    if count != len(b.nodes):
-        return None
     fa, fb = _order_fingerprints(a), _order_fingerprints(b)
     if sorted(fa) != sorted(fb):
         return None

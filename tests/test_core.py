@@ -622,8 +622,11 @@ def test_kept_generators_follow_the_canonical_parent():
         # 3,342 steps before the canonical-parent test; 89 of the 368 still
         # return G, joins the bounds cannot see to be the whole group
         (lambda: from_multiplication_table(120, symmetric_group_table(5)), 156, 368, 89),
+        # relabelled, the zuppos come in another order, and two joins pass
+        # half the group only by the union: 4 steps, 2 of them G, without it
+        (lambda: from_multiplication_table(8, relabel(make_family("dihedral", 8).table, [1, 6, 5, 4, 7, 0, 2, 3])), 10, 2, 0),
     ],
-    ids=["dihedral(256)", "C4^3", "S5"],
+    ids=["dihedral(256)", "C4^3", "S5", "relabelled dihedral(8)"],
 )
 def test_joins_that_must_be_the_whole_group_are_skipped(monkeypatch, builder, subgroups, steps, whole):
     # work counter: a join whose product set K<z>, or union of K, <z> and

@@ -29,6 +29,7 @@ from centlat import (
 from centlat.errors import (
     InternalInconsistencyError,
     InvalidActionError,
+    OrderCapExceededError,
     UnsupportedParameterError,
 )
 from centlat.expr import eval_group_expr, parse_group_expr, pretty
@@ -565,6 +566,18 @@ def test_catalog_is_deterministic_and_complete():
         assert expected in names
     for entry in entries:
         assert 1 <= entry.group.order <= 32
+
+
+def test_catalog_refuses_an_oversize_order_before_building(monkeypatch):
+    # work counter: the cap is checked before any group is built, where an
+    # unchecked catalog(300) builds for seconds before a product passes it
+    calls = []
+    monkeypatch.setattr(families, "make_family", lambda *args: calls.append(args))
+    with pytest.raises(OrderCapExceededError, match=r"^catalog order 300 exceeds cap 256$"):
+        catalog(300)
+    with pytest.raises(OrderCapExceededError, match=r"^catalog order 257 exceeds cap 256$"):
+        catalog(257)
+    assert calls == []
 
 
 def test_catalog_names_evaluate_to_their_groups():
