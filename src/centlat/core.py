@@ -33,7 +33,6 @@ from .errors import (
     OrderCapExceededError,
     TableJsonError,
     UnsupportedParameterError,
-    _ensure,
 )
 
 #: Default ceiling on group order for the expensive enumerations.
@@ -187,9 +186,9 @@ class SubgroupSet:
     """A subgroup of a fixed :class:`FiniteGroup`, stored as a bitmask.
 
     The public constructor validates that the members actually form a
-    subgroup (identity, closure, inverses, and Lagrange divisibility as a
-    final sanity check).  Code inside the package that has just produced a
-    closed set goes through :meth:`_from_mask` to skip the re-check.
+    subgroup (identity, closure and inverses).  Code inside the package that
+    has just produced a closed set goes through :meth:`_from_mask` to skip
+    the re-check.
     """
 
     __slots__ = ("group", "mask", "members")
@@ -218,7 +217,6 @@ class SubgroupSet:
             for b in self.members:
                 if not mask >> row[b] & 1:
                     raise ValueError(f"subgroup set is not closed: {a}*{b} escapes")
-        _ensure(g.order % len(self.members) == 0, "subgroup order must divide group order")
 
     # -- set behaviour --------------------------------------------------------
 
@@ -517,8 +515,9 @@ def _left_cosets(group: FiniteGroup, members: Sequence[int]) -> tuple[list[int],
     for g in range(group.order):
         if coset[g] < 0:
             row = group.table[g]
+            number = len(reps)
             for x in members:
-                coset[row[x]] = len(reps)
+                coset[row[x]] = number
             reps.append(g)
     return coset, reps
 

@@ -5,8 +5,12 @@ the whole group (centralizer of the empty set) together with the closure of
 the single-element centralizers under intersection.  Order is set inclusion;
 meet is intersection, join is the centralizer of the intersection of
 centralizers, and taking centralizers once more is an order-reversing
-involution of the node set.  All of that structure is recomputed and checked
-at build time rather than assumed.
+involution of the node set.  The build computes the nodes, the meet table
+(intersection), the order (i <= j when the meet of i and j is i), the
+involution and the join table.  It checks two facts at build time: the
+involution is involutive, and it reverses the order.  Joins follow from
+these: an order-reversing bijection turns the meet of C(X) and C(Y), their
+greatest lower bound, into the least upper bound of X and Y.
 """
 
 from __future__ import annotations
@@ -63,45 +67,34 @@ class CentralizerLattice:
         self.index_of_mask = index_of = {m: i for i, m in enumerate(node_masks)}
         count = len(node_masks)
 
-        self.leq_masks = tuple(
-            sum(1 << j for j, mj in enumerate(node_masks) if mi & ~mj == 0)
-            for mi in node_masks
-        )
-        self.top = count - 1
+        self.top = count - 1  # the full mask is the one node of order |G|, so it sorts last
         self.bottom = 0
         # C(X) = C(X - Z): central elements commute with everything
         non_central = group.full_mask & ~_center_mask(group)
         cents = [_centralizer_mask(group, m & non_central) for m in node_masks]
-        _ensure(node_masks[self.top] == group.full_mask, "top node must be the whole group")
         _ensure(node_masks[self.bottom] == cents[self.top], "bottom node must be the center")
         self.involution = tuple(index_of[c] for c in cents)
-        self.meet_table = tuple(
+        self.meet_table = meet = tuple(
             tuple(index_of[mi & mj] for mj in node_masks) for mi in node_masks
         )
-        # join(X, Y) = C(C(X) meet C(Y)): the involution of a meet of involutions
-        inv, meet = self.involution, self.meet_table
+        # i <= j exactly when their meet is i
+        self.leq_masks = tuple(
+            sum(1 << j for j, m in enumerate(row) if m == i) for i, row in enumerate(meet)
+        )
+        # join(X, Y) = C(C(X) meet C(Y)).  The meet of C(X) and C(Y) is their
+        # greatest lower bound, and an order-reversing bijection (checked in
+        # _validate) turns greatest lower bounds into least upper bounds.
+        inv = self.involution
         self.join_table = tuple(
             tuple(inv[meet[inv[i]][inv[j]]] for j in range(count)) for i in range(count)
         )
         self._validate()
 
     def _validate(self) -> None:
-        count = len(self.nodes)
         inv, leq = self.involution, self.leq_masks
-        swapped = inv[self.top] == self.bottom and inv[self.bottom] == self.top
-        _ensure(swapped, "involution must swap top and bottom")
-        for i in range(count):
-            _ensure(inv[inv[i]] == i, "involution must be involutive")
-        for i in range(count):
-            for j in range(count):
-                if leq[i] >> j & 1:
-                    _ensure(leq[inv[j]] >> inv[i] & 1, "involution must reverse order")
-                # meet is the intersection, hence automatically the greatest
-                # lower bound; the join formula is only trusted after this check.
-                jn = self.join_table[i][j]
-                _ensure(leq[i] >> jn & 1 and leq[j] >> jn & 1, "join must bound both")
-                above_both = leq[i] & leq[j]
-                _ensure(above_both & ~leq[jn] == 0, "join must be the least upper bound")
+        _ensure(all(inv[v] == i for i, v in enumerate(inv)), "involution must be involutive")
+        reverses = all(leq[inv[j]] >> inv[i] & 1 for i in range(len(inv)) for j in _bits(leq[i]))
+        _ensure(reverses, "involution must reverse order")
 
     # -- queries ------------------------------------------------------------
 
@@ -396,12 +389,7 @@ def verify_functoriality(phi: GroupHom, psi: GroupHom) -> FunctorialityVerdict:
 
 def lattice_to_json(lattice: CentralizerLattice) -> dict:
     _require("lattice_to_json", CentralizerLattice, lattice)
-    pairs = [
-        [i, j]
-        for i in range(len(lattice.nodes))
-        for j in range(len(lattice.nodes))
-        if lattice.leq(i, j)
-    ]
+    pairs = [[i, j] for i, up in enumerate(lattice.leq_masks) for j in _bits(up)]
     return {
         "group_order": lattice.group.order,
         "nodes": [

@@ -15,7 +15,13 @@ from centlat import (
     quotient,
     semidirect_cyclic,
 )
-from centlat.errors import DomainMismatchError, NodeCapExceededError, NotCrhError, OrderCapExceededError
+from centlat.errors import (
+    DomainMismatchError,
+    InternalInconsistencyError,
+    NodeCapExceededError,
+    NotCrhError,
+    OrderCapExceededError,
+)
 from centlat.lattice import (
     DEFAULT_NODE_CAP,
     CentralizerLattice,
@@ -139,6 +145,20 @@ def test_covers_and_joins_match_brute_oracle():
         count = len(nodes)
         joins = tuple(tuple(brute_lattice_join(nodes, i, j) for j in range(count)) for i in range(count))
         assert lat.join_table == joins, entry.name
+        subset_order = tuple(sum(1 << j for j, t in enumerate(nodes) if s <= t) for s in nodes)
+        assert lat.leq_masks == subset_order, entry.name
+
+
+def test_validate_refuses_a_corrupt_involution():
+    lat = build_centralizer_lattice(make_family("dihedral", 16))
+    count = len(lat.nodes)
+    assert count > 2
+    lat.involution = tuple((i + 1) % count for i in range(count))
+    with pytest.raises(InternalInconsistencyError, match="involutive"):
+        lat._validate()
+    lat.involution = tuple(range(count))
+    with pytest.raises(InternalInconsistencyError, match="reverse order"):
+        lat._validate()
 
 
 def test_build_matches_cached(q8_lattice):
