@@ -5,12 +5,12 @@ the whole group (centralizer of the empty set) together with the closure of
 the single-element centralizers under intersection.  Order is set inclusion;
 meet is intersection, join is the centralizer of the intersection of
 centralizers, and taking centralizers once more is an order-reversing
-involution of the node set.  The build computes the nodes, the meet table
-(intersection), the order (i <= j when the meet of i and j is i), the
-involution and the join table.  It checks two facts at build time: the
-involution is involutive, and it reverses the order.  Joins follow from
-these: an order-reversing bijection turns the meet of C(X) and C(Y), their
-greatest lower bound, into the least upper bound of X and Y.
+involution of the node set.  The build stores the nodes, the meet table
+(intersection), the order (i <= j when the meet of i and j is i) and the
+involution, and checks two facts: the involution is involutive, and it
+reverses the order.  ``join(s, t)`` derives joins from these: an
+order-reversing bijection turns the meet of C(X) and C(Y), their greatest
+lower bound, into the least upper bound of X and Y.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ class CentralizerLattice:
     centralizers, saturated under intersection.
 
     ``nodes`` is sorted by (subgroup order, members); node 0 is the bottom
-    (the center) and the last node is the top (the whole group).  ``leq``,
-    ``meet``, ``join`` and ``involution`` are precomputed tables over node
-    indices.
+    (the center) and the last node is the top (the whole group).  The
+    order (``leq_masks``), ``meet_table`` and ``involution`` are stored over
+    node indices; ``join(s, t)`` derives a join from the last two.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
@@ -65,9 +65,8 @@ class CentralizerLattice:
         self.nodes: tuple[SubgroupSet, ...] = tuple(nodes)
         self.node_masks = node_masks = tuple(s.mask for s in nodes)
         self.index_of_mask = index_of = {m: i for i, m in enumerate(node_masks)}
-        count = len(node_masks)
 
-        self.top = count - 1  # the full mask is the one node of order |G|, so it sorts last
+        self.top = len(node_masks) - 1  # the full mask is the one node of order |G|, so it sorts last
         self.bottom = 0
         # C(X) = C(X - Z): central elements commute with everything
         non_central = group.full_mask & ~_center_mask(group)
@@ -81,13 +80,6 @@ class CentralizerLattice:
         self.leq_masks = tuple(
             sum(1 << j for j, m in enumerate(row) if m == i) for i, row in enumerate(meet)
         )
-        # join(X, Y) = C(C(X) meet C(Y)).  The meet of C(X) and C(Y) is their
-        # greatest lower bound, and an order-reversing bijection (checked in
-        # _validate) turns greatest lower bounds into least upper bounds.
-        inv = self.involution
-        self.join_table = tuple(
-            tuple(inv[meet[inv[i]][inv[j]]] for j in range(count)) for i in range(count)
-        )
         self._validate()
 
     def _validate(self) -> None:
@@ -100,6 +92,13 @@ class CentralizerLattice:
 
     def leq(self, s: int, t: int) -> bool:
         return bool(self.leq_masks[s] >> t & 1)
+
+    def join(self, s: int, t: int) -> int:
+        """C(C(s) meet C(t)): the involution reverses the order (checked in
+        _validate), so it turns that greatest lower bound into the least
+        upper bound of s and t."""
+        inv = self.involution
+        return inv[self.meet_table[inv[s]][inv[t]]]
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -230,7 +229,8 @@ def invert_lattice_map(m: LatticeMap) -> LatticeMap:
 
 
 class LatticeHomVerdict(NamedTuple):
-    """Whether a lattice map preserves meet, join and the involution.
+    """Whether a lattice map preserves the involution and every meet; it
+    then preserves every join, C(C(s) meet C(t)), which is not checked.
 
     ``law``/``witness`` describe the first failure (pairs scanned in
     ascending order).  Top/bottom preservation is reported but does not by
@@ -256,11 +256,9 @@ def is_lattice_hom(m: LatticeMap) -> LatticeHomVerdict:
         if dst.involution[f[s]] != f[src.involution[s]]:
             return LatticeHomVerdict(False, "involution", (s,), preserves_top, preserves_bottom)
     for s in range(count):
-        for t in range(s, count):
+        for t in range(s + 1, count):  # meet[s][s] is s on both sides
             if f[src.meet_table[s][t]] != dst.meet_table[f[s]][f[t]]:
                 return LatticeHomVerdict(False, "meet", (s, t), preserves_top, preserves_bottom)
-            if f[src.join_table[s][t]] != dst.join_table[f[s]][f[t]]:
-                return LatticeHomVerdict(False, "join", (s, t), preserves_top, preserves_bottom)
     return LatticeHomVerdict(True, None, None, preserves_top, preserves_bottom)
 
 

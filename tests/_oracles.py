@@ -250,6 +250,27 @@ def brute_lattice_join(nodes: list[frozenset[int]], i: int, j: int) -> int:
     return least
 
 
+def brute_lattice_meet(nodes: list[frozenset[int]], i: int, j: int) -> int:
+    """Index of the greatest node inside nodes i and j: the largest of the
+    nodes inside both, checked to contain every one of them."""
+    below = [k for k, s in enumerate(nodes) if s <= nodes[i] & nodes[j]]
+    greatest = max(below, key=lambda k: len(nodes[k]))
+    assert all(nodes[k] <= nodes[greatest] for k in below), "oracle: no greatest lower bound"
+    return greatest
+
+
+def brute_lattice_ranks(nodes: list[frozenset[int]]) -> list[tuple[int, int]]:
+    """Each node's (down-set size, height) under inclusion: the number of
+    nodes inside it, itself included, and the length of the longest chain
+    of nodes strictly inside it, found by recursion on member sets."""
+
+    @functools.cache
+    def height(i: int) -> int:
+        return max((1 + height(j) for j, s in enumerate(nodes) if s < nodes[i]), default=0)
+
+    return [(sum(1 for t in nodes if t <= s), height(i)) for i, s in enumerate(nodes)]
+
+
 def brute_left_cosets(table: list[list[int]], members: set[int]) -> tuple[list[int], list[int]]:
     """Each element's left coset number and the coset representatives, the
     cosets gH found as sets and numbered by least element."""

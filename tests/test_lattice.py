@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from centlat.lattice import (
     DEFAULT_NODE_CAP,
     CentralizerLattice,
     LatticeMap,
+    _order_fingerprints,
     build_centralizer_lattice,
     compose_lattice_maps,
     induced_map,
@@ -39,9 +41,12 @@ from centlat.lattice import (
 )
 
 from _oracles import (
+    brute_centralizer,
     brute_lattice_covers,
     brute_lattice_isomorphism,
     brute_lattice_join,
+    brute_lattice_meet,
+    brute_lattice_ranks,
     relabel,
 )
 
@@ -91,15 +96,15 @@ def test_meet_join_involution(q8_lattice):
     lat = q8_lattice
     # the three four-element nodes are pairwise incomparable atoms over the
     # bottom; meets drop to the center, joins rise to the whole group
-    meet, join, inv = lat.meet_table, lat.join_table, lat.involution
+    meet, join, inv = lat.meet_table, lat.join, lat.involution
     for s, t in ((1, 2), (1, 3), (2, 3)):
         assert meet[s][t] == 0
-        assert join[s][t] == 4
+        assert join(s, t) == 4
         assert not lat.leq(s, t) and not lat.leq(t, s)
     for s in range(5):
-        assert meet[s][s] == s == join[s][s]
+        assert meet[s][s] == s == join(s, s)
         assert meet[s][lat.top] == s
-        assert join[s][lat.bottom] == s
+        assert join(s, lat.bottom) == s
         # involution is its own inverse and antitone
         assert inv[inv[s]] == s
     assert inv[lat.top] == lat.bottom
@@ -128,7 +133,7 @@ def test_join_can_exceed_generated_subgroup():
     lat = lattice_of(g)
     assert lat.node_orders() == (2, 4, 4, 4, 4, 8, 16)
     s, t = 1, 3
-    join = lat.join_table[s][t]
+    join = lat.join(s, t)
     assert join == 6 and len(lat.nodes[join]) == 16
     generated = closure(g, list(lat.nodes[s].members) + list(lat.nodes[t].members))
     assert len(generated) == 8
@@ -143,8 +148,8 @@ def test_covers_and_joins_match_brute_oracle():
         nodes = [frozenset(n.members) for n in lat.nodes]
         assert lat.covers() == tuple(sorted(brute_lattice_covers(nodes))), entry.name
         count = len(nodes)
-        joins = tuple(tuple(brute_lattice_join(nodes, i, j) for j in range(count)) for i in range(count))
-        assert lat.join_table == joins, entry.name
+        joins = [[brute_lattice_join(nodes, i, j) for j in range(count)] for i in range(count)]
+        assert [[lat.join(i, j) for j in range(count)] for i in range(count)] == joins, entry.name
         subset_order = tuple(sum(1 << j for j, t in enumerate(nodes) if s <= t) for s in nodes)
         assert lat.leq_masks == subset_order, entry.name
 
@@ -159,6 +164,17 @@ def test_validate_refuses_a_corrupt_involution():
     lat.involution = tuple(range(count))
     with pytest.raises(InternalInconsistencyError, match="reverse order"):
         lat._validate()
+
+
+def test_build_refuses_a_bottom_node_that_is_not_the_center():
+    # the same centralizer rows, but a center mask that leaves out only the
+    # generator y: C(G) computed from it is C(y), not the bottom node Z(G)
+    g = make_family("dihedral", 8)
+    rows = g.centralizer_masks()  # fills g._centralizers
+    y = dict(g.generator_names)["y"]
+    g._centralizers = (rows, g.full_mask & ~(1 << y), g._centralizers[2])
+    with pytest.raises(InternalInconsistencyError, match="bottom node must be the center"):
+        CentralizerLattice(g)
 
 
 def test_build_matches_cached(q8_lattice):
@@ -239,9 +255,10 @@ def test_functoriality_rejects_non_composable():
         # atoms 1 and 2 meet in the bottom, their images in atom 1
         ("q8", (0, 1, 1, 1, 4), "meet", (1, 2), True, True),
         ("q8", (1, 1, 1, 2, 1), "meet", (0, 3), False, False),
-        # the join of atoms 1 and 2 is node 5; sending it to node 4 keeps the
-        # involution and every meet scanned before the pair (1, 2)
-        ("sd64", (0, 1, 2, 3, 4, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14), "join", (1, 2), True, True),
+        # the join of atoms 1 and 2 is node 5; the map sends it to node 4 and
+        # keeps the involution, so a meet with node 5 breaks: nodes 2 and 5
+        # meet in node 2, nodes 2 and 4 in the bottom
+        ("sd64", (0, 1, 2, 3, 4, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14), "meet", (2, 5), True, True),
         # a constant map onto a self-paired node keeps every law but neither bound
         ("q8", (1, 1, 1, 1, 1), None, None, False, False),
     ],
@@ -253,6 +270,61 @@ def test_is_lattice_hom_reports_the_first_broken_law(group, node_map, law, witne
     assert verdict.ok == (law is None)
     assert (verdict.law, verdict.witness) == (law, witness)
     assert (verdict.preserves_top, verdict.preserves_bottom) == (top, bottom)
+
+
+def _brute_laws(lat):
+    """The involution, meet and join tables of ``lat``, read off member sets."""
+    table = [list(r) for r in lat.group.table]
+    nodes = [frozenset(n.members) for n in lat.nodes]
+    count = len(nodes)
+    inv = [nodes.index(frozenset(brute_centralizer(table, s))) for s in nodes]
+    meet = [[brute_lattice_meet(nodes, i, j) for j in range(count)] for i in range(count)]
+    join = [[brute_lattice_join(nodes, i, j) for j in range(count)] for i in range(count)]
+    return inv, meet, join
+
+
+def _brute_hom_verdict(laws, f) -> bool:
+    """Whether the self-map ``f`` keeps the involution, every meet and every join."""
+    inv, meet, join = laws
+    count = len(inv)
+    return all(f[inv[s]] == inv[f[s]] for s in range(count)) and all(
+        f[meet[s][t]] == meet[f[s]][f[t]] and f[join[s][t]] == join[f[s]][f[t]]
+        for s in range(count)
+        for t in range(count)
+    )
+
+
+def test_dropped_join_law_changes_no_verdict():
+    # is_lattice_hom checks the involution and the meets, not the joins; the
+    # oracle checks all three laws on member sets.  Every self-map of the
+    # catalog(16) lattices of at most 5 nodes, then every self-map of
+    # dihedral(16) that commutes with the involution (7 nodes: each pair of
+    # partners picks one image, each self-paired node a self-paired image)
+    cases = []
+    for entry in catalog(16):
+        lat = lattice_of(entry.group)
+        count = lat.node_count()
+        if count <= 5:
+            cases.append((lat, _brute_laws(lat), itertools.product(range(count), repeat=count)))
+    d16 = lattice_of(make_family("dihedral", 16))
+    laws = _brute_laws(d16)
+    inv, count = laws[0], d16.node_count()
+    firsts = [s for s in range(count) if s <= inv[s]]
+    choices = [[t for t in range(count) if s != inv[s] or t == inv[t]] for s in firsts]
+
+    def commuting():
+        for images in itertools.product(*choices):
+            f = [0] * count
+            for s, t in zip(firsts, images):
+                f[s], f[inv[s]] = t, inv[t]
+            yield tuple(f)
+
+    cases.append((d16, laws, commuting()))
+    for lat, laws, node_maps in cases:
+        verdicts = {f: _brute_hom_verdict(laws, f) for f in node_maps}
+        assert [f for f, want in verdicts.items() if is_lattice_hom(LatticeMap(lat, lat, f)).ok != want] == [], lat
+        if lat is d16:
+            assert len(verdicts) == 7 * 5**5 and 0 < sum(verdicts.values()) < len(verdicts)
 
 
 def test_lattice_map_rejects_malformed_node_maps():
@@ -317,7 +389,7 @@ def test_verdicts_are_immutable_records_true_exactly_when_ok():
 
 class _AbstractLattice(CentralizerLattice):
     """A bounded involution lattice that is no group's centralizer lattice:
-    nodes are sets ordered by inclusion, meet and join found by search.  It
+    nodes are sets ordered by inclusion, meet found by search.  It
     carries only the fields lattices_isomorphic and is_lattice_hom read; it
     subclasses CentralizerLattice to pass their type gates, and its own
     __init__ builds no group."""
@@ -334,11 +406,7 @@ class _AbstractLattice(CentralizerLattice):
         def below(x):  # the largest node inside x
             return [k for k in by_size if nodes[k] <= x][-1]
 
-        def above(x):  # the smallest node containing x
-            return [k for k in by_size if x <= nodes[k]][0]
-
         self.meet_table = tuple(tuple(below(x & y) for y in nodes) for x in nodes)
-        self.join_table = tuple(tuple(above(x | y) for y in nodes) for x in nodes)
 
 
 def _sets(*members: str) -> list[frozenset]:
@@ -370,6 +438,25 @@ def _relabel_nodes(nodes, involution, rng):
     for i, node in enumerate(nodes):
         out[perm[i]], out_inv[perm[i]] = node, perm[involution[i]]
     return out, out_inv
+
+
+def test_order_fingerprints_match_brute_ranks():
+    # down-set sizes and heights against the oracle's, on catalog lattices
+    # (numbered by subgroup order) and on abstract lattices under node
+    # relabellings that number them in no linear extension of the order
+    rng = random.Random(2424)
+    lattices = []
+    for entry in catalog(32):
+        lat = build_centralizer_lattice(entry.group)
+        lattices.append((lat, [frozenset(n.members) for n in lat.nodes]))
+    for nodes, involution in ABSTRACT_LATTICES:
+        for plain in [(nodes, involution)] + [_relabel_nodes(nodes, involution, rng) for _ in range(3)]:
+            lattices.append((_AbstractLattice(*plain), plain[0]))
+    for k, (lat, nodes) in enumerate(lattices):
+        ranks = brute_lattice_ranks(nodes)
+        inv = lat.involution
+        base = [(*ranks[i], inv[i] == i) for i in range(len(ranks))]
+        assert _order_fingerprints(lat) == [(base[i], base[inv[i]]) for i in range(len(base))], k
 
 
 def test_lattices_isomorphic_matches_brute_oracle():
