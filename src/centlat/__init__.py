@@ -46,7 +46,6 @@ from .homs import (
     is_centralizer_respecting,
     is_surjective,
     kernel,
-    one_sided_inclusion_holds,
     quotient,
 )
 from .lattice import (

@@ -204,68 +204,42 @@ class CrhVerdict(NamedTuple):
     __bool__ = _verdict_ok
 
 
-def _centralizer_sweep(h: GroupHom, cap: int):
-    """Yield (A, phi(C(A)), C(phi(A))), both sides as masks, for every
-    non-central subgroup A of the source in (order, members) order.
-
-    A central subgroup A (C(A) = G) is skipped, as it can never fail:
-    phi(C(A)) = phi(G) = Q since phi is onto, and C(phi(A)) contains
-    phi(C(A)), so both sides are Q.  ``all_subgroups`` checks the cap and
-    fills the source group's subgroup table once per group
-    (:func:`~centlat.core._subgroup_table`); both sides come from the
-    generating set the table keeps for each A, and C(A) is read from it.
-    phi(C(A)) depends only on C(A), so it is computed once per distinct
-    C(A) and kept for this sweep only.  The images of A's generators
-    generate phi(A), so C(phi(A)) is the centralizer of their image in the
-    target.
-    """
-    image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
-    subgroups = all_subgroups(h.source, cap)
-    _, generators, centralizers = _subgroup_table(h.source)
-    for a_sub, gens, c in zip(subgroups, generators, centralizers):
-        if c == h.source.full_mask:
-            continue
-        lhs = image_of.get(c)
-        if lhs is None:
-            lhs = image_of[c] = h.image_mask(_bits(c))
-        yield a_sub, lhs, _centralizer_mask(h.target, h.image_mask(gens))
-
-
 def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhVerdict:
     """Definitional check: phi(C(A)) = C(phi(A)) for every subgroup A.
 
-    Requires surjectivity.  Sweeps every non-central subgroup of the
-    source (so the cap applies, cached verdicts included); a central one
-    can never fail, so the first failing subgroup in (order, members)
-    order, the witness, is the same as over every subgroup.  The subgroups,
-    their generating sets and their centralizers come from the source
-    group's subgroup table, so every projection of one group shares them;
-    phi(C(A)) is computed once per distinct C(A) within the sweep, and
-    C(phi(A)) as the centralizer of the images of A's generators.  The
-    verdict is cached on the homomorphism.
+    Requires surjectivity.  Sweeps the subgroups of the source in (order,
+    members) order, so the cap applies (cached verdicts included), and the
+    first A where the two sides differ is the witness.  A central subgroup
+    A (C(A) = G) is skipped, as it can never fail: phi(C(A)) = phi(G) = Q
+    since phi is onto, and C(phi(A)) contains phi(C(A)), so both sides are
+    Q.  The subgroups, a generating set of each and C(A) come from the
+    source group's subgroup table (:func:`~centlat.core._subgroup_table`),
+    filled once per group, so every projection of one group shares them.
+    phi(C(A)) depends only on C(A), so it is computed once per distinct
+    C(A) within the sweep; the images of A's generators generate phi(A),
+    so C(phi(A)) is the centralizer of their image in the target.  The
+    verdict is cached on the homomorphism only once the sweep is complete,
+    so an error partway through caches nothing.
     """
     _require_surjective("is_centralizer_respecting", h)
     _require_order_at_most(h.source.order, cap)
     if h._crh_verdict is None:
-        h._crh_verdict = next(
-            (
-                CrhVerdict(False, CrhWitness(a_sub.members, tuple(_bits(lhs)), tuple(_bits(rhs))))
-                for a_sub, lhs, rhs in _centralizer_sweep(h, cap)
-                if lhs != rhs
-            ),
-            CrhVerdict(True),
-        )
+        verdict = CrhVerdict(True)
+        image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
+        subgroups = all_subgroups(h.source, cap)
+        _, generators, centralizers = _subgroup_table(h.source)
+        for a_sub, gens, c in zip(subgroups, generators, centralizers):
+            if c == h.source.full_mask:
+                continue
+            lhs = image_of.get(c)
+            if lhs is None:
+                lhs = image_of[c] = h.image_mask(_bits(c))
+            rhs = _centralizer_mask(h.target, h.image_mask(gens))
+            if lhs != rhs:
+                verdict = CrhVerdict(False, CrhWitness(a_sub.members, tuple(_bits(lhs)), tuple(_bits(rhs))))
+                break
+        h._crh_verdict = verdict
     return h._crh_verdict
-
-
-def one_sided_inclusion_holds(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    """phi(C(A)) is contained in C(phi(A)) for every subgroup A.
-
-    This direction holds for every surjective homomorphism; it is exposed
-    separately so the containment can be demonstrated on maps that fail the
-    full equality."""
-    _require_surjective("one_sided_inclusion_holds", h)
-    return all(lhs & ~rhs == 0 for _, lhs, rhs in _centralizer_sweep(h, cap))
 
 
 class CentralKernelVerdict(NamedTuple):

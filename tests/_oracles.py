@@ -3,7 +3,9 @@
 Everything here is deliberately naive and shares no code with the package:
 subset saturation instead of coset extension, all-subsets enumeration
 instead of generation, permutation composition instead of table
-constructors.  Slow but obviously correct on small groups.
+constructors.  Slow but obviously correct on small groups.  Self-checks
+raise ``AssertionError`` explicitly: pytest does not rewrite the asserts of
+a helper module, and ``python -O`` strips plain ones.
 """
 
 from __future__ import annotations
@@ -246,7 +248,8 @@ def brute_lattice_join(nodes: list[frozenset[int]], i: int, j: int) -> int:
     the nodes that contain both, checked to lie inside every one of them."""
     above = [k for k, s in enumerate(nodes) if nodes[i] | nodes[j] <= s]
     least = min(above, key=lambda k: len(nodes[k]))
-    assert all(nodes[least] <= nodes[k] for k in above), "oracle: no least upper bound"
+    if not all(nodes[least] <= nodes[k] for k in above):
+        raise AssertionError("oracle: no least upper bound")
     return least
 
 
@@ -255,7 +258,8 @@ def brute_lattice_meet(nodes: list[frozenset[int]], i: int, j: int) -> int:
     nodes inside both, checked to contain every one of them."""
     below = [k for k, s in enumerate(nodes) if s <= nodes[i] & nodes[j]]
     greatest = max(below, key=lambda k: len(nodes[k]))
-    assert all(nodes[k] <= nodes[greatest] for k in below), "oracle: no greatest lower bound"
+    if not all(nodes[k] <= nodes[greatest] for k in below):
+        raise AssertionError("oracle: no greatest lower bound")
     return greatest
 
 
@@ -305,7 +309,8 @@ def brute_lattice_isomorphism(
     and commutes with the involutions is returned."""
     (a_nodes, a_inv), (b_nodes, b_inv) = a, b
     n = len(a_nodes)
-    assert n <= 7 and len(b_nodes) <= 7, "oracle: too many nodes"
+    if n > 7 or len(b_nodes) > 7:
+        raise AssertionError("oracle: too many nodes")
     if n != len(b_nodes):
         return None
     for f in itertools.permutations(range(n)):

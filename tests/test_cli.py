@@ -209,6 +209,16 @@ def test_verify_takes_no_cap(capsys):
     assert "--cap" in capsys.readouterr().err
 
 
+def test_cap_above_the_default_builds_larger_groups(capsys):
+    # expr checks the caller's cap before it calls any constructor, so the
+    # family constructors check none of their own: a DEFAULT_ORDER_CAP check
+    # inside make_family would refuse this order-300 group under --cap 512
+    assert centlat_cli.main(["lattice", "cyclic(300)", "--cap", "512"]) == 0
+    assert json.loads(capsys.readouterr().out)["group_order"] == 300
+    assert centlat_cli.main(["lattice", "cyclic(300)"]) == 64
+    assert "order 300 exceeds cap 256" in capsys.readouterr().err
+
+
 def test_usage_errors_print_to_stderr(cli):
     proc = cli("lattice", "wedge(4)")
     assert proc.stdout == ""

@@ -29,7 +29,6 @@ from centlat import (
     lattice_to_dot,
     lattice_to_json,
     lattices_isomorphic,
-    one_sided_inclusion_holds,
     verify_functoriality,
     core,
     centralizer,
@@ -761,7 +760,6 @@ def test_entry_points_reject_what_is_not_a_group():
         ("kernel", "GroupHom", "FiniteGroup", lambda: kernel(d8)),
         ("is_surjective", "GroupHom", "tuple", lambda: is_surjective(h.mapping)),
         ("compose", "GroupHom", "FiniteGroup", lambda: compose(h, d8)),
-        ("one_sided_inclusion_holds", "GroupHom", "FiniteGroup", lambda: one_sided_inclusion_holds(d8)),
         ("crh_central_kernel_criterion", "GroupHom", "NoneType", lambda: crh_central_kernel_criterion(None)),
         ("hom_to_json", "GroupHom", "dict", lambda: hom_to_json(group_to_json(d8))),
         ("verify_functoriality", "GroupHom", "LatticeMap", lambda: verify_functoriality(h, m)),
@@ -788,7 +786,6 @@ def test_caps_must_be_integers(cap):
         lambda: all_subgroups(d8, cap=cap),
         lambda: direct_product(d8, d8, cap=cap),
         lambda: is_centralizer_respecting(h, cap=cap),
-        lambda: one_sided_inclusion_holds(h, cap=cap),
         lambda: lattice_of(d8, cap=cap),
         lambda: build_centralizer_lattice(d8, cap=cap),
     )

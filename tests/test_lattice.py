@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -547,3 +549,19 @@ def test_lattice_json(q8_lattice):
 
 def test_lattice_dot(q8_lattice):
     assert lattice_to_dot(q8_lattice) == Q8_DOT
+
+
+def test_oracle_self_checks_are_explicit_raises():
+    # pytest does not rewrite the asserts of the helper module _oracles, and
+    # python -O strips plain asserts, so an assert there would leave the
+    # oracles unchecked in an optimised run
+    source = Path(__file__).with_name("_oracles.py")
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+    # two incomparable upper bounds of {0, 1} and {0, 2}: no least one, and
+    # two incomparable lower bounds of {0, 1, 2, 3} and {0, 1, 2, 4}
+    nodes = [frozenset(s) for s in ({0}, {0, 1}, {0, 2}, {0, 1, 2, 3}, {0, 1, 2, 4}, set(range(5)))]
+    with pytest.raises(AssertionError, match="oracle: no least upper bound"):
+        brute_lattice_join(nodes, 1, 2)
+    with pytest.raises(AssertionError, match="oracle: no greatest lower bound"):
+        brute_lattice_meet(nodes, 3, 4)
