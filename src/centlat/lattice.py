@@ -5,12 +5,13 @@ the whole group (centralizer of the empty set) together with the closure of
 the single-element centralizers under intersection.  Order is set inclusion;
 meet is intersection, join is the centralizer of the intersection of
 centralizers, and taking centralizers once more is an order-reversing
-involution of the node set.  The build stores the nodes, the meet table
-(intersection), the order (i <= j when the meet of i and j is i) and the
-involution, and checks two facts: the involution is involutive, and it
-reverses the order.  ``join(s, t)`` derives joins from these: an
-order-reversing bijection turns the meet of C(X) and C(Y), their greatest
-lower bound, into the least upper bound of X and Y.
+involution of the node set.  The build stores the nodes, the order (i <= j
+when node i lies inside node j) and the involution, and checks two facts:
+the involution is involutive, and it reverses the order.  ``meet(s, t)``
+looks the intersection up among the nodes, which the build closes under
+intersection.  ``join(s, t)`` derives joins from meets: an order-reversing
+bijection turns the meet of C(X) and C(Y), their greatest lower bound, into
+the least upper bound of X and Y.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class CentralizerLattice:
 
     ``nodes`` is sorted by (subgroup order, members); node 0 is the bottom
     (the center) and the last node is the top (the whole group).  The
-    order (``leq_masks``), ``meet_table`` and ``involution`` are stored over
-    node indices; ``join(s, t)`` derives a join from the last two.
+    order (``leq_masks``) and the ``involution`` are stored over node
+    indices; ``meet(s, t)`` reads a meet off the node masks and
+    ``join(s, t)`` derives a join from a meet and the involution.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
@@ -73,12 +75,9 @@ class CentralizerLattice:
         cents = [_centralizer_mask(group, m & non_central) for m in node_masks]
         _ensure(node_masks[self.bottom] == cents[self.top], "bottom node must be the center")
         self.involution = tuple(index_of[c] for c in cents)
-        self.meet_table = meet = tuple(
-            tuple(index_of[mi & mj] for mj in node_masks) for mi in node_masks
-        )
-        # i <= j exactly when their meet is i
+        # i <= j exactly when node i lies inside node j
         self.leq_masks = tuple(
-            sum(1 << j for j, m in enumerate(row) if m == i) for i, row in enumerate(meet)
+            sum(1 << j for j, mj in enumerate(node_masks) if mi & mj == mi) for mi in node_masks
         )
         self._validate()
 
@@ -93,12 +92,16 @@ class CentralizerLattice:
     def leq(self, s: int, t: int) -> bool:
         return bool(self.leq_masks[s] >> t & 1)
 
+    def meet(self, s: int, t: int) -> int:
+        """The intersection of nodes s and t: the build closes the nodes under it."""
+        return self.index_of_mask[self.node_masks[s] & self.node_masks[t]]
+
     def join(self, s: int, t: int) -> int:
-        """C(C(s) meet C(t)): the involution reverses the order (checked in
-        _validate), so it turns that greatest lower bound into the least
+        """C(meet(C(s), C(t))): the involution reverses the order (checked
+        in _validate), so it turns that greatest lower bound into the least
         upper bound of s and t."""
         inv = self.involution
-        return inv[self.meet_table[inv[s]][inv[t]]]
+        return inv[self.meet(inv[s], inv[t])]
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -256,8 +259,8 @@ def is_lattice_hom(m: LatticeMap) -> LatticeHomVerdict:
         if dst.involution[f[s]] != f[src.involution[s]]:
             return LatticeHomVerdict(False, "involution", (s,), preserves_top, preserves_bottom)
     for s in range(count):
-        for t in range(s + 1, count):  # meet[s][s] is s on both sides
-            if f[src.meet_table[s][t]] != dst.meet_table[f[s]][f[t]]:
+        for t in range(s + 1, count):  # meet(s, s) is s on both sides
+            if f[src.meet(s, t)] != dst.meet(f[s], f[t]):
                 return LatticeHomVerdict(False, "meet", (s, t), preserves_top, preserves_bottom)
     return LatticeHomVerdict(True, None, None, preserves_top, preserves_bottom)
 
@@ -271,22 +274,18 @@ def _order_fingerprints(lattice: CentralizerLattice) -> list[tuple]:
 
     Deliberately ignores subgroup sizes: different groups can carry the same
     abstract lattice on subgroups of different orders.  The involution
-    reverses the order, so the pair for i holds the count of nodes above i:
-    the count below involution[i].
+    reverses the order, so the count of nodes below i is the count above
+    involution[i], and the pair for i holds the count of nodes above i.
     """
     count = len(lattice.nodes)
-    leq = lattice.leq_masks
-    down = [sum(1 for j in range(count) if leq[j] >> i & 1) for i in range(count)]
+    leq, inv = lattice.leq_masks, lattice.involution
+    down = [leq[inv[i]].bit_count() for i in range(count)]
     heights = [0] * count
     for i in sorted(range(count), key=lambda v: down[v]):
         below = [j for j in range(count) if j != i and leq[j] >> i & 1]
         heights[i] = 1 + max((heights[j] for j in below), default=-1)
-    fixed = [lattice.involution[i] == i for i in range(count)]
-    base = [
-        (down[i], heights[i], fixed[i])
-        for i in range(count)
-    ]
-    return [(base[i], base[lattice.involution[i]]) for i in range(count)]
+    base = [(down[i], heights[i], inv[i] == i) for i in range(count)]
+    return [(base[i], base[inv[i]]) for i in range(count)]
 
 
 def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> LatticeMap | None:

@@ -42,6 +42,34 @@ def alternating_group_table(n: int) -> list[list[int]]:
     return perm_table(sorted(p for p in itertools.permutations(range(n)) if parity(p) == 0))
 
 
+def unitriangular_group_table(generators: list[tuple[int, ...]]) -> list[list[int]]:
+    """Multiplication table of the group generated by upper unitriangular
+    GF(2) matrices.  A matrix is its tuple of rows, row i a bitmask with bit
+    j for column j; the product's row i is the XOR of the right factor's
+    rows j over the bits j of the left factor's row i.  Elements are
+    numbered in sorted order, so the identity (rows 1, 2, 4, ...) is 0."""
+
+    def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        for row in a:
+            acc = 0
+            for j, b_row in enumerate(b):
+                if row >> j & 1:
+                    acc ^= b_row
+            out.append(acc)
+        return tuple(out)
+
+    identity = tuple(1 << j for j in range(len(generators[0])))
+    elements, frontier = {identity}, [identity]
+    while frontier:  # a finite monoid of invertible matrices is a group
+        products = dict.fromkeys(mul(y, g) for y in frontier for g in generators)
+        frontier = [x for x in products if x not in elements]
+        elements.update(frontier)
+    ordered = sorted(elements)
+    index = {x: i for i, x in enumerate(ordered)}
+    return [[index[mul(x, y)] for y in ordered] for x in ordered]
+
+
 def brute_identity(table: list[list[int]]) -> int:
     n = len(table)
     for e in range(n):
@@ -82,13 +110,8 @@ def brute_center(table: list[list[int]]) -> set[int]:
 
 def brute_commutator_set(table: list[list[int]]) -> set[int]:
     n = len(table)
-    out = set()
-    for a in range(n):
-        ia = brute_inverse(table, a)
-        for b in range(n):
-            ib = brute_inverse(table, b)
-            out.add(table[table[table[ia][ib]][a]][b])
-    return out
+    inverse = [brute_inverse(table, a) for a in range(n)]
+    return {table[table[table[inverse[a]][inverse[b]]][a]][b] for a in range(n) for b in range(n)}
 
 
 def is_subgroup(table: list[list[int]], members: set[int]) -> bool:

@@ -28,6 +28,7 @@ from centlat import (
     identity_hom,
     induced_map,
     is_centralizer_respecting,
+    is_lattice_hom,
     is_surjective,
     kernel,
     lattice_of,
@@ -53,12 +54,14 @@ from _oracles import (
     brute_center,
     brute_centralizer,
     brute_closure,
+    brute_commutator_set,
     brute_crh_verdict,
     brute_first_commutator_in,
     brute_left_cosets,
     brute_quotient,
     relabel,
     symmetric_group_table,
+    unitriangular_group_table,
 )
 
 
@@ -434,6 +437,39 @@ def test_negative_control_fails_both_routes(d8):
         d8.mul(d8.mul(d8.inverse[a], d8.inverse[b]), a), b
     )
     assert comm == criterion.witness_commutator and comm in kernel(proj)
+
+
+def test_crh_quotient_of_order_256_that_is_not_an_isoclinism():
+    # G < UT(7, 2) has a commutator subgroup G' larger than its commutator
+    # set K(G); the one element d of G' outside K(G) is central, so G -> G/<d>
+    # is crh (<d> misses K(G)) without being an isoclinism (<d> meets G')
+    table = unitriangular_group_table([(49, 98, 60, 8, 112, 32, 64), (41, 126, 124, 104, 16, 96, 64)])
+    g = from_multiplication_table(len(table), table)
+    center_set, commutators = brute_center(table), brute_commutator_set(table)
+    derived = brute_closure(table, commutators)
+    assert (g.order, len(center_set), len(derived), len(commutators)) == (256, 8, 16, 15)
+    (d,) = derived - commutators
+    assert d in center_set
+    q, proj = quotient(g, closure(g, [d]))
+    assert q.order == 128
+    assert is_centralizer_respecting(proj).ok and crh_central_kernel_criterion(proj).ok
+    lattice_map = induced_map(proj)
+    assert len(lattice_map.node_map) == 21 and lattice_map.is_bijective()
+    assert is_lattice_hom(lattice_map).ok
+    q_table = [list(r) for r in q.table]
+    assert len(brute_closure(q_table, brute_commutator_set(q_table))) == 8
+    # of the nontrivial normal subgroups only <d> and G are crh kernels
+    normal, crh_kernels = 0, []
+    for sub in all_subgroups(g)[1:]:
+        try:
+            _, proj = quotient(g, sub)
+        except NotNormalError:
+            continue
+        normal += 1
+        if is_centralizer_respecting(proj):
+            crh_kernels.append(set(sub))
+    assert normal == 68
+    assert crh_kernels == [{g.identity, d}, set(range(g.order))]
 
 
 def test_criterion_requires_central_kernel(d8):

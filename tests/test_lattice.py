@@ -11,6 +11,7 @@ from centlat import (
     catalog,
     closure,
     crh_central_kernel_criterion,
+    direct_product,
     from_multiplication_table,
     identity_hom,
     is_centralizer_respecting,
@@ -18,6 +19,7 @@ from centlat import (
     quotient,
     semidirect_cyclic,
 )
+from centlat.core import _bits
 from centlat.errors import (
     DomainMismatchError,
     InternalInconsistencyError,
@@ -98,14 +100,14 @@ def test_meet_join_involution(q8_lattice):
     lat = q8_lattice
     # the three four-element nodes are pairwise incomparable atoms over the
     # bottom; meets drop to the center, joins rise to the whole group
-    meet, join, inv = lat.meet_table, lat.join, lat.involution
+    meet, join, inv = lat.meet, lat.join, lat.involution
     for s, t in ((1, 2), (1, 3), (2, 3)):
-        assert meet[s][t] == 0
+        assert meet(s, t) == 0
         assert join(s, t) == 4
         assert not lat.leq(s, t) and not lat.leq(t, s)
     for s in range(5):
-        assert meet[s][s] == s == join(s, s)
-        assert meet[s][lat.top] == s
+        assert meet(s, s) == s == join(s, s)
+        assert meet(s, lat.top) == s
         assert join(s, lat.bottom) == s
         # involution is its own inverse and antitone
         assert inv[inv[s]] == s
@@ -143,8 +145,8 @@ def test_join_can_exceed_generated_subgroup():
 
 
 def test_covers_and_joins_match_brute_oracle():
-    # covers come from the order masks and joins from the meet table and the
-    # involution; the oracle works on member sets alone
+    # covers come from the order masks, meets from the node masks and joins
+    # from meets and the involution; the oracle works on member sets alone
     for entry in catalog(32):
         lat = build_centralizer_lattice(entry.group)
         nodes = [frozenset(n.members) for n in lat.nodes]
@@ -152,8 +154,33 @@ def test_covers_and_joins_match_brute_oracle():
         count = len(nodes)
         joins = [[brute_lattice_join(nodes, i, j) for j in range(count)] for i in range(count)]
         assert [[lat.join(i, j) for j in range(count)] for i in range(count)] == joins, entry.name
+        meets = [[brute_lattice_meet(nodes, i, j) for j in range(count)] for i in range(count)]
+        assert [[lat.meet(i, j) for j in range(count)] for i in range(count)] == meets, entry.name
         subset_order = tuple(sum(1 << j for j, t in enumerate(nodes) if s <= t) for s in nodes)
         assert lat.leq_masks == subset_order, entry.name
+
+
+def test_product_lattice_is_the_product_of_the_factor_lattices():
+    # C(A) = C(pi1 A) x C(pi2 A) for every subset A of a x b, so the nodes of
+    # L(a x b) are the products X x Y of the factors' nodes, and meets are
+    # taken factor by factor; the product numbers (ia, ib) as ia*|b| + ib
+    pairs = 0
+    for ea, eb in itertools.product(catalog(16), repeat=2):
+        a, b = ea.group, eb.group
+        if a.order * b.order > 64:
+            continue
+        pairs += 1
+        la, lb, lp = lattice_of(a), lattice_of(b), lattice_of(direct_product(a, b))
+        products = [
+            [sum(y << ia * b.order for ia in _bits(x)) for y in lb.node_masks] for x in la.node_masks
+        ]
+        assert sorted(lp.node_masks) == sorted(m for row in products for m in row), (ea.name, eb.name)
+        index = [[lp.index_of_mask[m] for m in row] for row in products]
+        for (i, j), (k, l) in itertools.product(
+            itertools.product(range(la.node_count()), range(lb.node_count())), repeat=2
+        ):
+            assert lp.meet(index[i][j], index[k][l]) == index[la.meet(i, k)][lb.meet(j, l)]
+    assert pairs == 788
 
 
 def test_validate_refuses_a_corrupt_involution():
@@ -263,6 +290,10 @@ def test_functoriality_rejects_non_composable():
         ("sd64", (0, 1, 2, 3, 4, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14), "meet", (2, 5), True, True),
         # a constant map onto a self-paired node keeps every law but neither bound
         ("q8", (1, 1, 1, 1, 1), None, None, False, False),
+        # the involution commutes with itself but reverses the order: the
+        # bottom and atom 1 meet in the bottom, their images in atom 1; the
+        # bottom and the top break the law too, and come later in the scan
+        ("q8", (4, 1, 2, 3, 0), "meet", (0, 1), False, False),
     ],
 )
 def test_is_lattice_hom_reports_the_first_broken_law(group, node_map, law, witness, top, bottom):
@@ -392,9 +423,9 @@ def test_verdicts_are_immutable_records_true_exactly_when_ok():
 class _AbstractLattice(CentralizerLattice):
     """A bounded involution lattice that is no group's centralizer lattice:
     nodes are sets ordered by inclusion, meet found by search.  It
-    carries only the fields lattices_isomorphic and is_lattice_hom read; it
-    subclasses CentralizerLattice to pass their type gates, and its own
-    __init__ builds no group."""
+    carries only the fields and the meet query that lattices_isomorphic and
+    is_lattice_hom read; it subclasses CentralizerLattice to pass their type
+    gates, and its own __init__ builds no group."""
 
     def __init__(self, nodes: list[frozenset], involution: list[int]) -> None:
         count = len(nodes)
@@ -402,13 +433,13 @@ class _AbstractLattice(CentralizerLattice):
         self.leq_masks = tuple(
             sum(1 << j for j in range(count) if nodes[i] <= nodes[j]) for i in range(count)
         )
-        by_size = sorted(range(count), key=lambda k: len(nodes[k]))
+        self._by_size = by_size = sorted(range(count), key=lambda k: len(nodes[k]))
         self.bottom, self.top = by_size[0], by_size[-1]
 
-        def below(x):  # the largest node inside x
-            return [k for k in by_size if nodes[k] <= x][-1]
-
-        self.meet_table = tuple(tuple(below(x & y) for y in nodes) for x in nodes)
+    def meet(self, s: int, t: int) -> int:
+        """The largest node inside nodes s and t."""
+        x = self.nodes[s] & self.nodes[t]
+        return [k for k in self._by_size if self.nodes[k] <= x][-1]
 
 
 def _sets(*members: str) -> list[frozenset]:
