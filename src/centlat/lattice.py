@@ -5,13 +5,13 @@ the whole group (centralizer of the empty set) together with the closure of
 the single-element centralizers under intersection.  Order is set inclusion;
 meet is intersection, join is the centralizer of the intersection of
 centralizers, and taking centralizers once more is an order-reversing
-involution of the node set.  The build stores the nodes, the order (i <= j
-when node i lies inside node j) and the involution, and checks two facts:
-the involution is involutive, and it reverses the order.  ``meet(s, t)``
-looks the intersection up among the nodes, which the build closes under
-intersection.  ``join(s, t)`` derives joins from meets: an order-reversing
-bijection turns the meet of C(X) and C(Y), their greatest lower bound, into
-the least upper bound of X and Y.
+involution of the node set.  The build stores the nodes as bitmasks, the
+order (i <= j when node i lies inside node j) and the involution, and checks
+two facts: the involution is involutive, and it reverses the order.
+``meet(s, t)`` looks the intersection up among the nodes, which the build
+closes under intersection.  ``join(s, t)`` derives joins from meets: an
+order-reversing bijection turns the meet of C(X) and C(Y), their greatest
+lower bound, into the least upper bound of X and Y.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import NamedTuple
 from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
-    SubgroupSet,
     _bits,
     _center_mask,
     _centralizer_mask,
@@ -46,7 +45,8 @@ class CentralizerLattice:
     alone: its nodes are the whole group and the single-element
     centralizers, saturated under intersection.
 
-    ``nodes`` is sorted by (subgroup order, members); node 0 is the bottom
+    ``nodes`` holds one bitmask per node, with bit e set when element e
+    lies in it, sorted by (subgroup order, members); node 0 is the bottom
     (the center) and the last node is the top (the whole group).  The
     order (``leq_masks``) and the ``involution`` are stored over node
     indices; ``meet(s, t)`` reads a meet off the node masks and
@@ -56,28 +56,27 @@ class CentralizerLattice:
     def __init__(self, group: FiniteGroup) -> None:
         _require("CentralizerLattice", FiniteGroup, group)
         self.group = group
-        node_masks = list(dict.fromkeys((group.full_mask, *group.centralizer_masks())))
-        seen = set(node_masks)
-        for i, mi in enumerate(node_masks):  # node_masks grows while it is walked
-            for mj in node_masks[:i]:
+        nodes = list(dict.fromkeys((group.full_mask, *group.centralizer_masks())))
+        seen = set(nodes)
+        for i, mi in enumerate(nodes):  # nodes grows while it is walked
+            for mj in nodes[:i]:
                 if mi & mj not in seen:
                     seen.add(mi & mj)
-                    node_masks.append(mi & mj)
-        nodes = sorted((SubgroupSet._from_mask(group, m) for m in node_masks), key=SubgroupSet.sort_key)
-        self.nodes: tuple[SubgroupSet, ...] = tuple(nodes)
-        self.node_masks = node_masks = tuple(s.mask for s in nodes)
-        self.index_of_mask = index_of = {m: i for i, m in enumerate(node_masks)}
+                    nodes.append(mi & mj)
+        nodes.sort(key=lambda m: (m.bit_count(), _bits(m)))
+        self.nodes: tuple[int, ...] = tuple(nodes)
+        self.index_of_mask = index_of = {m: i for i, m in enumerate(nodes)}
 
-        self.top = len(node_masks) - 1  # the full mask is the one node of order |G|, so it sorts last
+        self.top = len(nodes) - 1  # the full mask is the one node of order |G|, so it sorts last
         self.bottom = 0
         # C(X) = C(X - Z): central elements commute with everything
         non_central = group.full_mask & ~_center_mask(group)
-        cents = [_centralizer_mask(group, m & non_central) for m in node_masks]
-        _ensure(node_masks[self.bottom] == cents[self.top], "bottom node must be the center")
+        cents = [_centralizer_mask(group, m & non_central) for m in nodes]
+        _ensure(nodes[self.bottom] == cents[self.top], "bottom node must be the center")
         self.involution = tuple(index_of[c] for c in cents)
         # i <= j exactly when node i lies inside node j
         self.leq_masks = tuple(
-            sum(1 << j for j, mj in enumerate(node_masks) if mi & mj == mi) for mi in node_masks
+            sum(1 << j for j, mj in enumerate(nodes) if mi & mj == mi) for mi in nodes
         )
         self._validate()
 
@@ -94,7 +93,7 @@ class CentralizerLattice:
 
     def meet(self, s: int, t: int) -> int:
         """The intersection of nodes s and t: the build closes the nodes under it."""
-        return self.index_of_mask[self.node_masks[s] & self.node_masks[t]]
+        return self.index_of_mask[self.nodes[s] & self.nodes[t]]
 
     def join(self, s: int, t: int) -> int:
         """C(meet(C(s), C(t))): the involution reverses the order (checked
@@ -107,7 +106,7 @@ class CentralizerLattice:
         return len(self.nodes)
 
     def node_orders(self) -> tuple[int, ...]:
-        return tuple(len(n) for n in self.nodes)
+        return tuple(m.bit_count() for m in self.nodes)
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """(parent, child) pairs of the Hasse diagram, sorted: the parents of
@@ -197,11 +196,11 @@ def induced_map(phi: GroupHom) -> LatticeMap:
         )
     mapping = []
     for node in source_lattice.nodes:
-        img = phi.image_mask(node.members)
+        img = phi.image_mask(_bits(node))
         idx = target_lattice.index_of_mask.get(img)
         if idx is None:  # cannot happen: a crh phi maps C(A) onto C(phi(A)), a node
             raise InternalInconsistencyError(
-                f"image {_bits(img)} of lattice node {list(node.members)} "
+                f"image {_bits(img)} of lattice node {_bits(node)} "
                 "is not a node of the target lattice"
             )
         mapping.append(idx)
@@ -209,7 +208,7 @@ def induced_map(phi: GroupHom) -> LatticeMap:
 
 
 def _same_lattice(a: CentralizerLattice, b: CentralizerLattice) -> bool:
-    return a.group.same_table(b.group) and a.node_masks == b.node_masks
+    return a.group.same_table(b.group) and a.nodes == b.nodes
 
 
 def compose_lattice_maps(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
@@ -274,15 +273,15 @@ def _order_fingerprints(lattice: CentralizerLattice) -> list[tuple]:
 
     Deliberately ignores subgroup sizes: different groups can carry the same
     abstract lattice on subgroups of different orders.  The involution
-    reverses the order, so the count of nodes below i is the count above
-    involution[i], and the pair for i holds the count of nodes above i.
+    reverses the order, so the nodes below i are the images of the nodes
+    above involution[i], and the pair for i holds the count of nodes above i.
     """
     count = len(lattice.nodes)
     leq, inv = lattice.leq_masks, lattice.involution
     down = [leq[inv[i]].bit_count() for i in range(count)]
     heights = [0] * count
     for i in sorted(range(count), key=lambda v: down[v]):
-        below = [j for j in range(count) if j != i and leq[j] >> i & 1]
+        below = [inv[k] for k in _bits(leq[inv[i]]) if k != inv[i]]
         heights[i] = 1 + max((heights[j] for j in below), default=-1)
     base = [(down[i], heights[i], inv[i] == i) for i in range(count)]
     return [(base[i], base[inv[i]]) for i in range(count)]
@@ -390,8 +389,8 @@ def lattice_to_json(lattice: CentralizerLattice) -> dict:
     return {
         "group_order": lattice.group.order,
         "nodes": [
-            {"id": i, "order": len(n), "members": list(n.members)}
-            for i, n in enumerate(lattice.nodes)
+            {"id": i, "order": m.bit_count(), "members": _bits(m)}
+            for i, m in enumerate(lattice.nodes)
         ],
         "leq": pairs,
         "involution": list(lattice.involution),
@@ -409,8 +408,8 @@ def lattice_to_dot(lattice: CentralizerLattice) -> str:
     """
     _require("lattice_to_dot", CentralizerLattice, lattice)
     lines = ["digraph centralizer_lattice {", "  rankdir=TB;", '  node [shape=box];']
-    for i, node in enumerate(lattice.nodes):
-        lines.append(f'  N{i} [label="N{i} (|.|={len(node)})"];')
+    for i, m in enumerate(lattice.nodes):
+        lines.append(f'  N{i} [label="N{i} (|.|={m.bit_count()})"];')
     for parent, child in lattice.covers():
         lines.append(f"  N{parent} -> N{child};")
     for i, j in enumerate(lattice.involution):

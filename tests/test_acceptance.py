@@ -28,6 +28,7 @@ from centlat import (
     quotient,
     semidirect_cyclic,
 )
+from centlat.core import _bits
 from centlat.lattice import (
     induced_map,
     is_lattice_hom,
@@ -266,8 +267,8 @@ def test_acceptance_8_join_is_not_generated_subgroup():
     g = make_family("dihedral", 16)
     lat = lattice_of(g)
     s, t = 1, 3
-    join_node = lat.nodes[lat.join(s, t)]
-    generated = closure(g, list(lat.nodes[s].members) + list(lat.nodes[t].members))
+    join_node = _bits(lat.nodes[lat.join(s, t)])
+    generated = closure(g, _bits(lat.nodes[s]) + _bits(lat.nodes[t]))
     assert set(generated) < set(join_node)
     assert len(generated) == 8 and len(join_node) == 16
     assert generated.mask not in lat.index_of_mask

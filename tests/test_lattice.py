@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from centlat import (
+    CrhVerdict,
+    all_subgroups,
     catalog,
     closure,
     crh_central_kernel_criterion,
@@ -84,7 +86,7 @@ def q8_lattice():
 def test_quaternion_lattice_structure(q8_lattice):
     lat = q8_lattice
     assert lat.node_orders() == (2, 4, 4, 4, 8)
-    assert [n.members for n in lat.nodes] == [
+    assert [tuple(_bits(m)) for m in lat.nodes] == [
         (0, 2),
         (0, 1, 2, 3),
         (0, 2, 4, 6),
@@ -118,9 +120,9 @@ def test_every_node_is_a_centralizer(q8_lattice):
     from centlat import centralizer
 
     g = q8_lattice.group
-    for node in q8_lattice.nodes:
-        again = centralizer(g, centralizer(g, node))
-        assert set(again) == set(node)
+    for mask in q8_lattice.nodes:
+        again = centralizer(g, centralizer(g, _bits(mask)))
+        assert set(again) == set(_bits(mask))
 
 
 def test_abelian_lattice_is_a_point():
@@ -138,18 +140,22 @@ def test_join_can_exceed_generated_subgroup():
     assert lat.node_orders() == (2, 4, 4, 4, 4, 8, 16)
     s, t = 1, 3
     join = lat.join(s, t)
-    assert join == 6 and len(lat.nodes[join]) == 16
-    generated = closure(g, list(lat.nodes[s].members) + list(lat.nodes[t].members))
+    assert join == 6 and lat.nodes[join].bit_count() == 16
+    generated = closure(g, _bits(lat.nodes[s]) + _bits(lat.nodes[t]))
     assert len(generated) == 8
     assert generated.mask not in lat.index_of_mask
 
 
 def test_covers_and_joins_match_brute_oracle():
     # covers come from the order masks, meets from the node masks and joins
-    # from meets and the involution; the oracle works on member sets alone
+    # from meets and the involution; the oracle works on member sets alone.
+    # Nodes sort by (order, members), which the mask values do not follow on
+    # six of these groups
     for entry in catalog(32):
         lat = build_centralizer_lattice(entry.group)
-        nodes = [frozenset(n.members) for n in lat.nodes]
+        members = [tuple(_bits(m)) for m in lat.nodes]
+        assert members == sorted(members, key=lambda t: (len(t), t)), entry.name
+        nodes = [frozenset(t) for t in members]
         assert lat.covers() == tuple(sorted(brute_lattice_covers(nodes))), entry.name
         count = len(nodes)
         joins = [[brute_lattice_join(nodes, i, j) for j in range(count)] for i in range(count)]
@@ -172,9 +178,9 @@ def test_product_lattice_is_the_product_of_the_factor_lattices():
         pairs += 1
         la, lb, lp = lattice_of(a), lattice_of(b), lattice_of(direct_product(a, b))
         products = [
-            [sum(y << ia * b.order for ia in _bits(x)) for y in lb.node_masks] for x in la.node_masks
+            [sum(y << ia * b.order for ia in _bits(x)) for y in lb.nodes] for x in la.nodes
         ]
-        assert sorted(lp.node_masks) == sorted(m for row in products for m in row), (ea.name, eb.name)
+        assert sorted(lp.nodes) == sorted(m for row in products for m in row), (ea.name, eb.name)
         index = [[lp.index_of_mask[m] for m in row] for row in products]
         for (i, j), (k, l) in itertools.product(
             itertools.product(range(la.node_count()), range(lb.node_count())), repeat=2
@@ -209,7 +215,7 @@ def test_build_refuses_a_bottom_node_that_is_not_the_center():
 def test_build_matches_cached(q8_lattice):
     g = q8_lattice.group
     fresh = build_centralizer_lattice(g)
-    assert [n.members for n in fresh.nodes] == [n.members for n in q8_lattice.nodes]
+    assert [tuple(_bits(m)) for m in fresh.nodes] == [tuple(_bits(m)) for m in q8_lattice.nodes]
     assert lattice_of(g) is lattice_of(g)  # cached per group
 
 
@@ -247,6 +253,18 @@ def test_induced_map_rejects_non_crh():
     with pytest.raises(NotCrhError) as exc:
         induced_map(proj)
     assert exc.value.witness.subgroup == (0, 4)
+
+
+def test_induced_map_names_an_image_that_is_no_node(monkeypatch):
+    # D6 -> D6/C3 is not crh; with the definitional check forced to pass,
+    # the center's image {0} is no node of the abelian quotient's lattice
+    d6 = make_family("dihedral", 6)
+    _, proj = quotient(d6, next(h for h in all_subgroups(d6) if len(h) == 3))
+    assert not is_centralizer_respecting(proj)
+    monkeypatch.setattr("centlat.lattice.is_centralizer_respecting", lambda phi: CrhVerdict(True))
+    with pytest.raises(InternalInconsistencyError) as exc:
+        induced_map(proj)
+    assert str(exc.value) == "image [0] of lattice node [0] is not a node of the target lattice"
 
 
 def test_identity_induces_identity():
@@ -308,7 +326,7 @@ def test_is_lattice_hom_reports_the_first_broken_law(group, node_map, law, witne
 def _brute_laws(lat):
     """The involution, meet and join tables of ``lat``, read off member sets."""
     table = [list(r) for r in lat.group.table]
-    nodes = [frozenset(n.members) for n in lat.nodes]
+    nodes = [frozenset(_bits(m)) for m in lat.nodes]
     count = len(nodes)
     inv = [nodes.index(frozenset(brute_centralizer(table, s))) for s in nodes]
     meet = [[brute_lattice_meet(nodes, i, j) for j in range(count)] for i in range(count)]
@@ -386,6 +404,18 @@ def test_lattice_map_rejects_malformed_node_maps():
     identity = invert_lattice_map(LatticeMap(lat, lat, tuple(range(5))))
     assert compose_lattice_maps(collapse, identity).node_map == (0,) * 5
     assert identity._replace(node_map=(4, 1, 2, 3, 0)).node_map == (4, 1, 2, 3, 0)
+
+
+def test_compose_lattice_maps_refuses_a_different_middle_lattice():
+    # Z4 and Z2^2 are abelian, so each lattice is the one node {0, 1, 2, 3}:
+    # equal node masks, different tables
+    c4 = lattice_of(make_family("cyclic", 4))
+    v4 = lattice_of(direct_product(make_family("cyclic", 2), make_family("cyclic", 2)))
+    assert c4.nodes == v4.nodes == (0b1111,)
+    inner, outer = LatticeMap(c4, c4, (0,)), LatticeMap(v4, v4, (0,))
+    assert compose_lattice_maps(inner, inner).node_map == (0,)
+    with pytest.raises(DomainMismatchError, match="inner target lattice differs"):
+        compose_lattice_maps(outer, inner)
 
 
 def test_verdicts_are_immutable_records_true_exactly_when_ok():
@@ -481,7 +511,7 @@ def test_order_fingerprints_match_brute_ranks():
     lattices = []
     for entry in catalog(32):
         lat = build_centralizer_lattice(entry.group)
-        lattices.append((lat, [frozenset(n.members) for n in lat.nodes]))
+        lattices.append((lat, [frozenset(_bits(m)) for m in lat.nodes]))
     for nodes, involution in ABSTRACT_LATTICES:
         for plain in [(nodes, involution)] + [_relabel_nodes(nodes, involution, rng) for _ in range(3)]:
             lattices.append((_AbstractLattice(*plain), plain[0]))
@@ -505,7 +535,7 @@ def test_lattices_isomorphic_matches_brute_oracle():
         rng.shuffle(perm)
         twin = from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm))
         for lat in (lattice_of(g), lattice_of(twin)):
-            lattices.append((lat, ([frozenset(n.members) for n in lat.nodes], list(lat.involution))))
+            lattices.append((lat, ([frozenset(_bits(m)) for m in lat.nodes], list(lat.involution))))
     for nodes, involution in ABSTRACT_LATTICES:
         for plain in [(nodes, involution)] + [_relabel_nodes(nodes, involution, rng) for _ in range(3)]:
             lattices.append((_AbstractLattice(*plain), plain))
