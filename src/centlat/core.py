@@ -486,8 +486,10 @@ def closure(group: FiniteGroup, seed: Iterable[int]) -> SubgroupSet:
 
 
 def _centralizer_mask(group: FiniteGroup, mask: int) -> int:
-    """Bitmask of the elements commuting with every element of ``mask``."""
-    masks = _centralizer_table(group)[0]
+    """Bitmask of the elements commuting with every element of ``mask``;
+    C(X) = C(X - Z(G)), so the central bits of ``mask`` are dropped first."""
+    masks, z, _ = _centralizer_table(group)
+    mask &= ~z
     out = group.full_mask
     while mask:  # set bits in place, without _bits' list
         low = mask & -mask

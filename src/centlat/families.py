@@ -19,6 +19,7 @@ from .core import (
     FiniteGroup,
     SubgroupSet,
     _center_mask,
+    _mask_of,
     _require,
     _require_integers,
     _require_order_at_most,
@@ -141,8 +142,8 @@ class CoverGroup(_CoverGroupFields):
     """A group with two distinguished central order-2 subgroups.
 
     Quotienting by one central subgroup or the other lands in two different
-    families; both subgroups avoid every nontrivial commutator, which the
-    constructor and ``_replace`` check.
+    families; both subgroups belong to its table and avoid every nontrivial
+    commutator, which the constructor and ``_replace`` check.
     """
 
     __slots__ = ()
@@ -150,11 +151,13 @@ class CoverGroup(_CoverGroupFields):
     def __new__(cls, *fields, **named) -> "CoverGroup":
         self = super().__new__(cls, *fields, **named)
         g = self.group
+        _require("CoverGroup", FiniteGroup, g)
+        _require("CoverGroup", SubgroupSet, self.z_first, self.z_second)
         zmask = _center_mask(g)
         comms = commutator_set(g)
         for z in (self.z_first, self.z_second):
             _ensure(len(z) == 2, "distinguished subgroups must have order 2")
-            _ensure(z.mask & ~zmask == 0, "distinguished subgroups must be central")
+            _ensure(_mask_of(g, z) & ~zmask == 0, "distinguished subgroups must be central")
             misses = all(c == g.identity or c not in z for c in comms)
             _ensure(misses, "distinguished subgroups must miss every nontrivial commutator")
         return self

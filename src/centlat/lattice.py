@@ -22,7 +22,6 @@ from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     _bits,
-    _center_mask,
     _centralizer_mask,
     _is_integral,
     _require,
@@ -42,8 +41,8 @@ DEFAULT_NODE_CAP = 512
 
 class CentralizerLattice:
     """The centralizer lattice of a finite group, built from the group
-    alone: its nodes are the whole group and the single-element
-    centralizers, saturated under intersection.
+    alone in one pass: starting from {G}, each distinct centralizer C(x)
+    adds its intersection with every node found so far.
 
     ``nodes`` holds one bitmask per node, with bit e set when element e
     lies in it, sorted by (subgroup order, members); node 0 is the bottom
@@ -56,22 +55,16 @@ class CentralizerLattice:
     def __init__(self, group: FiniteGroup) -> None:
         _require("CentralizerLattice", FiniteGroup, group)
         self.group = group
-        nodes = list(dict.fromkeys((group.full_mask, *group.centralizer_masks())))
-        seen = set(nodes)
-        for i, mi in enumerate(nodes):  # nodes grows while it is walked
-            for mj in nodes[:i]:
-                if mi & mj not in seen:
-                    seen.add(mi & mj)
-                    nodes.append(mi & mj)
-        nodes.sort(key=lambda m: (m.bit_count(), _bits(m)))
+        closed = {group.full_mask}
+        for c in set(group.centralizer_masks()):  # closed: every meet of G and the C(x) so far
+            closed |= {c & m for m in closed}
+        nodes = sorted(closed, key=lambda m: (m.bit_count(), _bits(m)))
         self.nodes: tuple[int, ...] = tuple(nodes)
         self.index_of_mask = index_of = {m: i for i, m in enumerate(nodes)}
 
         self.top = len(nodes) - 1  # the full mask is the one node of order |G|, so it sorts last
         self.bottom = 0
-        # C(X) = C(X - Z): central elements commute with everything
-        non_central = group.full_mask & ~_center_mask(group)
-        cents = [_centralizer_mask(group, m & non_central) for m in nodes]
+        cents = [_centralizer_mask(group, m) for m in nodes]
         _ensure(nodes[self.bottom] == cents[self.top], "bottom node must be the center")
         self.involution = tuple(index_of[c] for c in cents)
         # i <= j exactly when node i lies inside node j
@@ -153,18 +146,23 @@ class _LatticeMapFields(NamedTuple):
 
 
 class LatticeMap(_LatticeMapFields):
-    """A node map between two centralizer lattices: one target node index
-    per source node, else :class:`DomainMismatchError`, on ``_replace`` too."""
+    """A node map between two centralizer lattices: any iterable of one
+    target node index per source node, stored as a tuple of ints, else
+    :class:`DomainMismatchError`, on ``_replace`` too."""
 
     __slots__ = ()
 
     def __new__(cls, *fields, **named) -> "LatticeMap":
-        self = super().__new__(cls, *fields, **named)
-        _require("LatticeMap", CentralizerLattice, self.source, self.target)
-        n, m = len(self.source.nodes), len(self.target.nodes)
-        if len(self.node_map) != n or not all(_is_integral(v) and 0 <= v < m for v in self.node_map):
-            raise DomainMismatchError(f"node map {list(self.node_map)} does not send {n} nodes into {m}")
-        return self
+        source, target, node_map = super().__new__(cls, *fields, **named)
+        _require("LatticeMap", CentralizerLattice, source, target)
+        try:
+            node_map = tuple(node_map)
+        except TypeError:
+            raise DomainMismatchError(f"{type(node_map).__name__} is not an iterable of node indices") from None
+        n, m = len(source.nodes), len(target.nodes)
+        if len(node_map) != n or not all(_is_integral(v) and 0 <= v < m for v in node_map):
+            raise DomainMismatchError(f"node map {list(node_map)} does not send {n} nodes into {m}")
+        return super().__new__(cls, source, target, tuple(map(int, node_map)))
 
     @classmethod
     def _make(cls, fields) -> "LatticeMap":
@@ -316,7 +314,7 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
             if (leq_a[i] >> s & 1) != (leq_b[j] >> t & 1):
                 return False
         w = a.involution[i]
-        if w < i and mapping[w] != -1 and b.involution[j] != mapping[w]:
+        if w < i and b.involution[j] != mapping[w]:  # nodes are assigned in index order
             return False
         return True
 

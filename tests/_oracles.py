@@ -255,6 +255,18 @@ def relabel(table: list[list[int]], perm: list[int]) -> list[list[int]]:
     return out
 
 
+def brute_lattice_nodes(table: list[list[int]]) -> set[frozenset[int]]:
+    """The member sets of the centralizer lattice: the whole group and every
+    element centralizer, closed under pairwise intersection until nothing
+    changes."""
+    nodes = {frozenset(range(len(table)))} | {frozenset(brute_centralizer(table, {x})) for x in range(len(table))}
+    while True:
+        meets = {a & b for a in nodes for b in nodes}
+        if meets <= nodes:
+            return nodes
+        nodes |= meets
+
+
 def brute_lattice_covers(nodes: list[frozenset[int]]) -> set[tuple[int, int]]:
     """(parent, child) index pairs of the Hasse diagram of ``nodes`` under
     inclusion: child strictly inside parent with no node strictly between."""

@@ -12,6 +12,7 @@ import pytest
 import centlat
 from centlat import (
     CoverGroup,
+    all_subgroups,
     catalog,
     center,
     cli,
@@ -27,6 +28,7 @@ from centlat import (
     semidirect_cyclic,
 )
 from centlat.errors import (
+    DomainMismatchError,
     InternalInconsistencyError,
     InvalidActionError,
     OrderCapExceededError,
@@ -489,6 +491,16 @@ def test_cover_rejects_non_central_subgroup():
         cover._replace(group=d8, z_first=reflection, z_second=centre)
     swapped = cover._replace(z_first=cover.z_second, z_second=cover.z_first)
     assert (swapped.z_first, swapped.z_second) == (cover.z_second, cover.z_first)
+    # the group and both subgroups are gated by type, and a subgroup of
+    # another table is refused even when its mask equals the cover's own
+    with pytest.raises(DomainMismatchError, match="needs a FiniteGroup, not list"):
+        CoverGroup("k", 3, [[0]], cover.z_first, cover.z_second)
+    with pytest.raises(DomainMismatchError, match="needs a SubgroupSet, not NoneType"):
+        cover._replace(z_first=None)
+    twin = next(s for s in all_subgroups(make_family("dihedral", 16)) if s.mask == cover.z_second.mask)
+    assert len(twin) == 2 and not twin.group.same_table(cover.group)
+    with pytest.raises(DomainMismatchError, match="different group"):
+        cover._replace(z_second=twin)
 
 
 def test_family_parameters_must_be_integers():
