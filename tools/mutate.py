@@ -15,19 +15,21 @@ back from its syntax tree, so its comments are lost, which changes nothing
 that runs.
 
 The checkout is copied to a temporary directory once and each mutant is
-written into that copy, so the checkout itself is never touched.  Mutants
+written into that copy, so the checkout itself is never touched.  The
+unmutated tests run first, timed, under the same memory cap.  Mutants then
 run one at a time, each as a fresh ``pytest -x`` over the named test
-modules with a wall-clock timeout and a 1 GiB memory cap (``RLIMIT_AS``)
-set in the child only: a mutated closure loop can grow without bound.  A mutant is
-killed when pytest fails or times out, and survives when every test passes.
+modules with a wall-clock timeout of ``TIMEOUT_FACTOR`` times that first
+run and a 1 GiB memory cap (``RLIMIT_AS``) set in the child only: a mutated
+closure loop can grow without bound.  A mutant is killed when pytest fails
+or times out, and survives when every test passes.
 
 Usage, from the root of the repository::
 
     python tools/mutate.py src/centlat/lattice.py:CentralizerLattice.__init__ \\
         src/centlat/core.py:_centralizer_mask \\
-        --tests tests/test_lattice.py tests/test_core.py --out survivors.json
+        --tests tests/test_lattice.py tests/test_core.py > survivors.json
 
-The JSON report counts the mutants, the killed and the timed out, and lists
+Progress goes to stderr.  The JSON report on stdout counts the mutants, the killed and the timed out, and lists
 each survivor with its file, function, line, column and change.
 """
 
@@ -67,6 +69,7 @@ SYMBOLS = {
 }
 NO_TESTS_COLLECTED = 5  # pytest's exit code when it found no test to run
 MEMORY_LIMIT = 1 << 30  # RLIMIT_AS per mutant run, enough for the real tests
+TIMEOUT_FACTOR = 5  # a mutant's time limit, in multiples of the unmutated run
 
 
 class Mutant(NamedTuple):
@@ -77,17 +80,17 @@ class Mutant(NamedTuple):
     source: str  # the whole mutated module
 
 
-def _find_function(tree: ast.Module, qualname: str) -> ast.FunctionDef | ast.AsyncFunctionDef:
+def _find_function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
     scope: ast.AST = tree
     for part in qualname.split("."):
         found = [
             node for node in getattr(scope, "body", ())
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == part
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == part
         ]
         if not found:
             raise SystemExit(f"mutate: no {qualname!r} (missing {part!r})")
         scope = found[0]
-    if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    if not isinstance(scope, ast.FunctionDef):
         raise SystemExit(f"mutate: {qualname!r} is not a function")
     return scope
 
@@ -98,7 +101,7 @@ def _annotation_nodes(func: ast.AST) -> set[int]:
     for node in ast.walk(func):
         if isinstance(node, ast.arg) and node.annotation is not None:
             roots.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+        elif isinstance(node, ast.FunctionDef) and node.returns is not None:
             roots.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             roots.append(node.annotation)
@@ -167,7 +170,7 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def _run_tests(root: Path, tests: list[str], timeout: float) -> str:
+def _run_tests(root: Path, tests: list[str], timeout: float | None) -> str:
     """'passed', 'failed' or 'timeout' for one pytest run in ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
@@ -190,8 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("selectors", nargs="+", help="path:function, e.g. src/pkg/mod.py:Class.method")
     parser.add_argument("--tests", nargs="+", required=True, help="test modules pytest runs per mutant")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant run")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
@@ -205,15 +206,18 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         copy_root = Path(tmp) / "repo"
         shutil.copytree(root, copy_root, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
-        if _run_tests(copy_root, args.tests, args.timeout) != "passed":
-            raise SystemExit("mutate: the unmutated tests do not pass under the timeout and memory cap")
+        start = time.perf_counter()
+        if _run_tests(copy_root, args.tests, None) != "passed":
+            raise SystemExit("mutate: the unmutated tests do not pass under the memory cap")
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - start)
+        print(f"unmutated run passed; {timeout:.1f} s per mutant", file=sys.stderr)
         for n, (path, m) in enumerate(work, 1):
             target = copy_root / path
             original = target.read_text(encoding="utf-8")
             target.write_text(m.source, encoding="utf-8")
             start = time.perf_counter()
             try:
-                outcome = _run_tests(copy_root, args.tests, args.timeout)
+                outcome = _run_tests(copy_root, args.tests, timeout)
             finally:
                 target.write_text(original, encoding="utf-8")
             print(f"[{n}/{len(work)}] {path}:{m.function}:{m.line}:{m.column} {m.change}: "
@@ -224,11 +228,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 report["killed"] += 1
                 report["timeouts"] += outcome == "timeout"
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 
