@@ -7,7 +7,7 @@ trust rule holds for every type: a public constructor
 (:func:`from_multiplication_table`, ``SubgroupSet``, ``homs.GroupHom``)
 establishes its type's invariant, and package code that builds a value by
 construction skips the check through a private path: the bare
-:class:`FiniteGroup` constructor for quotients and direct products,
+:class:`FiniteGroup` constructor for quotients and ``families``' groups,
 ``SubgroupSet._from_mask`` for a subgroup just closed, ``GroupHom._trusted``
 for projections, composites and identities.  Subsets of a group are
 :class:`SubgroupSet` values backed by an integer bitmask, so intersection,
@@ -112,9 +112,9 @@ class FiniteGroup:
     each value in one field that only this module fills.
     The constructor checks nothing (the trusted path of the module's trust
     rule): use :func:`from_multiplication_table` for untrusted data.  Only
-    :func:`centlat.homs.quotient` and :func:`centlat.families.direct_product`
+    :func:`centlat.homs.quotient` and the builders of :mod:`centlat.families`
     call it otherwise, each with a group by construction and the fields
-    validation would produce.  All three guarantee that the elements of
+    validation would produce.  All guarantee that the elements of
     ``generator_names`` generate the group, which :func:`center` and
     :func:`all_subgroups` rely on.
     """

@@ -1,9 +1,10 @@
 """Exception hierarchy used across the package.
 
 Every error raised on purpose derives from :class:`CentlatError`, so callers
-(notably the CLI) can separate expected failures from genuine bugs.  Errors
-carry the offending indices/values as attributes; the message is rendered
-from them so diagnostics stay deterministic.
+(notably the CLI) can separate expected failures from genuine bugs, except
+three ``ValueError``s: ``SubgroupSet`` on a non-subgroup, ``core._mask_of``
+on a bad index, ``from_multiplication_table`` on bad labels or hints.  Errors
+carry the offending values and render deterministic messages from them.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Constructors for the standard group families and the two cover groups.
 
 All constructors produce :class:`~centlat.core.FiniteGroup` values with
-named generators and human-readable element labels; family and fiber-product
-tables are validated, direct products built by construction.  Encodings are
+named generators and human-readable element labels, each a group by
+construction: builders check parameters, never tables.  Encodings are
 fixed, so element indices are stable across runs: every family,
 :func:`semidirect_cyclic` and the ``dihedral_quaternion`` cover come from one
 table builder, :func:`_cyclic_by_cyclic`, with x^i*y^j at index j*m + i.
@@ -19,13 +19,13 @@ from .core import (
     FiniteGroup,
     SubgroupSet,
     _center_mask,
+    _close_mask,
     _mask_of,
     _require,
     _require_integers,
     _require_order_at_most,
     closure,
     commutator_set,
-    from_multiplication_table,
 )
 from .errors import InternalInconsistencyError, InvalidActionError, UnsupportedParameterError, _ensure
 
@@ -67,9 +67,15 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
     """Group on pairs (i mod m, j mod k) for x^i*y^j, at index j*m + i.
 
     Relations: x^m = 1, y*x = x^a*y, y^k = x^square; x = 1 and y = m (0 when
-    k = 1; named only if ``named_y``).  Callers check the parameters; the
-    table is validated like any other.
+    k = 1; named only if ``named_y``).  A group exactly when gcd(a, m) = 1,
+    a^k = 1 and a*square = square (mod m) (Holt, Eick & O'Brien, *Handbook of
+    Computational Group Theory*, 2005), so those are checked, not the table.
     """
+    if math.gcd(a, m) != 1:
+        raise InvalidActionError(f"action parameter {a} is not invertible mod {m}")
+    if pow(a, k, m) != 1 % m:
+        raise InvalidActionError(f"{a}^{k} != 1 (mod {m}); the action does not close")
+    _ensure(a * square % m == square % m, f"x -> x^{a} does not fix y^{k} = x^{square} (mod {m})")
     table = []
     for j1 in range(k):
         c = pow(a, j1, m)
@@ -79,10 +85,11 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
                 # x^i1*y^j1 * x^i2*y^j2 = x^(i1 + a^j1*i2)*y^(j1 + j2), and y^k = x^square
                 base, shift = ((j1 + j2) % k) * m, i1 + (square if j1 + j2 >= k else 0)
                 row += [base + (shift + c * i2) % m for i2 in range(m)]
-            table.append(row)
-    labels = [_pair_label(i, j) for j in range(k) for i in range(m)]
+            table.append(tuple(row))
+    labels = tuple(_pair_label(i, j) for j in range(k) for i in range(m))
     gens = (("x", 1 % m), ("y", m if k > 1 else 0))
-    return from_multiplication_table(m * k, table, gens if named_y else gens[:1], labels)
+    inverse = tuple(row.index(0) for row in table)
+    return FiniteGroup(m * k, tuple(table), 0, inverse, gens if named_y else gens[:1], labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -116,17 +123,12 @@ def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> F
 
     Built by :func:`_cyclic_by_cyclic`: x^i*y^j has index j*m + i.  Requires
     gcd(a, m) = 1 and a^k = 1 (mod m) so the action is by an automorphism of
-    order dividing k.  Generators: x = (1, 0), y = (0, 1).
+    order dividing k, else :class:`InvalidActionError`.  x = (1, 0), y = (0, 1).
     """
     _require_integers(m=m, k=k, a=a)
     if m < 1 or k < 1:
         raise UnsupportedParameterError(f"cyclic orders must be >= 1, got m={m}, k={k}")
-    order = m * k
-    _require_order_at_most(order, cap, "semidirect product")
-    if math.gcd(a, m) != 1:
-        raise InvalidActionError(f"action parameter {a} is not invertible mod {m}")
-    if pow(a, k, m) != 1 % m:
-        raise InvalidActionError(f"{a}^{k} != 1 (mod {m}); the action does not close")
+    _require_order_at_most(m * k, cap, "semidirect product")
     return _cyclic_by_cyclic(m, k, a)
 
 
@@ -176,11 +178,10 @@ def cover_group(kind: str, n: int) -> CoverGroup:
     The first is Z_{2^(n-1)} twisted by a Z_4 acting by inversion, built by
     :func:`_cyclic_by_cyclic` with m = 2^(n-1), so its distinguished
     subgroups, generated by y^2 and x^(m/2)*y^2, sit at indices 2m and
-    2m + m/2.  The second
-    is the fiber product of the two families over their common dihedral
-    quotient of order 2^(n-1): no split extension of Z_{2^(n-1)} by Z_4 has a
-    quaternion quotient except the inversion one, so the pair (quaternion,
-    semidihedral) forces this shape.
+    2m + m/2.  The second is the fiber product of the two families over
+    their common dihedral quotient of order 2^(n-1): no split extension of
+    Z_{2^(n-1)} by Z_4 has a quaternion quotient except the inversion one,
+    so the pair (quaternion, semidihedral) forces this shape.
     """
     _require_integers(n=n)
     if kind == "dihedral_quaternion":
@@ -222,22 +223,23 @@ def _fiber_product_over_central_quotients(
     ]
     index = {pair: i for i, pair in enumerate(pairs)}
     try:
-        table = [
-            [index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs]
+        table = tuple(
+            tuple(index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs)
             for (u1, v1) in pairs
-        ]
+        )
+        identity = index[(a.identity, b.identity)]
+        inverse = tuple(index[(a.inverse[u], b.inverse[v])] for u, v in pairs)
     except KeyError as e:
         raise InternalInconsistencyError(f"fiber product is not closed: {e.args[0]}") from e
-    labels = [f"({a.label(u)},{b.label(v)})" for u, v in pairs]
+    labels = tuple(f"({a.label(u)},{b.label(v)})" for u, v in pairs)
     # x and y are a's generators, each paired with its lowest-index partner;
-    # for the family factors here they generate the fiber product
-    hints = [
+    # they generate the fiber product, as CoverGroup and center rely on
+    hints = tuple(
         (name, next(i for i, (u, _) in enumerate(pairs) if u == ga)) for name, ga in a.generator_names
-    ]
-    try:
-        g = from_multiplication_table(len(pairs), table, hints, labels)
-    except ValueError as e:
-        raise InternalInconsistencyError(f"fiber product generator hints: {e}") from e
+    )
+    g = FiniteGroup(len(pairs), table, identity, inverse, hints, labels)
+    hint_mask = sum(1 << i for _, i in hints)
+    _ensure(_close_mask(g, hint_mask) == g.full_mask, "fiber product hints do not generate it")
     z_first = closure(g, [index[(a.identity, half)]])
     z_second = closure(g, [index[(half, b.identity)]])
     return g, z_first, z_second

@@ -27,11 +27,13 @@ from centlat import (
     quotient,
     semidirect_cyclic,
 )
+from centlat.core import FiniteGroup
 from centlat.errors import (
     DomainMismatchError,
     InternalInconsistencyError,
     InvalidActionError,
     OrderCapExceededError,
+    TableValidationError,
     UnsupportedParameterError,
 )
 from centlat.expr import eval_group_expr, parse_group_expr, pretty
@@ -142,12 +144,52 @@ def test_semidirect_cyclic():
 
 
 def test_semidirect_rejects_bad_action():
-    with pytest.raises(InvalidActionError):
-        semidirect_cyclic(4, 2, 2)  # gcd(2, 4) != 1
-    with pytest.raises(InvalidActionError):
-        semidirect_cyclic(5, 2, 3)  # 3^2 = 4 != 1 mod 5
+    # the builder checks the action conditions itself, after
+    # semidirect_cyclic's integer and cap checks, so both refuse alike
+    for build in (semidirect_cyclic, families._cyclic_by_cyclic):
+        with pytest.raises(InvalidActionError) as info:
+            build(4, 2, 2)  # gcd(2, 4) != 1
+        assert str(info.value) == "action parameter 2 is not invertible mod 4"
+        with pytest.raises(InvalidActionError) as info:
+            build(5, 2, 3)  # 3^2 = 4 != 1 mod 5
+        assert str(info.value) == "3^2 != 1 (mod 5); the action does not close"
     with pytest.raises(UnsupportedParameterError):
         semidirect_cyclic(0, 2, 1)
+    with pytest.raises(OrderCapExceededError):
+        semidirect_cyclic(4, 2, 2, cap=4)
+
+
+def test_an_action_that_does_not_fix_y_to_the_k_is_internal():
+    # y^2 = x, but x -> x^3 sends it to x^3: no group has these relations;
+    # only family code passes a power of x, so this is a package fault
+    with pytest.raises(InternalInconsistencyError) as info:
+        families._cyclic_by_cyclic(8, 2, 3, square=1)
+    assert str(info.value) == "x -> x^3 does not fix y^2 = x^1 (mod 8)"
+
+
+def test_cyclic_extension_conditions_hold_exactly_for_groups():
+    # for every small (m, k, a, square) with k >= 2, the builder accepts the
+    # parameters exactly when the table they describe validates, and then
+    # builds that validated group field by field (with k = 1 the table is
+    # Z_m whatever a is, and the builder asks a = 1 mod m, as y = x^square)
+    built = 0
+    for m in range(1, 9):
+        for k in range(2, 5):
+            for a in range(m):
+                for square in range(m):
+                    try:
+                        reference = from_multiplication_table(*_reference_semidirect(m, k, a, square))
+                    except TableValidationError:
+                        reference = None
+                    try:
+                        g = families._cyclic_by_cyclic(m, k, a, square)
+                    except (InvalidActionError, InternalInconsistencyError):
+                        g = None
+                    assert (g is None) == (reference is None), (m, k, a, square)
+                    if g is not None:
+                        _assert_same_group(g, reference)
+                        built += 1
+    assert built == 142
 
 
 def test_semidirect_trivial_action_is_product():
@@ -195,15 +237,15 @@ def _reference_twisted_pair(m, twist, square):
     return order, table, (("x", 1), ("y", m)), labels
 
 
-def _reference_semidirect(m, k, a):
-    # y acts on x by x -> x^a; x^i*y^j at index j*m + i
+def _reference_semidirect(m, k, a, square=0):
+    # y acts on x by x -> x^a and y^k = x^square; x^i*y^j at index j*m + i
     order = m * k
     table = [[0] * order for _ in range(order)]
     for j1 in range(k):
         for i1 in range(m):
             for j2 in range(k):
                 for i2 in range(m):
-                    i = (i1 + pow(a, j1, m) * i2) % m
+                    i = (i1 + pow(a, j1, m) * i2 + (square if j1 + j2 >= k else 0)) % m
                     table[j1 * m + i1][j2 * m + i2] = ((j1 + j2) % k) * m + i
     labels = [_reference_label(i, j) for j in range(k) for i in range(m)]
     return order, table, (("x", 1 % m), ("y", m if k > 1 else 0)), labels
@@ -230,10 +272,13 @@ def _assert_same_group(g, h):
 
 
 def test_direct_products_equal_their_validated_tables():
-    # a direct product is built by construction; validating its own table,
-    # generator names and labels gives the same group, field by field
-    products = [e.group for e in catalog(64) if e.name.startswith("product(")]
-    assert len(products) == 373 - 255
+    # every catalog group and cover is built by construction; validating its
+    # own table, generator names and labels gives the same group, field by
+    # field, so a wrong row formula shows here
+    groups = [e.group for e in catalog(128)]
+    assert len(groups) == 991
+    for kind, first in (("dihedral_quaternion", 3), ("quaternion_semidihedral", 4)):
+        groups += [cover_group(kind, n).group for n in range(first, 8)]
     d8, q8, s3 = make_family("dihedral", 8), make_family("quaternion", 8), semidirect_cyclic(3, 2, 2)
     # Q8 relabelled by a rotation, so its identity sits at index 3
     perm = [(a + 3) % 8 for a in range(8)]
@@ -243,32 +288,25 @@ def test_direct_products_equal_their_validated_tables():
     hints = [(f"s{name}", perm[i]) for name, i in q8.generator_names]
     shifted = from_multiplication_table(8, relabel(q8.table, perm), hints, labels)
     assert shifted.identity == 3
-    products += [
+    groups += [
         direct_product(d8, q8),
         direct_product(s3, d8),
         direct_product(shifted, s3),
         direct_product(d8, shifted),
         direct_product(shifted, shifted),
     ]
-    for g in products:
+    for g in groups:
         validated = from_multiplication_table(g.order, g.table, g.generator_names, g.element_labels)
         _assert_same_group(g, validated)
-    assert products[-1].identity == 3 * 8 + 3
+    assert groups[-1].identity == 3 * 8 + 3
 
 
-def test_family_tables_match_the_separate_constructions(monkeypatch):
-    # up to order 64, the validated groups agree in full
-    for (kind, n), args in _family_references(64):
-        _assert_same_group(make_family(kind, n), from_multiplication_table(*args))
-    # up to order 256, the builder hands the validator the same table,
-    # generator names and labels; validation is deterministic, so the
-    # groups agree too
-    calls = []
-    monkeypatch.setattr(families, "from_multiplication_table", lambda *args: calls.append(args))
+def test_family_tables_match_the_separate_constructions():
+    # up to order 256, each family group equals its separately written,
+    # validated table in full
     kinds = Counter()
     for (kind, n), args in _family_references(256):
-        make_family(kind, n)
-        assert calls.pop() == args, (kind, n)
+        _assert_same_group(make_family(kind, n), from_multiplication_table(*args))
         kinds[kind] += 1
     assert kinds == {"cyclic": 256, "dihedral": 127, "quaternion": 6, "semidihedral": 5}
 
@@ -332,14 +370,17 @@ def test_quaternion_semidihedral_cover_generator_names(n):
 
 
 def test_fiber_product_hints_that_do_not_generate_are_internal(monkeypatch):
-    real = families.from_multiplication_table
+    # the cover's hints are the quaternion factor's generators; drop its y
+    real = families.make_family
 
-    def drop_last_hint(order, table, hints=None, labels=None):
-        if order == 32:  # the cover itself, not its order-16 factors
-            hints = hints[:-1]
-        return real(order, table, hints, labels)
+    def drop_y(kind, order):
+        g = real(kind, order)
+        if kind == "quaternion":
+            x_only = g.generator_names[:1]
+            g = FiniteGroup(g.order, g.table, g.identity, g.inverse, x_only, g.element_labels)
+        return g
 
-    monkeypatch.setattr(families, "from_multiplication_table", drop_last_hint)
+    monkeypatch.setattr(families, "make_family", drop_y)
     with pytest.raises(InternalInconsistencyError, match="do not generate"):
         cover_group("quaternion_semidihedral", 4)
     assert cli.main(["lattice", "cover_qsd(4)"]) == 2
@@ -404,6 +445,8 @@ def test_package_has_no_function_level_imports():
         node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
     }
     assert package_imports == {"core", "errors"}
+    # and builds every group by construction: it never names the validator
+    assert "from_multiplication_table" not in Path(families.__file__).read_text(encoding="utf-8")
     assert not any(
         alias.name.startswith("centlat")
         for node in tree.body
@@ -450,23 +493,17 @@ def test_finite_group_caches_have_one_owner():
     assert lattice_named == {"lattice.py"}
 
 
-def test_catalog_validates_each_entry_once(monkeypatch):
-    # work counter: every entry that is not a direct product has its table
-    # validated once and nothing else is; products are built by
-    # construction from factors already built
-    calls = Counter()
-    validate = families.from_multiplication_table
-
-    def counting(order, *args):
-        calls[order] += 1
-        return validate(order, *args)
-
-    monkeypatch.setattr(families, "from_multiplication_table", counting)
+def test_catalog_validates_no_table(monkeypatch):
+    # work counter: every validation grows a magma generating set once, and
+    # an uncached catalog(64) validates none of its 373 tables
+    calls = []
+    grow = centlat.core._magma_generators
+    monkeypatch.setattr(centlat.core, "_magma_generators", lambda *args: calls.append(1) or grow(*args))
     entries = families._catalog.__wrapped__(64)  # uncached: build it afresh
-    assert len(entries) == 373
-    validated = [e for e in entries if not e.name.startswith("product(")]
-    assert sum(calls.values()) == len(validated) == 255
-    assert calls == Counter(e.group.order for e in validated)
+    assert len(entries) == 373 and calls == []
+    g = entries[-1].group
+    from_multiplication_table(g.order, g.table)
+    assert calls == [1]  # the counter counts
 
 
 def test_cover_parameter_validation():
