@@ -7,12 +7,13 @@ trust rule holds for every type: a public constructor
 (:func:`from_multiplication_table`, ``SubgroupSet``, ``homs.GroupHom``)
 establishes its type's invariant, and package code that builds a value by
 construction skips the check through a private path: the bare
-:class:`FiniteGroup` constructor for quotients and ``families``' groups,
-``SubgroupSet._from_mask`` for a subgroup just closed, ``GroupHom._trusted``
-for projections, composites and identities.  Subsets of a group are
-:class:`SubgroupSet` values backed by an integer bitmask, so intersection,
-union and containment are single machine-word operations for the orders this
-package targets (a few hundred elements at most).
+:class:`FiniteGroup` constructor for quotients (G/1 is G itself) and
+``families``' groups, ``SubgroupSet._from_mask`` for a subgroup just closed,
+``GroupHom._trusted`` for projections, composites and identities, of which
+projections and identities are onto by construction and carry their kernel.
+Subsets of a group are :class:`SubgroupSet` values backed by an integer
+bitmask, so intersection, union and containment are single machine-word
+operations for the orders this package targets (a few hundred elements).
 """
 
 from __future__ import annotations

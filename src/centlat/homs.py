@@ -78,12 +78,17 @@ class GroupHom:
                 raise NotHomomorphismError(a, b, got[b], expected[b])
         self.source, self.target, self.mapping = source, target, m
         self._crh_verdict: "CrhVerdict | None" = None
+        self._kernel: int | None = None  # the kernel mask, recorded only for maps onto by construction
 
     @classmethod
-    def _trusted(cls, source: FiniteGroup, target: FiniteGroup, mapping: tuple[int, ...]) -> "GroupHom":
-        """A map the package built as a homomorphism, taken unchecked."""
+    def _trusted(cls, source: FiniteGroup, target: FiniteGroup, mapping: tuple, kernel: int | None = None):
+        """A map the package built as a homomorphism, taken unchecked.  A
+        ``kernel`` mask is given only for a map onto ``target`` by
+        construction (a projection, an identity); :func:`kernel` then returns
+        it and :func:`_require_surjective` trusts it without a scan."""
         self = object.__new__(cls)
         self.source, self.target, self.mapping, self._crh_verdict = source, target, mapping, None
+        self._kernel = kernel
         return self
 
     def image_mask(self, members: Iterable[int]) -> int:
@@ -107,7 +112,7 @@ def hom_from_map(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHom:
 
 def identity_hom(group: FiniteGroup) -> GroupHom:
     _require("identity_hom", FiniteGroup, group)
-    return GroupHom._trusted(group, group, tuple(range(group.order)))
+    return GroupHom._trusted(group, group, tuple(range(group.order)), 1 << group.identity)
 
 
 def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
@@ -119,11 +124,12 @@ def compose(outer: GroupHom, inner: GroupHom) -> GroupHom:
 
 
 def kernel(h: GroupHom) -> SubgroupSet:
+    """The elements mapped to the identity: the mask the map recorded, else a scan."""
     _require("kernel", GroupHom, h)
-    e = h.target.identity
-    return SubgroupSet._from_mask(
-        h.source, sum(1 << a for a, v in enumerate(h.mapping) if v == e)
-    )
+    mask, e = h._kernel, h.target.identity
+    if mask is None:
+        mask = sum(1 << a for a, v in enumerate(h.mapping) if v == e)
+    return SubgroupSet._from_mask(h.source, mask)
 
 
 def is_surjective(h: GroupHom) -> bool:
@@ -133,7 +139,7 @@ def is_surjective(h: GroupHom) -> bool:
 
 def _require_surjective(where: str, h: GroupHom) -> None:
     _require(where, GroupHom, h)
-    if not is_surjective(h):
+    if h._kernel is None and not is_surjective(h):
         raise NotSurjectiveError(min(set(range(h.target.order)).difference(h.mapping)))
 
 
@@ -157,11 +163,18 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     off the projection, itself a homomorphism by construction, is the one
     validation would have produced.  Row a of the quotient table is
     proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
-    steps at C speed.
+    steps at C speed.  The projection records N's mask as its kernel.
+
+    G/1 is G itself, projected by a fresh :func:`identity_hom`: the cosets {g},
+    numbered by least element, give G's own fields, so G's caches are shared.
+    Only hints naming one element twice take the general path, which drops
+    the repeat.
     """
     _require("quotient", FiniteGroup, group)
     _require("quotient", SubgroupSet, n)
     t, inverse, mask = group.table, group.inverse, _core._mask_of(group, n)  # n of another group raises
+    if mask == 1 << group.identity and len({g for _, g in group.generator_names}) == len(group.generator_names):
+        return group, identity_hom(group)
     proj, reps = _core._left_cosets(group, n.members)
     for g in reps:  # g is the least element of gN, so the conjugation check runs once per coset
         ig = inverse[g]
@@ -178,7 +191,7 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     qinverse = tuple(proj[inverse[r]] for r in reps)
     qgens = tuple((name, v) for v, name in first_name.items())
     q = FiniteGroup(len(reps), qtable, proj[group.identity], qinverse, qgens, qlabels)
-    return q, GroupHom._trusted(group, q, proj)
+    return q, GroupHom._trusted(group, q, proj, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ from _oracles import (
     brute_commutator_set,
     brute_crh_verdict,
     brute_first_commutator_in,
+    brute_identity,
+    brute_inverse,
     brute_left_cosets,
     brute_quotient,
     relabel,
@@ -164,6 +166,44 @@ def test_image_and_kernel(d8):
     with pytest.raises(NotSurjectiveError) as exc:
         is_centralizer_respecting(inclusion)
     assert exc.value.missed in {1, 3}
+
+
+def _first_missed(h):
+    """The least target element outside the image, by a scan of the map."""
+    return min(set(range(h.target.order)) - set(h.mapping))
+
+
+def test_maps_built_outside_the_package_are_not_trusted_onto(d8):
+    # neither public door nor compose records a kernel, so every route that
+    # needs a surjection scans the map and names the same first missing element
+    z2, z4 = make_family("cyclic", 2), make_family("cyclic", 4)
+    maps = [
+        hom_from_map(z2, z4, [0, 2]),
+        GroupHom(z2, z4, [0, 2]),
+        hom_from_map(d8, d8, [d8.identity] * 8),
+        GroupHom(d8, d8, [d8.identity] * 8),
+        compose(identity_hom(z4), hom_from_map(z2, z4, [0, 2])),
+    ]
+    for h in maps:
+        missed = _first_missed(h)
+        for route in (is_centralizer_respecting, crh_central_kernel_criterion, induced_map):
+            with pytest.raises(NotSurjectiveError) as exc:
+                route(h)
+            assert exc.value.missed == missed, (h, route)
+    assert [_first_missed(h) for h in maps] == [1, 1, 1, 1, 1]
+
+
+def test_kernel_of_a_composite_scans_its_map(d8):
+    # compose records no kernel: the composite of two projections has a
+    # larger kernel than the inner one, and kernel() finds it by a scan
+    g = make_family("dihedral", 16)
+    q, inner = quotient(g, closure(g, [4]))
+    _, outer = quotient(q, center(q))
+    both = compose(outer, inner)
+    scan = sum(1 << a for a, v in enumerate(both.mapping) if v == both.target.identity)
+    assert kernel(both).mask == scan and len(kernel(both)) == 4 > len(kernel(inner)) == 2
+    non_onto = compose(identity_hom(d8), hom_from_map(d8, d8, [d8.identity] * 8))
+    assert kernel(non_onto).mask == d8.full_mask and not is_surjective(non_onto)
 
 
 # ------------------------------------------------------------------ quotient
@@ -303,6 +343,57 @@ def test_quotient_fields_of_trivial_and_whole(d8):
     assert q.generator_names == () and q.element_labels is None
     q, _ = quotient(d8, closure(d8, range(8)))
     assert q.generator_names == (("x", 0),) and q.element_labels == (d8.label(0),)
+
+
+def test_quotient_by_the_trivial_subgroup_is_the_group_itself():
+    # differential against the brute oracle: G/1 is G, with the identity
+    # projection, over the catalog and a relabelled copy of each group,
+    # whose identity is seldom 0
+    rng = random.Random(3211)
+    groups = [g for entry in catalog(32) for g in (entry.group, _relabelled(entry.group, rng))]
+    assert len(groups) == 272 and sum(g.identity != 0 for g in groups) == 127
+    for g in groups:
+        trivial = closure(g, [])
+        q, proj = quotient(g, trivial)
+        assert q is g and proj.source is g and proj.target is g
+        assert proj.mapping == tuple(range(g.order))
+        table = [list(r) for r in g.table]
+        assert brute_quotient(table, set(trivial.members)) == (list(proj.mapping), [list(r) for r in q.table])
+        assert q.identity == brute_identity(table)
+        assert list(q.inverse) == [brute_inverse(table, a) for a in range(g.order)]
+        assert kernel(proj).mask == 1 << brute_identity(table) and is_surjective(proj)
+        assert quotient(g, trivial)[1] is not proj  # a fresh projection, no cached verdict
+
+
+def test_quotient_by_the_trivial_subgroup_drops_a_repeated_hint():
+    # hints naming one element twice keep the general path: a new group,
+    # with the repeat dropped, equal to what validation gives
+    z4 = make_family("cyclic", 4)
+    g = from_multiplication_table(4, z4.table, {"a": 1, "b": 1}.items())
+    assert g.generator_names == (("a", 1), ("b", 1))
+    q, proj = quotient(g, closure(g, []))
+    assert q is not g and q.generator_names == (("a", 1),)
+    assert q.table == g.table and q.identity == g.identity and q.inverse == g.inverse
+    assert proj.mapping == tuple(range(4)) and kernel(proj).mask == 1 << g.identity
+    _assert_quotient_fields(g, q, proj)
+
+
+def test_projections_record_their_kernel():
+    # the recorded kernel equals a scan of the map for every normal
+    # subgroup of catalog(16), and the projection is onto
+    count = 0
+    for entry in catalog(16):
+        g = entry.group
+        for sub in all_subgroups(g):
+            try:
+                q, proj = quotient(g, sub)
+            except NotNormalError:
+                continue
+            scan = sum(1 << a for a, v in enumerate(proj.mapping) if v == q.identity)
+            assert kernel(proj).mask == scan == sub.mask, (entry.name, sub)
+            assert is_surjective(proj)
+            count += 1
+    assert count == 295
 
 
 def _nested_quotient_table(g, proj):
@@ -536,10 +627,18 @@ def test_crh_cap_holds_on_cached_verdict():
     with pytest.raises(OrderCapExceededError):
         is_centralizer_respecting(proj, cap=8)
     # a fresh projection has no cached verdict, but d16 has a cached subgroup
-    # table; the cap holds on that path too
-    _, fresh = quotient(d16, closure(d16, []))
+    # table; the cap holds on that path too.  d16/1 is d16 itself, and each
+    # call gives a fresh identity projection, with or without a cached verdict
+    trivial_quotient, fresh = quotient(d16, closure(d16, []))
+    assert trivial_quotient is d16
     with pytest.raises(OrderCapExceededError):
         is_centralizer_respecting(fresh, cap=8)
+    assert is_centralizer_respecting(fresh).ok
+    _, again = quotient(d16, closure(d16, []))
+    assert again is not fresh
+    for h in (fresh, again):
+        with pytest.raises(OrderCapExceededError):
+            is_centralizer_respecting(h, cap=8)
     with pytest.raises(OrderCapExceededError):
         all_subgroups(d16, cap=8)
 
@@ -749,6 +848,33 @@ def test_quotients_are_not_revalidated(monkeypatch):
         assert crh_central_kernel_criterion(proj).ok
         assert len(induced_map(proj).node_map) == len(lattice_of(g).nodes)
     assert calls == Counter()
+
+
+class _CountingMapping(tuple):
+    """A mapping that counts the scans of it; indexing is not counted."""
+
+    scans = 0
+
+    def __iter__(self):
+        type(self).scans += 1
+        return super().__iter__()
+
+
+def test_projections_are_not_rescanned(monkeypatch):
+    # work counter: a projection from quotient or identity_hom carries its
+    # kernel, so neither crh route, the induced map nor kernel() walks its map
+    g = make_family("quaternion", 16)
+    subs = [closure(g, []), center(g), closure(g, [g.mul(2, 2)])]
+    homs = [quotient(g, s)[1] for s in subs] + [identity_hom(g)]
+    monkeypatch.setattr(_CountingMapping, "scans", 0)
+    for h in homs:
+        h.mapping = _CountingMapping(h.mapping)
+        crh_central_kernel_criterion(h)
+        if is_centralizer_respecting(h):
+            induced_map(h)
+        kernel(h)
+    assert _CountingMapping.scans == 0
+    assert is_surjective(homs[1]) and _CountingMapping.scans == 1  # the public check still scans
 
 
 def test_isomorphisms_respect_centralizers(d8):

@@ -209,8 +209,9 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         if _run_tests(copy_root, args.tests, None) != "passed":
             raise SystemExit("mutate: the unmutated tests do not pass under the memory cap")
-        timeout = TIMEOUT_FACTOR * (time.perf_counter() - start)
-        print(f"unmutated run passed; {timeout:.1f} s per mutant", file=sys.stderr)
+        elapsed = time.perf_counter() - start
+        timeout = TIMEOUT_FACTOR * elapsed
+        print(f"unmutated run passed in {elapsed:.1f} s; time limit per mutant {timeout:.1f} s", file=sys.stderr)
         for n, (path, m) in enumerate(work, 1):
             target = copy_root / path
             original = target.read_text(encoding="utf-8")
