@@ -1,7 +1,9 @@
 """Finite groups as validated multiplication tables.
 
 Elements of a group of order n are the indices 0..n-1.  A group is stored as
-its full multiplication table; construction from a table validates the four
+its full multiplication table, one row per element: a ``bytes`` object when
+n <= 256, so each entry takes one byte, else a tuple of ints (see
+:class:`FiniteGroup`).  Construction from a table validates the four
 group axioms and locates the identity (which need not be index 0).  One
 trust rule holds for every type: a public constructor
 (:func:`from_multiplication_table`, ``SubgroupSet``, ``homs.GroupHom``)
@@ -48,6 +50,13 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _row_type(order: int) -> type:
+    """The type of a table row of a group of that order: ``bytes`` up to 256
+    elements, where every index fits one byte, else ``tuple``.  Either,
+    applied to a row of its own type, returns that row itself."""
+    return bytes if order <= 256 else tuple
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -111,6 +120,15 @@ class FiniteGroup:
     table of :func:`_centralizer_table`, the subgroup table of
     :func:`_subgroup_table`, first commutator pairs) is computed lazily,
     each value in one field that only this module fills.
+
+    ``table[a][b]`` is the index of a*b.  Each row is a ``bytes`` object
+    when the order is at most 256 and a tuple of ints above, where an index
+    no longer fits a byte; both index, gather, iterate and compare as
+    sequences of ints, so every reader is the same for both.  Use
+    :func:`group_to_json` for plain lists of ints.  The constructor makes
+    each row that type (:func:`_row_type`), which is free for a row that
+    already has it, so builders hand it rows of that type.
+
     The constructor checks nothing (the trusted path of the module's trust
     rule): use :func:`from_multiplication_table` for untrusted data.  Only
     :func:`centlat.homs.quotient` and the builders of :mod:`centlat.families`
@@ -123,14 +141,14 @@ class FiniteGroup:
     def __init__(
         self,
         order: int,
-        table: tuple[tuple[int, ...], ...],
+        table: Iterable[Iterable[int]],
         identity: int,
         inverse: tuple[int, ...],
         generator_names: tuple[tuple[str, int], ...],
         element_labels: tuple[str, ...] | None = None,
     ) -> None:
         self.order = order
-        self.table = table
+        self.table: tuple[bytes, ...] | tuple[tuple[int, ...], ...] = tuple(map(_row_type(order), table))
         self.identity = identity
         self.inverse = inverse
         self.generator_names = generator_names
@@ -285,7 +303,8 @@ def from_multiplication_table(
     read at the entries of row s, picked by :func:`_gather` at C speed and
     compared whole with row x*s.  On failure every triple is scanned in
     row-major order, with the same gather, and the first failing one is
-    reported.
+    reported.  The checks read tuple rows, which the group then stores as
+    its row type (:func:`_row_type`).
     """
     if not _is_integral(order) or order < 1:
         raise NotClosedError(0, 0, order)
@@ -360,7 +379,7 @@ def from_multiplication_table(
             raise ValueError("generator hints do not generate the group")
     else:
         hints = tuple((f"g{k}", g) for k, g in enumerate(gens))
-    return FiniteGroup(order, tuple(rows), identity, tuple(inverse), hints, labels)
+    return FiniteGroup(order, rows, identity, tuple(inverse), hints, labels)
 
 
 def _parse_hint(hint) -> tuple[str, int]:
@@ -433,7 +452,7 @@ def _first_nonassociative_triple(rows: list[tuple[int, ...]]) -> NotAssociativeE
 
 
 def _dimino_step(
-    table: tuple[tuple[int, ...], ...], mask: int, elems: list[int], gens: Sequence[int]
+    table: Sequence[Sequence[int]], mask: int, elems: list[int], gens: Sequence[int]
 ) -> tuple[int, list[int]]:
     """Mask and element list of <H, s>, one step of Dimino's inductive
     coset extension.

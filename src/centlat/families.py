@@ -24,6 +24,7 @@ from .core import (
     _require,
     _require_integers,
     _require_order_at_most,
+    _row_type,
     closure,
     commutator_set,
 )
@@ -76,7 +77,7 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
     if pow(a, k, m) != 1 % m:
         raise InvalidActionError(f"{a}^{k} != 1 (mod {m}); the action does not close")
     _ensure(a * square % m == square % m, f"x -> x^{a} does not fix y^{k} = x^{square} (mod {m})")
-    table = []
+    table, row_type = [], _row_type(m * k)
     for j1 in range(k):
         c = pow(a, j1, m)
         for i1 in range(m):
@@ -85,11 +86,11 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
                 # x^i1*y^j1 * x^i2*y^j2 = x^(i1 + a^j1*i2)*y^(j1 + j2), and y^k = x^square
                 base, shift = ((j1 + j2) % k) * m, i1 + (square if j1 + j2 >= k else 0)
                 row += [base + (shift + c * i2) % m for i2 in range(m)]
-            table.append(tuple(row))
+            table.append(row_type(row))
     labels = tuple(_pair_label(i, j) for j in range(k) for i in range(m))
     gens = (("x", 1 % m), ("y", m if k > 1 else 0))
     inverse = tuple(row.index(0) for row in table)
-    return FiniteGroup(m * k, tuple(table), 0, inverse, gens if named_y else gens[:1], labels)
+    return FiniteGroup(m * k, table, 0, inverse, gens if named_y else gens[:1], labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -103,9 +104,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
     _require("direct_product", FiniteGroup, a, b)
     order = a.order * b.order
     _require_order_at_most(order, cap, "direct product")
-    nb = b.order
+    nb, row_type = b.order, _row_type(order)
     table = tuple(
-        tuple(x + y for x in shifted for y in rb)
+        row_type(x + y for x in shifted for y in rb)
         for shifted in ([v * nb for v in ra] for ra in a.table)
         for rb in b.table
     )
@@ -222,9 +223,10 @@ def _fiber_product_over_central_quotients(
         if u // m == v // m and u % half == v % half
     ]
     index = {pair: i for i, pair in enumerate(pairs)}
+    row_type = _row_type(len(pairs))
     try:
         table = tuple(
-            tuple(index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs)
+            row_type(index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs)
             for (u1, v1) in pairs
         )
         identity = index[(a.identity, b.identity)]

@@ -28,6 +28,7 @@ from .core import (
     _is_integral,
     _require,
     _require_order_at_most,
+    _row_type,
     _subgroup_table,
     all_subgroups,
 )
@@ -93,9 +94,19 @@ class GroupHom:
 
     def image_mask(self, members: Iterable[int]) -> int:
         """Bitmask of the image of ``members``."""
-        m, mapping = 0, self.mapping
+        mask = 0
         for a in members:
-            m |= 1 << mapping[a]
+            mask |= 1 << a
+        return self._image_of_mask(mask)
+
+    def _image_of_mask(self, mask: int) -> int:
+        """Bitmask of the image of the elements of ``mask``: the one image
+        loop, over its set bits in place, without :func:`_bits`' list."""
+        m, mapping = 0, self.mapping
+        while mask:
+            low = mask & -mask
+            m |= 1 << mapping[low.bit_length() - 1]
+            mask ^= low
         return m
 
     def is_bijective(self) -> bool:
@@ -149,11 +160,14 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     Left cosets are numbered by :func:`~centlat.core._left_cosets`, the
     package's one coset walk, so the cosets come out sorted by least element
     and quotient tables are deterministic.  The left cosets of any subgroup
-    partition G, normal or not, so normality is checked afterwards, on the
-    representatives only, in ascending order: g^-1 N g = N holds for g
-    exactly when it holds for gy (y in N), so the first failing element is a
-    representative and the :class:`NotNormalError` witness is the one a
-    check of every element would find.
+    partition G, normal or not, so normality is checked afterwards, by
+    conjugating N by the named generators: they generate G, so N is normal
+    exactly when each of them maps N into N.  Only when one does not are
+    the representatives scanned, in ascending order, for the witness:
+    g^-1 N g = N holds for g exactly when it holds for gy (y in N), so the
+    first failing element is a representative and the
+    :class:`NotNormalError` witness is the one a check of every element
+    would find.
 
     The quotient is trusted by construction (see :mod:`centlat.core`): G
     is associative and N is normal (just checked), so the coset product is
@@ -163,7 +177,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     off the projection, itself a homomorphism by construction, is the one
     validation would have produced.  Row a of the quotient table is
     proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
-    steps at C speed.  The projection records N's mask as its kernel.
+    steps at C speed, stored as the quotient's row type.  The projection
+    records N's mask as its kernel.
 
     G/1 is G itself, projected by a fresh :func:`identity_hom`: the cosets {g},
     numbered by least element, give G's own fields, so G's caches are shared.
@@ -175,15 +190,23 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     t, inverse, mask = group.table, group.inverse, _core._mask_of(group, n)  # n of another group raises
     if mask == 1 << group.identity and len({g for _, g in group.generator_names}) == len(group.generator_names):
         return group, identity_hom(group)
-    proj, reps = _core._left_cosets(group, n.members)
-    for g in reps:  # g is the least element of gN, so the conjugation check runs once per coset
-        ig = inverse[g]
-        for x in n.members:
-            conj = t[t[ig][x]][g]
-            if not mask >> conj & 1:
-                raise NotNormalError(g, x, conj)
-    at_reps, proj = _gather(reps), tuple(proj)
-    qtable = tuple(_gather(at_reps(t[ra]))(proj) for ra in reps)  # proj[ra*rb] over rb
+    members = n.members
+    proj, reps = _core._left_cosets(group, members)
+
+    def escape(conjugators: Iterable[int]) -> tuple[int, int, int] | None:
+        """The first (g, x, g^-1 x g) with the conjugate outside N, or None."""
+        for g in conjugators:
+            ig = inverse[g]
+            for x in members:
+                conj = t[t[ig][x]][g]
+                if not mask >> conj & 1:
+                    return g, x, conj
+        return None
+
+    if escape(g for _, g in group.generator_names) is not None:
+        raise NotNormalError(*escape(reps))
+    at_reps, proj, row_type = _gather(reps), tuple(proj), _row_type(len(reps))
+    qtable = tuple(row_type(_gather(at_reps(t[ra]))(proj)) for ra in reps)  # proj[ra*rb] over rb
     first_name: dict[int, str] = {}  # image -> the first generator name mapped to it
     for name, g in group.generator_names:
         first_name.setdefault(proj[g], name)
@@ -246,7 +269,7 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
                 continue
             lhs = image_of.get(c)
             if lhs is None:
-                lhs = image_of[c] = h.image_mask(_bits(c))
+                lhs = image_of[c] = h._image_of_mask(c)
             rhs = _centralizer_mask(h.target, h.image_mask(gens))
             if lhs != rhs:
                 verdict = CrhVerdict(False, CrhWitness(a_sub.members, tuple(_bits(lhs)), tuple(_bits(rhs))))

@@ -194,7 +194,7 @@ def induced_map(phi: GroupHom) -> LatticeMap:
         )
     mapping = []
     for node in source_lattice.nodes:
-        img = phi.image_mask(_bits(node))
+        img = phi._image_of_mask(node)
         idx = target_lattice.index_of_mask.get(img)
         if idx is None:  # cannot happen: a crh phi maps C(A) onto C(phi(A)), a node
             raise InternalInconsistencyError(

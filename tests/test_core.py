@@ -228,11 +228,13 @@ def test_numpy_integer_rows_validate_to_the_same_group():
     np = pytest.importorskip("numpy")
     q = make_family("quaternion", 8)
     plain = from_multiplication_table(8, q.table)
-    for table in (np.array(q.table, dtype=np.int64), [np.array(r) for r in q.table]):
+    rows = [list(r) for r in q.table]  # NumPy reads a bytes row as one string, not as ints
+    for table in (np.array(rows, dtype=np.int64), [np.array(r) for r in rows]):
         g = from_multiplication_table(8, table)
         assert (g.table, g.identity, g.inverse, g.generator_names) == (
             plain.table, plain.identity, plain.inverse, plain.generator_names,
         )
+        assert {type(row) for row in g.table} == {bytes}
         assert {type(v) for row in g.table for v in row} == {int}
     with pytest.raises(NotClosedError) as exc:
         from_multiplication_table(2, np.array([[0, 1], [1, 0]], dtype=bool))

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from centlat import (
     families,
     from_multiplication_table,
     group_isomorphic,
+    group_to_json,
     make_family,
     quotient,
     semidirect_cyclic,
@@ -593,7 +595,43 @@ def test_cover_quotients_are_not_isomorphic_to_each_other():
     assert group_isomorphic(qa, qb) is None
 
 
+def test_rows_are_bytes_up_to_order_256_and_tuples_above():
+    # the row type at its boundary: one bytes object per row while every
+    # index fits a byte, a tuple of ints from order 257 on, whatever builds
+    # the group; each equals its validated copy, and JSON gets plain ints
+    c300 = make_family("cyclic", 300)
+    q150, _ = quotient(c300, closure(c300, [150]))  # a + 150 lies in the coset of a
+    product_table = [[(a // 17 + b // 17) % 16 * 17 + (a + b) % 17 for b in range(272)] for a in range(272)]
+    cases = [
+        (make_family("dihedral", 256), bytes, _reference_twisted_pair(128, 127, 0)[1]),
+        (make_family("cyclic", 257), tuple, _reference_cyclic(257)[1]),
+        (direct_product(make_family("cyclic", 16), make_family("cyclic", 17), cap=512), tuple, product_table),
+        (q150, bytes, _reference_cyclic(150)[1]),
+    ]
+    for g, row_type, plain in cases:
+        assert type(g.table) is tuple and {type(row) for row in g.table} == {row_type}
+        doc = group_to_json(g)
+        assert doc["table"] == plain and {type(v) for row in doc["table"] for v in row} == {int}
+        validated = from_multiplication_table(g.order, g.table, g.generator_names, g.element_labels)
+        _assert_same_group(g, validated)  # a bytes row never equals a tuple row
+
+
 # ------------------------------------------------------------------ catalog
+
+
+def test_catalog64_fits_its_memory_budget():
+    # one byte per table entry: a freshly built catalog(64), 373 groups and
+    # 693,743 table cells, holds 2.5 MB, under a budget of 4 MiB; with a
+    # tuple slot of 8 bytes per cell it held 7.5 MB
+    budget = 4 * 2**20
+    tracemalloc.start()
+    try:
+        entries = families._catalog.__wrapped__(64)  # uncached: nothing else holds it
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 373
+    assert held < budget, f"catalog(64) holds {held} bytes, over its budget of {budget}"
 
 
 def test_catalog_is_deterministic_and_complete():

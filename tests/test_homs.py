@@ -162,6 +162,7 @@ def test_image_and_kernel(d8):
     inclusion = hom_from_map(z2, z4, [0, 2])
     assert not is_surjective(inclusion)
     assert inclusion.image_mask(range(z2.order)) == 1 << 0 | 1 << 2
+    assert inclusion.image_mask([1, 1, 0]) == 1 << 0 | 1 << 2  # a repeated member counts once
     assert kernel(inclusion).is_trivial()
     with pytest.raises(NotSurjectiveError) as exc:
         is_centralizer_respecting(inclusion)
@@ -293,6 +294,50 @@ def test_left_cosets_match_brute_oracle(quotient_groups):
             assert core._left_cosets(g, sub.members) == brute_left_cosets(table, set(sub.members))
 
 
+def _representative_scan(g, sub):
+    """The normality check before conjugation by generators came first:
+    every coset representative, ascending, conjugates every member; the
+    first (g, x, g^-1 x g) outside the subgroup, or None."""
+    t, inverse = g.table, g.inverse
+    for r in core._left_cosets(g, sub.members)[1]:
+        for x in sub.members:
+            conj = t[t[inverse[r]][x]][r]
+            if conj not in sub:
+                return r, x, conj
+    return None
+
+
+def test_normality_by_generators_matches_the_oracle_and_the_representative_scan():
+    # differential over every subgroup of catalog(16) and of a relabelled
+    # copy of each group: the verdict is the brute oracle's, and each
+    # NotNormalError witness is the one the representative scan finds first.
+    # The copy keeps the catalog's generators, relabelled, so they are seldom
+    # the least elements: for most non-normal subgroups the first generator
+    # that fails gives another witness than the scan
+    rng = random.Random(3302)
+    outcomes = Counter()
+    for entry in catalog(16):
+        g = entry.group
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        table = relabel([list(r) for r in g.table], perm)
+        hints = [(name, perm[i]) for name, i in g.generator_names]
+        for g in (g, from_multiplication_table(g.order, table, hints)):
+            table = [list(r) for r in g.table]
+            for sub in all_subgroups(g):
+                want = brute_quotient(table, set(sub.members))
+                try:
+                    quotient(g, sub)
+                except NotNormalError as e:
+                    got = (e.conjugator, e.element, e.conjugate)
+                    assert want == ("not normal", *got) and got == _representative_scan(g, sub), (entry.name, sub)
+                    outcomes["not normal"] += 1
+                else:
+                    assert want[0] != "not normal" and _representative_scan(g, sub) is None, (entry.name, sub)
+                    outcomes["normal"] += 1
+    assert outcomes == Counter({"normal": 2 * 295, "not normal": 218})
+
+
 def _assert_quotient_fields(g, q, proj):
     """q = g/N, built without validation, has exactly the fields that
     from_multiplication_table gives its table; the generator names and
@@ -300,7 +345,7 @@ def _assert_quotient_fields(g, q, proj):
     again = from_multiplication_table(q.order, q.table, q.generator_names or None, q.element_labels)
     fields = ("order", "table", "identity", "inverse", "generator_names", "element_labels")
     assert [getattr(q, f) for f in fields] == [getattr(again, f) for f in fields]
-    assert type(q.table) is tuple and all(type(row) is tuple for row in q.table)
+    assert type(q.table) is tuple and all(type(row) is bytes for row in q.table)  # order <= 256
     least, first_name = {}, {}
     for x, c in enumerate(proj.mapping):
         least.setdefault(c, x)
@@ -338,7 +383,7 @@ def test_quotient_fields_of_trivial_and_whole(d8):
     for g in (trivial, make_family("cyclic", 1), d8):
         q, proj = quotient(g, closure(g, range(g.order)))
         _assert_quotient_fields(g, q, proj)
-        assert q.order == 1 and q.table == ((0,),) and q.identity == 0 and q.inverse == (0,)
+        assert q.order == 1 and q.table == (b"\x00",) and q.identity == 0 and q.inverse == (0,)
     q, _ = quotient(trivial, closure(trivial, []))
     assert q.generator_names == () and q.element_labels is None
     q, _ = quotient(d8, closure(d8, range(8)))
@@ -398,13 +443,14 @@ def test_projections_record_their_kernel():
 
 def _nested_quotient_table(g, proj):
     """The quotient table built element by element, as a nested generator
-    expression over the least element of each coset."""
+    expression over the least element of each coset; a bytes row each, as
+    every quotient here has order <= 256."""
     t, reps, seen = g.table, [], set()
     for x, c in enumerate(proj):
         if c not in seen:
             seen.add(c)
             reps.append(x)
-    return tuple(tuple(proj[t[ra][rb]] for rb in reps) for ra in reps)
+    return tuple(bytes(proj[t[ra][rb]] for rb in reps) for ra in reps)
 
 
 def test_quotient_tables_match_the_nested_formula():
@@ -475,11 +521,11 @@ def test_one_element_rows_are_gathered_as_tuples():
     # a Dimino step from the trivial subgroup, the quotient of a group by
     # itself, and maps out of the trivial group
     trivial = from_multiplication_table(1, [[0]])
-    assert (trivial.table, trivial.identity, trivial.inverse) == (((0,),), 0, (0,))
+    assert (trivial.table, trivial.identity, trivial.inverse) == ((b"\x00",), 0, (0,))
     c3 = make_family("cyclic", 3)
     assert closure(c3, [2]).members == (0, 1, 2)
     q, proj = quotient(c3, closure(c3, [1]))
-    assert q.table == ((0,),) and proj.mapping == (0, 0, 0)
+    assert q.table == (b"\x00",) and proj.mapping == (0, 0, 0)
     assert hom_from_map(trivial, c3, [0]).mapping == (0,)
     with pytest.raises(NotHomomorphismError) as exc:
         hom_from_map(trivial, c3, [1])
@@ -748,6 +794,35 @@ def test_definitional_sweep_matches_per_subgroup_sweep(sweep_records):
         assert one_sided, r.group_name
 
 
+def test_mask_images_match_member_images():
+    # differential against images taken member by member: every central
+    # quotient of catalog(32) and of a relabelled copy of each group maps
+    # each centralizer-lattice node, walked as a mask, to the image that
+    # image_mask gives its member list, and each crh one induces the node
+    # map those images name
+    rng = random.Random(3301)
+    counts = Counter()
+    for entry in catalog(32):
+        for g in (entry.group, _relabelled(entry.group, rng)):
+            nodes = lattice_of(g).nodes
+            for sub in all_subgroups(g):
+                if not sub <= center(g):
+                    continue
+                q, proj = quotient(g, sub)
+                images = []
+                for node in nodes:
+                    members = core._bits(node)
+                    want = sum({1 << proj.mapping[a] for a in members})
+                    assert proj._image_of_mask(node) == proj.image_mask(members) == want, (entry.name, sub)
+                    images.append(want)
+                counts["nodes"] += len(nodes)
+                if is_centralizer_respecting(proj):
+                    index = lattice_of(q).index_of_mask
+                    assert induced_map(proj).node_map == tuple(index[m] for m in images), (entry.name, sub)
+                    counts["crh"] += 1
+    assert counts == Counter(crh=2 * (779 - 40), nodes=3288)
+
+
 def test_center_cosets_walked_once_per_group(monkeypatch):
     # work counter: the centralizer masks, the center, the commutator walk,
     # the commutator criterion and the lattice all read Z and its least
@@ -798,13 +873,18 @@ def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     assert len(projections) == len(subgroups) == 129  # abelian: every subgroup is central
     calls.clear()
     images = Counter()
-    image_mask = GroupHom.image_mask
+    image_mask, image_of_mask = GroupHom.image_mask, GroupHom._image_of_mask
 
     def counting_images(h, members):
         images[h.source is g] += 1
         return image_mask(h, members)
 
+    def counting_mask_images(h, mask):
+        images[h.source is g] += 1
+        return image_of_mask(h, mask)
+
     monkeypatch.setattr(GroupHom, "image_mask", counting_images)
+    monkeypatch.setattr(GroupHom, "_image_of_mask", counting_mask_images)
     assert all(is_centralizer_respecting(p).ok for p in projections)
     assert not calls  # the 129 sweeps reuse the table
     # every subgroup is central, so no sweep computes a phi(C(A)), and the
