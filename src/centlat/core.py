@@ -52,13 +52,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _row_type(order: int) -> type:
-    """The type of a table row of a group of that order: ``bytes`` up to 256
-    elements, where every index fits one byte, else ``tuple``.  Either,
-    applied to a row of its own type, returns that row itself."""
-    return bytes if order <= 256 else tuple
-
-
 def _gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """A function taking a row to the tuple of its entries at ``indices``,
     in order: ``operator.itemgetter(*indices)``, which picks them at C
@@ -116,18 +109,18 @@ def _require(where: str, kind: type, *values) -> None:
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    Instances are immutable once built; derived data (the centralizer
-    table of :func:`_centralizer_table`, the subgroup table of
-    :func:`_subgroup_table`, first commutator pairs) is computed lazily,
-    each value in one field that only this module fills.
+    Instances are immutable once built; derived data is computed lazily,
+    each value in one field that only this module fills: the centralizer
+    table (centralizers, center, first commutator pairs) of
+    :func:`_centralizer_table` and the subgroup table of :func:`_subgroup_table`.
 
     ``table[a][b]`` is the index of a*b.  Each row is a ``bytes`` object
     when the order is at most 256 and a tuple of ints above, where an index
     no longer fits a byte; both index, gather, iterate and compare as
     sequences of ints, so every reader is the same for both.  Use
-    :func:`group_to_json` for plain lists of ints.  The constructor makes
-    each row that type (:func:`_row_type`), which is free for a row that
-    already has it, so builders hand it rows of that type.
+    :func:`group_to_json` for plain lists of ints.  The constructor is the
+    one place that chooses the row type: builders hand it rows of ints of
+    any sequence type, best as an iterator, and it converts each row once.
 
     The constructor checks nothing (the trusted path of the module's trust
     rule): use :func:`from_multiplication_table` for untrusted data.  Only
@@ -148,7 +141,8 @@ class FiniteGroup:
         element_labels: tuple[str, ...] | None = None,
     ) -> None:
         self.order = order
-        self.table: tuple[bytes, ...] | tuple[tuple[int, ...], ...] = tuple(map(_row_type(order), table))
+        row_type = bytes if order <= 256 else tuple  # either returns a row of its type as it is
+        self.table: tuple[bytes, ...] | tuple[tuple[int, ...], ...] = tuple(map(row_type, table))
         self.identity = identity
         self.inverse = inverse
         self.generator_names = generator_names
@@ -157,7 +151,6 @@ class FiniteGroup:
         # lazy caches
         self._centralizers: tuple | None = None  # the centralizer table, see _centralizer_table
         self._subgroups: tuple | None = None  # the subgroup table, see _subgroup_table
-        self._commutator_pairs: dict[int, tuple[int, int]] | None = None
 
     # -- basic operations ---------------------------------------------------
 
@@ -304,7 +297,7 @@ def from_multiplication_table(
     compared whole with row x*s.  On failure every triple is scanned in
     row-major order, with the same gather, and the first failing one is
     reported.  The checks read tuple rows, which the group then stores as
-    its row type (:func:`_row_type`).
+    its row type.
     """
     if not _is_integral(order) or order < 1:
         raise NotClosedError(0, 0, order)
@@ -544,30 +537,40 @@ def _left_cosets(group: FiniteGroup, members: Sequence[int]) -> tuple[list[int],
     return coset, reps
 
 
-def _centralizer_table(group: FiniteGroup) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The centralizer table of ``group``, cached: each element's
-    centralizer as a mask, the center Z as a mask, and the least element of
-    each coset xZ, ascending.  Z is the intersection of the centralizers of
-    the named generators, which generate the group.  C(xz) = C(x) for z in
-    Z, so one row is computed per coset xZ and shared by the whole coset:
-    n/|Z| plus |generators| rows instead of n."""
+def _centralizer_table(group: FiniteGroup) -> tuple[tuple[int, ...], int, dict[int, tuple[int, int]]]:
+    """The centralizer table of ``group``, cached: each element's centralizer
+    as a mask, the center Z as a mask, and each commutator a^-1 b^-1 a b
+    mapped to its first pair (a, b) in row-major order.  Z is the
+    intersection of the centralizers of the named generators, which generate
+    the group; one walk over the pairs of least representatives of the
+    cosets xZ gives the rest, (n/|Z|)^2 pairs instead of n^2: C(xz) = C(x)
+    for z in Z, so one row is computed per coset and shared by all of it;
+    [az, bz'] = [a, b], so the first pair of a commutator is a pair of
+    representatives, as (min aZ, min bZ) comes no later; and C(a) is the
+    union of the cosets bZ with [a, b] = 1."""
     if group._centralizers is None:
-        t, n = group.table, group.order
-
-        def row(x: int) -> int:
-            tx, m = t[x], 0
-            for g in range(n):
-                if t[g][x] == tx[g]:
-                    m |= 1 << g
-            return m
-
-        generator_rows = {g: row(g) for _, g in group.generator_names}
-        z = group.full_mask
-        for m in generator_rows.values():
-            z &= m
-        coset, reps = _left_cosets(group, _bits(z))
-        rows = [generator_rows[x] if x in generator_rows else row(x) for x in reps]
-        group._centralizers = (tuple(rows[c] for c in coset), z, tuple(reps))
+        t, inverse, e, z = group.table, group.inverse, group.identity, group.full_mask
+        for _, g in group.generator_names:
+            tg, m = t[g], 0
+            for x, tx in enumerate(t):
+                if tx[g] == tg[x]:
+                    m |= 1 << x
+            z &= m  # C(g)
+        zs = _bits(z)
+        coset, reps = _left_cosets(group, zs)
+        coset_of = _gather(zs)  # coset_of(t[b]) = bZ
+        columns = [(b, inverse[b], sum(map((1).__lshift__, coset_of(t[b])))) for b in reps]
+        rows, first = [], {}
+        for a in reps:
+            row_ia, m = t[inverse[a]], 0
+            for b, ib, bz in columns:
+                c = t[t[row_ia[ib]][a]][b]
+                if c == e:
+                    m |= bz
+                if c not in first:
+                    first[c] = (a, b)
+            rows.append(m)
+        group._centralizers = (tuple(rows[c] for c in coset), z, first)
     return group._centralizers
 
 
@@ -583,24 +586,8 @@ def center(group: FiniteGroup) -> SubgroupSet:
 
 
 def _first_commutator_pairs(group: FiniteGroup) -> dict[int, tuple[int, int]]:
-    """Each commutator a^-1 b^-1 a b, mapped to its first pair (a, b) in
-    row-major order, cached.  [az, bz'] = [a, b] for z, z' in the center Z,
-    so the walk covers only pairs of the centralizer table's least coset
-    representatives: the first pair (a, b) of a commutator is one, as
-    (min aZ, min bZ) has the same commutator and comes no later.
-    (n/|Z|)^2 pairs instead of n^2."""
-    if group._commutator_pairs is None:
-        t, inverse = group.table, group.inverse
-        reps = _centralizer_table(group)[2]
-        first: dict[int, tuple[int, int]] = {}
-        for a in reps:
-            ia = inverse[a]
-            for b in reps:
-                c = t[t[t[ia][inverse[b]]][a]][b]
-                if c not in first:
-                    first[c] = (a, b)
-        group._commutator_pairs = first
-    return group._commutator_pairs
+    """Each commutator mapped to its first pair, read off the centralizer table."""
+    return _centralizer_table(group)[2]
 
 
 def commutator_set(group: FiniteGroup) -> frozenset[int]:

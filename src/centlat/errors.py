@@ -55,10 +55,21 @@ class NotAssociativeError(TableValidationError):
 # size guards and constructor parameter checks
 
 
+def _int_text(n: int | str) -> str:
+    """``n`` as text; an int too long for int-to-str as ``2^k`` or ``above 2^k``."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() - 1
+        return f"2^{k}" if n == 1 << k else f"above 2^{k}"
+
+
 class OrderCapExceededError(CentlatError):
-    def __init__(self, order: int, cap: int, what: str = "group") -> None:
+    """``order`` is an int, or the text ``2^k`` for a power too large to build."""
+
+    def __init__(self, order: int | str, cap: int, what: str = "group") -> None:
         self.order, self.cap = order, cap
-        super().__init__(f"{what} order {order} exceeds cap {cap}")
+        super().__init__(f"{what} order {_int_text(order)} exceeds cap {_int_text(cap)}")
 
 
 class NodeCapExceededError(CentlatError):

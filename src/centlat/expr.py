@@ -26,11 +26,12 @@ from .core import (
     FiniteGroup,
     _is_integral,
     _json_object,
+    _require_integers,
     _require_order_at_most,
     closure,
     group_from_json,
 )
-from .errors import ExprParseError, TableJsonError, UnknownGeneratorError
+from .errors import ExprParseError, OrderCapExceededError, TableJsonError, UnknownGeneratorError
 from .families import cover_group, direct_product, make_family, semidirect_cyclic
 from .homs import GroupHom, quotient
 
@@ -302,8 +303,11 @@ def eval_group_expr(expr: Expr, cap: int = DEFAULT_ORDER_CAP) -> EvalResult:
     """
     if isinstance(expr, FamilyExpr):
         if expr.kind in ("cover_dq", "cover_qsd"):
-            order = 1 << (expr.param + 1) if expr.param >= 0 else 0
-            _require_order_at_most(order, cap, "cover group")
+            _require_integers(cap=cap)
+            # 2^(n+1) past 2^14 bits and the cap's bit length exceeds the cap: named, not built
+            if expr.param >= max(int(cap).bit_length(), 1 << 14):
+                raise OrderCapExceededError(f"2^{expr.param + 1}", cap, "cover group")
+            _require_order_at_most(1 << (expr.param + 1) if expr.param >= 0 else 0, cap, "cover group")
             kind = "dihedral_quaternion" if expr.kind == "cover_dq" else "quaternion_semidihedral"
             return EvalResult(cover_group(kind, expr.param).group)
         _require_order_at_most(expr.param, cap, f"{expr.kind} group")

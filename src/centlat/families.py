@@ -24,7 +24,6 @@ from .core import (
     _require,
     _require_integers,
     _require_order_at_most,
-    _row_type,
     closure,
     commutator_set,
 )
@@ -77,20 +76,23 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
     if pow(a, k, m) != 1 % m:
         raise InvalidActionError(f"{a}^{k} != 1 (mod {m}); the action does not close")
     _ensure(a * square % m == square % m, f"x -> x^{a} does not fix y^{k} = x^{square} (mod {m})")
-    table, row_type = [], _row_type(m * k)
-    for j1 in range(k):
-        c = pow(a, j1, m)
-        for i1 in range(m):
-            row = []
-            for j2 in range(k):
-                # x^i1*y^j1 * x^i2*y^j2 = x^(i1 + a^j1*i2)*y^(j1 + j2), and y^k = x^square
-                base, shift = ((j1 + j2) % k) * m, i1 + (square if j1 + j2 >= k else 0)
-                row += [base + (shift + c * i2) % m for i2 in range(m)]
-            table.append(row_type(row))
+
+    def rows():  # one at a time, so the constructor converts each as it comes
+        for j1 in range(k):
+            c = pow(a, j1, m)
+            for i1 in range(m):
+                row = []
+                for j2 in range(k):
+                    # x^i1*y^j1 * x^i2*y^j2 = x^(i1 + a^j1*i2)*y^(j1 + j2), and y^k = x^square
+                    base, shift = ((j1 + j2) % k) * m, i1 + (square if j1 + j2 >= k else 0)
+                    row += [base + (shift + c * i2) % m for i2 in range(m)]
+                yield row
+
     labels = tuple(_pair_label(i, j) for j in range(k) for i in range(m))
     gens = (("x", 1 % m), ("y", m if k > 1 else 0))
-    inverse = tuple(row.index(0) for row in table)
-    return FiniteGroup(m * k, table, 0, inverse, gens if named_y else gens[:1], labels)
+    # (x^i*y^j)^-1 = x^i2*y^-j, where i + [j > 0]*square + a^j*i2 = 0 (mod m) by the product above
+    inverse = tuple(-j % k * m + -(i + (j and square)) * pow(a, -j, m) % m for j in range(k) for i in range(m))
+    return FiniteGroup(m * k, rows(), 0, inverse, gens if named_y else gens[:1], labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -104,9 +106,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
     _require("direct_product", FiniteGroup, a, b)
     order = a.order * b.order
     _require_order_at_most(order, cap, "direct product")
-    nb, row_type = b.order, _row_type(order)
-    table = tuple(
-        row_type(x + y for x in shifted for y in rb)
+    nb = b.order
+    table = (
+        [x + y for x in shifted for y in rb]
         for shifted in ([v * nb for v in ra] for ra in a.table)
         for rb in b.table
     )
@@ -223,23 +225,19 @@ def _fiber_product_over_central_quotients(
         if u // m == v // m and u % half == v % half
     ]
     index = {pair: i for i, pair in enumerate(pairs)}
-    row_type = _row_type(len(pairs))
-    try:
-        table = tuple(
-            row_type(index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs)
-            for (u1, v1) in pairs
-        )
-        identity = index[(a.identity, b.identity)]
-        inverse = tuple(index[(a.inverse[u], b.inverse[v])] for u, v in pairs)
-    except KeyError as e:
-        raise InternalInconsistencyError(f"fiber product is not closed: {e.args[0]}") from e
     labels = tuple(f"({a.label(u)},{b.label(v)})" for u, v in pairs)
     # x and y are a's generators, each paired with its lowest-index partner;
     # they generate the fiber product, as CoverGroup and center rely on
     hints = tuple(
         (name, next(i for i, (u, _) in enumerate(pairs) if u == ga)) for name, ga in a.generator_names
     )
-    g = FiniteGroup(len(pairs), table, identity, inverse, hints, labels)
+    try:  # the constructor reads the rows as they are built, inside the guard
+        table = ([index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs] for (u1, v1) in pairs)
+        identity = index[(a.identity, b.identity)]
+        inverse = tuple(index[(a.inverse[u], b.inverse[v])] for u, v in pairs)
+        g = FiniteGroup(len(pairs), table, identity, inverse, hints, labels)
+    except KeyError as e:
+        raise InternalInconsistencyError(f"fiber product is not closed: {e.args[0]}") from e
     hint_mask = sum(1 << i for _, i in hints)
     _ensure(_close_mask(g, hint_mask) == g.full_mask, "fiber product hints do not generate it")
     z_first = closure(g, [index[(a.identity, half)]])

@@ -28,7 +28,6 @@ from .core import (
     _is_integral,
     _require,
     _require_order_at_most,
-    _row_type,
     _subgroup_table,
     all_subgroups,
 )
@@ -177,8 +176,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     off the projection, itself a homomorphism by construction, is the one
     validation would have produced.  Row a of the quotient table is
     proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
-    steps at C speed, stored as the quotient's row type.  The projection
-    records N's mask as its kernel.
+    steps at C speed, handed to the constructor, which stores it as the
+    quotient's row type.  The projection records N's mask as its kernel.
 
     G/1 is G itself, projected by a fresh :func:`identity_hom`: the cosets {g},
     numbered by least element, give G's own fields, so G's caches are shared.
@@ -205,8 +204,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
 
     if escape(g for _, g in group.generator_names) is not None:
         raise NotNormalError(*escape(reps))
-    at_reps, proj, row_type = _gather(reps), tuple(proj), _row_type(len(reps))
-    qtable = tuple(row_type(_gather(at_reps(t[ra]))(proj)) for ra in reps)  # proj[ra*rb] over rb
+    at_reps, proj = _gather(reps), tuple(proj)
+    qtable = (_gather(at_reps(t[ra]))(proj) for ra in reps)  # proj[ra*rb] over rb
     first_name: dict[int, str] = {}  # image -> the first generator name mapped to it
     for name, g in group.generator_names:
         first_name.setdefault(proj[g], name)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import tracemalloc
 
 import pytest
 
@@ -181,6 +183,32 @@ def test_eval_cap_applies_everywhere():
     # the quotient itself may be small, but the inner group must fit the cap
     with pytest.raises(OrderCapExceededError):
         ev("quotient(cyclic(32),[x])", cap=16)
+
+
+def test_eval_cap_refuses_huge_covers_without_building_them():
+    # a cover's order 2^(n+1) is built only below 2^14 bits or the cap's bit
+    # length; a larger one is named by its power, as is a built order with
+    # more digits than int-to-str conversion allows
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapExceededError, match=r"^cover group order 2\^100000001 exceeds cap 256$"):
+            ev("cover_dq(100000000)")
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20  # 2^100000001 takes 12.5 MB
+    finally:
+        tracemalloc.stop()
+    big = 1 << 20000  # a cap of 20001 bits, itself too long to print
+    cases = [
+        ("cover_dq(10000)", 256, f"{1 << 10001} exceeds cap 256"),
+        ("cover_qsd(16383)", 256, "2^16384 exceeds cap 256"),  # built, and too long to print
+        ("cover_qsd(16384)", 256, "2^16385 exceeds cap 256"),  # not built
+        ("cover_dq(20000)", big, "2^20001 exceeds cap 2^20000"),  # built: 20000 < 20001 cap bits
+        ("cover_dq(20001)", big, "2^20002 exceeds cap 2^20000"),
+        ("cover_dq(20001)", big + 1, "2^20002 exceeds cap above 2^20000"),
+        ("cover_dq(100000000000000000000)", 64, "2^100000000000000000001 exceeds cap 64"),
+    ]
+    for text, cap, message in cases:
+        with pytest.raises(OrderCapExceededError, match=f"^cover group order {re.escape(message)}$"):
+            ev(text, cap=cap)
 
 
 def test_eval_table_round_trip(tmp_path, monkeypatch):

@@ -159,6 +159,10 @@ def test_semidirect_rejects_bad_action():
         semidirect_cyclic(0, 2, 1)
     with pytest.raises(OrderCapExceededError):
         semidirect_cyclic(4, 2, 2, cap=4)
+    # an order with more digits than int-to-str conversion allows is named by
+    # the power of two below it
+    with pytest.raises(OrderCapExceededError, match=r"^semidirect product order above 2\^19931 exceeds cap 256$"):
+        semidirect_cyclic(10**3000, 10**3000, 3)
 
 
 def test_an_action_that_does_not_fix_y_to_the_k_is_internal():

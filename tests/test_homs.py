@@ -849,6 +849,42 @@ def test_center_cosets_walked_once_per_group(monkeypatch):
     assert calls == Counter({(True, z.members): 1, (True, n.members): 1})
 
 
+class _RowReads(tuple):
+    """A table that counts the rows read from it, by index or by iteration."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+def test_commutator_walk_fills_the_centralizer_table():
+    # work counter: once the centralizer table is filled, the commutator set
+    # and the criterion on every central projection read no row of the
+    # table; the commutators come from the same walk as the centralizers
+    s4 = from_multiplication_table(24, symmetric_group_table(4))
+    g = _relabelled(semidirect_cyclic(4, 4, 3), random.Random(35))
+    assert len(center(s4)) == 1 and len(center(g)) == 4
+    for group in (s4, g):
+        table = [list(r) for r in group.table]
+        projections = [quotient(group, s)[1] for s in all_subgroups(group) if s <= center(group)]
+        group.centralizer_masks()
+        group.table = _RowReads(group.table)
+        group.table.reads = 0
+        assert commutator_set(group) == brute_commutator_set(table)
+        verdicts = [crh_central_kernel_criterion(p) for p in projections]
+        assert group.table.reads == 0
+        expected = [brute_first_commutator_in(table, set(kernel(p))) for p in projections]
+        assert [(v.ok, v.witness_pair, v.witness_commutator) for v in verdicts] == [
+            (True, None, None) if w is None else (False, w[:2], w[2]) for w in expected
+        ]
+        assert len(projections) == (1 if group is s4 else 5)
+        assert any(expected) is (group is g)  # only g has a kernel that meets a commutator
+
+
 def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     # work counter: C(A) for the source's subgroups A is computed once per
     # group, from A's stored generating set, in the pass that enumerates
