@@ -12,7 +12,8 @@ construction skips the check through a private path: the bare
 :class:`FiniteGroup` constructor for quotients (G/1 is G itself) and
 ``families``' groups, ``SubgroupSet._from_mask`` for a subgroup just closed,
 ``GroupHom._trusted`` for projections, composites and identities, of which
-projections and identities are onto by construction and carry their kernel.
+projections and identities are onto by construction and carry their kernel,
+and ``lattice.LatticeMap._trusted`` for induced maps.
 Subsets of a group are :class:`SubgroupSet` values backed by an integer
 bitmask, so intersection, union and containment are single machine-word
 operations for the orders this package targets (a few hundred elements).
@@ -24,6 +25,7 @@ import json
 import math
 import numbers
 import operator
+from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -50,6 +52,13 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _mask_key(mask: int, _flip=str.maketrans("01", "10")) -> tuple[int, str]:
+    """Sorts masks as (order, members) sorts subgroups: at one popcount, the
+    mask holding the first differing bit comes first, so the bits, from bit
+    0 on, are compared flipped."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_flip)
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -106,6 +115,29 @@ def _require(where: str, kind: type, *values) -> None:
             raise DomainMismatchError(f"{where} needs a {kind.__name__}, not {type(value).__name__}")
 
 
+@cache
+def _row_ops(order: int) -> tuple:
+    """(row type, checked, pad, compose) for order ``order``, cached:
+    ``checked(row)`` is a tuple of ints as the row type, or None when an
+    entry lies outside range(order), and ``compose(u)(pad(v))`` is row v
+    read at the entries of row u, (v[u[0]], v[u[1]], ...).  Up to order
+    256, ``bytes`` rows, range checked by deleting range(order)'s bytes,
+    composed in C by ``u.translate`` through v padded to 256 bytes; above,
+    tuples, checked by ``min``/``max`` and composed by :func:`_gather`."""
+    if order > 256:
+        return tuple, lambda row: row if min(row) >= 0 and max(row) < order else None, tuple, _gather
+    in_range = bytes(range(order))
+
+    def checked(row):
+        try:
+            row = bytes(row)
+        except ValueError:  # an entry outside range(256)
+            return None
+        return None if row.translate(None, in_range) else row
+
+    return bytes, checked, operator.methodcaller("ljust", 256), operator.attrgetter("translate")
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
@@ -118,9 +150,9 @@ class FiniteGroup:
     when the order is at most 256 and a tuple of ints above, where an index
     no longer fits a byte; both index, gather, iterate and compare as
     sequences of ints, so every reader is the same for both.  Use
-    :func:`group_to_json` for plain lists of ints.  The constructor is the
-    one place that chooses the row type: builders hand it rows of ints of
-    any sequence type, best as an iterator, and it converts each row once.
+    :func:`group_to_json` for plain lists of ints.  :func:`_row_ops` is the
+    one place that chooses the row type: builders hand the constructor rows
+    of ints of any sequence type, best as an iterator, converted once each.
 
     The constructor checks nothing (the trusted path of the module's trust
     rule): use :func:`from_multiplication_table` for untrusted data.  Only
@@ -141,7 +173,7 @@ class FiniteGroup:
         element_labels: tuple[str, ...] | None = None,
     ) -> None:
         self.order = order
-        row_type = bytes if order <= 256 else tuple  # either returns a row of its type as it is
+        row_type = _row_ops(order)[0]  # either returns a row of its type as it is
         self.table: tuple[bytes, ...] | tuple[tuple[int, ...], ...] = tuple(map(row_type, table))
         self.identity = identity
         self.inverse = inverse
@@ -195,7 +227,8 @@ class FiniteGroup:
 
 
 class SubgroupSet:
-    """A subgroup of a fixed :class:`FiniteGroup`, stored as a bitmask.
+    """A subgroup of a fixed :class:`FiniteGroup`, stored as a bitmask;
+    ``members``, ascending, is read off it when asked for.
 
     The public constructor validates that the members actually form a
     subgroup (identity, closure and inverses).  Code inside the package that
@@ -203,30 +236,34 @@ class SubgroupSet:
     the re-check.
     """
 
-    __slots__ = ("group", "mask", "members")
+    __slots__ = ("group", "mask")
 
     def __init__(self, group: FiniteGroup, members: Iterable[int]) -> None:
         _require("SubgroupSet", FiniteGroup, group)
         self.group, self.mask = group, _mask_of(group, members)
-        self.members = tuple(_bits(self.mask))
         self.validate()
 
     @classmethod
     def _from_mask(cls, group: FiniteGroup, mask: int) -> "SubgroupSet":
         self = object.__new__(cls)
-        self.group, self.mask, self.members = group, mask, tuple(_bits(mask))
+        self.group, self.mask = group, mask
         return self
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The elements, ascending, read off the mask when asked for."""
+        return tuple(_bits(self.mask))
 
     def validate(self) -> None:
         g = self.group
         if not self.mask >> g.identity & 1:
             raise ValueError("subgroup set does not contain the identity")
-        t, inverse, mask = g.table, g.inverse, self.mask
-        for a in self.members:
+        t, inverse, mask, members = g.table, g.inverse, self.mask, self.members
+        for a in members:
             if not mask >> inverse[a] & 1:
                 raise ValueError(f"subgroup set is missing the inverse of {a}")
             row = t[a]
-            for b in self.members:
+            for b in members:
                 if not mask >> row[b] & 1:
                     raise ValueError(f"subgroup set is not closed: {a}*{b} escapes")
 
@@ -239,7 +276,7 @@ class SubgroupSet:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubgroupSet):
@@ -261,7 +298,7 @@ class SubgroupSet:
         return (len(self.members), self.members)
 
     def is_trivial(self) -> bool:
-        return self.members == (self.group.identity,)
+        return self.mask == 1 << self.group.identity
 
     def __repr__(self) -> str:
         return f"SubgroupSet(order={len(self.members)}, members={list(self.members)})"
@@ -293,11 +330,13 @@ def from_multiplication_table(
     table as a magma, so it is grown by right-multiplication closure on the
     raw table (:func:`_magma_generators`), never by :func:`_close_mask`,
     which assumes the table is already a group.  Row x of x*(s*y) is row x
-    read at the entries of row s, picked by :func:`_gather` at C speed and
-    compared whole with row x*s.  On failure every triple is scanned in
-    row-major order, with the same gather, and the first failing one is
-    reported.  The checks read tuple rows, which the group then stores as
-    its row type.
+    read at the entries of row s, composed at C speed (``translate`` for
+    order <= 256, see :func:`_row_ops`) and compared whole with row x*s.
+    On failure every triple is scanned in row-major order and the first
+    failing one is reported.  Each row of plain ints is converted to the
+    row type and range checked once, at C speed, and the checks and the
+    group read it as it is; any other row, or one that fails, takes the
+    per-cell loop, which names the first bad cell.
     """
     if not _is_integral(order) or order < 1:
         raise NotClosedError(0, 0, order)
@@ -314,21 +353,22 @@ def from_multiplication_table(
             raise NotClosedError(a, 0, f"row of type {type(r).__name__}") from None
     if len(rows) != order:
         raise NotClosedError(0, 0, f"expected {order} rows, got {len(rows)}")
+    row_type, checked, pad, compose = _row_ops(order)
     for a, row in enumerate(rows):
-        # A row of plain ints is checked at C speed; any other row takes the
-        # per-cell loop, which names the first bad cell.
-        if len(row) == order and set(map(type, row)) == {int} and min(row) >= 0 and max(row) < order:
-            continue
+        if len(row) == order and set(map(type, row)) == {int}:
+            rows[a] = checked(row)
+            if rows[a] is not None:
+                continue
         if len(row) != order:
             raise NotClosedError(a, 0, f"row of length {len(row)}")
         for b, v in enumerate(row):
             if not _is_integral(v) or not 0 <= v < order:
                 raise NotClosedError(a, b, v)
-        rows[a] = tuple(map(int, row))  # e.g. NumPy integers
+        rows[a] = checked(tuple(map(int, row)))  # e.g. NumPy integers
 
-    natural = tuple(range(order))
+    natural = row_type(range(order))
     for identity, row in enumerate(rows):
-        if row == natural and tuple(r[identity] for r in rows) == natural:
+        if row == natural and row_type(r[identity] for r in rows) == natural:
             break
     else:
         raise NoIdentityError()
@@ -348,10 +388,11 @@ def from_multiplication_table(
         hints = tuple(map(_parse_hint, generator_hints))
     seeds = [i for _, i in hints or () if 0 <= i < order]
     gens, hints_generate = _magma_generators(rows, identity, seeds)
+    padded = list(map(pad, rows))
     for s in gens:
-        right = _gather(rows[s])  # right(rows[x])[y] = x*(s*y)
-        for rx in rows:
-            if right(rx) != rows[rx[s]]:  # rows[x*s][y] = (x*s)*y
+        right = compose(rows[s])  # right(padded[x])[y] = x*(s*y)
+        for rx, px in zip(rows, padded):
+            if right(px) != rows[rx[s]]:  # rows[x*s][y] = (x*s)*y
                 raise _first_nonassociative_triple(rows)
 
     labels = None
@@ -388,7 +429,7 @@ def _parse_hint(hint) -> tuple[str, int]:
 
 
 def _magma_generators(
-    rows: list[tuple[int, ...]], identity: int, seeds: Iterable[int]
+    rows: list[Sequence[int]], identity: int, seeds: Iterable[int]
 ) -> tuple[list[int], bool]:
     """A generating set of the table as a magma, and whether ``seeds``
     alone generate it.
@@ -426,9 +467,10 @@ def _magma_generators(
     return gens, seeds_generate
 
 
-def _first_nonassociative_triple(rows: list[tuple[int, ...]]) -> NotAssociativeError:
+def _first_nonassociative_triple(rows: list[Sequence[int]]) -> NotAssociativeError:
     """The error for the first (a, b, c) in row-major order with
-    (a*b)*c != a*(b*c); the caller knows that one exists."""
+    (a*b)*c != a*(b*c), the caller knows that one exists, read off tuple copies of the rows."""
+    rows = list(map(tuple, rows))
     gathers = [_gather(r) for r in rows]  # gathers[b](rows[a])[c] = a*(b*c)
     for a, ra in enumerate(rows):
         for b, ab in enumerate(ra):
@@ -547,10 +589,16 @@ def _centralizer_table(group: FiniteGroup) -> tuple[tuple[int, ...], int, dict[i
     for z in Z, so one row is computed per coset and shared by all of it;
     [az, bz'] = [a, b], so the first pair of a commutator is a pair of
     representatives, as (min aZ, min bZ) comes no later; and C(a) is the
-    union of the cosets bZ with [a, b] = 1."""
+    union of the cosets bZ with [a, b] = 1.  Named generators that commute
+    pairwise make G abelian, and the table is read off them: C(x) = Z = G,
+    and the one commutator is 1, first at (0, 0), as the walk would find."""
     if group._centralizers is None:
         t, inverse, e, z = group.table, group.inverse, group.identity, group.full_mask
-        for _, g in group.generator_names:
+        gens = [g for _, g in group.generator_names]
+        if all(t[g][h] == t[h][g] for g in gens for h in gens):
+            group._centralizers = ((z,) * group.order, z, {e: (0, 0)})
+            return group._centralizers
+        for g in gens:
             tg, m = t[g], 0
             for x, tx in enumerate(t):
                 if tx[g] == tg[x]:
@@ -604,7 +652,8 @@ def _require_order_at_most(order: int, cap: int, what: str = "group") -> None:
     """The order cap, checked before anything of that order is built or any
     cached result is returned; the one place that raises the cap error,
     after refusing a cap that is not an integer."""
-    _require_integers(cap=cap)
+    if not _is_integral(cap):
+        raise UnsupportedParameterError(f"cap must be an integer, got {cap!r}")
     if order > cap:
         raise OrderCapExceededError(order, cap, what)
 
@@ -713,8 +762,9 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
                 if j_mask not in gens_of and not j_mask & bad:
                     gens_of[j_mask] = j_gens
                     todo.append((j_mask, j_elems, j_gens, i))
-        subs = sorted((SubgroupSet._from_mask(group, m) for m in gens_of), key=SubgroupSet.sort_key)
-        gens = tuple(gens_of[s.mask] for s in subs)
+        masks = sorted(gens_of, key=_mask_key)
+        subs = [SubgroupSet._from_mask(group, m) for m in masks]
+        gens = tuple(map(gens_of.__getitem__, masks))
         cents = tuple(_centralizer_mask(group, sum({1 << g for g in a})) for a in gens)
         group._subgroups = (tuple(subs), gens, cents)
     return group._subgroups
@@ -768,9 +818,7 @@ def group_from_json(doc) -> FiniteGroup:
             raise TableJsonError("'generators' must map names to element indices")
         gens = tuple(sorted(g.items()))
     labels = doc.get("labels")
-    if labels is not None and (
-        not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
-    ):
+    if labels is not None and (not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)):
         raise TableJsonError("'labels' must be a list of strings")
     try:
         return from_multiplication_table(order, table, gens, labels)

@@ -25,9 +25,7 @@ class TableValidationError(CentlatError):
 class NotClosedError(TableValidationError):
     def __init__(self, row: int, col: int, value: object) -> None:
         self.row, self.col, self.value = row, col, value
-        super().__init__(
-            f"table entry at ({row}, {col}) is {value!r}, not an element index"
-        )
+        super().__init__(f"table entry at ({row}, {col}) is {value!r}, not an element index")
 
 
 class NoIdentityError(TableValidationError):
@@ -126,9 +124,7 @@ class NotSurjectiveError(CentlatError):
 class KernelNotCentralError(CentlatError):
     def __init__(self, kernel_element: int, witness: int) -> None:
         self.kernel_element, self.witness = kernel_element, witness
-        super().__init__(
-            f"kernel element {kernel_element} does not commute with {witness}"
-        )
+        super().__init__(f"kernel element {kernel_element} does not commute with {witness}")
 
 
 class DomainMismatchError(CentlatError):
@@ -158,9 +154,7 @@ class ExprParseError(CentlatError):
 class UnknownGeneratorError(CentlatError):
     def __init__(self, name: str, known: tuple[str, ...]) -> None:
         self.name, self.known = name, known
-        super().__init__(
-            f"unknown generator {name!r}; group provides {', '.join(known) or '(none)'}"
-        )
+        super().__init__(f"unknown generator {name!r}; group provides {', '.join(known) or '(none)'}")
 
 
 class TableJsonError(CentlatError):
@@ -176,7 +170,8 @@ class InternalInconsistencyError(CentlatError):
     """
 
 
-def _ensure(ok: bool, message: str) -> None:
-    """A structural self-check that, unlike ``assert``, survives ``python -O``."""
+def _ensure(ok: bool, message: str, *args) -> None:
+    """A structural self-check that, unlike ``assert``, survives ``python -O``;
+    ``args`` fill the ``{}`` fields of ``message``, only when the check fails."""
     if not ok:
-        raise InternalInconsistencyError(message)
+        raise InternalInconsistencyError(message.format(*args))

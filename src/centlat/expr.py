@@ -26,12 +26,11 @@ from .core import (
     FiniteGroup,
     _is_integral,
     _json_object,
-    _require_integers,
     _require_order_at_most,
     closure,
     group_from_json,
 )
-from .errors import ExprParseError, OrderCapExceededError, TableJsonError, UnknownGeneratorError
+from .errors import ExprParseError, TableJsonError, UnknownGeneratorError
 from .families import cover_group, direct_product, make_family, semidirect_cyclic
 from .homs import GroupHom, quotient
 
@@ -174,9 +173,7 @@ class _Parser:
     def parse_expr(self, depth: int = 1) -> Expr:
         if depth > MAX_NESTING:
             tok = self.peek()
-            raise ExprParseError(
-                f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col
-            )
+            raise ExprParseError(f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
         tok = self.take("ident", _CONSTRUCTOR_TOKENS)
         name = tok.value
         if name in FAMILY_TOKENS:
@@ -219,9 +216,7 @@ class _Parser:
             path = self.take("string", ("a quoted file path",)).value
             self.take(")")
             return TableExpr(path)
-        raise ExprParseError(
-            f"unknown constructor {name!r}", tok.line, tok.col, _CONSTRUCTOR_TOKENS
-        )
+        raise ExprParseError(f"unknown constructor {name!r}", tok.line, tok.col, _CONSTRUCTOR_TOKENS)
 
     def parse_word(self) -> tuple[WordTerm, ...]:
         terms = [self.parse_term()]
@@ -303,15 +298,9 @@ def eval_group_expr(expr: Expr, cap: int = DEFAULT_ORDER_CAP) -> EvalResult:
     """
     if isinstance(expr, FamilyExpr):
         if expr.kind in ("cover_dq", "cover_qsd"):
-            _require_integers(cap=cap)
-            # 2^(n+1) past 2^14 bits and the cap's bit length exceeds the cap: named, not built
-            if expr.param >= max(int(cap).bit_length(), 1 << 14):
-                raise OrderCapExceededError(f"2^{expr.param + 1}", cap, "cover group")
-            _require_order_at_most(1 << (expr.param + 1) if expr.param >= 0 else 0, cap, "cover group")
             kind = "dihedral_quaternion" if expr.kind == "cover_dq" else "quaternion_semidihedral"
-            return EvalResult(cover_group(kind, expr.param).group)
-        _require_order_at_most(expr.param, cap, f"{expr.kind} group")
-        return EvalResult(make_family(expr.kind, expr.param))
+            return EvalResult(cover_group(kind, expr.param, cap).group)
+        return EvalResult(make_family(expr.kind, expr.param, cap))
     if isinstance(expr, ProductExpr):
         left = eval_group_expr(expr.left, cap).group
         right = eval_group_expr(expr.right, cap).group

@@ -27,7 +27,8 @@ from .core import (
     closure,
     commutator_set,
 )
-from .errors import InternalInconsistencyError, InvalidActionError, UnsupportedParameterError, _ensure
+from .errors import InternalInconsistencyError, InvalidActionError, OrderCapExceededError
+from .errors import UnsupportedParameterError, _ensure, _int_text
 
 
 def _pair_label(i: int, j: int) -> str:
@@ -35,13 +36,14 @@ def _pair_label(i: int, j: int) -> str:
     return "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in (("x", i), ("y", j)) if e) or "1"
 
 
-def make_family(kind: str, order: int) -> FiniteGroup:
+def make_family(kind: str, order: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """One of the four supported families, by total order.
 
     cyclic(n), n >= 1; dihedral(2m), m >= 2; quaternion(2^k), k >= 3;
-    semidihedral(2^k), k >= 4.
+    semidihedral(2^k), k >= 4; an order above ``cap`` is refused first.
     """
     _require_integers(order=order)
+    _require_order_at_most(order, cap, f"{kind} group")
     if kind == "cyclic":
         if order < 1:
             raise UnsupportedParameterError(f"cyclic group order must be >= 1, got {order}")
@@ -75,7 +77,7 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
         raise InvalidActionError(f"action parameter {a} is not invertible mod {m}")
     if pow(a, k, m) != 1 % m:
         raise InvalidActionError(f"{a}^{k} != 1 (mod {m}); the action does not close")
-    _ensure(a * square % m == square % m, f"x -> x^{a} does not fix y^{k} = x^{square} (mod {m})")
+    _ensure(a * square % m == square % m, "x -> x^{} does not fix y^{} = x^{} (mod {})", a, k, square, m)
 
     def rows():  # one at a time, so the constructor converts each as it comes
         for j1 in range(k):
@@ -172,7 +174,7 @@ class CoverGroup(_CoverGroupFields):
         return cls(*fields)
 
 
-def cover_group(kind: str, n: int) -> CoverGroup:
+def cover_group(kind: str, n: int, cap: int = DEFAULT_ORDER_CAP) -> CoverGroup:
     """The order-2^(n+1) cover whose two central quotients are:
 
     - ``dihedral_quaternion`` (n >= 3): dihedral(2^n) and quaternion(2^n);
@@ -184,9 +186,16 @@ def cover_group(kind: str, n: int) -> CoverGroup:
     2m + m/2.  The second is the fiber product of the two families over
     their common dihedral quotient of order 2^(n-1): no split extension of
     Z_{2^(n-1)} by Z_4 has a quaternion quotient except the inversion one,
-    so the pair (quaternion, semidihedral) forces this shape.
+    so the pair (quaternion, semidihedral) forces this shape.  The order is
+    checked against ``cap`` first, and named, not built, once n is past 2^14
+    and the cap's bit length.
     """
-    _require_integers(n=n)
+    _require_integers(n=n, cap=cap)
+    if n >= max(int(cap).bit_length(), 1 << 14):
+        exponent = _int_text(n + 1)  # "above 2^k" past int-to-str's digit limit
+        order = f"2^{exponent}" if exponent.isdigit() else f"2^({exponent})"
+        raise OrderCapExceededError(order, cap, "cover group")
+    _require_order_at_most(1 << (n + 1) if n >= 0 else 0, cap, "cover group")
     if kind == "dihedral_quaternion":
         if n < 3:
             raise UnsupportedParameterError(f"dihedral_quaternion cover needs n >= 3, got {n}")
@@ -198,8 +207,8 @@ def cover_group(kind: str, n: int) -> CoverGroup:
     if kind == "quaternion_semidihedral":
         if n < 4:
             raise UnsupportedParameterError(f"quaternion_semidihedral cover needs n >= 4, got {n}")
-        q = make_family("quaternion", 1 << n)
-        sd = make_family("semidihedral", 1 << n)
+        q = make_family("quaternion", 1 << n, cap)
+        sd = make_family("semidihedral", 1 << n, cap)
         g, z_quaternion, z_semidihedral = _fiber_product_over_central_quotients(q, sd)
         return CoverGroup(kind, n, g, z_quaternion, z_semidihedral)
     raise UnsupportedParameterError(f"unknown cover kind {kind!r}")
@@ -290,14 +299,10 @@ def _catalog(max_order: int) -> tuple[CatalogEntry, ...]:
         for b in range(a, max_order + 1):
             for c in range(b, max_order // (a * b) + 1):
                 g = direct_product(cyclic[a], pairs[b, c])
-                entries.append(
-                    CatalogEntry(f"product(cyclic({a}),product(cyclic({b}),cyclic({c})))", g)
-                )
+                entries.append(CatalogEntry(f"product(cyclic({a}),product(cyclic({b}),cyclic({c})))", g))
     for m in range(2, max_order + 1):
         for k in range(2, max_order // m + 1):
             for a in range(2, m):
                 if math.gcd(a, m) == 1 and pow(a, k, m) == 1:
-                    entries.append(
-                        CatalogEntry(f"semidirect({m},{k},{a})", semidirect_cyclic(m, k, a))
-                    )
+                    entries.append(CatalogEntry(f"semidirect({m},{k},{a})", semidirect_cyclic(m, k, a)))
     return tuple(entries)

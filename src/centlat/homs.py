@@ -92,11 +92,11 @@ class GroupHom:
         return self
 
     def image_mask(self, members: Iterable[int]) -> int:
-        """Bitmask of the image of ``members``."""
-        mask = 0
+        """Bitmask of the image of ``members``, each mapped directly."""
+        m, mapping = 0, self.mapping
         for a in members:
-            mask |= 1 << a
-        return self._image_of_mask(mask)
+            m |= 1 << mapping[a]
+        return m
 
     def _image_of_mask(self, mask: int) -> int:
         """Bitmask of the image of the elements of ``mask``: the one image
@@ -309,8 +309,8 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
         raise KernelNotCentralError(k, witness)
     # The first pair in row-major order whose commutator is a nontrivial
     # kernel element: the least of the first pairs of those commutators.
-    first = _first_commutator_pairs(g)
-    hits = [(first[c], c) for c in ker.members if c != g.identity and c in first]
+    first, nontrivial = _first_commutator_pairs(g), ker.mask & ~(1 << g.identity)
+    hits = [(pair, c) for c, pair in first.items() if nontrivial >> c & 1]
     if hits:
         pair, c = min(hits)
         return CentralKernelVerdict(False, pair, c)

@@ -24,6 +24,7 @@ from .core import (
     _bits,
     _centralizer_mask,
     _is_integral,
+    _mask_key,
     _require,
     _require_order_at_most,
 )
@@ -58,7 +59,7 @@ class CentralizerLattice:
         closed = {group.full_mask}
         for c in set(group.centralizer_masks()):  # closed: every meet of G and the C(x) so far
             closed |= {c & m for m in closed}
-        nodes = sorted(closed, key=lambda m: (m.bit_count(), _bits(m)))
+        nodes = sorted(closed, key=_mask_key)
         self.nodes: tuple[int, ...] = tuple(nodes)
         self.index_of_mask = index_of = {m: i for i, m in enumerate(nodes)}
 
@@ -68,9 +69,7 @@ class CentralizerLattice:
         _ensure(nodes[self.bottom] == cents[self.top], "bottom node must be the center")
         self.involution = tuple(index_of[c] for c in cents)
         # i <= j exactly when node i lies inside node j
-        self.leq_masks = tuple(
-            sum(1 << j for j, mj in enumerate(nodes) if mi & mj == mi) for mi in nodes
-        )
+        self.leq_masks = tuple(sum(1 << j for j, mj in enumerate(nodes) if mi & mj == mi) for mi in nodes)
         self._validate()
 
     def _validate(self) -> None:
@@ -168,6 +167,11 @@ class LatticeMap(_LatticeMapFields):
     def _make(cls, fields) -> "LatticeMap":
         return cls(*fields)
 
+    @classmethod
+    def _trusted(cls, source: CentralizerLattice, target: CentralizerLattice, node_map: tuple) -> "LatticeMap":
+        """A tuple node map read off the target's nodes, unchecked (see :mod:`centlat.core`)."""
+        return tuple.__new__(cls, (source, target, node_map))
+
     def is_bijective(self) -> bool:
         return len(set(self.node_map)) == len(self.node_map) == len(self.target.nodes)
 
@@ -180,6 +184,8 @@ def induced_map(phi: GroupHom) -> LatticeMap:
 
     Verifies the definitional centralizer-respecting property first and
     raises :class:`NotCrhError` (with the witness subgroup) when it fails.
+    The verdict requires phi onto, so the top node G goes to the target's
+    top unmapped; the rest are looked up among the target's nodes.
     """
     _require("induced_map", GroupHom, phi)
     source_lattice = lattice_of(phi.source)
@@ -193,16 +199,15 @@ def induced_map(phi: GroupHom) -> LatticeMap:
             witness=w,
         )
     mapping = []
-    for node in source_lattice.nodes:
+    for node in source_lattice.nodes[: source_lattice.top]:
         img = phi._image_of_mask(node)
         idx = target_lattice.index_of_mask.get(img)
         if idx is None:  # cannot happen: a crh phi maps C(A) onto C(phi(A)), a node
-            raise InternalInconsistencyError(
-                f"image {_bits(img)} of lattice node {_bits(node)} "
-                "is not a node of the target lattice"
-            )
+            where = f"image {_bits(img)} of lattice node {_bits(node)}"
+            raise InternalInconsistencyError(f"{where} is not a node of the target lattice")
         mapping.append(idx)
-    return LatticeMap(source_lattice, target_lattice, tuple(mapping))
+    mapping.append(target_lattice.top)
+    return LatticeMap._trusted(source_lattice, target_lattice, tuple(mapping))
 
 
 def _same_lattice(a: CentralizerLattice, b: CentralizerLattice) -> bool:
@@ -213,9 +218,7 @@ def compose_lattice_maps(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
     _require("compose_lattice_maps", LatticeMap, outer, inner)
     if not _same_lattice(inner.target, outer.source):
         raise DomainMismatchError("cannot compose: inner target lattice differs from outer source")
-    return LatticeMap(
-        inner.source, outer.target, tuple(outer.node_map[v] for v in inner.node_map)
-    )
+    return LatticeMap(inner.source, outer.target, tuple(outer.node_map[v] for v in inner.node_map))
 
 
 def invert_lattice_map(m: LatticeMap) -> LatticeMap:

@@ -210,8 +210,8 @@ def test_verify_takes_no_cap(capsys):
 
 
 def test_cap_above_the_default_builds_larger_groups(capsys):
-    # expr checks the caller's cap before it calls any constructor, so the
-    # family constructors check none of their own: a DEFAULT_ORDER_CAP check
+    # expr hands the caller's cap to the family constructors, whose own cap
+    # only defaults to DEFAULT_ORDER_CAP: a fixed check at that default
     # inside make_family would refuse this order-300 group under --cap 512
     assert centlat_cli.main(["lattice", "cyclic(300)", "--cap", "512"]) == 0
     assert json.loads(capsys.readouterr().out)["group_order"] == 300

@@ -683,6 +683,24 @@ def test_subgroup_counts_known(builder, expected_count):
 # ------------------------------------------------------------- SubgroupSet
 
 
+def test_mask_key_sorts_as_subgroups_sort():
+    # the mask-only sort key of subgroup tables and lattice nodes against
+    # (order, members): every subgroup of catalog(64), shuffled, and seeded
+    # random masks of mixed bit lengths, dense and sparse
+    rng = random.Random(3603)
+    for entry in catalog(64):
+        subs = list(all_subgroups(entry.group))
+        rng.shuffle(subs)
+        by_mask = sorted(subs, key=lambda s: core._mask_key(s.mask))
+        assert by_mask == sorted(subs, key=SubgroupSet.sort_key) == list(all_subgroups(entry.group))
+    masks = [0, 1, 2, 3]
+    for _ in range(3000):
+        width = rng.randrange(1, 300)
+        masks.append(rng.getrandbits(width))
+        masks.append(sum(1 << rng.randrange(width) for _ in range(rng.randrange(1, 6))))
+    assert sorted(masks, key=core._mask_key) == sorted(masks, key=lambda m: (m.bit_count(), core._bits(m)))
+
+
 def test_subgroupset_ops(s3):
     subs = all_subgroups(s3)
     whole = subs[-1]

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -37,6 +38,7 @@ from centlat.errors import (
     OrderCapExceededError,
     TableValidationError,
     UnsupportedParameterError,
+    _ensure,
 )
 from centlat.expr import eval_group_expr, parse_group_expr, pretty
 
@@ -163,6 +165,43 @@ def test_semidirect_rejects_bad_action():
     # the power of two below it
     with pytest.raises(OrderCapExceededError, match=r"^semidirect product order above 2\^19931 exceeds cap 256$"):
         semidirect_cyclic(10**3000, 10**3000, 3)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (make_family, ("cyclic", 10**5000)),  # too many digits for int-to-str
+        (make_family, ("cyclic", 10**6)),
+        (cover_group, ("dihedral_quaternion", 10**20)),  # 2^(n+1) is not computed
+        (cover_group, ("dihedral_quaternion", 40)),
+        (cover_group, ("quaternion_semidihedral", 10**5000)),
+    ],
+)
+def test_huge_family_parameters_are_refused_before_anything_is_built(build, args):
+    start = time.perf_counter()
+    with pytest.raises(OrderCapExceededError):
+        build(*args)
+    assert time.perf_counter() - start < 1
+
+
+def test_family_caps_bound_the_order_they_build():
+    # the cap keyword of make_family and cover_group, on both sides of it
+    assert make_family("cyclic", 300, cap=300).order == 300
+    with pytest.raises(OrderCapExceededError, match=r"^dihedral group order 16 exceeds cap 8$"):
+        make_family("dihedral", 16, cap=8)
+    assert cover_group("dihedral_quaternion", 3, cap=16).group.order == 16
+    with pytest.raises(OrderCapExceededError, match=r"^cover group order 32 exceeds cap 16$"):
+        cover_group("quaternion_semidihedral", 4, cap=16)
+    with pytest.raises(OrderCapExceededError, match=r"^cover group order 2\^\(above 2\^16609\) exceeds cap 256$"):
+        cover_group("dihedral_quaternion", 10**5000)
+    with pytest.raises(UnsupportedParameterError, match=r"^cap must be an integer, got 2.5$"):
+        cover_group("dihedral_quaternion", 3, cap=2.5)
+
+
+def test_ensure_formats_its_message_only_on_failure():
+    _ensure(True, "x^{}", 10**5000)  # str() of the int would raise ValueError
+    with pytest.raises(InternalInconsistencyError, match=r"^x\^3 does not fix 5$"):
+        _ensure(False, "x^{} does not fix {}", 3, 5)
 
 
 def test_an_action_that_does_not_fix_y_to_the_k_is_internal():
@@ -379,8 +418,8 @@ def test_fiber_product_hints_that_do_not_generate_are_internal(monkeypatch):
     # the cover's hints are the quaternion factor's generators; drop its y
     real = families.make_family
 
-    def drop_y(kind, order):
-        g = real(kind, order)
+    def drop_y(kind, order, cap):
+        g = real(kind, order, cap)
         if kind == "quaternion":
             x_only = g.generator_names[:1]
             g = FiniteGroup(g.order, g.table, g.identity, g.inverse, x_only, g.element_labels)
@@ -603,12 +642,12 @@ def test_rows_are_bytes_up_to_order_256_and_tuples_above():
     # the row type at its boundary: one bytes object per row while every
     # index fits a byte, a tuple of ints from order 257 on, whatever builds
     # the group; each equals its validated copy, and JSON gets plain ints
-    c300 = make_family("cyclic", 300)
+    c300 = make_family("cyclic", 300, cap=300)
     q150, _ = quotient(c300, closure(c300, [150]))  # a + 150 lies in the coset of a
     product_table = [[(a // 17 + b // 17) % 16 * 17 + (a + b) % 17 for b in range(272)] for a in range(272)]
     cases = [
         (make_family("dihedral", 256), bytes, _reference_twisted_pair(128, 127, 0)[1]),
-        (make_family("cyclic", 257), tuple, _reference_cyclic(257)[1]),
+        (make_family("cyclic", 257, cap=257), tuple, _reference_cyclic(257)[1]),
         (direct_product(make_family("cyclic", 16), make_family("cyclic", 17), cap=512), tuple, product_table),
         (q150, bytes, _reference_cyclic(150)[1]),
     ]

@@ -15,6 +15,7 @@ import pytest
 
 from centlat import (
     catalog,
+    core,
     cli,
     from_multiplication_table,
     group_from_json,
@@ -25,7 +26,13 @@ from centlat import (
     parse_group_expr,
 )
 from centlat.expr import FAMILY_TOKENS, MAX_NESTING, TableExpr, pretty
-from centlat.errors import CentlatError, NotAssociativeError
+from centlat.errors import (
+    CentlatError,
+    NoIdentityError,
+    NoInverseError,
+    NotAssociativeError,
+    NotClosedError,
+)
 
 from _oracles import brute_first_nonassociative_triple, brute_table_verdict
 
@@ -97,6 +104,153 @@ def test_from_multiplication_table_raises_only_documented_errors(order, table, h
 @given(perturbed_group_tables(), hints)
 def test_perturbed_tables_get_the_oracle_verdict(table, hints):
     _check_table(len(table), table, hints)
+
+
+def _tuple_path_checks(order, table):
+    """The table checks as they were before rows were validated as bytes, kept
+    as the reference for the bytes path: range on tuple rows by min/max or per
+    cell, identity and inverses on tuples, Light's test by gathering, and the
+    first failing triple over the tuples.  Returns (identity, inverse,
+    generators, rows) or raises what validation raised."""
+    if not core._is_integral(order) or order < 1:
+        raise NotClosedError(0, 0, order)
+    order = int(order)
+    try:
+        table_rows = iter(table)
+    except TypeError:
+        raise NotClosedError(0, 0, f"table of type {type(table).__name__}") from None
+    rows = []
+    for a, r in enumerate(table_rows):
+        try:
+            rows.append(tuple(r))
+        except TypeError:
+            raise NotClosedError(a, 0, f"row of type {type(r).__name__}") from None
+    if len(rows) != order:
+        raise NotClosedError(0, 0, f"expected {order} rows, got {len(rows)}")
+    for a, row in enumerate(rows):
+        if len(row) == order and set(map(type, row)) == {int} and min(row) >= 0 and max(row) < order:
+            continue
+        if len(row) != order:
+            raise NotClosedError(a, 0, f"row of length {len(row)}")
+        for b, v in enumerate(row):
+            if not core._is_integral(v) or not 0 <= v < order:
+                raise NotClosedError(a, b, v)
+        rows[a] = tuple(map(int, row))
+    natural = tuple(range(order))
+    for identity, row in enumerate(rows):
+        if row == natural and tuple(r[identity] for r in rows) == natural:
+            break
+    else:
+        raise NoIdentityError()
+    inverse = []
+    for a, row in enumerate(rows):
+        try:
+            b = row.index(identity)
+        except ValueError:
+            raise NoInverseError(a) from None
+        if rows[b][a] != identity:
+            raise NoInverseError(a)
+        inverse.append(b)
+    gens, _ = core._magma_generators(rows, identity, [])
+    for s in gens:
+        right = core._gather(rows[s])
+        for rx in rows:
+            if right(rx) != rows[rx[s]]:
+                gathers = [core._gather(r) for r in rows]
+                for a, ra in enumerate(rows):
+                    for b, ab in enumerate(ra):
+                        left, right = rows[ab], gathers[b](ra)
+                        if left != right:
+                            c = next(c for c, (u, v) in enumerate(zip(left, right)) if u != v)
+                            raise NotAssociativeError(a, b, c, left[c], right[c])
+    return identity, tuple(inverse), tuple(gens), [list(r) for r in rows]
+
+
+def _outcome(check, order, table):
+    """What a table check returns, or the type, args and fields of what it raises."""
+    try:
+        return check(order, table)
+    except Exception as e:  # compared whole, so any difference shows
+        return type(e), e.args, vars(e)
+
+
+def _validated(order, table):
+    g = from_multiplication_table(order, table)
+    return g.identity, g.inverse, tuple(i for _, i in g.generator_names), [list(r) for r in g.table]
+
+
+def _check_against_tuple_path(order, table):
+    """Validation agrees with the tuple-path reference, error for error, and
+    a table of in-range indices with the brute-force oracle (up to order 64,
+    as the oracle is cubic)."""
+    got = _outcome(_validated, order, table)
+    assert got == _outcome(_tuple_path_checks, order, table)
+    if got[0] is NotClosedError or len(table) > 64:
+        return
+    verdict, fields = brute_table_verdict(table), got[-1]
+    if got[0] is NoIdentityError:
+        assert verdict == ("no identity",)
+    elif got[0] is NoInverseError:
+        assert verdict == ("no inverse", fields["element"])
+    elif got[0] is NotAssociativeError:
+        assert verdict == ("not associative", fields["triple"], fields["lhs"], fields["rhs"])
+    else:
+        assert verdict == ("group", got[0])
+
+
+@FUZZ
+@given(st.integers(-1, 6), tables)
+def test_validation_matches_the_tuple_path(order, table):
+    _check_against_tuple_path(order, table)
+
+
+@FUZZ
+@given(perturbed_group_tables())
+def test_validation_matches_the_tuple_path_on_perturbed_tables(table):
+    _check_against_tuple_path(len(table), table)
+
+
+def _cyclic_table(n, *changes):
+    """Z_n's table, (a + b) mod n, with each (a, b, v) of ``changes`` written in."""
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for a, b, v in changes:
+        table[a][b] = v
+    return table
+
+
+def _swapped(n):
+    """Z_n's table with two entries of row 1 swapped, away from the identity
+    and from 1's inverse: identity and inverses pass, associativity fails."""
+    return _cyclic_table(n, (1, 2, 4 % n), (1, 3, 3))
+
+
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        _cyclic_table(4, (1, 2, True)),  # a bool equals 3 but is refused
+        _cyclic_table(5, (2, 3, -1)),
+        _cyclic_table(5, (2, 3, 5)),  # the order
+        _cyclic_table(5, (2, 3, 255)),  # fits a byte, outside range(5)
+        _cyclic_table(5, (2, 3, 256)),  # past a byte
+        _cyclic_table(256),  # 255 is an entry
+        _cyclic_table(256, (7, 9, 256)),
+        _cyclic_table(256, (7, 9, -1)),
+        _cyclic_table(257),  # tuple rows: 256 is an entry
+        _cyclic_table(257, (7, 9, 257)),
+        _cyclic_table(6, (0, 0, 1)),  # no identity
+        _cyclic_table(6, (2, 4, 3)),  # 2 has no inverse
+        NON_ASSOCIATIVE_LOOP,
+        _swapped(7),
+        _swapped(256),
+        _swapped(257),
+    ],
+    ids=lambda t: f"order{len(t)}",
+)
+def test_validation_matches_the_tuple_path_at_the_edges(table):
+    _check_against_tuple_path(len(table), table)
 
 
 SMALL_GROUPS = [e.group for e in catalog(8)]

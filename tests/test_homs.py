@@ -885,6 +885,59 @@ def test_commutator_walk_fills_the_centralizer_table():
         assert any(expected) is (group is g)  # only g has a kernel that meets a commutator
 
 
+def _walked_centralizer_table(group):
+    """The centralizer table by the commutator walk over the center-coset
+    representatives, taken for every group: the reference for the tables
+    read off commuting generators."""
+    t, inverse, e, z = group.table, group.inverse, group.identity, group.full_mask
+    for _, g in group.generator_names:
+        tg, m = t[g], 0
+        for x, tx in enumerate(t):
+            if tx[g] == tg[x]:
+                m |= 1 << x
+        z &= m
+    zs = core._bits(z)
+    coset, reps = core._left_cosets(group, zs)
+    coset_of = core._gather(zs)
+    columns = [(b, inverse[b], sum(map((1).__lshift__, coset_of(t[b])))) for b in reps]
+    rows, first = [], {}
+    for a in reps:
+        row_ia, m = t[inverse[a]], 0
+        for b, ib, bz in columns:
+            c = t[t[row_ia[ib]][a]][b]
+            if c == e:
+                m |= bz
+            if c not in first:
+                first[c] = (a, b)
+        rows.append(m)
+    return tuple(rows[c] for c in coset), z, first
+
+
+def test_abelian_centralizer_tables_are_read_off_the_generators():
+    # differential against the walk on catalog(64), a relabelled copy of each
+    # group and every central quotient; and a work counter: when the named
+    # generators commute, the table takes at most 2 |gens|^2 row reads, where
+    # the walk reads |gens| n rows for the center alone
+    rng = random.Random(3601)
+    groups = []
+    for entry in catalog(64):
+        g = entry.group
+        groups += [g, _relabelled(g, rng)] + [quotient(g, s)[0] for s in all_subgroups(g) if s <= center(g)]
+    counts = Counter()
+    for g in groups:
+        fresh = core.FiniteGroup(g.order, g.table, g.identity, g.inverse, g.generator_names)  # no cache
+        want = _walked_centralizer_table(fresh)
+        fresh.table = _RowReads(fresh.table)
+        fresh.table.reads = 0
+        got = core._centralizer_table(fresh)
+        assert (got[0], got[1], list(got[2].items())) == (want[0], want[1], list(want[2].items()))
+        if got[1] == fresh.full_mask:
+            assert fresh.table.reads <= 2 * len(fresh.generator_names) ** 2
+            counts["abelian"] += 1
+        counts["groups"] += 1
+    assert counts == Counter(groups=2 * 373 + 2724, abelian=2656)
+
+
 def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     # work counter: C(A) for the source's subgroups A is computed once per
     # group, from A's stored generating set, in the pass that enumerates

@@ -3,14 +3,17 @@ from __future__ import annotations
 import ast
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from centlat import (
     CrhVerdict,
+    GroupHom,
     all_subgroups,
     catalog,
+    center,
     closure,
     crh_central_kernel_criterion,
     direct_product,
@@ -659,3 +662,35 @@ def test_oracle_self_checks_are_explicit_raises():
         brute_lattice_join(nodes, 1, 2)
     with pytest.raises(AssertionError, match="oracle: no greatest lower bound"):
         brute_lattice_meet(nodes, 3, 4)
+
+
+def test_induced_map_sends_the_top_node_by_surjectivity(monkeypatch):
+    # differential against the image of every node, over every crh central
+    # projection of catalog(64); and a work counter: the top node G goes to
+    # the target's top without an image, so an abelian source, whose one
+    # node is its top, takes none
+    original, images = GroupHom._image_of_mask, Counter()
+
+    def counting(h, mask):
+        images["taken"] += 1
+        return original(h, mask)
+
+    monkeypatch.setattr(GroupHom, "_image_of_mask", counting)
+    counts = Counter()
+    for entry in catalog(64):
+        g = entry.group
+        nodes = lattice_of(g).nodes
+        for sub in all_subgroups(g):
+            if not sub <= center(g):
+                continue
+            q, proj = quotient(g, sub)
+            if not is_centralizer_respecting(proj):
+                continue
+            index = lattice_of(q).index_of_mask
+            want = tuple(index[original(proj, node)] for node in nodes)
+            images.clear()
+            assert induced_map(proj).node_map == want, (entry.name, sub)
+            assert images["taken"] == len(nodes) - 1, (entry.name, sub)
+            counts["crh"] += 1
+            counts["nodes"] += len(nodes)
+    assert counts == Counter(crh=2588, nodes=5822)
