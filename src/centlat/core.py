@@ -25,7 +25,7 @@ import json
 import math
 import numbers
 import operator
-from functools import cache
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -115,7 +115,7 @@ def _require(where: str, kind: type, *values) -> None:
             raise DomainMismatchError(f"{where} needs a {kind.__name__}, not {type(value).__name__}")
 
 
-@cache
+@lru_cache(maxsize=512)  # every order up to 256, and room for some above
 def _row_ops(order: int) -> tuple:
     """(row type, checked, pad, compose) for order ``order``, cached:
     ``checked(row)`` is a tuple of ints as the row type, or None when an

@@ -172,6 +172,14 @@ def test_generator_hints_must_generate():
         assert repr(hint) in str(exc.value)
 
 
+def test_a_hint_at_the_order_is_out_of_range():
+    # the index equal to the order is the first one out of range, also when
+    # the other hints generate the group
+    z3 = make_family("cyclic", 3)
+    with pytest.raises(ValueError, match=r"^generator 'y' index 3 out of range$"):
+        from_multiplication_table(3, z3.table, generator_hints=[("x", 1), ("y", 3)])
+
+
 def _verdict(table: list[list[int]]) -> tuple:
     """from_multiplication_table's answer, in brute_table_verdict's terms."""
     try:

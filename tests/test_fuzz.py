@@ -230,6 +230,7 @@ NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2
 @pytest.mark.parametrize(
     "table",
     [
+        [[0, 1, 2], [1, 2], [2, 0, 1]],  # a short row of in-range ints
         _cyclic_table(4, (1, 2, True)),  # a bool equals 3 but is refused
         _cyclic_table(5, (2, 3, -1)),
         _cyclic_table(5, (2, 3, 5)),  # the order
