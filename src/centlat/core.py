@@ -295,13 +295,13 @@ class SubgroupSet:
         return SubgroupSet._from_mask(self.group, self.mask & _mask_of(self.group, other))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.members), self.members)
+        return (len(self), self.members)
 
     def is_trivial(self) -> bool:
         return self.mask == 1 << self.group.identity
 
     def __repr__(self) -> str:
-        return f"SubgroupSet(order={len(self.members)}, members={list(self.members)})"
+        return f"SubgroupSet(order={len(self)}, members={list(self.members)})"
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,8 @@ def _magma_generators(
 
 def _first_nonassociative_triple(rows: list[Sequence[int]]) -> NotAssociativeError:
     """The error for the first (a, b, c) in row-major order with
-    (a*b)*c != a*(b*c), the caller knows that one exists, read off tuple copies of the rows."""
+    (a*b)*c != a*(b*c), read off tuple copies of the rows; the caller knows
+    that one exists."""
     rows = list(map(tuple, rows))
     gathers = [_gather(r) for r in rows]  # gathers[b](rows[a])[c] = a*(b*c)
     for a, ra in enumerate(rows):
@@ -763,10 +764,10 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
                     gens_of[j_mask] = j_gens
                     todo.append((j_mask, j_elems, j_gens, i))
         masks = sorted(gens_of, key=_mask_key)
-        subs = [SubgroupSet._from_mask(group, m) for m in masks]
+        subs = tuple(SubgroupSet._from_mask(group, m) for m in masks)
         gens = tuple(map(gens_of.__getitem__, masks))
         cents = tuple(_centralizer_mask(group, sum({1 << g for g in a})) for a in gens)
-        group._subgroups = (tuple(subs), gens, cents)
+        group._subgroups = (subs, gens, cents)
     return group._subgroups
 
 

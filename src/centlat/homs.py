@@ -99,8 +99,8 @@ class GroupHom:
         return m
 
     def _image_of_mask(self, mask: int) -> int:
-        """Bitmask of the image of the elements of ``mask``: the one image
-        loop, over its set bits in place, without :func:`_bits`' list."""
+        """Bitmask of the image of the elements of ``mask``, walked over its
+        set bits in place, without :func:`_bits`' list."""
         m, mapping = 0, self.mapping
         while mask:
             low = mask & -mask
