@@ -228,7 +228,7 @@ class FiniteGroup:
 
 class SubgroupSet:
     """A subgroup of a fixed :class:`FiniteGroup`, stored as a bitmask;
-    ``members``, ascending, is read off it when asked for.
+    ``members``, ascending, is read off it on first use.
 
     The public constructor validates that the members actually form a
     subgroup (identity, closure and inverses).  Code inside the package that
@@ -236,23 +236,25 @@ class SubgroupSet:
     the re-check.
     """
 
-    __slots__ = ("group", "mask")
+    __slots__ = ("group", "mask", "_members")
 
     def __init__(self, group: FiniteGroup, members: Iterable[int]) -> None:
         _require("SubgroupSet", FiniteGroup, group)
-        self.group, self.mask = group, _mask_of(group, members)
+        self.group, self.mask, self._members = group, _mask_of(group, members), None
         self.validate()
 
     @classmethod
     def _from_mask(cls, group: FiniteGroup, mask: int) -> "SubgroupSet":
         self = object.__new__(cls)
-        self.group, self.mask = group, mask
+        self.group, self.mask, self._members = group, mask, None
         return self
 
     @property
     def members(self) -> tuple[int, ...]:
-        """The elements, ascending, read off the mask when asked for."""
-        return tuple(_bits(self.mask))
+        """The elements, ascending, read off the mask on first use."""
+        if self._members is None:
+            self._members = tuple(_bits(self.mask))
+        return self._members
 
     def validate(self) -> None:
         g = self.group
@@ -469,8 +471,7 @@ def _magma_generators(
 
 def _first_nonassociative_triple(rows: list[Sequence[int]]) -> NotAssociativeError:
     """The error for the first (a, b, c) in row-major order with
-    (a*b)*c != a*(b*c), read off tuple copies of the rows; the caller knows
-    that one exists."""
+    (a*b)*c != a*(b*c), over tuple copies of the rows; the caller knows one exists."""
     rows = list(map(tuple, rows))
     gathers = [_gather(r) for r in rows]  # gathers[b](rows[a])[c] = a*(b*c)
     for a, ra in enumerate(rows):
