@@ -236,6 +236,7 @@ NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2
         _cyclic_table(5, (2, 3, 5)),  # the order
         _cyclic_table(5, (2, 3, 255)),  # fits a byte, outside range(5)
         _cyclic_table(5, (2, 3, 256)),  # past a byte
+        _cyclic_table(5, (2, 3, 2**64)),  # past a machine word
         _cyclic_table(256),  # 255 is an entry
         _cyclic_table(256, (7, 9, 256)),
         _cyclic_table(256, (7, 9, -1)),
