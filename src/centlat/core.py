@@ -26,6 +26,7 @@ import math
 import numbers
 import operator
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -115,17 +116,24 @@ def _require(where: str, kind: type, *values) -> None:
             raise DomainMismatchError(f"{where} needs a {kind.__name__}, not {type(value).__name__}")
 
 
+def _chained(parts: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """The tuples of ``parts`` concatenated in one pass."""
+    return tuple(chain.from_iterable(parts))
+
+
 @lru_cache(maxsize=512)  # every order up to 256, and room for some above
 def _row_ops(order: int) -> tuple:
-    """(row type, checked, pad, compose) for order ``order``, cached:
+    """(row type, checked, pad, compose, join) for order ``order``, cached:
     ``checked(row)`` is a tuple of ints as the row type, or None when an
-    entry lies outside range(order), and ``compose(u)(pad(v))`` is row v
-    read at the entries of row u, (v[u[0]], v[u[1]], ...).  Up to order
-    256, ``bytes`` rows, range checked by deleting range(order)'s bytes,
-    composed in C by ``u.translate`` through v padded to 256 bytes; above,
-    tuples, checked by ``min``/``max`` and composed by :func:`_gather`."""
+    entry lies outside range(order), ``compose(u)(pad(v))`` is row v read
+    at the entries of row u, (v[u[0]], v[u[1]], ...), and ``join(parts)``
+    concatenates rows of the row type into one.  Up to order 256,
+    ``bytes`` rows, range checked by deleting range(order)'s bytes,
+    composed in C by ``u.translate`` through v padded to 256 bytes and
+    joined by ``b"".join``; above, tuples, checked by ``min``/``max``,
+    composed by :func:`_gather` and joined in one ``itertools.chain`` pass."""
     if order > 256:
-        return tuple, lambda row: row if min(row) >= 0 and max(row) < order else None, tuple, _gather
+        return tuple, lambda row: row if min(row) >= 0 and max(row) < order else None, tuple, _gather, _chained
     in_range = bytes(range(order))
 
     def checked(row):
@@ -135,7 +143,7 @@ def _row_ops(order: int) -> tuple:
             return None
         return None if row.translate(None, in_range) else row
 
-    return bytes, checked, operator.methodcaller("ljust", 256), operator.attrgetter("translate")
+    return bytes, checked, operator.methodcaller("ljust", 256), operator.attrgetter("translate"), b"".join
 
 
 class FiniteGroup:
@@ -154,6 +162,13 @@ class FiniteGroup:
     one place that chooses the row type: builders hand the constructor rows
     of ints of any sequence type, best as an iterator, converted once each.
 
+    ``element_labels`` is a tuple of strings, None, or a function of no
+    arguments returning one of these; a function is called on the first
+    read of ``element_labels`` (or :meth:`label`) and its tuple kept, so a
+    group whose labels are never read never formats them.  Until then the
+    function holds what it reads them from: a product's factors, a
+    quotient's source group.
+
     The constructor checks nothing (the trusted path of the module's trust
     rule): use :func:`from_multiplication_table` for untrusted data.  Only
     :func:`centlat.homs.quotient` and the builders of :mod:`centlat.families`
@@ -170,7 +185,7 @@ class FiniteGroup:
         identity: int,
         inverse: tuple[int, ...],
         generator_names: tuple[tuple[str, int], ...],
-        element_labels: tuple[str, ...] | None = None,
+        element_labels: tuple[str, ...] | Callable[[], tuple[str, ...] | None] | None = None,
     ) -> None:
         self.order = order
         row_type = _row_ops(order)[0]  # either returns a row of its type as it is
@@ -178,7 +193,7 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = inverse
         self.generator_names = generator_names
-        self.element_labels = element_labels
+        self._labels = element_labels  # a function until element_labels first reads it
         self.full_mask = (1 << order) - 1
         # lazy caches
         self._centralizers: tuple | None = None  # the centralizer table, see _centralizer_table
@@ -205,10 +220,20 @@ class FiniteGroup:
         """The order of each element g, |<g>|, read off :func:`_cyclic_subgroups`."""
         return tuple(m.bit_count() for m in _cyclic_subgroups(self)[1])
 
+    @property
+    def element_labels(self) -> tuple[str, ...] | None:
+        """One label per element, or None; formatted on first read."""
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
+
     def label(self, a: int) -> str:
-        if self.element_labels is not None:
-            return self.element_labels[a]
-        return str(a)
+        labels = self.element_labels
+        return str(a) if labels is None else labels[a]
+
+    def __getstate__(self) -> dict:
+        """Pickled with its labels formatted, as a builder's function does not pickle."""
+        return {**self.__dict__, "_labels": self.element_labels}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -355,7 +380,7 @@ def from_multiplication_table(
             raise NotClosedError(a, 0, f"row of type {type(r).__name__}") from None
     if len(rows) != order:
         raise NotClosedError(0, 0, f"expected {order} rows, got {len(rows)}")
-    row_type, checked, pad, compose = _row_ops(order)
+    row_type, checked, pad, compose, _ = _row_ops(order)
     for a, row in enumerate(rows):
         if len(row) == order and set(map(type, row)) == {int}:
             rows[a] = checked(row)

@@ -6,6 +6,12 @@ construction: builders check parameters, never tables.  Encodings are
 fixed, so element indices are stable across runs: every family,
 :func:`semidirect_cyclic` and the ``dihedral_quaternion`` cover come from one
 table builder, :func:`_cyclic_by_cyclic`, with x^i*y^j at index j*m + i.
+
+Builders hand the group a function that formats the labels, so a label is
+formatted only once something reads it.  :func:`_cyclic_by_cyclic` and
+:func:`direct_product` build each table row from a few segments, each one
+short row composed with another by :func:`~centlat.core._row_ops` (C speed
+for ``bytes`` rows), then joined, with no Python step per table entry.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .core import (
     _require,
     _require_integers,
     _require_order_at_most,
+    _row_ops,
     closure,
     commutator_set,
 )
@@ -72,28 +79,34 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
     k = 1; named only if ``named_y``).  A group exactly when gcd(a, m) = 1,
     a^k = 1 and a*square = square (mod m) (Holt, Eick & O'Brien, *Handbook of
     Computational Group Theory*, 2005), so those are checked, not the table.
+
+    Row x^i1*y^j1 is k segments of m entries, the one at j2 holding
+    x^(i1 + a^j1*i2)*y^(j1 + j2) over i2, with y^k = x^square.  It is the
+    block of y^((j1 + j2) mod k), rotated by x^(i1 + [j1 + j2 >= k]*square),
+    read at the entries a^j1*i2 (mod m): one composition per segment.
     """
     if math.gcd(a, m) != 1:
         raise InvalidActionError(f"action parameter {a} is not invertible mod {m}")
     if pow(a, k, m) != 1 % m:
         raise InvalidActionError(f"{a}^{k} != 1 (mod {m}); the action does not close")
     _ensure(a * square % m == square % m, "x -> x^{} does not fix y^{} = x^{} (mod {})", a, k, square, m)
+    row_type, _, pad, compose, join = _row_ops(m * k)
+    # scaled[j] reads a block at a^j*i2 (mod m) over i2
+    scaled = [compose(row_type(pow(a, j, m) * i2 % m for i2 in range(m))) for j in range(k)]
+    # shifted[s][j]: the block of y^j, x^v*y^j at v, rotated to x^(v + s)*y^j, padded
+    blocks = [row_type(range(j * m, j * m + m)) for j in range(k)]
+    shifted = [[pad(r[s:] + r[:s]) for r in blocks] for s in range(m)]
 
-    def rows():  # one at a time, so the constructor converts each as it comes
-        for j1 in range(k):
-            c = pow(a, j1, m)
+    def rows():  # one at a time, so the constructor takes each as it comes
+        for j1, at in enumerate(scaled):
             for i1 in range(m):
-                row = []
-                for j2 in range(k):
-                    # x^i1*y^j1 * x^i2*y^j2 = x^(i1 + a^j1*i2)*y^(j1 + j2), and y^k = x^square
-                    base, shift = ((j1 + j2) % k) * m, i1 + (square if j1 + j2 >= k else 0)
-                    row += [base + (shift + c * i2) % m for i2 in range(m)]
-                yield row
+                # segments j2 = 0..k-j1-1 land in blocks j1..k-1; the rest wrap past y^k = x^square
+                yield join([at(p) for p in shifted[i1][j1:] + shifted[(i1 + square) % m][:j1]])
 
-    labels = tuple(_pair_label(i, j) for j in range(k) for i in range(m))
     gens = (("x", 1 % m), ("y", m if k > 1 else 0))
     # (x^i*y^j)^-1 = x^i2*y^-j, where i + [j > 0]*square + a^j*i2 = 0 (mod m) by the product above
     inverse = tuple(-j % k * m + -(i + (j and square)) * pow(a, -j, m) % m for j in range(k) for i in range(m))
+    labels = lambda: tuple(_pair_label(i, j) for j in range(k) for i in range(m))
     return FiniteGroup(m * k, rows(), 0, inverse, gens if named_y else gens[:1], labels)
 
 
@@ -103,18 +116,19 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
     Generator names from the factors are prefixed ``l.`` and ``r.``.  The
     product of two groups is a group, so it is built by construction, not
     validated: its identity, inverses and generators are the factors'
-    paired, the fields validation would give.
+    paired, the fields validation would give.  Row (ia, ib) is one segment
+    per entry x of a's row ia: the block x*|b| .. x*|b| + |b| - 1 read at
+    the entries of b's row ib.
     """
     _require("direct_product", FiniteGroup, a, b)
     order = a.order * b.order
     _require_order_at_most(order, cap, "direct product")
     nb = b.order
-    table = (
-        [x + y for x in shifted for y in rb]
-        for shifted in ([v * nb for v in ra] for ra in a.table)
-        for rb in b.table
-    )
-    labels = tuple(f"({a.label(ia)},{b.label(ib)})" for ia in range(a.order) for ib in range(nb))
+    row_type, _, pad, compose, join = _row_ops(order)
+    blocks = [pad(row_type(range(x * nb, x * nb + nb))) for x in range(a.order)]
+    composers = [compose(rb) for rb in b.table]
+    table = (join([at(blocks[x]) for x in ra]) for ra in a.table for at in composers)
+    labels = lambda: tuple(f"({a.label(ia)},{b.label(ib)})" for ia in range(a.order) for ib in range(nb))
     gens = tuple(
         [(f"l.{name}", i * nb + b.identity) for name, i in a.generator_names]
         + [(f"r.{name}", a.identity * nb + i) for name, i in b.generator_names]
@@ -234,7 +248,7 @@ def _fiber_product_over_central_quotients(
         if u // m == v // m and u % half == v % half
     ]
     index = {pair: i for i, pair in enumerate(pairs)}
-    labels = tuple(f"({a.label(u)},{b.label(v)})" for u, v in pairs)
+    labels = lambda: tuple(f"({a.label(u)},{b.label(v)})" for u, v in pairs)
     # x and y are a's generators, each paired with its lowest-index partner;
     # they generate the fiber product, as CoverGroup and center rely on
     hints = tuple(

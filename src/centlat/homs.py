@@ -92,11 +92,9 @@ class GroupHom:
         return self
 
     def image_mask(self, members: Iterable[int]) -> int:
-        """Bitmask of the image of ``members``, each mapped directly."""
-        m, mapping = 0, self.mapping
-        for a in members:
-            m |= 1 << mapping[a]
-        return m
+        """Bitmask of the image of ``members``: element indices of the
+        source, each checked, else ``ValueError``, or a subgroup of it."""
+        return self._image_of_mask(_core._mask_of(self.source, members))
 
     def _image_of_mask(self, mask: int) -> int:
         """Bitmask of the image of the elements of ``mask``, walked over its
@@ -178,6 +176,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
     steps at C speed, handed to the constructor, which stores it as the
     quotient's row type.  The projection records N's mask as its kernel.
+    Each coset is labelled by its least element's label, formatted only on
+    the first read of the quotient's labels.
 
     G/1 is G itself, projected by a fresh :func:`identity_hom`: the cosets {g},
     numbered by least element, give G's own fields, so G's caches are shared.
@@ -209,7 +209,7 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     first_name: dict[int, str] = {}  # image -> the first generator name mapped to it
     for name, g in group.generator_names:
         first_name.setdefault(proj[g], name)
-    qlabels = tuple(group.label(r) for r in reps) if group.element_labels else None
+    qlabels = lambda: tuple(map(group.label, reps)) if group.element_labels is not None else None
     qinverse = tuple(proj[inverse[r]] for r in reps)
     qgens = tuple((name, v) for v, name in first_name.items())
     q = FiniteGroup(len(reps), qtable, proj[group.identity], qinverse, qgens, qlabels)
@@ -261,6 +261,7 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
     if h._crh_verdict is None:
         verdict = CrhVerdict(True)
         image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
+        mapping = h.mapping
         subgroups = all_subgroups(h.source, cap)
         _, generators, centralizers = _subgroup_table(h.source)
         for a_sub, gens, c in zip(subgroups, generators, centralizers):
@@ -269,7 +270,10 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
             lhs = image_of.get(c)
             if lhs is None:
                 lhs = image_of[c] = h._image_of_mask(c)
-            rhs = _centralizer_mask(h.target, h.image_mask(gens))
+            image = 0  # of A's generators, a trusted tuple of the table, mapped unchecked
+            for x in gens:
+                image |= 1 << mapping[x]
+            rhs = _centralizer_mask(h.target, image)
             if lhs != rhs:
                 verdict = CrhVerdict(False, CrhWitness(a_sub.members, tuple(_bits(lhs)), tuple(_bits(rhs))))
                 break

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -659,13 +661,149 @@ def test_rows_are_bytes_up_to_order_256_and_tuples_above():
         _assert_same_group(g, validated)  # a bytes row never equals a tuple row
 
 
+def _reference_product(a, b):
+    # (ia, ib) at index ia*|b| + ib, one entry at a time
+    nb = b.order
+    table = [[x * nb + y for x in ra for y in rb] for ra in a.table for rb in b.table]
+    labels = [f"({a.label(ia)},{b.label(ib)})" for ia in range(a.order) for ib in range(nb)]
+    return a.order * nb, table, a.identity * nb + b.identity, labels
+
+
+def _recording(monkeypatch, name, calls):
+    """Patch families.<name> to record (arguments by name, built group) on each call."""
+    original = getattr(families, name)
+    signature = inspect.signature(original)
+
+    def record(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(families, name, record)
+
+
+def _assert_matches_the_entry_formulas(built, products):
+    for args, g in built:
+        order, table, gens, labels = _reference_semidirect(args["m"], args["k"], args["a"], args["square"])
+        assert g.order == order and [list(row) for row in g.table] == table, args
+        assert g.identity == 0 and all(g.table[v][g.inverse[v]] == 0 for v in range(order))
+        assert g.generator_names == (gens if args["named_y"] else gens[:1])
+        assert g.element_labels == tuple(labels)
+    for args, g in products:
+        order, table, identity, labels = _reference_product(args["a"], args["b"])
+        assert g.order == order and [list(row) for row in g.table] == table
+        assert g.identity == identity and all(g.table[v][g.inverse[v]] == identity for v in range(order))
+        assert g.element_labels == tuple(labels)
+
+
+def test_family_rows_match_the_entry_formulas(monkeypatch):
+    # the composed segments of every _cyclic_by_cyclic parameter set and
+    # direct product of catalog(128) and the dihedral_quaternion covers give
+    # the table, inverses and labels of the one-entry-at-a-time formulas
+    built, products = [], []
+    _recording(monkeypatch, "_cyclic_by_cyclic", built)
+    _recording(monkeypatch, "direct_product", products)
+    entries = families._catalog.__wrapped__(128)
+    covers = [cover_group("dihedral_quaternion", n) for n in range(3, 8)]
+    # each entry is built once, by one builder, and the covers after them
+    assert len(entries) == 991 and (len(built), len(products)) == (678 + 5, 313)
+    assert {id(g) for _, g in built + products} >= {id(e.group) for e in entries}
+    assert {args["square"] > 0 for args, _ in built} == {False, True}  # the quaternion groups
+    assert [g for _, g in built[-5:]] == [c.group for c in covers]
+    _assert_matches_the_entry_formulas(built, products)
+
+
+def test_family_rows_above_order_256_match_the_entry_formulas(monkeypatch):
+    # tuple rows: the same segments, joined by one chain pass
+    built, products = [], []
+    _recording(monkeypatch, "_cyclic_by_cyclic", built)
+    _recording(monkeypatch, "direct_product", products)
+    groups = [
+        make_family("cyclic", 300, cap=512),
+        make_family("dihedral", 300, cap=512),
+        families.direct_product(make_family("cyclic", 17), make_family("cyclic", 16), cap=512),
+    ]
+    assert [len(built), len(products)] == [4, 1]
+    assert {type(row) for g in groups for row in g.table} == {tuple}
+    _assert_matches_the_entry_formulas(built, products)
+
+
+def test_building_the_catalog_formats_no_label(monkeypatch):
+    # work counter: a group formats its labels only when they are first
+    # read, so building catalog(64), 373 groups and 14,745 elements, formats
+    # none, where eager labels took one call per element
+    calls = Counter()
+    pair_label, label = families._pair_label, FiniteGroup.label
+
+    def counting_pair_label(i, j):
+        calls["_pair_label"] += 1
+        return pair_label(i, j)
+
+    def counting_label(g, a):
+        calls["label"] += 1
+        return label(g, a)
+
+    monkeypatch.setattr(families, "_pair_label", counting_pair_label)
+    monkeypatch.setattr(FiniteGroup, "label", counting_label)
+    entries = families._catalog.__wrapped__(64)  # uncached: build it afresh
+    assert len(entries) == 373 and calls == Counter()
+    g = entries[-1].group
+    assert g.element_labels[:3] == ("1", "x", "x^2") and calls == {"_pair_label": g.order}  # the counter counts
+    assert g.element_labels is g.element_labels and calls == {"_pair_label": g.order}  # formatted once
+
+
+def test_cover_labels_read_later_match_the_eager_formulas():
+    # the labels of both covers for n = 3..7 and of their quotients by each
+    # distinguished subgroup, read once built, are the ones formatted
+    # eagerly before: a fiber product's pair by both labels, a quotient's
+    # coset by its least element (catalog groups: the tests above)
+    for kind, first in (("dihedral_quaternion", 3), ("quaternion_semidihedral", 4)):
+        for n in range(first, 8):
+            cov = cover_group(kind, n)
+            g = cov.group
+            if kind == "dihedral_quaternion":
+                m = 1 << (n - 1)
+                expected = tuple(_reference_label(i, j) for j in range(4) for i in range(m))
+            else:
+                q, sd = make_family("quaternion", 1 << n), make_family("semidihedral", 1 << n)
+                m, half = 1 << (n - 1), 1 << (n - 2)
+                pairs = [
+                    (u, v) for u in range(2 * m) for v in range(2 * m) if u // m == v // m and u % half == v % half
+                ]
+                expected = tuple(f"({q.label(u)},{sd.label(v)})" for u, v in pairs)
+            assert g.element_labels == expected
+            for z in (cov.z_first, cov.z_second):
+                qg, proj = quotient(g, z)
+                least = {}
+                for a in range(g.order):
+                    least.setdefault(proj.mapping[a], a)
+                assert qg.element_labels == tuple(g.label(least[c]) for c in range(qg.order))
+
+
+def test_groups_with_labels_not_yet_read_pickle():
+    # the labels a builder formats on first read are formatted for pickling
+    cov = cover_group("quaternion_semidihedral", 4)
+    groups = [
+        make_family("dihedral", 8),
+        direct_product(make_family("cyclic", 2), make_family("quaternion", 8)),
+        cov.group,
+        quotient(cov.group, cov.z_first)[0],
+    ]
+    for g in groups:
+        back = pickle.loads(pickle.dumps(g))
+        assert back.table == g.table and back.element_labels == g.element_labels
+        assert (back.identity, back.inverse, back.generator_names) == (g.identity, g.inverse, g.generator_names)
+
+
 # ------------------------------------------------------------------ catalog
 
 
 def test_catalog64_fits_its_memory_budget():
     # one byte per table entry: a freshly built catalog(64), 373 groups and
-    # 693,743 table cells, holds 2.5 MB, under a budget of 4 MiB; with a
-    # tuple slot of 8 bytes per cell it held 7.5 MB
+    # 693,743 table cells, holds 1.8 MB with no label read yet (2.6 MB with
+    # eager labels), under a budget of 4 MiB; with a tuple slot of 8 bytes
+    # per cell it held 7.5 MB
     budget = 4 * 2**20
     tracemalloc.start()
     try:

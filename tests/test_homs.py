@@ -169,6 +169,34 @@ def test_image_and_kernel(d8):
     assert exc.value.missed in {1, 3}
 
 
+@pytest.mark.parametrize("bad", [-1, 32, True, 1.5])
+def test_image_mask_refuses_what_is_not_an_element_index(bad):
+    # -1 once mapped the last element, True element 1, and the order ended
+    # in a bare IndexError
+    h = identity_hom(make_family("dihedral", 32))
+    with pytest.raises(ValueError, match="is not an element index of a group of order 32"):
+        h.image_mask([0, bad])
+
+
+def test_image_mask_maps_each_member():
+    # the mask of the images, one member at a time, for index lists, a
+    # range and a subgroup of the source; another group's subgroup is refused
+    rng = random.Random(1)
+    for entry in catalog(16)[::5]:
+        g = entry.group
+        for s in all_subgroups(g):
+            if s <= center(g):
+                _, proj = quotient(g, s)
+                for members in ([], [g.identity], rng.choices(range(g.order), k=5), range(g.order), s):
+                    want = 0
+                    for a in members:
+                        want |= 1 << proj.mapping[a]
+                    assert proj.image_mask(members) == want
+    z4 = make_family("cyclic", 4)
+    with pytest.raises(DomainMismatchError):
+        identity_hom(z4).image_mask(center(make_family("dihedral", 8)))
+
+
 def _first_missed(h):
     """The least target element outside the image, by a scan of the map."""
     return min(set(range(h.target.order)) - set(h.mapping))
