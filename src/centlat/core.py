@@ -26,7 +26,6 @@ import math
 import numbers
 import operator
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -116,24 +115,17 @@ def _require(where: str, kind: type, *values) -> None:
             raise DomainMismatchError(f"{where} needs a {kind.__name__}, not {type(value).__name__}")
 
 
-def _chained(parts: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
-    """The tuples of ``parts`` concatenated in one pass."""
-    return tuple(chain.from_iterable(parts))
-
-
 @lru_cache(maxsize=512)  # every order up to 256, and room for some above
 def _row_ops(order: int) -> tuple:
-    """(row type, checked, pad, compose, join) for order ``order``, cached:
+    """(row type, checked, pad, compose) for order ``order``, cached:
     ``checked(row)`` is a tuple of ints as the row type, or None when an
-    entry lies outside range(order), ``compose(u)(pad(v))`` is row v read
-    at the entries of row u, (v[u[0]], v[u[1]], ...), and ``join(parts)``
-    concatenates rows of the row type into one.  Up to order 256,
-    ``bytes`` rows, range checked by deleting range(order)'s bytes,
-    composed in C by ``u.translate`` through v padded to 256 bytes and
-    joined by ``b"".join``; above, tuples, checked by ``min``/``max``,
-    composed by :func:`_gather` and joined in one ``itertools.chain`` pass."""
+    entry lies outside range(order), and ``compose(u)(pad(v))`` is row v
+    read at the entries of row u, (v[u[0]], v[u[1]], ...).  Up to order
+    256, ``bytes`` rows, range checked by deleting range(order)'s bytes and
+    composed in C by ``u.translate`` through v padded to 256 bytes; above,
+    tuples, checked by ``min``/``max`` and composed by :func:`_gather`."""
     if order > 256:
-        return tuple, lambda row: row if min(row) >= 0 and max(row) < order else None, tuple, _gather, _chained
+        return tuple, lambda row: row if min(row) >= 0 and max(row) < order else None, tuple, _gather
     in_range = bytes(range(order))
 
     def checked(row):
@@ -143,7 +135,7 @@ def _row_ops(order: int) -> tuple:
             return None
         return None if row.translate(None, in_range) else row
 
-    return bytes, checked, operator.methodcaller("ljust", 256), operator.attrgetter("translate"), b"".join
+    return bytes, checked, operator.methodcaller("ljust", 256), operator.attrgetter("translate")
 
 
 class FiniteGroup:
@@ -380,7 +372,7 @@ def from_multiplication_table(
             raise NotClosedError(a, 0, f"row of type {type(r).__name__}") from None
     if len(rows) != order:
         raise NotClosedError(0, 0, f"expected {order} rows, got {len(rows)}")
-    row_type, checked, pad, compose, _ = _row_ops(order)
+    row_type, checked, pad, compose = _row_ops(order)
     for a, row in enumerate(rows):
         if len(row) == order and set(map(type, row)) == {int}:
             rows[a] = checked(row)

@@ -8,24 +8,23 @@ fixed, so element indices are stable across runs: every family,
 table builder, :func:`_cyclic_by_cyclic`, with x^i*y^j at index j*m + i.
 
 Builders hand the group a function that formats the labels, so a label is
-formatted only once something reads it.  :func:`_cyclic_by_cyclic` and
-:func:`direct_product` build each table row from a few segments, each one
-short row composed with another by :func:`~centlat.core._row_ops` (C speed
-for ``bytes`` rows), then joined, with no Python step per table entry.
+formatted only once something reads it.  Each builder writes out only the
+rows of its generators; :func:`_walk_rows` composes every other row from
+them, one :func:`~centlat.core._row_ops` composition per element (C speed
+for ``bytes`` rows), with no Python step per table entry.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     SubgroupSet,
     _center_mask,
-    _close_mask,
     _mask_of,
     _require,
     _require_integers,
@@ -41,6 +40,29 @@ from .errors import UnsupportedParameterError, _ensure, _int_text
 def _pair_label(i: int, j: int) -> str:
     """x^i*y^j with zero powers dropped and exponent 1 unwritten; "1" if both are 0."""
     return "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in (("x", i), ("y", j)) if e) or "1"
+
+
+def _walk_rows(order: int, identity: int, generators: dict[int, Sequence[int]]) -> tuple[list, tuple[int, ...]]:
+    """Table and inverses of the group generated by the rows ``generators``
+    (s -> row of s*y over y), walked breadth-first from the identity: row
+    g*s is row g read at the entries of row s, one ``_row_ops`` composition
+    per element, and g's inverse is where its row holds the identity.
+    :class:`InternalInconsistencyError` if fewer than ``order`` are reached."""
+    row_type, _, pad, compose = _row_ops(order)
+    steps = [(s, compose(row_type(row))) for s, row in generators.items()]
+    rows = [None] * order
+    rows[identity] = row_type(range(order))
+    reached = [identity]
+    for g in reached:
+        row, padded = rows[g], pad(rows[g])
+        for s, step in steps:
+            gs = row[s]
+            if rows[gs] is None:
+                rows[gs] = step(padded)
+                reached.append(gs)
+    if len(reached) < order:
+        raise InternalInconsistencyError(f"generators reach {len(reached)} of {order} elements: they do not generate")
+    return rows, tuple([row.index(identity) for row in rows])
 
 
 def make_family(kind: str, order: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -80,34 +102,21 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
     a^k = 1 and a*square = square (mod m) (Holt, Eick & O'Brien, *Handbook of
     Computational Group Theory*, 2005), so those are checked, not the table.
 
-    Row x^i1*y^j1 is k segments of m entries, the one at j2 holding
-    x^(i1 + a^j1*i2)*y^(j1 + j2) over i2, with y^k = x^square.  It is the
-    block of y^((j1 + j2) mod k), rotated by x^(i1 + [j1 + j2 >= k]*square),
-    read at the entries a^j1*i2 (mod m): one composition per segment.
+    Only the rows of x and y are written out: x*x^i*y^j = x^(i+1)*y^j and
+    y*x^i*y^j = x^(a*i)*y^(j+1), with y^k = x^square; :func:`_walk_rows`
+    composes the rest.
     """
     if math.gcd(a, m) != 1:
         raise InvalidActionError(f"action parameter {a} is not invertible mod {m}")
     if pow(a, k, m) != 1 % m:
         raise InvalidActionError(f"{a}^{k} != 1 (mod {m}); the action does not close")
     _ensure(a * square % m == square % m, "x -> x^{} does not fix y^{} = x^{} (mod {})", a, k, square, m)
-    row_type, _, pad, compose, join = _row_ops(m * k)
-    # scaled[j] reads a block at a^j*i2 (mod m) over i2
-    scaled = [compose(row_type(pow(a, j, m) * i2 % m for i2 in range(m))) for j in range(k)]
-    # shifted[s][j]: the block of y^j, x^v*y^j at v, rotated to x^(v + s)*y^j, padded
-    blocks = [row_type(range(j * m, j * m + m)) for j in range(k)]
-    shifted = [[pad(r[s:] + r[:s]) for r in blocks] for s in range(m)]
-
-    def rows():  # one at a time, so the constructor takes each as it comes
-        for j1, at in enumerate(scaled):
-            for i1 in range(m):
-                # segments j2 = 0..k-j1-1 land in blocks j1..k-1; the rest wrap past y^k = x^square
-                yield join([at(p) for p in shifted[i1][j1:] + shifted[(i1 + square) % m][:j1]])
-
     gens = (("x", 1 % m), ("y", m if k > 1 else 0))
-    # (x^i*y^j)^-1 = x^i2*y^-j, where i + [j > 0]*square + a^j*i2 = 0 (mod m) by the product above
-    inverse = tuple(-j % k * m + -(i + (j and square)) * pow(a, -j, m) % m for j in range(k) for i in range(m))
+    x_row = [j * m + (i + 1) % m for j in range(k) for i in range(m)]
+    y_row = [(j + 1) % k * m + (a * i + (j + 1 == k) * square) % m for j in range(k) for i in range(m)]
+    table, inverse = _walk_rows(m * k, 0, {gens[0][1]: x_row, gens[1][1]: y_row})
     labels = lambda: tuple(_pair_label(i, j) for j in range(k) for i in range(m))
-    return FiniteGroup(m * k, rows(), 0, inverse, gens if named_y else gens[:1], labels)
+    return FiniteGroup(m * k, table, 0, inverse, gens if named_y else gens[:1], labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -115,26 +124,23 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
 
     Generator names from the factors are prefixed ``l.`` and ``r.``.  The
     product of two groups is a group, so it is built by construction, not
-    validated: its identity, inverses and generators are the factors'
-    paired, the fields validation would give.  Row (ia, ib) is one segment
-    per entry x of a's row ia: the block x*|b| .. x*|b| + |b| - 1 read at
-    the entries of b's row ib.
+    validated: its identity and generators are the factors' paired, the
+    fields validation would give.  Only the generators' rows are written
+    out, (ga, gb)*(x, y) = (ga*x, gb*y); :func:`_walk_rows` composes the rest.
     """
     _require("direct_product", FiniteGroup, a, b)
     order = a.order * b.order
     _require_order_at_most(order, cap, "direct product")
     nb = b.order
-    row_type, _, pad, compose, join = _row_ops(order)
-    blocks = [pad(row_type(range(x * nb, x * nb + nb))) for x in range(a.order)]
-    composers = [compose(rb) for rb in b.table]
-    table = (join([at(blocks[x]) for x in ra]) for ra in a.table for at in composers)
-    labels = lambda: tuple(f"({a.label(ia)},{b.label(ib)})" for ia in range(a.order) for ib in range(nb))
     gens = tuple(
         [(f"l.{name}", i * nb + b.identity) for name, i in a.generator_names]
         + [(f"r.{name}", a.identity * nb + i) for name, i in b.generator_names]
     )
-    inverse = tuple(u * nb + v for u in a.inverse for v in b.inverse)
-    return FiniteGroup(order, table, a.identity * nb + b.identity, inverse, gens, labels)
+    rows = {g: [x * nb + y for x in a.table[g // nb] for y in b.table[g % nb]] for _, g in gens}
+    identity = a.identity * nb + b.identity
+    table, inverse = _walk_rows(order, identity, rows)
+    labels = lambda: tuple(f"({a.label(ia)},{b.label(ib)})" for ia in range(a.order) for ib in range(nb))
+    return FiniteGroup(order, table, identity, inverse, gens, labels)
 
 
 def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -238,6 +244,8 @@ def _fiber_product_over_central_quotients(
     index j*m + i), and the quotient by x^(m/2) keeps j and i mod m/2 in
     either, so the fibres come straight from that shared encoding.
     Quotienting the result by 1 x ker lands in ``a``; by ker x 1 in ``b``.
+    :func:`_walk_rows` composes the table from the hints' rows: hint rows
+    that keep to the pairs and reach them all make it a group.
     """
     m = a.order // 2
     half = m // 2  # x^(m/2), central of order 2 in either factor
@@ -254,15 +262,14 @@ def _fiber_product_over_central_quotients(
     hints = tuple(
         (name, next(i for i, (u, _) in enumerate(pairs) if u == ga)) for name, ga in a.generator_names
     )
-    try:  # the constructor reads the rows as they are built, inside the guard
-        table = ([index[(a.table[u1][u2], b.table[v1][v2])] for (u2, v2) in pairs] for (u1, v1) in pairs)
+    try:
+        row = lambda u1, v1: [index[(a.table[u1][u], b.table[v1][v])] for u, v in pairs]
+        rows = {h: row(*pairs[h]) for _, h in hints}
         identity = index[(a.identity, b.identity)]
-        inverse = tuple(index[(a.inverse[u], b.inverse[v])] for u, v in pairs)
-        g = FiniteGroup(len(pairs), table, identity, inverse, hints, labels)
     except KeyError as e:
         raise InternalInconsistencyError(f"fiber product is not closed: {e.args[0]}") from e
-    hint_mask = sum(1 << i for _, i in hints)
-    _ensure(_close_mask(g, hint_mask) == g.full_mask, "fiber product hints do not generate it")
+    table, inverse = _walk_rows(len(pairs), identity, rows)
+    g = FiniteGroup(len(pairs), table, identity, inverse, hints, labels)
     z_first = closure(g, [index[(a.identity, half)]])
     z_second = closure(g, [index[(half, b.identity)]])
     return g, z_first, z_second

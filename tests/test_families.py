@@ -4,6 +4,7 @@ import ast
 import inspect
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -44,7 +45,15 @@ from centlat.errors import (
 )
 from centlat.expr import eval_group_expr, parse_group_expr, pretty
 
-from _oracles import relabel
+from _oracles import (
+    alternating_group_table,
+    brute_greedy_generators,
+    brute_identity,
+    brute_inverse,
+    relabel,
+    symmetric_group_table,
+    unitriangular_group_table,
+)
 
 
 def gen(g, name):
@@ -698,7 +707,7 @@ def _assert_matches_the_entry_formulas(built, products):
 
 
 def test_family_rows_match_the_entry_formulas(monkeypatch):
-    # the composed segments of every _cyclic_by_cyclic parameter set and
+    # the walked generator rows of every _cyclic_by_cyclic parameter set and
     # direct product of catalog(128) and the dihedral_quaternion covers give
     # the table, inverses and labels of the one-entry-at-a-time formulas
     built, products = [], []
@@ -715,7 +724,7 @@ def test_family_rows_match_the_entry_formulas(monkeypatch):
 
 
 def test_family_rows_above_order_256_match_the_entry_formulas(monkeypatch):
-    # tuple rows: the same segments, joined by one chain pass
+    # tuple rows: the same walk, each row composed by a gather
     built, products = [], []
     _recording(monkeypatch, "_cyclic_by_cyclic", built)
     _recording(monkeypatch, "direct_product", products)
@@ -727,6 +736,99 @@ def test_family_rows_above_order_256_match_the_entry_formulas(monkeypatch):
     assert [len(built), len(products)] == [4, 1]
     assert {type(row) for g in groups for row in g.table} == {tuple}
     _assert_matches_the_entry_formulas(built, products)
+
+
+def _counting_compositions(monkeypatch):
+    # wraps families._row_ops so that every function its compose returns
+    # counts its calls, one per composed row, in calls["rows"]
+    calls, real = Counter(), families._row_ops
+
+    def row_ops(order):
+        ops = list(real(order))
+        compose = ops[3]
+
+        def counting_compose(u):
+            step = compose(u)
+
+            def counted(v):
+                calls["rows"] += 1
+                return step(v)
+
+            return counted
+
+        ops[3] = counting_compose
+        return tuple(ops)
+
+    monkeypatch.setattr(families, "_row_ops", row_ops)
+    return calls
+
+
+def test_a_family_table_composes_one_row_per_element(monkeypatch):
+    # work counter: the walk composes each row but the identity's once, from
+    # the rows of x and y; k segments a row took 1024 for this cover
+    calls = _counting_compositions(monkeypatch)
+    g = families._cyclic_by_cyclic(64, 4, 63)  # the n = 7 dihedral_quaternion cover
+    assert g.order == 256 and calls == {"rows": 255}
+
+
+def test_a_product_table_composes_one_row_per_element(monkeypatch):
+    # work counter: one composition per element but the identity, whatever
+    # the order of the factors; one segment per entry of the left factor's
+    # row took 128 * 256 = 32,768 here
+    a, b = make_family("cyclic", 128), make_family("cyclic", 2)
+    calls = _counting_compositions(monkeypatch)
+    g = direct_product(a, b)
+    assert g.order == 256 and calls == {"rows": 255}
+
+
+class _CountingRows(tuple):
+    # a factor table that counts the rows handed out, by index or by iteration
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingRows.reads += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        for row in tuple.__iter__(self):
+            _CountingRows.reads += 1
+            yield row
+
+
+def test_the_fiber_product_reads_only_its_hints_factor_rows(monkeypatch):
+    # work counter: only the two hints' rows read the factors, one row of
+    # each factor per pair: 2 hints * 256 pairs * 2 factors; the per-entry
+    # table read 256 * 256 * 2 = 131,072
+    q, sd = make_family("quaternion", 128), make_family("semidihedral", 128)
+    q.table, sd.table = _CountingRows(q.table), _CountingRows(sd.table)
+    monkeypatch.setattr(_CountingRows, "reads", 0)
+    g, _, _ = families._fiber_product_over_central_quotients(q, sd)
+    assert g.order == 256 and _CountingRows.reads == 1024
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        symmetric_group_table(4),
+        alternating_group_table(5),
+        unitriangular_group_table([(49, 98, 60, 8, 112, 32, 64), (41, 126, 124, 104, 16, 96, 64)]),
+    ],
+    ids=["S4", "A5", "UT256"],
+)
+def test_walked_rows_match_groups_no_family_builds(table):
+    # the walk from the rows of greedy generators gives the table and the
+    # inverses of the brute oracle, plain and relabelled (identity moved);
+    # one generator alone reaches 2 of 24, 3 of 60 and 2 of 256 elements
+    n = len(table)
+    perm = list(range(n))
+    random.Random(3838).shuffle(perm)
+    for t in (table, relabel(table, perm)):
+        e, gens = brute_identity(t), brute_greedy_generators(t)
+        rows, inverse = families._walk_rows(n, e, {s: t[s] for s in gens})
+        assert [list(row) for row in rows] == t
+        assert list(inverse) == [brute_inverse(t, a) for a in range(n)]
+        with pytest.raises(InternalInconsistencyError, match="do not generate"):
+            families._walk_rows(n, e, {gens[0]: t[gens[0]]})
 
 
 def test_building_the_catalog_formats_no_label(monkeypatch):
