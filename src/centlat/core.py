@@ -3,14 +3,17 @@
 Elements of a group of order n are the indices 0..n-1.  A group is stored as
 its full multiplication table, one row per element: a ``bytes`` object when
 n <= 256, so each entry takes one byte, else a tuple of ints (see
-:class:`FiniteGroup`).  Construction from a table validates the four
-group axioms and locates the identity (which need not be index 0).  One
-trust rule holds for every type: a public constructor
+:class:`FiniteGroup`); this module alone stores and composes rows
+(:func:`_row_ops`, :func:`_walk_rows`).  Construction from a table
+validates the four group axioms and locates the identity (which need not
+be index 0).  One trust rule holds for every type: a public constructor
 (:func:`from_multiplication_table`, ``SubgroupSet``, ``homs.GroupHom``)
 establishes its type's invariant, and package code that builds a value by
 construction skips the check through a private path: the bare
 :class:`FiniteGroup` constructor for quotients (G/1 is G itself) and
-``families``' groups, ``SubgroupSet._from_mask`` for a subgroup just closed,
+``families``' groups, whose builders vouch only that their rows form a
+group table and that their generator names generate it,
+``SubgroupSet._from_mask`` for a subgroup just closed,
 ``GroupHom._trusted`` for projections, composites and identities, of which
 projections and identities are onto by construction and carry their kernel,
 and ``lattice.LatticeMap._trusted`` for induced maps.
@@ -138,6 +141,30 @@ def _row_ops(order: int) -> tuple:
     return bytes, checked, operator.methodcaller("ljust", 256), operator.attrgetter("translate")
 
 
+def _walk_rows(order: int, identity: int, generators: dict[int, Sequence[int]]) -> list:
+    """Rows of the group generated by the rows ``generators`` (s -> row of
+    s*y over y), walked breadth-first from ``identity``: row g*s is row g
+    read at the entries of row s, one :func:`_row_ops` composition per
+    element.  A builder hands them to :class:`FiniteGroup`, which reads the
+    identity and the inverses off them.
+    :class:`InternalInconsistencyError` if fewer than ``order`` are reached."""
+    row_type, _, pad, compose = _row_ops(order)
+    steps = [(s, compose(row_type(row))) for s, row in generators.items()]
+    rows = [None] * order
+    rows[identity] = row_type(range(order))
+    reached = [identity]
+    for g in reached:
+        row, padded = rows[g], pad(rows[g])
+        for s, step in steps:
+            gs = row[s]
+            if rows[gs] is None:
+                rows[gs] = step(padded)
+                reached.append(gs)
+    if len(reached) < order:
+        raise InternalInconsistencyError(f"generators reach {len(reached)} of {order} elements: they do not generate")
+    return rows
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
@@ -151,39 +178,37 @@ class FiniteGroup:
     no longer fits a byte; both index, gather, iterate and compare as
     sequences of ints, so every reader is the same for both.  Use
     :func:`group_to_json` for plain lists of ints.  :func:`_row_ops` is the
-    one place that chooses the row type: builders hand the constructor rows
-    of ints of any sequence type, best as an iterator, converted once each.
+    one place that chooses the row type: builders hand the constructor a
+    sequence of rows of ints of any sequence type, converted once each.  The
+    order is the number of rows; the identity is the row equal to
+    range(order), in a group the one row fixing every element, and each
+    inverse is where that element's row holds the identity.
 
     ``element_labels`` is a tuple of strings, None, or a function of no
     arguments returning one of these; a function is called on the first
     read of ``element_labels`` (or :meth:`label`) and its tuple kept, so a
     group whose labels are never read never formats them.  Until then the
-    function holds what it reads them from: a product's factors, a
-    quotient's source group.
+    function holds what it reads them from, such as a product's factors.
 
     The constructor checks nothing (the trusted path of the module's trust
     rule): use :func:`from_multiplication_table` for untrusted data.  Only
     :func:`centlat.homs.quotient` and the builders of :mod:`centlat.families`
-    call it otherwise, each with a group by construction and the fields
-    validation would produce.  All guarantee that the elements of
-    ``generator_names`` generate the group, which :func:`center` and
-    :func:`all_subgroups` rely on.
+    call it otherwise, each vouching that its rows form a group table and
+    that the elements of ``generator_names`` generate the group, which
+    :func:`center` and :func:`all_subgroups` rely on.
     """
 
     def __init__(
         self,
-        order: int,
-        table: Iterable[Iterable[int]],
-        identity: int,
-        inverse: tuple[int, ...],
+        table: Sequence[Iterable[int]],
         generator_names: tuple[tuple[str, int], ...],
         element_labels: tuple[str, ...] | Callable[[], tuple[str, ...] | None] | None = None,
     ) -> None:
-        self.order = order
+        self.order = order = len(table)
         row_type = _row_ops(order)[0]  # either returns a row of its type as it is
         self.table: tuple[bytes, ...] | tuple[tuple[int, ...], ...] = tuple(map(row_type, table))
-        self.identity = identity
-        self.inverse = inverse
+        self.identity = self.table.index(row_type(range(order)))
+        self.inverse = tuple([row.index(self.identity) for row in self.table])
         self.generator_names = generator_names
         self._labels = element_labels  # a function until element_labels first reads it
         self.full_mask = (1 << order) - 1
@@ -392,7 +417,6 @@ def from_multiplication_table(
     else:
         raise NoIdentityError()
 
-    inverse = []
     for a, row in enumerate(rows):
         try:
             b = row.index(identity)
@@ -400,7 +424,6 @@ def from_multiplication_table(
             raise NoInverseError(a) from None
         if rows[b][a] != identity:
             raise NoInverseError(a)
-        inverse.append(b)
 
     hints = None
     if generator_hints is not None:
@@ -432,7 +455,7 @@ def from_multiplication_table(
             raise ValueError("generator hints do not generate the group")
     else:
         hints = tuple((f"g{k}", g) for k, g in enumerate(gens))
-    return FiniteGroup(order, rows, identity, tuple(inverse), hints, labels)
+    return FiniteGroup(rows, hints, labels)
 
 
 def _parse_hint(hint) -> tuple[str, int]:

@@ -7,18 +7,20 @@ fixed, so element indices are stable across runs: every family,
 :func:`semidirect_cyclic` and the ``dihedral_quaternion`` cover come from one
 table builder, :func:`_cyclic_by_cyclic`, with x^i*y^j at index j*m + i.
 
-Builders hand the group a function that formats the labels, so a label is
-formatted only once something reads it.  Each builder writes out only the
-rows of its generators; :func:`_walk_rows` composes every other row from
-them, one :func:`~centlat.core._row_ops` composition per element (C speed
-for ``bytes`` rows), with no Python step per table entry.
+Each builder writes out only the rows of its generators and hands them to
+:func:`~centlat.core._walk_rows`, which composes every other row, one
+composition per element (C speed for ``bytes`` rows), with no Python step
+per table entry; how rows are stored is left to :mod:`centlat.core`.  The
+group gets those rows, its generator names and a function that formats the
+labels, so a label is formatted only once something reads it; the
+constructor reads the identity and inverses off the rows.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_ORDER_CAP,
@@ -29,7 +31,7 @@ from .core import (
     _require,
     _require_integers,
     _require_order_at_most,
-    _row_ops,
+    _walk_rows,
     closure,
     commutator_set,
 )
@@ -40,29 +42,6 @@ from .errors import UnsupportedParameterError, _ensure, _int_text
 def _pair_label(i: int, j: int) -> str:
     """x^i*y^j with zero powers dropped and exponent 1 unwritten; "1" if both are 0."""
     return "*".join(sym if e == 1 else f"{sym}^{e}" for sym, e in (("x", i), ("y", j)) if e) or "1"
-
-
-def _walk_rows(order: int, identity: int, generators: dict[int, Sequence[int]]) -> tuple[list, tuple[int, ...]]:
-    """Table and inverses of the group generated by the rows ``generators``
-    (s -> row of s*y over y), walked breadth-first from the identity: row
-    g*s is row g read at the entries of row s, one ``_row_ops`` composition
-    per element, and g's inverse is where its row holds the identity.
-    :class:`InternalInconsistencyError` if fewer than ``order`` are reached."""
-    row_type, _, pad, compose = _row_ops(order)
-    steps = [(s, compose(row_type(row))) for s, row in generators.items()]
-    rows = [None] * order
-    rows[identity] = row_type(range(order))
-    reached = [identity]
-    for g in reached:
-        row, padded = rows[g], pad(rows[g])
-        for s, step in steps:
-            gs = row[s]
-            if rows[gs] is None:
-                rows[gs] = step(padded)
-                reached.append(gs)
-    if len(reached) < order:
-        raise InternalInconsistencyError(f"generators reach {len(reached)} of {order} elements: they do not generate")
-    return rows, tuple([row.index(identity) for row in rows])
 
 
 def make_family(kind: str, order: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -114,9 +93,9 @@ def _cyclic_by_cyclic(m: int, k: int, a: int, square: int = 0, named_y: bool = T
     gens = (("x", 1 % m), ("y", m if k > 1 else 0))
     x_row = [j * m + (i + 1) % m for j in range(k) for i in range(m)]
     y_row = [(j + 1) % k * m + (a * i + (j + 1 == k) * square) % m for j in range(k) for i in range(m)]
-    table, inverse = _walk_rows(m * k, 0, {gens[0][1]: x_row, gens[1][1]: y_row})
+    table = _walk_rows(m * k, 0, {gens[0][1]: x_row, gens[1][1]: y_row})
     labels = lambda: tuple(_pair_label(i, j) for j in range(k) for i in range(m))
-    return FiniteGroup(m * k, table, 0, inverse, gens if named_y else gens[:1], labels)
+    return FiniteGroup(table, gens if named_y else gens[:1], labels)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -124,9 +103,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
 
     Generator names from the factors are prefixed ``l.`` and ``r.``.  The
     product of two groups is a group, so it is built by construction, not
-    validated: its identity and generators are the factors' paired, the
-    fields validation would give.  Only the generators' rows are written
-    out, (ga, gb)*(x, y) = (ga*x, gb*y); :func:`_walk_rows` composes the rest.
+    validated: its generators are the factors' paired with the other
+    factor's identity.  Only the generators' rows are written out,
+    (ga, gb)*(x, y) = (ga*x, gb*y); :func:`_walk_rows` composes the rest.
     """
     _require("direct_product", FiniteGroup, a, b)
     order = a.order * b.order
@@ -137,10 +116,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, cap: int = DEFAULT_ORDER_CAP)
         + [(f"r.{name}", a.identity * nb + i) for name, i in b.generator_names]
     )
     rows = {g: [x * nb + y for x in a.table[g // nb] for y in b.table[g % nb]] for _, g in gens}
-    identity = a.identity * nb + b.identity
-    table, inverse = _walk_rows(order, identity, rows)
     labels = lambda: tuple(f"({a.label(ia)},{b.label(ib)})" for ia in range(a.order) for ib in range(nb))
-    return FiniteGroup(order, table, identity, inverse, gens, labels)
+    return FiniteGroup(_walk_rows(order, a.identity * nb + b.identity, rows), gens, labels)
 
 
 def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -268,8 +245,7 @@ def _fiber_product_over_central_quotients(
         identity = index[(a.identity, b.identity)]
     except KeyError as e:
         raise InternalInconsistencyError(f"fiber product is not closed: {e.args[0]}") from e
-    table, inverse = _walk_rows(len(pairs), identity, rows)
-    g = FiniteGroup(len(pairs), table, identity, inverse, hints, labels)
+    g = FiniteGroup(_walk_rows(len(pairs), identity, rows), hints, labels)
     z_first = closure(g, [index[(a.identity, half)]])
     z_second = closure(g, [index[(half, b.identity)]])
     return g, z_first, z_second

@@ -168,16 +168,15 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
 
     The quotient is trusted by construction (see :mod:`centlat.core`): G
     is associative and N is normal (just checked), so the coset product is
-    well defined and associative; N is the identity coset and g^-1 N is the
-    inverse of gN.  Every group carries generator names that generate it,
-    so their de-duplicated images generate the quotient.  Every field read
-    off the projection, itself a homomorphism by construction, is the one
-    validation would have produced.  Row a of the quotient table is
+    well defined and associative, and its table is a group table.  Every
+    group carries generator names that generate it, so their de-duplicated
+    images generate the quotient.  Row a of the quotient table is
     proj[ra*rb] over the representatives rb, two :func:`~centlat.core._gather`
     steps at C speed, handed to the constructor, which stores it as the
-    quotient's row type.  The projection records N's mask as its kernel.
-    Each coset is labelled by its least element's label, formatted only on
-    the first read of the quotient's labels.
+    quotient's row type and reads the identity (N) and the inverses off it.
+    The projection records N's mask as its kernel.  Each coset is labelled
+    by its least element's label, read off G's labels as the quotient is
+    built, so the quotient holds no reference to G.
 
     G/1 is G itself, projected by a fresh :func:`identity_hom`: the cosets {g},
     numbered by least element, give G's own fields, so G's caches are shared.
@@ -204,15 +203,13 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
 
     if escape(g for _, g in group.generator_names) is not None:
         raise NotNormalError(*escape(reps))
-    at_reps, proj = _gather(reps), tuple(proj)
-    qtable = (_gather(at_reps(t[ra]))(proj) for ra in reps)  # proj[ra*rb] over rb
+    at_reps, proj, labels = _gather(reps), tuple(proj), group.element_labels
+    qtable = [_gather(at_reps(t[ra]))(proj) for ra in reps]  # proj[ra*rb] over rb
     first_name: dict[int, str] = {}  # image -> the first generator name mapped to it
     for name, g in group.generator_names:
         first_name.setdefault(proj[g], name)
-    qlabels = lambda: tuple(map(group.label, reps)) if group.element_labels is not None else None
-    qinverse = tuple(proj[inverse[r]] for r in reps)
     qgens = tuple((name, v) for v, name in first_name.items())
-    q = FiniteGroup(len(reps), qtable, proj[group.identity], qinverse, qgens, qlabels)
+    q = FiniteGroup(qtable, qgens, None if labels is None else at_reps(labels))
     return q, GroupHom._trusted(group, q, proj, mask)
 
 

@@ -250,6 +250,16 @@ def test_io_errors(cli, tmp_path):
         assert proc.stdout == "" and "Traceback" not in proc.stderr, name
 
 
+def test_a_table_file_that_is_not_utf8_is_named_in_process(tmp_path, monkeypatch, capsys):
+    # the latin-1 file above, read in-process so that its message is pinned
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes('{"order": 1, "table": [[0]], "labels": ["é"]}'.encode("latin-1"))
+    assert centlat_cli.main(["lattice", 'table("latin1.json")']) == 74
+    out, err = capsys.readouterr()
+    reason = "'utf-8' codec can't decode byte 0xe9 in position 41: invalid continuation byte"
+    assert (out, err) == ("", f"centlat: error: latin1.json is not UTF-8 text: {reason}\n")
+
+
 def test_io_errors_name_the_path_pathlib_normalises(cli, tmp_path):
     # table() reads through pathlib, which drops a leading "./", collapses
     # "//" and strips a trailing "/"; the message names the normalised path

@@ -76,8 +76,9 @@ from _oracles import (
 def test_rejects_wrong_shape():
     with pytest.raises(TableValidationError):
         from_multiplication_table(2, [[0, 1]])
-    with pytest.raises(TableValidationError):
+    with pytest.raises(NotClosedError) as exc:  # a short row, every entry in range
         from_multiplication_table(2, [[0, 1], [1]])
+    assert (exc.value.row, exc.value.col, exc.value.value) == (1, 0, "row of length 1")
     # rows that are not sequences are a table error, not a TypeError
     with pytest.raises(NotClosedError) as exc:
         from_multiplication_table(2, [[0, 1], 2])
@@ -298,6 +299,18 @@ def test_closure_matches_oracle_on_random_seeds():
         seed = rng.sample(range(g.order), rng.randint(1, 3))
         got = set(closure(g, seed))
         assert got == brute_closure([list(r) for r in g.table], set(seed)), seed
+
+
+def test_closure_takes_one_dimino_step_per_seed_not_yet_reached(monkeypatch):
+    # work counter: a seed element already in the subgroup built so far
+    # adds no generator and no step; a step per seed element took 11 here
+    steps = []
+    original = core._dimino_step
+    monkeypatch.setattr(core, "_dimino_step", lambda *args: steps.append(1) or original(*args))
+    g = make_family("cyclic", 12)
+    assert closure(g, range(12)).mask == g.full_mask and len(steps) == 1
+    d = make_family("dihedral", 12)  # x has order 6: <x> holds 1..5, then y (6) is a second step
+    assert closure(d, range(12)).mask == d.full_mask and len(steps) == 3
 
 
 def test_centralizer_matches_oracle(s3):
@@ -884,6 +897,10 @@ def test_subgroupset_hash_and_eq(s3):
     b = closure(s3, [1])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+    # a subgroup equals no value of another type, not even its member list
+    for other in (list(a.members), a.members, a.mask, None):
+        assert a.__eq__(other) is NotImplemented
+        assert a != other and other != a
 
 
 # ------------------------------------------------------------------- JSON

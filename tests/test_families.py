@@ -23,6 +23,7 @@ from centlat import (
     cli,
     closure,
     commutator_set,
+    core,
     cover_group,
     direct_product,
     families,
@@ -433,7 +434,7 @@ def test_fiber_product_hints_that_do_not_generate_are_internal(monkeypatch):
         g = real(kind, order, cap)
         if kind == "quaternion":
             x_only = g.generator_names[:1]
-            g = FiniteGroup(g.order, g.table, g.identity, g.inverse, x_only, g.element_labels)
+            g = FiniteGroup(g.table, x_only, g.element_labels)
         return g
 
     monkeypatch.setattr(families, "make_family", drop_y)
@@ -547,6 +548,37 @@ def test_finite_group_caches_have_one_owner():
         or isinstance(node, ast.Constant) and node.value == "_lattice"  # getattr's name
     }
     assert lattice_named == {"lattice.py"}
+
+
+def test_the_trusted_constructor_takes_rows_names_and_labels():
+    # a builder hands FiniteGroup only what the table cannot tell it, and
+    # only core knows how rows are stored: it alone names _row_ops, and it
+    # defines the walk that families hands its generator rows to
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(centlat.__file__).parent.glob("*.py"))
+    }
+    cls = next(n for n in trees["core.py"].body if isinstance(n, ast.ClassDef) and n.name == "FiniteGroup")
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    assert [a.arg for a in init.args.args] == ["self", "table", "generator_names", "element_labels"]
+    assert [ast.literal_eval(d) for d in init.args.defaults] == [None]
+    assert not (init.args.vararg or init.args.kwarg or init.args.kwonlyargs)
+
+    def naming(name):
+        return {
+            module
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and name in (node.name, node.asname)
+            or isinstance(node, ast.FunctionDef) and node.name == name
+        }
+
+    assert naming("_row_ops") == {"core.py"}
+    assert naming("_walk_rows") == {"core.py", "families.py"}
+    defined = {m for m, tree in trees.items() for n in tree.body if getattr(n, "name", None) == "_walk_rows"}
+    assert defined == {"core.py"}
 
 
 def test_catalog_validates_no_table(monkeypatch):
@@ -739,9 +771,9 @@ def test_family_rows_above_order_256_match_the_entry_formulas(monkeypatch):
 
 
 def _counting_compositions(monkeypatch):
-    # wraps families._row_ops so that every function its compose returns
+    # wraps core._row_ops so that every function its compose returns
     # counts its calls, one per composed row, in calls["rows"]
-    calls, real = Counter(), families._row_ops
+    calls, real = Counter(), core._row_ops
 
     def row_ops(order):
         ops = list(real(order))
@@ -759,7 +791,7 @@ def _counting_compositions(monkeypatch):
         ops[3] = counting_compose
         return tuple(ops)
 
-    monkeypatch.setattr(families, "_row_ops", row_ops)
+    monkeypatch.setattr(core, "_row_ops", row_ops)
     return calls
 
 
@@ -824,11 +856,11 @@ def test_walked_rows_match_groups_no_family_builds(table):
     random.Random(3838).shuffle(perm)
     for t in (table, relabel(table, perm)):
         e, gens = brute_identity(t), brute_greedy_generators(t)
-        rows, inverse = families._walk_rows(n, e, {s: t[s] for s in gens})
+        rows = core._walk_rows(n, e, {s: t[s] for s in gens})
         assert [list(row) for row in rows] == t
-        assert list(inverse) == [brute_inverse(t, a) for a in range(n)]
+        assert list(FiniteGroup(rows, ()).inverse) == [brute_inverse(t, a) for a in range(n)]
         with pytest.raises(InternalInconsistencyError, match="do not generate"):
-            families._walk_rows(n, e, {gens[0]: t[gens[0]]})
+            core._walk_rows(n, e, {gens[0]: t[gens[0]]})
 
 
 def test_building_the_catalog_formats_no_label(monkeypatch):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import re
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -416,6 +418,21 @@ def test_quotient_fields_of_trivial_and_whole(d8):
     assert q.generator_names == () and q.element_labels is None
     q, _ = quotient(d8, closure(d8, range(8)))
     assert q.generator_names == (("x", 0),) and q.element_labels == (d8.label(0),)
+
+
+def test_a_quotient_does_not_keep_its_source_alive():
+    # the quotient's labels are read off the source's when it is built, so
+    # once the projection is gone nothing refers to the source: a weak
+    # reference to a product of order 256 dies with it
+    g = direct_product(make_family("dihedral", 16), make_family("cyclic", 16))
+    labels = [g.label(a) for a in range(g.order)]
+    source = weakref.ref(g)
+    q, proj = quotient(g, center(g))
+    least = [proj.mapping.index(c) for c in range(q.order)]  # each coset's least element
+    del g, proj
+    gc.collect()
+    assert source() is None
+    assert q.order == 8 and q.element_labels == tuple(labels[a] for a in least)
 
 
 def test_quotient_by_the_trivial_subgroup_is_the_group_itself():
@@ -953,7 +970,7 @@ def test_abelian_centralizer_tables_are_read_off_the_generators():
         groups += [g, _relabelled(g, rng)] + [quotient(g, s)[0] for s in all_subgroups(g) if s <= center(g)]
     counts = Counter()
     for g in groups:
-        fresh = core.FiniteGroup(g.order, g.table, g.identity, g.inverse, g.generator_names)  # no cache
+        fresh = core.FiniteGroup(g.table, g.generator_names)  # no cache
         want = _walked_centralizer_table(fresh)
         fresh.table = _RowReads(fresh.table)
         fresh.table.reads = 0

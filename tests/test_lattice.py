@@ -426,6 +426,8 @@ def test_lattice_map_rejects_malformed_node_maps():
             LatticeMap(lat, lat, tuple(range(5)))._replace(target=target, node_map=node_map)
     collapse = LatticeMap(lat, point, (0,) * 5)
     assert not collapse.is_bijective()
+    with pytest.raises(DomainMismatchError, match="only bijective lattice maps can be inverted"):
+        invert_lattice_map(collapse)
     identity = invert_lattice_map(LatticeMap(lat, lat, tuple(range(5))))
     assert compose_lattice_maps(collapse, identity).node_map == (0,) * 5
     assert identity._replace(node_map=(4, 1, 2, 3, 0)).node_map == (4, 1, 2, 3, 0)
