@@ -268,6 +268,16 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, generators=[{gens}])"
 
 
+def _labels_at(group: FiniteGroup, at: Callable[[Sequence[str]], tuple[str, ...]]):
+    """The labels of ``group`` picked by ``at`` (a :func:`_gather`): None or a
+    tuple when ``group``'s are formatted, else a function that holds only
+    ``group``'s label function and ``at``, so nothing formats them unread."""
+    labels = group._labels
+    if not callable(labels):
+        return None if labels is None else at(labels)
+    return lambda: None if (read := labels()) is None else at(read)
+
+
 class SubgroupSet:
     """A subgroup of a fixed :class:`FiniteGroup`, stored as a bitmask;
     ``members``, ascending, is read off it on first use.

@@ -175,8 +175,9 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     steps at C speed, handed to the constructor, which stores it as the
     quotient's row type and reads the identity (N) and the inverses off it.
     The projection records N's mask as its kernel.  Each coset is labelled
-    by its least element's label, read off G's labels as the quotient is
-    built, so the quotient holds no reference to G.
+    by its least element's label, picked off G's by
+    :func:`~centlat.core._labels_at`: G's labels are formatted only when
+    something reads them, and the quotient holds no reference to G.
 
     G/1 is G itself, projected by a fresh :func:`identity_hom`: the cosets {g},
     numbered by least element, give G's own fields, so G's caches are shared.
@@ -203,13 +204,13 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
 
     if escape(g for _, g in group.generator_names) is not None:
         raise NotNormalError(*escape(reps))
-    at_reps, proj, labels = _gather(reps), tuple(proj), group.element_labels
+    at_reps, proj = _gather(reps), tuple(proj)
     qtable = [_gather(at_reps(t[ra]))(proj) for ra in reps]  # proj[ra*rb] over rb
     first_name: dict[int, str] = {}  # image -> the first generator name mapped to it
     for name, g in group.generator_names:
         first_name.setdefault(proj[g], name)
     qgens = tuple((name, v) for v, name in first_name.items())
-    q = FiniteGroup(qtable, qgens, None if labels is None else at_reps(labels))
+    q = FiniteGroup(qtable, qgens, _core._labels_at(group, at_reps))
     return q, GroupHom._trusted(group, q, proj, mask)
 
 

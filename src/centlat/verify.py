@@ -4,8 +4,9 @@ Each suite returns a deterministic report dict::
 
     {"suite": <name>, "cases": [{"name", "pass", "detail"}, ...], "pass": <bool>}
 
-Whenever both decision routes for the centralizer-respecting property are
-available they are both run; disagreement raises
+Every suite quotients and decides the centralizer-respecting property
+through one kernel sweep, :func:`_projections`: it runs every decision
+route that applies to each kernel, and disagreement raises
 :class:`~centlat.errors.InternalInconsistencyError` instead of trusting
 either one.
 """
@@ -13,7 +14,9 @@ either one.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     FiniteGroup,
@@ -62,21 +65,8 @@ def _finish(suite: str, cases: list[dict]) -> dict:
     return {"suite": suite, "cases": cases, "pass": all(c["pass"] for c in cases)}
 
 
-def _both_routes(proj: GroupHom, what: str) -> tuple[CentralKernelVerdict, CrhVerdict]:
-    """Decide crh for ``proj`` by the commutator criterion and by the
-    definitional sweep; raise when they disagree."""
-    criterion = crh_central_kernel_criterion(proj)
-    definitional = is_centralizer_respecting(proj)
-    if bool(criterion) != bool(definitional):
-        raise InternalInconsistencyError(
-            f"crh routes disagree on {what}: "
-            f"criterion={bool(criterion)}, definitional={bool(definitional)}"
-        )
-    return criterion, definitional
-
-
 # ---------------------------------------------------------------------------
-# the central-quotient sweep shared by two suites
+# the kernel sweep shared by every suite
 
 
 def _central_subgroups(g: FiniteGroup) -> list[SubgroupSet]:
@@ -85,37 +75,47 @@ def _central_subgroups(g: FiniteGroup) -> list[SubgroupSet]:
 
 
 class ProjectionRecord(NamedTuple):
-    """One central quotient of a catalog group, with both crh verdicts; the
-    group and its quotient are ``projection.source`` and ``.target``."""
+    """One quotient of a named group, with its crh verdicts; the group and
+    its quotient are ``projection.source`` and ``.target``.  ``criterion``
+    is None when the kernel is not central, as the criterion then does not apply."""
 
     group_name: str
     kernel: SubgroupSet
     projection: GroupHom
     definitional: CrhVerdict
-    criterion: CentralKernelVerdict
+    criterion: CentralKernelVerdict | None
+
+
+def _projections(name: str, group: FiniteGroup, kernels: Iterable[SubgroupSet]) -> Iterator[ProjectionRecord]:
+    """The kernel sweep: quotient ``group`` by each normal subgroup in
+    ``kernels``, lazily, and run every crh route that applies: the
+    commutator criterion on a central kernel, then the definitional sweep.
+    Disagreement raises before the projection is yielded."""
+    zmask = _center_mask(group)
+    for sub in kernels:
+        _, proj = quotient(group, sub)
+        criterion = crh_central_kernel_criterion(proj) if sub.mask & ~zmask == 0 else None
+        definitional = is_centralizer_respecting(proj)
+        if criterion is not None and bool(criterion) != bool(definitional):
+            raise InternalInconsistencyError(
+                f"crh routes disagree on {name} with kernel {list(sub.members)}: "
+                f"criterion={bool(criterion)}, definitional={bool(definitional)}"
+            )
+        yield ProjectionRecord(name, sub, proj, definitional, criterion)
 
 
 @cache
 def central_quotient_sweep() -> tuple[ProjectionRecord, ...]:
     """Quotient every catalog group up to ``SWEEP_MAX_ORDER`` by each of its
-    central subgroups and run both crh routes on the projection.
-    Disagreement raises immediately; the records are computed once."""
-    records = []
-    for name, g in catalog(SWEEP_MAX_ORDER):
-        for sub in _central_subgroups(g):
-            _, proj = quotient(g, sub)
-            criterion, definitional = _both_routes(proj, f"{name} with kernel {list(sub.members)}")
-            records.append(ProjectionRecord(name, sub, proj, definitional, criterion))
-    return tuple(records)
+    central subgroups, through :func:`_projections`.  Disagreement raises
+    immediately; the records are computed once."""
+    return tuple(r for name, g in catalog(SWEEP_MAX_ORDER) for r in _projections(name, g, _central_subgroups(g)))
 
 
 def central_kernel_sweep_report() -> dict:
-    records = central_quotient_sweep()
     cases = []
-    by_group: dict[str, list[ProjectionRecord]] = {}
-    for r in records:
-        by_group.setdefault(r.group_name, []).append(r)
-    for name, recs in by_group.items():
+    for name, recs in groupby(central_quotient_sweep(), key=attrgetter("group_name")):  # group by group
+        recs = list(recs)
         crh = sum(1 for r in recs if r.definitional.ok)
         cases.append(
             _case(
@@ -154,7 +154,8 @@ def worked_example_report() -> dict:
     )
     gens = dict(g.generator_names)
     x2y2 = g.mul(g.power(gens["x"], 2), g.power(gens["y"], 2))
-    q, proj = quotient(g, closure(g, [x2y2]))
+    (worked,) = _projections("semidirect(4,4,3)", g, [closure(g, [x2y2])])
+    q, proj = worked.projection.target, worked.projection
     ker_members = kernel(proj).members
     comms = commutator_set(g)
     cases.append(
@@ -176,11 +177,10 @@ def worked_example_report() -> dict:
             f"quotient order {q.order}",
         )
     )
-    criterion, definitional = _both_routes(proj, "the worked example")
     cases.append(
         _case(
             "projection respects centralizers (both routes)",
-            bool(criterion) and bool(definitional),
+            bool(worked.criterion) and bool(worked.definitional),
             "commutator criterion and definitional sweep both pass",
         )
     )
@@ -207,19 +207,19 @@ def _cover_route(kind: str, n: int, first_family: str, second_family: str, fams:
     family groups in ``fams``.  Returns the composite map, or None when a step fails."""
     cov = cover_group(kind, n)
     legs = []
-    for z, family in ((cov.z_first, first_family), (cov.z_second, second_family)):
-        q, proj = quotient(cov.group, z)
+    sweep = _projections(f"{kind}(n={n})", cov.group, (cov.z_first, cov.z_second))
+    for r, family in zip(sweep, (first_family, second_family)):
+        z, proj = r.kernel, r.projection
         mod = f"mod {cov.group.label(z.members[-1])}"
-        criterion, _ = _both_routes(proj, f"{kind}(n={n}) {mod}")
         cases.append(
             _case(
                 f"{kind}(n={n}): projection {mod} passes the commutator criterion",
-                bool(criterion),
+                bool(r.criterion),
                 f"kernel {[cov.group.label(a) for a in z.members]}",
             )
         )
         ind = induced_map(proj)
-        bridge_iso = group_isomorphic(q, fams[family])
+        bridge_iso = group_isomorphic(proj.target, fams[family])
         if bridge_iso is None:
             cases.append(
                 _case(f"{kind}(n={n}): quotient is {family}({1 << n})", False, "no isomorphism")
@@ -290,35 +290,30 @@ def family_lattice_report(n: int) -> dict:
 def composable_pairs(
     records: tuple[ProjectionRecord, ...],
 ) -> list[tuple[ProjectionRecord, SubgroupSet, GroupHom]]:
-    """Deterministic chained central quotients: follow each sweep projection
-    with a quotient of its quotient by a central subgroup that passes the
-    commutator criterion.  Pairs where both kernels are trivial are skipped;
-    collection stops at ``COMPOSABLE_PAIRS_TARGET`` pairs."""
+    """Deterministic chained central quotients: follow each crh sweep
+    projection with a quotient of its quotient by a central subgroup, taken
+    from :func:`_projections`, that passes the commutator criterion.  Pairs
+    where both kernels are trivial are skipped; collection stops at
+    ``COMPOSABLE_PAIRS_TARGET`` pairs."""
     pairs = []
     for r in records:
         if not r.definitional.ok:
             continue
         h = r.projection.target
-        for sub in _central_subgroups(h):
-            if r.kernel.is_trivial() and sub.is_trivial():
-                continue
-            q2, proj2 = quotient(h, sub)
-            if not crh_central_kernel_criterion(proj2):
-                continue
-            pairs.append((r, sub, proj2))
-            if len(pairs) >= COMPOSABLE_PAIRS_TARGET:
-                return pairs
+        subs = [sub for sub in _central_subgroups(h) if not (r.kernel.is_trivial() and sub.is_trivial())]
+        for second in _projections(f"{r.group_name} mod {list(r.kernel.members)}", h, subs):
+            if second.criterion:
+                pairs.append((r, second.kernel, second.projection))
+                if len(pairs) >= COMPOSABLE_PAIRS_TARGET:
+                    return pairs
     return pairs
 
 
 def functor_law_report() -> dict:
     cases = []
     entries = catalog(SWEEP_MAX_ORDER)
-    identity_ok = 0
-    for name, g in entries:
-        ind = induced_map(identity_hom(g))
-        if ind.node_map == tuple(range(len(ind.source.nodes))):
-            identity_ok += 1
+    identity_maps = [induced_map(identity_hom(g)).node_map for _, g in entries]
+    identity_ok = sum(1 for m in identity_maps if m == tuple(range(len(m))))
     cases.append(
         _case(
             "identity homomorphisms induce identity lattice maps",
@@ -328,12 +323,8 @@ def functor_law_report() -> dict:
     )
     records = central_quotient_sweep()
     crh_records = [r for r in records if r.definitional.ok]
-    hom_ok = 0
-    for r in crh_records:
-        ind = induced_map(r.projection)
-        verdict = is_lattice_hom(ind)
-        if verdict and verdict.preserves_top and verdict.preserves_bottom:
-            hom_ok += 1
+    verdicts = [is_lattice_hom(induced_map(r.projection)) for r in crh_records]
+    hom_ok = sum(1 for v in verdicts if v and v.preserves_top and v.preserves_bottom)
     cases.append(
         _case(
             "every centralizer-respecting projection induces a bounded lattice homomorphism",
@@ -343,10 +334,7 @@ def functor_law_report() -> dict:
         )
     )
     pairs = composable_pairs(records)
-    comp_ok = 0
-    for r, sub, proj2 in pairs:
-        if verify_functoriality(r.projection, proj2):
-            comp_ok += 1
+    comp_ok = sum(1 for r, _, proj2 in pairs if verify_functoriality(r.projection, proj2))
     cases.append(
         _case(
             f"composition law on chained central quotients (minimum {MIN_COMPOSABLE_PAIRS} pairs)",

@@ -86,13 +86,23 @@ def brute_inverse(table: list[list[int]], a: int) -> int:
     raise AssertionError("oracle: no inverse")
 
 
+def brute_inverses(table: list[list[int]]) -> list[int]:
+    """brute_inverse of every element, the identity found once."""
+    e, n = brute_identity(table), len(table)
+    inverses = [next((b for b in range(n) if table[a][b] == e and table[b][a] == e), None) for a in range(n)]
+    if None in inverses:
+        raise AssertionError("oracle: no inverse")
+    return inverses
+
+
 def brute_closure(table: list[list[int]], seed: set[int]) -> set[int]:
     """Saturate under products and inverses, the quadratic way."""
     current = set(seed) | {brute_identity(table)}
+    inverse = brute_inverses(table)
     while True:
         extra = set()
         for a in current:
-            extra.add(brute_inverse(table, a))
+            extra.add(inverse[a])
             for b in current:
                 extra.add(table[a][b])
         if extra <= current:
@@ -112,6 +122,20 @@ def brute_commutator_set(table: list[list[int]]) -> set[int]:
     n = len(table)
     inverse = [brute_inverse(table, a) for a in range(n)]
     return {table[table[table[inverse[a]][inverse[b]]][a]][b] for a in range(n) for b in range(n)}
+
+
+def brute_is_normal(table: list[list[int]], generators: list[int], members: set[int]) -> bool:
+    """Whether the subgroup ``members`` is normal in the group of ``table``
+    that ``generators`` generate: each generator g conjugates every member x
+    to g^-1 x g inside it.  That is enough: g^-1 N g then has |N| elements
+    in N, so equals N, and so does every conjugate by a product of the
+    generators.  The identity is read off g*e = g and g^-1 off g*g^-1 = e."""
+    for g in generators:
+        row = list(table[g])
+        inverse = row.index(row.index(g))
+        if any(table[table[inverse][x]][g] not in members for x in members):
+            return False
+    return True
 
 
 def is_subgroup(table: list[list[int]], members: set[int]) -> bool:
@@ -183,6 +207,32 @@ def brute_first_commutator_in(
             c = table[table[table[inv[a]][inv[b]]][a]][b]
             if c != e and c in members:
                 return (a, b, c)
+    return None
+
+
+def brute_trust_problem(table, identity: int, inverse, generators: list[int]) -> str | None:
+    """What is wrong with a group that a builder vouched for, or None: its
+    rows (any sequences of ints) must lie in range, its identity and
+    inverses must be the oracle's, the ``generators`` must generate it by
+    brute_closure, and Light's test must pass over them, (x*s)*y = x*(s*y)
+    for every x and y and each generator s, O(n^2) per generator; that
+    test proves associativity once they generate.  Checks run in that order."""
+    n = len(table)
+    rows = [list(row) for row in table]
+    if any(len(row) != n or not all(0 <= v < n for v in row) for row in rows):
+        return "not closed: an entry lies outside the group"
+    try:
+        e, inverses = brute_identity(rows), brute_inverses(rows)
+    except AssertionError as error:
+        return str(error)
+    if e != identity or inverses != list(inverse):
+        return "identity or inverses differ from the oracle's"
+    if len(brute_closure(rows, set(generators))) != n:
+        return "the generators do not generate"
+    for s in generators:
+        for x, row in enumerate(rows):
+            if rows[row[s]] != [row[v] for v in rows[s]]:  # (x*s)*y against x*(s*y) over y
+                return f"not associative: (x*s)*y != x*(s*y) for x = {x}, s = {s}"
     return None
 
 

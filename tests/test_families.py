@@ -443,6 +443,41 @@ def test_fiber_product_hints_that_do_not_generate_are_internal(monkeypatch):
     assert cli.main(["lattice", "cover_qsd(4)"]) == 2
 
 
+def _planted(monkeypatch, fault):
+    """Build dihedral(8) with ``fault`` applied to the rows the walk
+    returns, so a family builder hands the constructor a faulty table."""
+    real = families._walk_rows
+    monkeypatch.setattr(families, "_walk_rows", lambda *args: fault(real(*args)))
+    return make_family("dihedral", 8)
+
+
+def test_the_trust_audit_flags_swapped_row_entries(trust_audit, monkeypatch):
+    # row x (index 1) with its entries at y and x*y (4 and 5) swapped is
+    # still a permutation, with the identity and the inverses in place
+    def swap(rows):
+        row = bytearray(rows[1])
+        row[4], row[5] = row[5], row[4]
+        return rows[:1] + [bytes(row)] + rows[2:]
+
+    g = _planted(monkeypatch, swap)
+    assert list(g.inverse) == [0, 3, 2, 1, 4, 5, 6, 7]
+    assert trust_audit == ["order 8, generators [1, 4]: not associative: (x*s)*y != x*(s*y) for x = 1, s = 1"]
+
+
+def test_the_trust_audit_flags_a_dropped_generator_name(trust_audit, monkeypatch):
+    # x alone generates the rotations, 4 of the 8 elements
+    monkeypatch.setattr(families, "FiniteGroup", lambda table, names, labels: FiniteGroup(table, names[:1], labels))
+    make_family("dihedral", 8)
+    assert trust_audit == ["order 8, generators [1]: the generators do not generate"]
+
+
+def test_the_trust_audit_flags_rows_that_are_not_closed(trust_audit, monkeypatch):
+    # x*y (row 1, column 4) becomes 8, outside the group, which a byte row still holds
+    g = _planted(monkeypatch, lambda rows: rows[:1] + [rows[1][:4] + bytes([8]) + rows[1][5:]] + rows[2:])
+    assert g.table[1][4] == 8
+    assert trust_audit == ["order 8, generators [1, 4]: not closed: an entry lies outside the group"]
+
+
 def _fiber_product_by_quotients(a, b, n):
     # The fiber product built the long way: quotient both factors by
     # x^(2^(n-2)), find an isomorphism between the quotients, and pair the

@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import sys
+import time
 import weakref
 from collections import Counter
 
@@ -49,8 +50,8 @@ from centlat.errors import (
     TableJsonError,
 )
 
-from centlat import core
-from centlat.verify import COMPOSABLE_PAIRS_TARGET, composable_pairs
+from centlat import core, families
+from centlat.verify import COMPOSABLE_PAIRS_TARGET, _projections, composable_pairs
 
 from _oracles import (
     brute_center,
@@ -61,6 +62,7 @@ from _oracles import (
     brute_first_commutator_in,
     brute_identity,
     brute_inverse,
+    brute_is_normal,
     brute_left_cosets,
     brute_quotient,
     relabel,
@@ -435,6 +437,38 @@ def test_a_quotient_does_not_keep_its_source_alive():
     assert q.order == 8 and q.element_labels == tuple(labels[a] for a in least)
 
 
+def test_quotienting_a_fresh_family_group_formats_none_of_its_labels(monkeypatch):
+    # work counter: a quotient picks its labels off its source's only when
+    # its own are first read, so quotienting each group of a fresh
+    # catalog(64) by its center formats no label, where reading the
+    # source's labels at once formatted those of 322 of the 373; once read,
+    # each coset is labelled by its least element, as before
+    calls = Counter()
+    pair_label, label = families._pair_label, core.FiniteGroup.label
+
+    def counting_pair_label(i, j):
+        calls["_pair_label"] += 1
+        return pair_label(i, j)
+
+    def counting_label(g, a):
+        calls["label"] += 1
+        return label(g, a)
+
+    monkeypatch.setattr(families, "_pair_label", counting_pair_label)
+    monkeypatch.setattr(core.FiniteGroup, "label", counting_label)
+    entries = families._catalog.__wrapped__(64)  # uncached: nothing has read a label
+    quotients = [quotient(entry.group, center(entry.group)) for entry in entries]
+    assert len(quotients) == 373 and calls == Counter()
+    monkeypatch.undo()
+    for entry, (q, proj) in zip(entries, quotients):
+        least = [proj.mapping.index(c) for c in range(q.order)]
+        assert q.element_labels == tuple(entry.group.label(a) for a in least), entry.name
+    # a source whose label function gives None gives a quotient without labels
+    d8 = make_family("dihedral", 8)
+    q, _ = quotient(core.FiniteGroup(d8.table, d8.generator_names, lambda: None), center(d8))
+    assert q.order == 4 and q.element_labels is None
+
+
 def test_quotient_by_the_trivial_subgroup_is_the_group_itself():
     # differential against the brute oracle: G/1 is G, with the identity
     # projection, over the catalog and a relabelled copy of each group,
@@ -709,6 +743,11 @@ def test_composable_pairs_skip_what_fails_either_step(sweep_records):
         assert proj2.source is r.projection.target
         got = (list(proj2.mapping), [list(row) for row in proj2.target.table])
         assert brute_quotient(table, set(sub)) == got
+    # over the whole sweep the walk stops at the target exactly, and every
+    # second leg passes the definitional check as well as the criterion
+    pairs = composable_pairs(sweep_records)
+    assert len(pairs) == COMPOSABLE_PAIRS_TARGET
+    assert all(is_centralizer_respecting(proj2) for _, _, proj2 in pairs)
 
 
 def test_crh_cap_holds_on_cached_verdict():
@@ -837,6 +876,47 @@ def test_definitional_sweep_matches_per_subgroup_sweep(sweep_records):
         assert r.definitional.ok == (witness is None), r.group_name
         assert _witness_tuple(r.definitional) == witness, r.group_name
         assert one_sided, r.group_name
+
+
+def functor_on_normal_kernels(max_order: int) -> Counter:
+    """Run the kernel sweep over every normal subgroup of every group of
+    catalog(max_order), normality read off the oracle, and check the
+    paper's functor on each crh projection: its induced map is a lattice
+    homomorphism keeping top and bottom, and a bijection exactly when the
+    kernel is central.  For n in N outside Z(G), C(n) != G, yet both go to
+    the top, phi(C(n)) = C(1) = Q = phi(G).  Returns the counts."""
+    counts = Counter()
+    for name, g in catalog(max_order):
+        gens, z = [x for _, x in g.generator_names], center(g)
+        normal = [sub for sub in all_subgroups(g) if brute_is_normal(g.table, gens, set(sub.members))]
+        for r in _projections(name, g, normal):
+            central = r.kernel <= z
+            assert (r.criterion is not None) == central, (name, r.kernel)
+            counts["projections"] += 1
+            counts["non-central"] += not central
+            if not r.definitional:
+                continue
+            ind = induced_map(r.projection)
+            verdict = is_lattice_hom(ind)
+            assert verdict and verdict.preserves_top and verdict.preserves_bottom, (name, r.kernel)
+            assert ind.is_bijective() == central, (name, r.kernel)
+            counts["crh"] += 1
+            if not central:
+                n = min(set(r.kernel.members) - set(z.members))
+                c_n = ind.source.index_of_mask[centralizer(g, [n]).mask]
+                assert c_n != ind.source.top and ind.node_map[c_n] == ind.node_map[ind.source.top], (name, n)
+                counts["non-central crh"] += 1
+    return counts
+
+
+def test_the_functor_on_every_normal_kernel_of_catalog_128():
+    # the first check of induced_map on crh maps whose kernel is not
+    # central; budget 60 s, about 3 s on a 2-vCPU Xeon VM (Python 3.11)
+    t0 = time.perf_counter()
+    counts = functor_on_normal_kernels(128)
+    elapsed = time.perf_counter() - t0
+    assert counts == {"projections": 13533, "crh": 9886, "non-central": 4379, "non-central crh": 1198}
+    assert elapsed < 60, f"took {elapsed:.1f} s, budget 60 s"
 
 
 def test_mask_images_match_member_images():
@@ -1261,3 +1341,9 @@ def test_hom_json_rejects_bad_payloads(d8):
         hom_from_json({"source": doc["source"]})
     with pytest.raises(TableJsonError):  # JSON false is not index 0
         hom_from_json(dict(doc, map=[False] * 8))
+
+
+if __name__ == "__main__":  # python tests/test_homs.py ORDER: the functor check at a larger order
+    t0 = time.perf_counter()
+    found = functor_on_normal_kernels(int(sys.argv[1]))
+    print(dict(found), f"in {time.perf_counter() - t0:.1f} s")
