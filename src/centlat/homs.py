@@ -329,11 +329,34 @@ def _iso_fingerprint(g: FiniteGroup, orders: tuple[int, ...]) -> tuple:
     return (tuple(sorted(orders)), tuple(cents))
 
 
+def _injective_assignments(candidates: list[list[int]], fits=None):
+    """Every tuple with one entry of each candidate list and no entry twice,
+    depth first in list order, where ``fits(prefix, x)`` holds for each pick
+    x after the picks ``prefix`` (a live list: read it only).  The one
+    backtracking search of group_isomorphic and lattice.lattices_isomorphic."""
+    prefix, used, stack = [], set(), [iter(c) for c in candidates[:1]]
+    if not candidates:
+        yield ()
+    while stack:
+        x = next((x for x in stack[-1] if x not in used and (fits is None or fits(prefix, x))), None)
+        if x is None:  # this level is exhausted: take back the pick below it
+            stack.pop()
+            if prefix:
+                used.remove(prefix.pop())
+        elif len(stack) == len(candidates):
+            yield (*prefix, x)
+        else:
+            prefix.append(x)
+            used.add(x)
+            stack.append(iter(candidates[len(stack)]))
+
+
 def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
     """An isomorphism a -> b as a :class:`GroupHom`, or None.
 
-    Backtracks over images of a generating set, forcing the rest of the map
-    along generator edges and keeping the first bijection that
+    Walks the injective tuples of generator images of
+    :func:`_injective_assignments`, forcing the rest of the map along
+    generator edges and keeping the first bijection that
     :func:`hom_from_map` accepts; the search is deterministic (ascending
     candidate order), so the returned isomorphism is stable run to run.
     """
@@ -346,7 +369,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
     gens = list(dict.fromkeys(g for _, g in a.generator_names))
     candidates = [[x for x in range(b.order) if b_orders[x] == a_orders[g]] for g in gens]
 
-    def extend(mapping: list[int]) -> GroupHom | None:
+    def extend(images: tuple[int, ...]) -> GroupHom | None:
         """Force the map along generator edges, full[x*g] = full[x]*v, from
         the identity; hom_from_map then decides whether it is a homomorphism."""
         full = [-1] * a.order
@@ -354,7 +377,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
         known = [a.identity]
         for x in known:  # grows as elements are reached
             row, image_row = a.table[x], b.table[full[x]]
-            for g, v in zip(gens, mapping):
+            for g, v in zip(gens, images):
                 if full[row[g]] == -1:
                     full[row[g]] = image_row[v]
                     known.append(row[g])
@@ -365,20 +388,7 @@ def group_isomorphic(a: FiniteGroup, b: FiniteGroup) -> GroupHom | None:
         except NotHomomorphismError:
             return None
 
-    def search(k: int, mapping: list[int], used: int) -> GroupHom | None:
-        if k == len(gens):
-            return extend(mapping)
-        for x in candidates[k]:
-            if used >> x & 1:
-                continue
-            mapping.append(x)
-            result = search(k + 1, mapping, used | 1 << x)
-            if result is not None:
-                return result
-            mapping.pop()
-        return None
-
-    return search(0, [], 0)
+    return next((h for h in map(extend, _injective_assignments(candidates)) if h is not None), None)
 
 
 # ---------------------------------------------------------------------------

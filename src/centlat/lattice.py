@@ -35,7 +35,7 @@ from .errors import (
     NotCrhError,
     _ensure,
 )
-from .homs import GroupHom, _verdict_ok, compose, identity_hom, is_centralizer_respecting
+from .homs import GroupHom, _injective_assignments, _verdict_ok, compose, identity_hom, is_centralizer_respecting
 
 DEFAULT_NODE_CAP = 512
 
@@ -292,7 +292,8 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
     """An isomorphism of bounded involution lattices a -> b, or None.
 
     Matches only order structure (and the induced meet/join/involution),
-    never the underlying subgroup sizes.  Deterministic backtracking over
+    never the underlying subgroup sizes.  The first map, in index order, of
+    the backtracking search ``homs._injective_assignments`` over
     fingerprint-compatible candidates; the found map is verified in full
     before being returned.  Lattices of more than ``DEFAULT_NODE_CAP``
     nodes are refused.
@@ -306,38 +307,23 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
         return None
     candidates = [[j for j in range(count) if fb[j] == fa[i]] for i in range(count)]
     leq_a, leq_b = a.leq_masks, b.leq_masks
-    mapping = [-1] * count
-    used = [False] * count
 
-    def consistent(i: int, j: int) -> bool:
-        for s in range(i):
-            t = mapping[s]
+    def consistent(mapping: list[int], j: int) -> bool:
+        i = len(mapping)  # nodes are assigned in index order
+        for s, t in enumerate(mapping):
             if (leq_a[s] >> i & 1) != (leq_b[t] >> j & 1):
                 return False
             if (leq_a[i] >> s & 1) != (leq_b[j] >> t & 1):
                 return False
         w = a.involution[i]
-        if w < i and b.involution[j] != mapping[w]:  # nodes are assigned in index order
+        if w < i and b.involution[j] != mapping[w]:
             return False
         return True
 
-    def search(i: int) -> bool:
-        if i == count:
-            return True
-        for j in candidates[i]:
-            if used[j] or not consistent(i, j):
-                continue
-            mapping[i] = j
-            used[j] = True
-            if search(i + 1):
-                return True
-            mapping[i] = -1
-            used[j] = False
-        return False
-
-    if not search(0):
+    mapping = next(_injective_assignments(candidates, consistent), None)
+    if mapping is None:
         return None
-    result = LatticeMap(a, b, tuple(mapping))
+    result = LatticeMap(a, b, mapping)
     verdict = is_lattice_hom(result)
     _ensure(verdict and result.is_bijective(), "search must return a verified isomorphism")
     return result

@@ -406,3 +406,51 @@ def brute_lattice_isomorphism(
         ) and all(f[a_inv[s]] == b_inv[f[s]] for s in range(n)):
             return f
     return None
+
+
+def brute_first_group_isomorphism(
+    a: list[list[int]], generators: list[int], b: list[list[int]]
+) -> tuple[int, ...] | None:
+    """The first isomorphism from the group of table ``a`` onto that of
+    table ``b`` when the distinct ``generators`` (which generate a) take
+    their images in ascending order: each generator's candidates are the
+    elements of b of its order, the tuples are scanned in
+    ``itertools.product`` order, a tuple that repeats an element is
+    skipped, and the first whose generator-edge extension is a bijection
+    keeping every product, checked pair by pair, is returned as the full
+    element map; None when no tuple gives one."""
+    n = len(a)
+    if n != len(b):
+        return None
+    ea, eb = brute_identity(a), brute_identity(b)
+
+    def orders(table, e):
+        out = []
+        for x in range(n):
+            k, y = 1, x
+            while y != e:
+                k, y = k + 1, table[y][x]
+            out.append(k)
+        return out
+
+    gens = list(dict.fromkeys(generators))
+    a_orders, b_orders = orders(a, ea), orders(b, eb)
+    images = [[y for y in range(n) if b_orders[y] == a_orders[g]] for g in gens]
+    for chosen in itertools.product(*images):
+        if len(set(chosen)) < len(chosen):
+            continue
+        # saturate x*g -> f(x)*f(g) from e, stopping early at a repeated image
+        full, hit, changed = {ea: eb}, {eb}, True
+        while changed and len(hit) == len(full):
+            changed = False
+            for x, fx in list(full.items()):
+                for g, v in zip(gens, chosen):
+                    if a[x][g] not in full:
+                        full[a[x][g]] = b[fx][v]
+                        hit.add(b[fx][v])
+                        changed = True
+        if len(full) < n or len(hit) < n:
+            continue
+        if all(full[a[x][y]] == b[full[x]][full[y]] for x in range(n) for y in range(n)):
+            return tuple(full[x] for x in range(n))
+    return None

@@ -24,6 +24,7 @@ from centlat import (
     quotient,
     semidirect_cyclic,
 )
+from centlat import lattice as lattice_module
 from centlat.core import _bits
 from centlat.errors import (
     DomainMismatchError,
@@ -35,6 +36,7 @@ from centlat.errors import (
 from centlat.lattice import (
     DEFAULT_NODE_CAP,
     CentralizerLattice,
+    LatticeHomVerdict,
     LatticeMap,
     _order_fingerprints,
     build_centralizer_lattice,
@@ -579,18 +581,38 @@ def test_lattices_isomorphic_matches_brute_oracle():
     assert found and found < len(lattices) * (len(lattices) + 1) // 2
 
 
+def test_lattices_isomorphic_refuses_a_map_that_fails_its_final_check(monkeypatch, q8_lattice):
+    # the found map must pass is_lattice_hom and be a bijection, each on its
+    # own: a failure of either is an internal inconsistency, never a result
+    d8 = lattice_of(make_family("dihedral", 8))
+    for owner, name, broken in (
+        (lattice_module, "is_lattice_hom", lambda m: LatticeHomVerdict(False, "meet", (0, 1))),
+        (LatticeMap, "is_bijective", lambda m: False),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, broken)
+            with pytest.raises(InternalInconsistencyError, match="verified isomorphism"):
+                lattices_isomorphic(d8, q8_lattice)
+    assert lattices_isomorphic(d8, q8_lattice).node_map == (0, 1, 2, 3, 4)
+
+
 def test_lattices_isomorphic_refuses_oversized_lattices(q8_lattice):
     big = object.__new__(CentralizerLattice)  # the cap reads only the node count
     big.nodes = range(DEFAULT_NODE_CAP + 1)
     for a, b in ((q8_lattice, big), (big, q8_lattice)):
         with pytest.raises(NodeCapExceededError, match="513 exceeds cap 512"):
             lattices_isomorphic(a, b)
-    # a chain of exactly 512 nodes, paired top to bottom, is within the cap
+    # a chain of exactly 512 nodes, paired top to bottom, is within the cap;
+    # node i holds the elements 0..i, so the meet of two nodes is the lower
     chain = object.__new__(CentralizerLattice)
-    chain.nodes = range(DEFAULT_NODE_CAP)
+    chain.nodes = tuple((1 << i + 1) - 1 for i in range(DEFAULT_NODE_CAP))
+    chain.index_of_mask = {m: i for i, m in enumerate(chain.nodes)}
+    chain.top, chain.bottom = DEFAULT_NODE_CAP - 1, 0
     chain.leq_masks = tuple(((1 << DEFAULT_NODE_CAP) - 1) >> i << i for i in range(DEFAULT_NODE_CAP))
     chain.involution = tuple(reversed(range(DEFAULT_NODE_CAP)))
     assert lattices_isomorphic(q8_lattice, chain) is None and lattices_isomorphic(chain, q8_lattice) is None
+    # against itself: the deepest search the cap allows, one candidate a node
+    assert lattices_isomorphic(chain, chain).node_map == tuple(range(DEFAULT_NODE_CAP))
 
 
 def test_lattices_isomorphic_across_nonisomorphic_groups(q8_lattice):
