@@ -3,7 +3,9 @@
 Every error raised on purpose derives from :class:`CentlatError`, so callers
 (notably the CLI) can separate expected failures from genuine bugs, except
 three ``ValueError``s: ``SubgroupSet`` on a non-subgroup, ``core._mask_of``
-on a bad index, ``from_multiplication_table`` on bad labels or hints.  Errors
+on a bad index, ``from_multiplication_table`` on bad labels or hints; and the
+``TypeError`` "not an expression: …" of ``expr.pretty`` and
+``expr.eval_group_expr`` on a value that is no expression record.  Errors
 carry the offending values and render deterministic messages from them.
 """
 

@@ -17,6 +17,7 @@ an expression nested more than ``MAX_NESTING`` constructors deep is one.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Union
 
@@ -35,7 +36,6 @@ from .families import cover_group, direct_product, make_family, semidirect_cycli
 from .homs import GroupHom, quotient
 
 FAMILY_TOKENS = ("cyclic", "dihedral", "quaternion", "semidihedral", "cover_dq", "cover_qsd")
-_CONSTRUCTOR_TOKENS = FAMILY_TOKENS + ("product", "semidirect", "quotient", "table")
 
 #: Deepest nesting of constructors an expression may have; deeper input is a
 #: parse error rather than a recursion overflow.
@@ -74,6 +74,18 @@ class TableExpr(NamedTuple):
 
 Expr = Union[FamilyExpr, ProductExpr, SemidirectExpr, QuotientExpr, TableExpr]
 
+#: Each constructor's record and the kinds of the arguments it takes between
+#: parentheses, separated by commas: "int", "expr", "words" (a bracketed word
+#: list) or "string"; a family's record takes its token first.
+_GRAMMAR = {
+    **{name: (partial(FamilyExpr, name), ("int",)) for name in FAMILY_TOKENS},
+    "product": (ProductExpr, ("expr", "expr")),
+    "semidirect": (SemidirectExpr, ("int", "int", "int")),
+    "quotient": (QuotientExpr, ("expr", "words")),
+    "table": (TableExpr, ("string",)),
+}
+_CONSTRUCTOR_TOKENS = tuple(_GRAMMAR)
+
 
 # ---------------------------------------------------------------------------
 # lexer
@@ -90,49 +102,36 @@ class _Token(NamedTuple):
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    line, col, i = 1, 0, 0
+    line, start, i = 1, 0, 0  # start: the index where the current line starts
     while i < len(text):
-        ch = text[i]
+        ch, j = text[i], i + 1
         if ch == "\n":
-            line, col, i = line + 1, 0, i + 1
-            continue
-        if ch in " \t\r":
-            col, i = col + 1, i + 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            col, i = col + 1, i + 1
-            continue
-        if ch.isdigit():
-            j = i
+            line, start = line + 1, j
+        elif ch in _SYMBOLS:
+            tokens.append(_Token(ch, ch, line, i - start))
+        elif ch.isdigit():
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col, i = col + (j - i), j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            tokens.append(_Token("int", text[i:j], line, i - start))
+        elif ch.isalpha() or ch == "_":
             while j < len(text) and (text[j].isalnum() or text[j] in "_."):
                 j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col, i = col + (j - i), j
-            continue
-        if ch == '"':
-            j, out = i + 1, []
+            tokens.append(_Token("ident", text[i:j], line, i - start))
+        elif ch == '"':
+            out = []
             while j < len(text) and text[j] != '"':
                 if text[j] == "\\" and j + 1 < len(text):
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
                     j += 1
+                out.append(text[j])
+                j += 1
             if j >= len(text):
-                raise ExprParseError("unterminated string", line, col)
-            tokens.append(_Token("string", "".join(out), line, col))
-            col, i = col + (j + 1 - i), j + 1
-            continue
-        raise ExprParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+                raise ExprParseError("unterminated string", line, i - start)
+            tokens.append(_Token("string", "".join(out), line, i - start))
+            j += 1
+        elif ch not in " \t\r":
+            raise ExprParseError(f"unexpected character {ch!r}", line, i - start)
+        i = j
+    tokens.append(_Token("eof", "", line, i - start))
     return tokens
 
 
@@ -175,48 +174,35 @@ class _Parser:
             tok = self.peek()
             raise ExprParseError(f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
         tok = self.take("ident", _CONSTRUCTOR_TOKENS)
-        name = tok.value
-        if name in FAMILY_TOKENS:
-            self.take("(")
-            n = self.parse_int()
-            self.take(")")
-            return FamilyExpr(name, n)
-        if name == "product":
-            self.take("(")
-            left = self.parse_expr(depth + 1)
-            self.take(",")
-            right = self.parse_expr(depth + 1)
-            self.take(")")
-            return ProductExpr(left, right)
-        if name == "semidirect":
-            self.take("(")
-            m = self.parse_int()
-            self.take(",")
-            k = self.parse_int()
-            self.take(",")
-            a = self.parse_int()
-            self.take(")")
-            return SemidirectExpr(m, k, a)
-        if name == "quotient":
-            self.take("(")
-            inner = self.parse_expr(depth + 1)
-            self.take(",")
-            self.take("[")
-            words: list[tuple[WordTerm, ...]] = []
-            if self.peek().kind != "]":
+        if tok.value not in _GRAMMAR:
+            raise ExprParseError(f"unknown constructor {tok.value!r}", tok.line, tok.col, _CONSTRUCTOR_TOKENS)
+        record, kinds = _GRAMMAR[tok.value]
+        args: list = []
+        self.take("(")
+        for kind in kinds:
+            if args:
+                self.take(",")
+            if kind == "int":
+                args.append(self.parse_int())
+            elif kind == "expr":
+                args.append(self.parse_expr(depth + 1))
+            elif kind == "words":
+                args.append(self.parse_words())
+            else:
+                args.append(self.take("string", ("a quoted file path",)).value)
+        self.take(")")
+        return record(*args)
+
+    def parse_words(self) -> tuple[tuple[WordTerm, ...], ...]:
+        self.take("[")
+        words: list[tuple[WordTerm, ...]] = []
+        if self.peek().kind != "]":
+            words.append(self.parse_word())
+            while self.peek().kind == ",":
+                self.take(",")
                 words.append(self.parse_word())
-                while self.peek().kind == ",":
-                    self.take(",")
-                    words.append(self.parse_word())
-            self.take("]")
-            self.take(")")
-            return QuotientExpr(inner, tuple(words))
-        if name == "table":
-            self.take("(")
-            path = self.take("string", ("a quoted file path",)).value
-            self.take(")")
-            return TableExpr(path)
-        raise ExprParseError(f"unknown constructor {name!r}", tok.line, tok.col, _CONSTRUCTOR_TOKENS)
+        self.take("]")
+        return tuple(words)
 
     def parse_word(self) -> tuple[WordTerm, ...]:
         terms = [self.parse_term()]

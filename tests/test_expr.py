@@ -100,6 +100,31 @@ def test_parse_error_positions(text, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a backslash with no next character to take leaves the string open
+        ('table("abc\\', "line 1, column 6: unterminated string"),
+        ('table("g.json") x', "line 1, column 16: trailing input 'x' (expected end of input)"),
+        ("quotient(cyclic(4),[x", "line 1, column 21: unexpected end of input (expected ])"),
+        # nesting counts through every expression argument
+        ("quotient(" * 201, "line 1, column 1800: expression nested deeper than 200 levels"),
+        ("product(cyclic(1)," * 201, "line 1, column 3590: expression nested deeper than 200 levels"),
+        # a column on a later line, for each kind of token
+        ("cyclic(4)\n )", "line 2, column 1: trailing input ')' (expected end of input)"),
+        ("cyclic(\n 4 4)", "line 2, column 3: unexpected int '4' (expected ))"),
+        ("cyclic(4)\n x", "line 2, column 1: trailing input 'x' (expected end of input)"),
+        ('cyclic(4)\n "x"', "line 2, column 1: trailing input 'x' (expected end of input)"),
+        ('table(\n "x', "line 2, column 1: unterminated string"),
+        ("cyclic(\n  ", "line 2, column 2: unexpected end of input (expected an integer)"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ExprParseError) as exc:
+        parse_group_expr(text)
+    assert str(exc.value) == f"parse error at {message}"
+
+
 def test_parse_error_mentions_expectations():
     with pytest.raises(ExprParseError) as exc:
         parse_group_expr("product(cyclic(2) cyclic(3))")
@@ -128,6 +153,14 @@ def test_pretty_round_trip(text):
     canon = pretty(expr)
     assert parse_group_expr(canon) == expr
     assert pretty(parse_group_expr(canon)) == canon
+
+
+def test_pretty_and_eval_refuse_what_is_not_an_expression():
+    # the one deliberate TypeError of the package (see centlat.errors)
+    with pytest.raises(TypeError, match=r"^not an expression: \('cyclic', 4\)$"):
+        pretty(("cyclic", 4))
+    with pytest.raises(TypeError, match=r"^not an expression: 'cyclic\(4\)'$"):
+        eval_group_expr("cyclic(4)")
 
 
 # --------------------------------------------------------------- evaluation
