@@ -1,16 +1,16 @@
 """Finite groups as validated multiplication tables.
 
-Elements of a group of order n are the indices 0..n-1.  A group is stored as
-its full multiplication table, one row per element: a ``bytes`` object when
-n <= 256, so each entry takes one byte, else a tuple of ints (see
+Elements of a group of order n are the indices 0..n-1.  A group is stored
+as its full multiplication table, one row per element: a ``bytes`` object
+when n <= 256, so each entry takes one byte, else a tuple of ints (see
 :class:`FiniteGroup`); this module alone stores and composes rows
-(:func:`_row_ops`, :func:`_walk_rows`).  Construction from a table
-validates the four group axioms and locates the identity (which need not
-be index 0).  One trust rule holds for every type: a public constructor
-(:func:`from_multiplication_table`, ``SubgroupSet``, ``homs.GroupHom``)
-establishes its type's invariant, and package code that builds a value by
-construction skips the check through a private path: the bare
-:class:`FiniteGroup` constructor for quotients (G/1 is G itself) and
+(:func:`_row_ops`, :func:`_walk_rows`, :func:`_rows_through`).
+Construction from a table validates the four group axioms and locates the
+identity (which need not be index 0).  One trust rule holds for every type:
+a public constructor (:func:`from_multiplication_table`, ``SubgroupSet``,
+``homs.GroupHom``) establishes its type's invariant, and package code that
+builds a value by construction skips the check through a private path: the
+bare :class:`FiniteGroup` constructor for quotients (G/1 is G itself) and
 ``families``' groups, whose builders vouch only that their rows form a
 group table and that their generator names generate it,
 ``SubgroupSet._from_mask`` for a subgroup just closed,
@@ -163,6 +163,18 @@ def _walk_rows(order: int, identity: int, generators: dict[int, Sequence[int]]) 
     if len(reached) < order:
         raise InternalInconsistencyError(f"generators reach {len(reached)} of {order} elements: they do not generate")
     return rows
+
+
+def _rows_through(rows: Iterable[Sequence[int]], values: Sequence[int], at: Sequence[int]) -> list:
+    """For each row u of ``rows``, rows of a group of order len(values),
+    ``values`` read at the entries of u, then read at the positions ``at``:
+    (values[u[at[0]]], values[u[at[1]]], ...).  Two :func:`_row_ops`
+    compositions per row and no gather: up to order 256 each is one
+    ``translate`` and the rows come out as ``bytes``, so every value and
+    position must fit a byte; above, each is a :func:`_gather`."""
+    row_type, _, pad, compose = _row_ops(len(values))
+    padded, pick = pad(row_type(values)), compose(row_type(at))
+    return [pick(pad(compose(u)(padded))) for u in rows]
 
 
 class FiniteGroup:
@@ -745,7 +757,9 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
 def _subgroup_table(group: FiniteGroup) -> tuple:
     """The subgroup table of ``group``, cached: three aligned tuples, the
     subgroups sorted by (order, members), a generating set of each, and
-    each one's centralizer C(A) as a mask.
+    each one's centralizer C(A) as a mask; and a fourth column, the
+    ascending indices of the subgroups A with C(A) != G, the ones outside
+    the center (none when G is abelian).
 
     Cyclic extension over zuppos (Neubüser, *Numer. Math.* 2, 1960), each
     subgroup built once, from its canonical parent (McKay, *J. Algorithms*
@@ -818,7 +832,8 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
         subs = tuple(SubgroupSet._from_mask(group, m) for m in masks)
         gens = tuple(map(gens_of.__getitem__, masks))
         cents = tuple(_centralizer_mask(group, sum({1 << g for g in a})) for a in gens)
-        group._subgroups = (subs, gens, cents)
+        noncentral = tuple(i for i, c in enumerate(cents) if c != group.full_mask)
+        group._subgroups = (subs, gens, cents, noncentral)
     return group._subgroups
 
 

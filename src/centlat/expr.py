@@ -118,15 +118,17 @@ def _lex(text: str) -> list[_Token]:
                 j += 1
             tokens.append(_Token("ident", text[i:j], line, i - start))
         elif ch == '"':
-            out = []
+            out, at = [], (line, i - start)  # the token keeps its opening quote's position
             while j < len(text) and text[j] != '"':
                 if text[j] == "\\" and j + 1 < len(text):
                     j += 1
+                if text[j] == "\n":
+                    line, start = line + 1, j + 1
                 out.append(text[j])
                 j += 1
             if j >= len(text):
-                raise ExprParseError("unterminated string", line, i - start)
-            tokens.append(_Token("string", "".join(out), line, i - start))
+                raise ExprParseError("unterminated string", *at)
+            tokens.append(_Token("string", "".join(out), *at))
             j += 1
         elif ch not in " \t\r":
             raise ExprParseError(f"unexpected character {ch!r}", line, i - start)

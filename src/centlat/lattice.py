@@ -43,7 +43,7 @@ DEFAULT_NODE_CAP = 512
 class CentralizerLattice:
     """The centralizer lattice of a finite group, built from the group
     alone in one pass: starting from {G}, each distinct centralizer C(x)
-    adds its intersection with every node found so far.
+    other than G adds its intersection with every node found so far.
 
     ``nodes`` holds one bitmask per node, with bit e set when element e
     lies in it, sorted by (subgroup order, members); node 0 is the bottom
@@ -56,8 +56,8 @@ class CentralizerLattice:
     def __init__(self, group: FiniteGroup) -> None:
         _require("CentralizerLattice", FiniteGroup, group)
         self.group = group
-        closed = {group.full_mask}
-        for c in set(group.centralizer_masks()):  # closed: every meet of G and the C(x) so far
+        closed = {group.full_mask}  # every meet of G and the C(x) so far
+        for c in set(group.centralizer_masks()) - {group.full_mask}:  # m & G = m adds nothing
             closed |= {c & m for m in closed}
         nodes = sorted(closed, key=_mask_key)
         self.nodes: tuple[int, ...] = tuple(nodes)

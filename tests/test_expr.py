@@ -117,6 +117,15 @@ def test_parse_error_positions(text, line, col):
         ('cyclic(4)\n "x"', "line 2, column 1: trailing input 'x' (expected end of input)"),
         ('table(\n "x', "line 2, column 1: unterminated string"),
         ("cyclic(\n  ", "line 2, column 2: unexpected end of input (expected an integer)"),
+        # after a string that holds a newline, lines and columns count from it
+        ('table("a\nb") x', "line 2, column 4: trailing input 'x' (expected end of input)"),
+        ('table("a\\\nb") x', "line 2, column 4: trailing input 'x' (expected end of input)"),
+        ('table("a\nb\nc")\n  x', "line 4, column 2: trailing input 'x' (expected end of input)"),
+        ('product(table("a\nb") cyclic(2))', "line 2, column 4: unexpected ident 'cyclic' (expected ,)"),
+        ('quotient(table("a\nb"),[x', "line 2, column 6: unexpected end of input (expected ])"),
+        # the string token itself keeps its opening quote's position
+        ('cyclic(4) "a\nb"', "line 1, column 10: trailing input 'a\\nb' (expected end of input)"),
+        ('table("a\nb', "line 1, column 6: unterminated string"),
     ],
 )
 def test_parse_error_messages(text, message):

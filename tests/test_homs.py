@@ -424,6 +424,108 @@ def test_quotient_fields_of_trivial_and_whole(d8):
     assert q.generator_names == (("x", 0),) and q.element_labels == (d8.label(0),)
 
 
+def _two_gather_quotient(g, sub):
+    """The quotient as built before a central kernel skipped the conjugation
+    test and each row became one composition and one gather: every kernel
+    is conjugated by the named generators, the first representative that
+    fails gives the witness, and row a is proj[ra*rb] over the
+    representatives rb, gathered twice.  Returns the fields a quotient
+    carries, or ("not normal", g, x, conj)."""
+    t, inverse, members = g.table, g.inverse, sub.members
+    proj, reps = core._left_cosets(g, members)
+
+    def escape(conjugators):
+        for c in conjugators:
+            for x in members:
+                conj = t[t[inverse[c]][x]][c]
+                if conj not in sub:
+                    return c, x, conj
+        return None
+
+    if escape(c for _, c in g.generator_names) is not None:
+        return ("not normal", *escape(reps))
+    at_reps = lambda row: tuple(row[r] for r in reps)  # noqa: E731
+    table = tuple(tuple(proj[x] for x in at_reps(t[ra])) for ra in reps)
+    first_name = {}
+    for name, x in g.generator_names:
+        first_name.setdefault(proj[x], name)
+    labels = None if g.element_labels is None else at_reps(g.element_labels)
+    return {
+        "table": table,
+        "identity": proj[g.identity],
+        "inverse": tuple(proj[inverse[r]] for r in reps),
+        "generator_names": tuple((name, c) for c, name in first_name.items()),
+        "element_labels": labels,
+        "mapping": tuple(proj),
+        "kernel": sub.mask,
+    }
+
+
+def _quotient_fields(g, sub):
+    try:
+        q, proj = quotient(g, sub)
+    except NotNormalError as e:
+        return ("not normal", e.conjugator, e.element, e.conjugate)
+    return {
+        "table": tuple(map(tuple, q.table)),
+        "identity": q.identity,
+        "inverse": q.inverse,
+        "generator_names": q.generator_names,
+        "element_labels": q.element_labels,
+        "mapping": proj.mapping,
+        "kernel": kernel(proj).mask,
+    }
+
+
+def test_quotient_matches_the_two_gather_formula():
+    # differential: every subgroup of a seeded relabelling of catalog(64),
+    # with the catalog's generator names and labels carried over, and normal
+    # and non-normal subgroups of two groups of order above 256, whose rows
+    # are tuples; central kernels, which now skip the conjugation test,
+    # other normal kernels and non-normal subgroups each give the fields, or
+    # the NotNormalError witness, of the parent's formula
+    rng = random.Random(4601)
+    outcomes = Counter()
+
+    def compare(g, subgroups):
+        z = core._center_mask(g)
+        for sub in subgroups:
+            want = _two_gather_quotient(g, sub)
+            assert _quotient_fields(g, sub) == want, (g, sub)
+            kind = "not normal" if isinstance(want, tuple) else "normal" if sub.mask & ~z else "central"
+            outcomes[g.order > 256, kind] += 1
+
+    for entry in catalog(64):
+        g = entry.group
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        moved = [0] * g.order
+        for a, b in enumerate(perm):
+            moved[b] = a
+        hints = [(name, perm[i]) for name, i in g.generator_names]
+        labels = [g.label(moved[b]) for b in range(g.order)]
+        copy = from_multiplication_table(g.order, relabel([list(r) for r in g.table], perm), hints, labels)
+        compare(copy, all_subgroups(copy))
+    dihedral = make_family("dihedral", 300, cap=512)
+    x, y = (i for _, i in dihedral.generator_names)
+    seeds = [[dihedral.power(x, k)] for k in (1, 2, 3, 5, 6, 10, 15, 25, 30, 50, 75, 150)] + [[y], [dihedral.power(x, 3), y], [dihedral.power(x, 2), y]]
+    product = direct_product(make_family("cyclic", 17), make_family("cyclic", 16), cap=512)
+    big = [(dihedral, seeds), (product, [[a] for a in (0, 1, 16, 17, 34, 255)])]
+    for g, gens in big:
+        assert type(g.table[0]) is tuple
+        compare(g, [closure(g, s) for s in gens])
+    assert outcomes == Counter(
+        {
+            (False, "central"): 2724,
+            (False, "normal"): 1158,
+            (False, "not normal"): 3465,
+            (True, "central"): 8,
+            (True, "normal"): 11,
+            (True, "not normal"): 2,
+        }
+    )
+
+
 def test_a_quotient_does_not_keep_its_source_alive():
     # the quotient's labels are read off the source's when it is built, so
     # once the projection is gone nothing refers to the source: a weak
@@ -838,7 +940,7 @@ def test_generator_derived_values_match_brute_oracles():
         for g in (entry.group, from_multiplication_table(len(relabelled), relabelled)):
             table = [list(r) for r in g.table]
             subs = all_subgroups(g)
-            _, gens, cents = core._subgroup_table(g)
+            _, gens, cents, _ = core._subgroup_table(g)
             assert len(gens) == len(cents) == len(subs), entry.name
             for sub, m, c in zip(subs, gens, cents):
                 assert brute_closure(table, set(m)) == set(sub), (entry.name, sub.members)
@@ -1012,6 +1114,27 @@ def test_commutator_walk_fills_the_centralizer_table():
         assert any(expected) is (group is g)  # only g has a kernel that meets a commutator
 
 
+def test_a_central_kernel_is_not_conjugated():
+    # work counter: once the centralizer table is filled, a quotient by a
+    # nontrivial kernel inside the center reads two rows of the table per
+    # coset, one in the coset walk and one composed into a quotient row;
+    # any other normal kernel is conjugated by the generator names as well
+    g = _relabelled(semidirect_cyclic(4, 4, 3), random.Random(4603))
+    subgroups, z = all_subgroups(g), center(g)
+    g.table = _RowReads(g.table)
+    counts = Counter()
+    for sub in subgroups[1:]:
+        g.table.reads = 0
+        try:
+            q, _ = quotient(g, sub)
+        except NotNormalError:
+            continue
+        central = sub <= z
+        assert (g.table.reads == 2 * q.order) is central, sub
+        counts[central] += 1
+    assert counts == Counter({True: 4, False: 6})
+
+
 def _walked_centralizer_table(group):
     """The centralizer table by the commutator walk over the center-coset
     representatives, taken for every group: the reference for the tables
@@ -1081,7 +1204,7 @@ def test_subgroup_centralizers_computed_once_per_group(monkeypatch):
     subgroups = all_subgroups(g)
     # one call per subgroup, on a generating set of at most 3 elements
     # (243 in all) instead of its 1347 members
-    _, gens, _ = core._subgroup_table(g)
+    _, gens, _, _ = core._subgroup_table(g)
     assert [closure(g, m) for m in gens] == list(subgroups)
     assert max(map(len, gens)) == 3 and sum(map(len, gens)) == 243
     assert calls == Counter((True, sum(1 << a for a in m)) for m in gens)

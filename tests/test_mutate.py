@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location("mutate", Path(__file__).resolve().parent.parent / "tools" / "mutate.py")
 mutate = importlib.util.module_from_spec(_spec)
@@ -50,3 +57,40 @@ def test_mutants_swap_each_operator_once_and_skip_annotations_and_docstrings():
     dropped = next(m for m in found if m.change == "not dropped")
     assert "if not not a < b and a in b:" in dropped.source
     assert [m.change for m in mutate.mutants(SOURCE, "g")] == ["or -> and", ">= -> >", "is -> is not"]
+
+
+def test_sigterm_stops_the_running_tests_and_removes_the_copy(tmp_path):
+    # the unmutated run of a tiny target is still in its test when the tool
+    # gets SIGTERM: it must end that pytest's session and remove its copy
+    repo, scratch, pid_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pytest.pid"
+    (repo / "src").mkdir(parents=True)
+    (repo / "tests").mkdir()
+    scratch.mkdir()
+    (repo / "src" / "tiny.py").write_text("def f(a):\n    return a + 1\n", encoding="utf-8")
+    (repo / "tests" / "test_tiny.py").write_text(
+        "import os, time\n\n\ndef test_slow():\n"
+        f"    open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "    time.sleep(60)\n",
+        encoding="utf-8",
+    )
+    env = dict(os.environ, TMPDIR=str(scratch))
+    tool = subprocess.Popen(
+        [sys.executable, str(Path(_spec.origin)), "src/tiny.py:f", "--tests", "tests/test_tiny.py"],
+        cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() or not pid_file.read_text():
+            assert tool.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert [p.name for p in scratch.iterdir()][0].startswith("mutate-")
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        if tool.poll() is None:
+            tool.kill()
+            tool.wait()
+    assert list(scratch.iterdir()) == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(child, 0)

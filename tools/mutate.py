@@ -21,7 +21,8 @@ run one at a time, each as a fresh ``pytest -x`` over the named test
 modules with a wall-clock timeout of ``TIMEOUT_FACTOR`` times that first
 run and a 1 GiB memory cap (``RLIMIT_AS``) set in the child only: a mutated
 closure loop can grow without bound.  A mutant is killed when pytest fails
-or times out, and survives when every test passes.
+or times out, and survives when every test passes.  SIGTERM or Ctrl-C
+stops the running pytest's whole process group and removes the copy.
 
 Usage, from the root of the repository::
 
@@ -180,16 +181,23 @@ def _run_tests(root: Path, tests: list[str], timeout: float | None) -> str:
     )
     try:
         code = proc.wait(timeout=timeout)
-    except subprocess.TimeoutExpired:
+    except BaseException as stop:  # the time limit, or SIGTERM or Ctrl-C: end the child's whole session
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
+        if not isinstance(stop, subprocess.TimeoutExpired):
+            raise
         return "timeout"
     if code == NO_TESTS_COLLECTED:
         raise SystemExit(f"mutate: pytest collected no test from {tests}")
     return "passed" if code == 0 else "failed"
 
 
+def _on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, _on_sigterm)  # unwind, so the copy and the running child go too
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("selectors", nargs="+", help="path:function, e.g. src/pkg/mod.py:Class.method")
     parser.add_argument("--tests", nargs="+", required=True, help="test modules pytest runs per mutant")
