@@ -426,7 +426,7 @@ def test_quotient_fields_of_trivial_and_whole(d8):
 
 def _two_gather_quotient(g, sub):
     """The quotient as built before a central kernel skipped the conjugation
-    test and each row became one composition and one gather: every kernel
+    test and each row became two compositions: every kernel
     is conjugated by the named generators, the first representative that
     fails gives the witness, and row a is proj[ra*rb] over the
     representatives rb, gathered twice.  Returns the fields a quotient
@@ -508,7 +508,8 @@ def test_quotient_matches_the_two_gather_formula():
         compare(copy, all_subgroups(copy))
     dihedral = make_family("dihedral", 300, cap=512)
     x, y = (i for _, i in dihedral.generator_names)
-    seeds = [[dihedral.power(x, k)] for k in (1, 2, 3, 5, 6, 10, 15, 25, 30, 50, 75, 150)] + [[y], [dihedral.power(x, 3), y], [dihedral.power(x, 2), y]]
+    seeds = [[dihedral.power(x, k)] for k in (1, 2, 3, 5, 6, 10, 15, 25, 30, 50, 75, 150)]
+    seeds += [[y], [dihedral.power(x, 3), y], [dihedral.power(x, 2), y]]  # two of them not normal
     product = direct_product(make_family("cyclic", 17), make_family("cyclic", 16), cap=512)
     big = [(dihedral, seeds), (product, [[a] for a in (0, 1, 16, 17, 34, 255)])]
     for g, gens in big:

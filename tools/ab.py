@@ -117,6 +117,19 @@ def _on_sigterm(signum, frame):
     raise SystemExit(128 + signum)
 
 
+def _pairs(command: list[str], trees: dict, workload: str, seeds: list[int], seconds: float) -> dict:
+    """Each side's benchmark results, one per seed, run in alternating order."""
+    runs = {side: [] for side in SIDES}
+    for k, seed in enumerate(seeds):
+        for side in order(k):
+            cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            result = json.loads(_run(cmd, trees[side]).strip().splitlines()[-1])
+            runs[side].append(result)
+            values = {m: v["value"] for m, v in result["metrics"].items()}
+            print(f"{workload} pair {k + 1}/{len(seeds)} seed {seed} {side}: {json.dumps(values)}", file=sys.stderr)
+    return runs
+
+
 def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, _on_sigterm)  # unwind, so the worktrees are removed
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -130,8 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m for m in bench["end_to_end"]}
     commits = {side: _git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
+    seeds = [args.seed + k for k in range(args.pairs)]
     report = {"commits": commits, "command": bench["command"], "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
@@ -139,24 +152,13 @@ def main(argv: list[str] | None = None) -> int:
             for side in SIDES:
                 _git("worktree", "add", "--detach", str(trees[side]), commits[side])
             for workload in args.workload:
-                runs = {side: [] for side in SIDES}
-                seeds = [args.seed + k for k in range(args.pairs)]
-                for k, seed in enumerate(seeds):
-                    for side in order(k):
-                        cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
-                               "--seconds", str(args.seconds), "--trace", "0"]
-                        result = json.loads(_run(cmd, trees[side]).strip().splitlines()[-1])
-                        runs[side].append(result)
-                        print(f"{workload} pair {k + 1}/{args.pairs} seed {seed} {side}: "
-                              f"{json.dumps({m: v['value'] for m, v in result['metrics'].items()})}",
-                              file=sys.stderr)
-                verdicts = {
-                    name: verdict(*(
-                        [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES
-                    ), spec["better"], spec["bound"])
-                    for name, spec in metrics.items()
-                    if all(name in r["metrics"] for side in SIDES for r in runs[side])
-                }
+                runs = _pairs(bench["command"], trees, workload, seeds, args.seconds)
+                verdicts = {}
+                for spec in bench["end_to_end"]:
+                    name = spec["name"]
+                    values = [[r["metrics"][name]["value"] for r in runs[side] if name in r["metrics"]] for side in SIDES]
+                    if all(len(v) == len(seeds) for v in values):
+                        verdicts[name] = verdict(*values, spec["better"], spec["bound"])
                 report["workloads"][workload] = {
                     "seeds": seeds,
                     "order": "parent first on pairs 1, 3, ...; change first on pairs 2, 4, ...",
