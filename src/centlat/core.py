@@ -691,6 +691,12 @@ def _center_mask(group: FiniteGroup) -> int:
     return _centralizer_table(group)[1]
 
 
+def _known_center_mask(group: FiniteGroup) -> int | None:
+    """Z(G) as a mask if G's centralizer table is filled already, else None:
+    filling it costs more than a caller that only needs Z might save."""
+    return None if group._centralizers is None else group._centralizers[1]
+
+
 def center(group: FiniteGroup) -> SubgroupSet:
     """Z(G), the centralizer of the named generators, as a subgroup."""
     _require("center", FiniteGroup, group)
@@ -757,9 +763,7 @@ def all_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> tuple[Sub
 def _subgroup_table(group: FiniteGroup) -> tuple:
     """The subgroup table of ``group``, cached: three aligned tuples, the
     subgroups sorted by (order, members), a generating set of each, and
-    each one's centralizer C(A) as a mask; and a fourth column, the
-    ascending indices of the subgroups A with C(A) != G, the ones outside
-    the center (none when G is abelian).
+    each one's centralizer C(A) as a mask.
 
     Cyclic extension over zuppos (Neubüser, *Numer. Math.* 2, 1960), each
     subgroup built once, from its canonical parent (McKay, *J. Algorithms*
@@ -832,8 +836,7 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
         subs = tuple(SubgroupSet._from_mask(group, m) for m in masks)
         gens = tuple(map(gens_of.__getitem__, masks))
         cents = tuple(_centralizer_mask(group, sum({1 << g for g in a})) for a in gens)
-        noncentral = tuple(i for i, c in enumerate(cents) if c != group.full_mask)
-        group._subgroups = (subs, gens, cents, noncentral)
+        group._subgroups = (subs, gens, cents)
     return group._subgroups
 
 

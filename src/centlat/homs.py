@@ -158,10 +158,12 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
     package's one coset walk, so the cosets come out sorted by least element
     and quotient tables are deterministic.  The left cosets of any subgroup
     partition G, normal or not, so normality is checked afterwards.  An N
-    inside the center Z(G), read off G's centralizer table, is normal.  Any
-    other N is conjugated by the named generators: they generate G, so N is
-    normal exactly when each of them maps N into N.  Only when one does not
-    are the representatives scanned, in ascending order, for the witness:
+    inside the center Z(G) is normal; Z(G) is read off G's centralizer
+    table only when that table is filled already, as filling it costs more
+    than the test it would spare.  Any other N is conjugated by the named
+    generators: they generate G, so N is normal exactly when each of them
+    maps N into N.  Only when one does not are the representatives scanned,
+    in ascending order, for the witness:
     g^-1 N g = N holds for g exactly when it holds for gy (y in N), so the
     first failing element is a representative and the
     :class:`NotNormalError` witness is the one a check of every element
@@ -205,7 +207,8 @@ def quotient(group: FiniteGroup, n: SubgroupSet) -> tuple[FiniteGroup, GroupHom]
                     return g, x, conj
         return None
 
-    if mask & ~_center_mask(group) and escape(g for _, g in group.generator_names) is not None:
+    z = _core._known_center_mask(group)
+    if (z is None or mask & ~z) and escape(g for _, g in group.generator_names) is not None:
         raise NotNormalError(*escape(reps))
     at_reps, proj = _gather(reps), tuple(proj)
     qtable = _core._rows_through(at_reps(t), proj, reps)  # proj[ra*rb] over rb
@@ -245,14 +248,12 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
 
     Requires surjectivity.  Sweeps the subgroups of the source in (order,
     members) order, so the cap applies (cached verdicts included), and the
-    first A where the two sides differ is the witness.  Only the subgroups
-    outside the center are walked: a central subgroup A (C(A) = G) can
-    never fail, as phi(C(A)) = phi(G) = Q since phi is onto, and C(phi(A))
-    contains phi(C(A)), so both sides are Q.  The subgroups, a generating
-    set of each, C(A) and the indices of the non-central ones come from the
+    first A where the two sides differ is the witness.  A central subgroup
+    A (C(A) = G) is skipped, as it can never fail: phi(C(A)) = phi(G) = Q
+    since phi is onto, and C(phi(A)) contains phi(C(A)), so both sides are
+    Q.  The subgroups, a generating set of each and C(A) come from the
     source group's subgroup table (:func:`~centlat.core._subgroup_table`),
-    filled once per group, so every projection of one group shares them;
-    a projection of an abelian group walks none.
+    filled once per group, so every projection of one group shares them.
     phi(C(A)) depends only on C(A), so it is computed once per distinct
     C(A) within the sweep; the images of A's generators generate phi(A),
     so C(phi(A)) is the centralizer of their image in the target.  The
@@ -266,18 +267,19 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
         image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
         mapping = h.mapping
         subgroups = all_subgroups(h.source, cap)
-        _, generators, centralizers, noncentral = _subgroup_table(h.source)
-        for i in noncentral:
-            c = centralizers[i]
+        _, generators, centralizers = _subgroup_table(h.source)
+        for a_sub, gens, c in zip(subgroups, generators, centralizers):
+            if c == h.source.full_mask:
+                continue
             lhs = image_of.get(c)
             if lhs is None:
                 lhs = image_of[c] = h._image_of_mask(c)
             image = 0  # of A's generators, a trusted tuple of the table, mapped unchecked
-            for x in generators[i]:
+            for x in gens:
                 image |= 1 << mapping[x]
             rhs = _centralizer_mask(h.target, image)
             if lhs != rhs:
-                verdict = CrhVerdict(False, CrhWitness(subgroups[i].members, tuple(_bits(lhs)), tuple(_bits(rhs))))
+                verdict = CrhVerdict(False, CrhWitness(a_sub.members, tuple(_bits(lhs)), tuple(_bits(rhs))))
                 break
         h._crh_verdict = verdict
     return h._crh_verdict

@@ -47,6 +47,14 @@ def test_a_gap_inside_the_parents_spread_is_no_gain():
     assert v["gain"]
 
 
+def test_more_failed_operations_or_an_incorrect_run_is_no_gain():
+    change = [p * 0.85 for p in PARENT]
+    assert ab.verdict(PARENT, change, "lower", 0.24, (3, 3), True)["gain"]
+    assert not ab.verdict(PARENT, change, "lower", 0.24, (3, 4), True)["gain"]
+    assert not ab.verdict(PARENT, change, "lower", 0.24, (0, 0), False)["gain"]
+    assert ab.verdict(PARENT, change, "lower", 0.24, (0, 4), False)["within_bound"]  # judged on its own
+
+
 def test_the_bound_is_relative_and_in_the_worse_direction():
     worse = [p * 1.3 for p in PARENT]
     assert not ab.verdict(PARENT, worse, "lower", 0.24)["within_bound"]
@@ -79,6 +87,7 @@ def test_pairs_alternate_which_side_runs_first():
 _FAKE_RUN = """\
 import json, os, sys, time
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+assert sys.argv[sys.argv.index("--seconds") + 1] == "7"  # the run length BENCHMARK.json gives
 if os.path.exists("sleep"):
     open(os.environ["AB_STARTED"], "w").write(str(os.getpid()))
     time.sleep(60)
@@ -90,7 +99,11 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {"t_m
 
 def _fake_repo(path: Path, marker: str) -> None:
     path.mkdir()
-    bench = {"command": [sys.executable, "run.py"], "end_to_end": [{"name": "t_ms", "better": "lower", "bound": 0.24}]}
+    bench = {
+        "command": [sys.executable, "run.py"],
+        "run_seconds": 7,
+        "end_to_end": [{"name": "t_ms", "better": "lower", "bound": 0.24}],
+    }
     (path / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
     (path / "run.py").write_text(_FAKE_RUN, encoding="utf-8")
     (path / marker).write_text("", encoding="utf-8")
@@ -121,7 +134,7 @@ def test_a_run_compares_two_revisions_and_removes_its_worktrees(tmp_path):
     assert v["parent"] == [10.0 + s / 100 for s in range(1, 11)]
     assert v["change"] == [8.0 + s / 100 for s in range(1, 11)]
     assert v["change_wins"] == 10 and v["gain"] and v["within_bound"]
-    assert report["workloads"]["w"]["attempted"] == {"parent": 30, "change": 30}
+    assert report["workloads"]["w"]["attempted"] == {"parent": 30, "change": 30} and report["seconds"] == 7
     assert "gain yes" in done.stdout
     assert list(scratch.iterdir()) == [] and _worktrees(repo) == 1
 

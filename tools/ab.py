@@ -2,17 +2,18 @@
 
 Each revision is checked out as a detached ``git worktree`` under one
 temporary directory.  For each workload, pair k runs the benchmark command
-of the checkout's ``BENCHMARK.json`` once in each worktree, both with seed
-``--seed`` + k: the parent first when k is even, the change first when k is
-odd, so a drift of machine speed favours neither side.  Each run's last
-stdout line is the benchmark's JSON result.
+of the checkout's ``BENCHMARK.json`` once in each worktree for its
+``run_seconds``, both with seed ``--seed`` + k: the parent first when k is
+even, the change first when k is odd, so a drift of machine speed favours
+neither side.  Each run's last stdout line is the benchmark's JSON result.
 
 Per end-to-end metric it prints both medians, the median ratio (change over
 parent), the pairs the change won and a seeded bootstrap 95 % interval of
 the median ratio, and then two verdicts:
 
 - ``gain``: the change won at least nine pairs in ten, and its median beats
-  the parent's by more than the parent's interquartile range;
+  the parent's by more than the parent's interquartile range; never when a
+  run of the workload was incorrect or the change failed more operations;
 - ``within bound``: the median is no worse than the parent's by more than
   the metric's ``bound`` in ``BENCHMARK.json``.
 
@@ -22,7 +23,7 @@ and on SIGTERM, which also ends the running benchmark's process group.
 Usage, from the root of the repository::
 
     python tools/ab.py HEAD~1 HEAD --workload sweep64 cli --pairs 10 \\
-        --seconds 30 --seed 4601 --out BENCH.json
+        --seed 4601 --out BENCH.json
 """
 
 from __future__ import annotations
@@ -64,12 +65,15 @@ def bootstrap_ratio(parent: list[float], change: list[float], seed: int = 0) -> 
     return ratios[int(0.025 * BOOTSTRAP_ROUNDS)], ratios[int(0.975 * BOOTSTRAP_ROUNDS) - 1]
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            failed: tuple[int, int] = (0, 0), correct: bool = True) -> dict:
     """Both sides' medians and quartiles, the pairs the change won, the
     median ratio with its bootstrap interval, and the two verdicts: ``gain``
     (at least 9 wins in 10 pairs and a median gap above the parent's
-    interquartile range) and ``within_bound`` (the median no worse than the
-    parent's by more than ``bound``, relatively)."""
+    interquartile range, with every run correct and no more ``failed``
+    operations, parent's then change's, on the change) and ``within_bound``
+    (the median no worse than the parent's by more than ``bound``,
+    relatively)."""
     sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: the change is better
     pm, cm = statistics.median(parent), statistics.median(change)
     p_q, c_q = quartiles(parent), quartiles(change)
@@ -87,7 +91,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
         "ratio_ci95": list(bootstrap_ratio(parent, change)),
         "change_wins": wins,
         "pairs": len(parent),
-        "gain": 10 * wins >= 9 * len(parent) and sign * (pm - cm) > iqr,
+        "gain": correct and failed[1] <= failed[0] and 10 * wins >= 9 * len(parent) and sign * (pm - cm) > iqr,
         "relative_change": (cm - pm) / pm,
         "bound": bound,
         "within_bound": sign * (cm - pm) / pm <= bound,
@@ -137,7 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", help="the revision measured")
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, required=True, help="pair k runs seed + k on both sides")
     parser.add_argument("--out", type=Path, help="write every run and verdict here as JSON")
     args = parser.parse_args(argv)
@@ -145,26 +148,30 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
     commits = {side: _git("rev-parse", rev) for side, rev in zip(SIDES, (args.parent, args.change))}
     seeds = [args.seed + k for k in range(args.pairs)]
-    report = {"commits": commits, "command": bench["command"], "seconds": args.seconds, "workloads": {}}
+    seconds = bench["run_seconds"]
+    report = {"commits": commits, "command": bench["command"], "seconds": seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         try:
             for side in SIDES:
                 _git("worktree", "add", "--detach", str(trees[side]), commits[side])
             for workload in args.workload:
-                runs = _pairs(bench["command"], trees, workload, seeds, args.seconds)
+                runs = _pairs(bench["command"], trees, workload, seeds, seconds)
+                failed = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
+                correct = all(r["correct"] for side in SIDES for r in runs[side])
                 verdicts = {}
                 for spec in bench["end_to_end"]:
                     name = spec["name"]
                     values = [[r["metrics"][name]["value"] for r in runs[side] if name in r["metrics"]] for side in SIDES]
                     if all(len(v) == len(seeds) for v in values):
-                        verdicts[name] = verdict(*values, spec["better"], spec["bound"])
+                        verdicts[name] = verdict(*values, spec["better"], spec["bound"],
+                                                 (failed["parent"], failed["change"]), correct)
                 report["workloads"][workload] = {
                     "seeds": seeds,
                     "order": "parent first on pairs 1, 3, ...; change first on pairs 2, 4, ...",
                     "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
-                    "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-                    "correct_all": all(r["correct"] for side in SIDES for r in runs[side]),
+                    "failed": failed,
+                    "correct_all": correct,
                     "metrics": verdicts,
                 }
                 print(f"\n{workload}: parent {commits['parent'][:10]}, change {commits['change'][:10]}")
