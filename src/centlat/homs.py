@@ -251,9 +251,11 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
     first A where the two sides differ is the witness.  A central subgroup
     A (C(A) = G) is skipped, as it can never fail: phi(C(A)) = phi(G) = Q
     since phi is onto, and C(phi(A)) contains phi(C(A)), so both sides are
-    Q.  The subgroups, a generating set of each and C(A) come from the
-    source group's subgroup table (:func:`~centlat.core._subgroup_table`),
-    filled once per group, so every projection of one group shares them.
+    Q.  When G is abelian every subgroup is, so none is walked; the table's
+    last centralizer, C(G) = Z(G), tells.  The subgroups, a generating set
+    of each and C(A) come from the source group's subgroup table
+    (:func:`~centlat.core._subgroup_table`), filled once per group, so
+    every projection of one group shares them.
     phi(C(A)) depends only on C(A), so it is computed once per distinct
     C(A) within the sweep; the images of A's generators generate phi(A),
     so C(phi(A)) is the centralizer of their image in the target.  The
@@ -268,7 +270,8 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
         mapping = h.mapping
         subgroups = all_subgroups(h.source, cap)
         _, generators, centralizers = _subgroup_table(h.source)
-        for a_sub, gens, c in zip(subgroups, generators, centralizers):
+        abelian = centralizers[-1] == h.source.full_mask  # C(G), last in (order, members) order
+        for a_sub, gens, c in () if abelian else zip(subgroups, generators, centralizers):
             if c == h.source.full_mask:
                 continue
             lhs = image_of.get(c)

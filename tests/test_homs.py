@@ -1001,6 +1001,32 @@ def test_definitional_sweep_matches_per_subgroup_sweep(sweep_records):
         assert one_sided, r.group_name
 
 
+class _Walks(tuple):
+    """A column of a table that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_the_sweep_walks_no_subgroup_of_an_abelian_source():
+    # work counter: every subgroup of an abelian group is central, so the
+    # definitional sweep of its projections walks none of its subgroup
+    # table; the table of a non-abelian source is walked once a projection
+    cyclic = make_family("cyclic", 4), make_family("cyclic", 8)
+    for g, abelian in ((direct_product(*cyclic), True), (make_family("dihedral", 16), False)):
+        subs, gens, cents = core._subgroup_table(g)
+        g._subgroups = (subs, gens, _Walks(cents))
+        z, swept = center(g), 0
+        for sub in all_subgroups(g):
+            if sub <= z:
+                assert is_centralizer_respecting(quotient(g, sub)[1]).ok is (abelian or len(sub) == 1)
+                swept += 1
+        assert g._subgroups[2].walks == (0 if abelian else swept) and swept == (len(subs) if abelian else 2)
+
+
 def functor_on_normal_kernels(max_order: int) -> Counter:
     """Run the kernel sweep over every normal subgroup of every group of
     catalog(max_order), normality read off the oracle, and check the
