@@ -343,11 +343,3 @@ def functor_law_report() -> dict:
         )
     )
     return _finish("functor-laws", cases)
-
-
-SUITES = {
-    "figure3": worked_example_report,
-    "corollary": family_lattice_report,
-    "theoremc-sweep": central_kernel_sweep_report,
-    "functor-laws": functor_law_report,
-}

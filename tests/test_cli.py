@@ -78,6 +78,35 @@ def test_runs_without_dataclasses(cli):
     assert (proc.stderr, proc.stdout) == ("", "[]\n" + expected)
 
 
+def test_only_verify_loads_the_suites(cli):
+    # every other command runs without importing centlat.verify; verify
+    # figure3 then loads it and prints its golden report
+    commands = [
+        ["lattice", "quaternion(8)"],
+        ["check-crh", "quotient(dihedral(8),[x^2])"],
+        ["iso", "dihedral(8)", "quaternion(8)"],
+        ["export", "quotient(dihedral(8),[x^2])"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import centlat.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [centlat.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'centlat.verify' in sys.modules)\n"
+        "code = centlat.cli.main(['verify', 'figure3'])\n"
+        "print(code, 'centlat.verify' in sys.modules)\n"
+    )
+    src = str(Path(centlat.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
+    )
+    codes = [cli(*argv).returncode for argv in commands]
+    golden = (Path(__file__).resolve().parent / "golden" / "verify_figure3.out").read_text(encoding="utf-8")
+    assert (proc.stderr, proc.stdout) == ("", f"{codes} False\n{golden}0 True\n")
+
+
 def test_lattice_dot(cli):
     proc = cli("lattice", "quaternion(8)", "--dot")
     assert proc.returncode == 0
