@@ -17,21 +17,9 @@ import json
 import sys
 
 from .core import DEFAULT_ORDER_CAP, group_to_json
-from .errors import (
-    CentlatError,
-    InternalInconsistencyError,
-    KernelNotCentralError,
-    TableJsonError,
-    TableValidationError,
-)
+from .errors import CentlatError, InternalInconsistencyError, TableJsonError, TableValidationError
 from .expr import eval_group_expr, parse_group_expr
-from .homs import (
-    crh_central_kernel_criterion,
-    group_isomorphic,
-    hom_to_json,
-    is_centralizer_respecting,
-    kernel,
-)
+from .homs import _crh_routes, group_isomorphic, hom_to_json, kernel
 from .lattice import lattice_of, lattice_to_dot, lattice_to_json, lattices_isomorphic
 
 # each verification suite and the name of its report function in verify
@@ -121,23 +109,19 @@ def cmd_check_crh(args: argparse.Namespace) -> int:
     if result.projection is None:
         raise _UsageError("check-crh requires a quotient(...) expression")
     proj = result.projection
-    definitional = is_centralizer_respecting(proj, args.cap)
+    routes = _crh_routes(proj, args.cap)
+    definitional, criterion = routes.definitional, routes.criterion
     witness = definitional.witness
-    doc = {
+    _emit({
         "expression": args.expr,
         "source_order": proj.source.order,
         "quotient_order": proj.target.order,
         "kernel": list(kernel(proj).members),
         "definitional": {**definitional._asdict(), "witness": witness and witness._asdict()},
-    }
-    try:
-        criterion = crh_central_kernel_criterion(proj)
-        doc["criterion"] = {"applicable": True, **criterion._asdict()}
-    except KernelNotCentralError as e:
-        criterion = None
-        doc["criterion"] = {"applicable": False, "reason": str(e)}
-    _emit(doc)
-    if criterion is not None and criterion.ok != definitional.ok:
+        "criterion": {"applicable": False, "reason": routes.reason} if criterion is None
+        else {"applicable": True, **criterion._asdict()},
+    })
+    if not routes.agree:
         raise InternalInconsistencyError("crh routes disagree")
     return 0 if definitional.ok else 1
 

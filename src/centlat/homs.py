@@ -3,8 +3,10 @@
 A homomorphism is stored as the full element map of a validated
 :class:`GroupHom`.  The two routes for deciding whether a surjection
 respects centralizers — the definitional subgroup sweep and the
-central-kernel commutator criterion — are deliberately kept independent;
-callers that run both treat disagreement as an internal error.
+central-kernel commutator criterion — are deliberately kept independent.
+They meet in one place, :func:`_crh_routes`, which runs each route that
+applies and records whether they agree; its callers treat disagreement as
+an internal error.
 
 Verdicts here and in :mod:`centlat.lattice` are immutable ``NamedTuple``
 records, each true exactly when its first field ``ok`` is (the one
@@ -251,8 +253,8 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
     first A where the two sides differ is the witness.  A central subgroup
     A (C(A) = G) is skipped, as it can never fail: phi(C(A)) = phi(G) = Q
     since phi is onto, and C(phi(A)) contains phi(C(A)), so both sides are
-    Q.  When G is abelian every subgroup is, so none is walked; the table's
-    last centralizer, C(G) = Z(G), tells.  The subgroups, a generating set
+    Q.  When G is abelian (Z(G) = G) every subgroup is, so the map passes
+    and no subgroup is enumerated.  The subgroups, a generating set
     of each and C(A) come from the source group's subgroup table
     (:func:`~centlat.core._subgroup_table`), filled once per group, so
     every projection of one group shares them.
@@ -268,10 +270,10 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
         verdict = CrhVerdict(True)
         image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
         mapping = h.mapping
-        subgroups = all_subgroups(h.source, cap)
-        _, generators, centralizers = _subgroup_table(h.source)
-        abelian = centralizers[-1] == h.source.full_mask  # C(G), last in (order, members) order
-        for a_sub, gens, c in () if abelian else zip(subgroups, generators, centralizers):
+        abelian = _center_mask(h.source) == h.source.full_mask  # then every subgroup is central
+        subgroups = () if abelian else all_subgroups(h.source, cap)
+        _, generators, centralizers = ((),) * 3 if abelian else _subgroup_table(h.source)
+        for a_sub, gens, c in zip(subgroups, generators, centralizers):
             if c == h.source.full_mask:
                 continue
             lhs = image_of.get(c)
@@ -326,6 +328,30 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
         pair, c = min(hits)
         return CentralKernelVerdict(False, pair, c)
     return CentralKernelVerdict(True)
+
+
+class _CrhRoutes(NamedTuple):
+    """Every crh route run on one surjection, by :func:`_crh_routes`.
+    ``criterion`` is None when the kernel is not central, and ``reason`` is
+    then the :class:`KernelNotCentralError` text; ``agree`` is false exactly
+    when both routes ran and their verdicts differ."""
+
+    definitional: CrhVerdict
+    criterion: CentralKernelVerdict | None
+    reason: str | None
+    agree: bool
+
+
+def _crh_routes(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> _CrhRoutes:
+    """The one place the crh routes meet: the definitional sweep, then the
+    commutator criterion where it applies.  Raises nothing about
+    disagreement; each caller decides when to."""
+    definitional = is_centralizer_respecting(h, cap)
+    try:
+        criterion, reason = crh_central_kernel_criterion(h), None
+    except KernelNotCentralError as e:
+        criterion, reason = None, str(e)
+    return _CrhRoutes(definitional, criterion, reason, criterion is None or criterion.ok == definitional.ok)
 
 
 # ---------------------------------------------------------------------------

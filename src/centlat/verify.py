@@ -33,10 +33,9 @@ from .homs import (
     CentralKernelVerdict,
     CrhVerdict,
     GroupHom,
-    crh_central_kernel_criterion,
+    _crh_routes,
     group_isomorphic,
     identity_hom,
-    is_centralizer_respecting,
     kernel,
     quotient,
 )
@@ -88,20 +87,18 @@ class ProjectionRecord(NamedTuple):
 
 def _projections(name: str, group: FiniteGroup, kernels: Iterable[SubgroupSet]) -> Iterator[ProjectionRecord]:
     """The kernel sweep: quotient ``group`` by each normal subgroup in
-    ``kernels``, lazily, and run every crh route that applies: the
-    commutator criterion on a central kernel, then the definitional sweep.
+    ``kernels``, lazily, and run every crh route that applies
+    (:func:`~centlat.homs._crh_routes`).
     Disagreement raises before the projection is yielded."""
-    zmask = _center_mask(group)
     for sub in kernels:
         _, proj = quotient(group, sub)
-        criterion = crh_central_kernel_criterion(proj) if sub.mask & ~zmask == 0 else None
-        definitional = is_centralizer_respecting(proj)
-        if criterion is not None and bool(criterion) != bool(definitional):
+        routes = _crh_routes(proj)
+        if not routes.agree:
             raise InternalInconsistencyError(
                 f"crh routes disagree on {name} with kernel {list(sub.members)}: "
-                f"criterion={bool(criterion)}, definitional={bool(definitional)}"
+                f"criterion={bool(routes.criterion)}, definitional={bool(routes.definitional)}"
             )
-        yield ProjectionRecord(name, sub, proj, definitional, criterion)
+        yield ProjectionRecord(name, sub, proj, routes.definitional, routes.criterion)
 
 
 @cache

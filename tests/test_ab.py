@@ -64,6 +64,19 @@ def test_the_bound_is_relative_and_in_the_worse_direction():
     assert ab.verdict(PARENT, [p * 0.7 for p in PARENT], "lower", 0.24)["within_bound"]
 
 
+def test_each_metric_gets_one_of_four_outcomes():
+    # PARENT's IQR over its median is 0.175 / 5.05, about 0.035
+    assert ab.verdict(PARENT, [p * 0.85 for p in PARENT], "lower", 0.24)["outcome"] == "gain"
+    assert ab.verdict(PARENT, [p * 1.3 for p in PARENT], "lower", 0.24)["outcome"] == "loss"
+    assert ab.verdict(PARENT, [p * 1.01 for p in PARENT], "lower", 0.24)["outcome"] == "no change"
+    # a bound tighter than the parent's spread cannot call the same numbers unchanged
+    assert ab.verdict(PARENT, [p * 1.01 for p in PARENT], "lower", 0.02)["outcome"] == "unresolved"
+    # unless every change run reads better than every parent run
+    skewed = [4.9] * 5 + [5.0, 5.5, 5.6, 5.7, 5.8]  # median 4.95, IQR 0.675: 4.85 everywhere is no gain
+    v = ab.verdict(skewed, [4.85] * 10, "lower", 0.1)
+    assert (v["gain"], v["outcome"]) == (False, "no change")
+    assert ab.verdict(skewed, [4.85] * 9 + [4.95], "lower", 0.1)["outcome"] == "unresolved"
+
 def test_bootstrap_is_seeded_and_brackets_the_ratio():
     change = [4.1, 4.6, 4.0, 4.9, 4.2, 4.4, 4.5, 4.3, 4.8, 4.0]
     first = ab.bootstrap_ratio(PARENT, change)

@@ -305,20 +305,19 @@ def test_io_errors_name_the_path_pathlib_normalises(cli, tmp_path):
 
 
 def test_crh_route_disagreement_exits_2(monkeypatch, capsys):
-    real = verify.crh_central_kernel_criterion
+    real = centlat.homs.crh_central_kernel_criterion
 
     def flipped(h):
         verdict = real(h)
         return verdict._replace(ok=not verdict.ok)
 
-    monkeypatch.setattr(verify, "crh_central_kernel_criterion", flipped)
+    monkeypatch.setattr(centlat.homs, "crh_central_kernel_criterion", flipped)
     for argv in (["verify", "corollary", "--n", "3"], ["verify", "figure3"]):
         assert centlat_cli.main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("centlat: internal inconsistency: crh routes disagree")
     # check-crh prints both verdicts, then reports the disagreement
-    monkeypatch.setattr(centlat_cli, "crh_central_kernel_criterion", flipped)
     assert centlat_cli.main(["check-crh", "quotient(dihedral(8),[x^2])"]) == 2
     out, err = capsys.readouterr()
     assert json.loads(out)["criterion"]["ok"] is True

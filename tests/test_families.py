@@ -556,6 +556,34 @@ def test_package_has_no_function_level_imports():
     )
 
 
+def test_only_homs_runs_and_compares_the_crh_routes():
+    # the two crh routes meet in homs._crh_routes: beside homs, only
+    # __init__'s import block names the criterion, and only that block and
+    # lattice (induced_map needs a crh verdict alone) name the definitional
+    # sweep; identifiers, attributes, imports and exact strings all count
+    allowed = {
+        "crh_central_kernel_criterion": {"homs.py"},
+        "is_centralizer_respecting": {"homs.py", "lattice.py"},
+    }
+    named = {name: set() for name in allowed}
+    for path in sorted(Path(centlat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        body = tree.body
+        if path.name == "__init__.py":  # its import block re-exports both
+            block = [n for n in body if isinstance(n, ast.ImportFrom) and n.module == "homs"]
+            assert {a.name for n in block for a in n.names} >= set(allowed)
+            body = [n for n in body if n not in block]
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            for ident in (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "name", None),
+                getattr(node, "value", None),
+            ):
+                if isinstance(ident, str) and ident in named:
+                    named[ident].add(path.name)
+    assert named == allowed
+
 def test_finite_group_caches_have_one_owner():
     # every lazy cache FiniteGroup.__init__ declares is named only in core,
     # which fills it; the lattice cache is not declared there, and only

@@ -1027,6 +1027,22 @@ def test_the_sweep_walks_no_subgroup_of_an_abelian_source():
         assert g._subgroups[2].walks == (0 if abelian else swept) and swept == (len(subs) if abelian else 2)
 
 
+def test_an_abelian_source_is_decided_before_its_subgroups_are_enumerated():
+    # work counter: Z(G) = G decides the sweep of an abelian source, so its
+    # subgroup table stays unfilled, even for C2^8 with its 417,199
+    # subgroups; a non-abelian source still fills it
+    c2 = "product(cyclic(2),cyclic(2))"
+    c2_8 = f"product(product({c2},{c2}),product({c2},{c2}))"
+    for text, abelian in (
+        (f"quotient({c2_8},[l.l.l.x])", True),
+        ("quotient(product(cyclic(4),cyclic(8)),[l.x^2])", True),
+        ("quotient(dihedral(16),[x^4])", False),
+    ):
+        proj = eval_group_expr(parse_group_expr(text)).projection
+        assert proj.source._subgroups is None
+        assert is_centralizer_respecting(proj).ok is abelian
+        assert (proj.source._subgroups is None) is abelian, text
+
 def functor_on_normal_kernels(max_order: int) -> Counter:
     """Run the kernel sweep over every normal subgroup of every group of
     catalog(max_order), normality read off the oracle, and check the

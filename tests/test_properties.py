@@ -18,7 +18,8 @@ from centlat import (
     is_centralizer_respecting,
     quotient,
 )
-from centlat.errors import NotNormalError
+from centlat.errors import KernelNotCentralError, NotNormalError
+from centlat.homs import _crh_routes
 from centlat.lattice import induced_map, is_lattice_hom
 from centlat.errors import NotCrhError
 
@@ -126,7 +127,9 @@ def test_definitional_sweep_matches_oracle_on_every_normal_kernel(small_groups):
     # every quotient of catalog(16), central kernel or not, against an
     # oracle sharing no code with the package; phi(C(A)) within C(phi(A))
     # holds for EVERY surjection, centralizer respecting or not, so a
-    # failing witness shows strict containment
+    # failing witness shows strict containment.  The record of every route,
+    # run on a fresh projection, holds the same verdict, the criterion
+    # exactly on a central kernel, and the criterion's refusal otherwise
     outcomes = Counter()
     for g in small_groups[:40]:
         table = [list(r) for r in g.table]
@@ -138,6 +141,15 @@ def test_definitional_sweep_matches_oracle_on_every_normal_kernel(small_groups):
             if not verdict.ok:
                 w = verdict.witness
                 assert set(w.image_of_centralizer) < set(w.centralizer_of_image), h.members
+            routes = _crh_routes(quotient(g, h)[1])
+            try:
+                criterion, reason = crh_central_kernel_criterion(proj), None
+            except KernelNotCentralError as e:
+                criterion, reason = None, str(e)
+            assert routes.definitional == verdict, h.members
+            assert (routes.criterion is None) is not (h <= center(g)), h.members
+            assert (routes.criterion, routes.reason) == (criterion, reason), h.members
+            assert routes.agree, h.members
             outcomes[h <= center(g), verdict.ok] += 1
     # (central kernel, crh): 234 projections, 34 with non-central kernels
     assert outcomes == Counter({(True, True): 195, (True, False): 5, (False, True): 11, (False, False): 23})

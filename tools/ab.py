@@ -15,7 +15,16 @@ the median ratio, and then two verdicts:
   the parent's by more than the parent's interquartile range; never when a
   run of the workload was incorrect or the change failed more operations;
 - ``within bound``: the median is no worse than the parent's by more than
-  the metric's ``bound`` in ``BENCHMARK.json``.
+  the metric's ``bound`` in ``BENCHMARK.json``;
+
+and one ``outcome`` of four, the first that holds:
+
+- ``gain``: as above;
+- ``loss``: not within the bound;
+- ``unresolved``: the parent's interquartile range over its median exceeds
+  the bound, so its runs spread too widely to call the metric unchanged,
+  unless every change run reads better than every parent run;
+- ``no change``: otherwise.
 
 The worktrees and the temporary directory are removed on exit, on Ctrl-C
 and on SIGTERM, which also ends the running benchmark's process group.
@@ -73,12 +82,19 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
     interquartile range, with every run correct and no more ``failed``
     operations, parent's then change's, on the change) and ``within_bound``
     (the median no worse than the parent's by more than ``bound``,
-    relatively)."""
+    relatively), and the ``outcome`` they and the parent's spread give."""
     sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: the change is better
     pm, cm = statistics.median(parent), statistics.median(change)
     p_q, c_q = quartiles(parent), quartiles(change)
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     iqr = p_q[1] - p_q[0]
+    gain = correct and failed[1] <= failed[0] and 10 * wins >= 9 * len(parent) and sign * (pm - cm) > iqr
+    within_bound = sign * (cm - pm) / pm <= bound
+    apart = all(sign * (p - c) > 0 for p in parent for c in change)  # every change run reads better
+    if gain or not within_bound:
+        outcome = "gain" if gain else "loss"
+    else:
+        outcome = "unresolved" if iqr / pm > bound and not apart else "no change"
     return {
         "parent": parent,
         "change": change,
@@ -91,10 +107,11 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
         "ratio_ci95": list(bootstrap_ratio(parent, change)),
         "change_wins": wins,
         "pairs": len(parent),
-        "gain": correct and failed[1] <= failed[0] and 10 * wins >= 9 * len(parent) and sign * (pm - cm) > iqr,
+        "gain": gain,
         "relative_change": (cm - pm) / pm,
         "bound": bound,
-        "within_bound": sign * (cm - pm) / pm <= bound,
+        "within_bound": within_bound,
+        "outcome": outcome,
     }
 
 
@@ -180,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"  {name:12} {v['parent_median']:10.4g} -> {v['change_median']:<10.4g} "
                           f"ratio {v['ratio']:.3f} [{lo:.3f}, {hi:.3f}]  won {v['change_wins']}/{v['pairs']}  "
                           f"parent IQR {v['parent_iqr']:.4g}  gain {'yes' if v['gain'] else 'no'}  "
-                          f"within bound {'yes' if v['within_bound'] else 'NO'}")
+                          f"within bound {'yes' if v['within_bound'] else 'NO'}  {v['outcome']}")
         finally:
             for side in SIDES:
                 if trees[side].exists():
