@@ -10,7 +10,7 @@ import pytest
 
 import centlat
 import centlat.cli as centlat_cli
-from centlat import group_from_json, hom_from_json, make_family, verify
+from centlat import group_from_json, hom_from_json, make_family
 from centlat.errors import InternalInconsistencyError, KernelNotCentralError, NotCrhError
 
 

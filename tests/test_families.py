@@ -584,6 +584,7 @@ def test_only_homs_runs_and_compares_the_crh_routes():
                     named[ident].add(path.name)
     assert named == allowed
 
+
 def test_finite_group_caches_have_one_owner():
     # every lazy cache FiniteGroup.__init__ declares is named only in core,
     # which fills it; the lattice cache is not declared there, and only

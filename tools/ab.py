@@ -90,11 +90,11 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float,
     iqr = p_q[1] - p_q[0]
     gain = correct and failed[1] <= failed[0] and 10 * wins >= 9 * len(parent) and sign * (pm - cm) > iqr
     within_bound = sign * (cm - pm) / pm <= bound
-    apart = all(sign * (p - c) > 0 for p in parent for c in change)  # every change run reads better
+    all_better = all(sign * (p - c) > 0 for p in parent for c in change)  # every change run reads better
     if gain or not within_bound:
         outcome = "gain" if gain else "loss"
     else:
-        outcome = "unresolved" if iqr / pm > bound and not apart else "no change"
+        outcome = "unresolved" if iqr / pm > bound and not all_better else "no change"
     return {
         "parent": parent,
         "change": change,
