@@ -16,7 +16,8 @@ group table and that their generator names generate it,
 ``SubgroupSet._from_mask`` for a subgroup just closed,
 ``GroupHom._trusted`` for projections, composites and identities, of which
 projections and identities are onto by construction and carry their kernel,
-and ``lattice.LatticeMap._trusted`` for induced maps.
+and ``lattice.LatticeMap._trusted`` for induced maps, composites, inverses
+and found isomorphisms.
 Subsets of a group are :class:`SubgroupSet` values backed by an integer
 bitmask, so intersection, union and containment are single machine-word
 operations for the orders this package targets (a few hundred elements).
@@ -359,9 +360,6 @@ class SubgroupSet:
         if not isinstance(other, SubgroupSet):
             return NotImplemented  # the meet with a mere index set need not be a subgroup
         return SubgroupSet._from_mask(self.group, self.mask & _mask_of(self.group, other))
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self), self.members)
 
     def is_trivial(self) -> bool:
         return self.mask == 1 << self.group.identity
@@ -784,9 +782,10 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
 
     Joins are skipped before their Dimino step when the union of K, <z>
     and every <gz> over K's generators g, which lies in the join, meets
-    ``bad``; or when it or the product set K<z> (|K| |<z>| / |K & <z>|
-    elements) passes n/2, which makes the join G.  When <K, z_i> has prime
-    index over K, <K, z> = <K, z_i> for every later zuppo z inside it.
+    ``bad``; or when it passes n/2, which makes the join G.  The Dimino
+    step stops at G as soon as its cosets pass n/2, which decides the other
+    joins that are G.  When <K, z_i> has prime index over K,
+    <K, z> = <K, z_i> for every later zuppo z inside it.
     Dihedral(256) takes 126 Dimino steps and 0.02 s, C2^6 0.07-0.10 s and
     C2^7 1.3-1.8 s (Python 3.11, 2-vCPU Xeon VM).
 
@@ -820,8 +819,7 @@ def _subgroup_table(group: FiniteGroup) -> tuple:
                     union |= cyclic[t[g][z]]
                 if union & bad:
                     continue
-                product = len(k_elems) * z_mask.bit_count() // (k_mask & z_mask).bit_count()
-                if 2 * max(product, union.bit_count()) > n:
+                if 2 * union.bit_count() > n:
                     j_mask, j_order = group.full_mask, n
                 else:
                     j_gens = (*k_gens, z)

@@ -31,7 +31,6 @@ from .core import (
     _require,
     _require_order_at_most,
     _subgroup_table,
-    all_subgroups,
 )
 from .errors import (
     DomainMismatchError,
@@ -254,8 +253,8 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
     A (C(A) = G) is skipped, as it can never fail: phi(C(A)) = phi(G) = Q
     since phi is onto, and C(phi(A)) contains phi(C(A)), so both sides are
     Q.  When G is abelian (Z(G) = G) every subgroup is, so the map passes
-    and no subgroup is enumerated.  The subgroups, a generating set
-    of each and C(A) come from the source group's subgroup table
+    and no subgroup is enumerated.  The subgroups, a generating set of
+    each and C(A) come from one read of the source group's subgroup table
     (:func:`~centlat.core._subgroup_table`), filled once per group, so
     every projection of one group shares them.
     phi(C(A)) depends only on C(A), so it is computed once per distinct
@@ -271,9 +270,8 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
         image_of: dict[int, int] = {}  # C(A) -> phi(C(A))
         mapping = h.mapping
         abelian = _center_mask(h.source) == h.source.full_mask  # then every subgroup is central
-        subgroups = () if abelian else all_subgroups(h.source, cap)
-        _, generators, centralizers = ((),) * 3 if abelian else _subgroup_table(h.source)
-        for a_sub, gens, c in zip(subgroups, generators, centralizers):
+        table = ((), (), ()) if abelian else _subgroup_table(h.source)
+        for a_sub, gens, c in zip(*table):
             if c == h.source.full_mask:
                 continue
             lhs = image_of.get(c)

@@ -169,7 +169,9 @@ class LatticeMap(_LatticeMapFields):
 
     @classmethod
     def _trusted(cls, source: CentralizerLattice, target: CentralizerLattice, node_map: tuple) -> "LatticeMap":
-        """A tuple node map read off the target's nodes, unchecked (see :mod:`centlat.core`)."""
+        """A tuple node map valid by construction, unchecked (see :mod:`centlat.core`):
+        one read off the target's nodes, a composite of two valid maps, the
+        inverse of a bijection or a found isomorphism."""
         return tuple.__new__(cls, (source, target, node_map))
 
     def is_bijective(self) -> bool:
@@ -218,7 +220,7 @@ def compose_lattice_maps(outer: LatticeMap, inner: LatticeMap) -> LatticeMap:
     _require("compose_lattice_maps", LatticeMap, outer, inner)
     if not _same_lattice(inner.target, outer.source):
         raise DomainMismatchError("cannot compose: inner target lattice differs from outer source")
-    return LatticeMap(inner.source, outer.target, tuple(outer.node_map[v] for v in inner.node_map))
+    return LatticeMap._trusted(inner.source, outer.target, tuple(outer.node_map[v] for v in inner.node_map))
 
 
 def invert_lattice_map(m: LatticeMap) -> LatticeMap:
@@ -228,7 +230,7 @@ def invert_lattice_map(m: LatticeMap) -> LatticeMap:
     inverse = [0] * len(m.node_map)
     for s, t in enumerate(m.node_map):
         inverse[t] = s
-    return LatticeMap(m.target, m.source, tuple(inverse))
+    return LatticeMap._trusted(m.target, m.source, tuple(inverse))
 
 
 class LatticeHomVerdict(NamedTuple):
@@ -323,7 +325,7 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
     mapping = next(_injective_assignments(candidates, consistent), None)
     if mapping is None:
         return None
-    result = LatticeMap(a, b, mapping)
+    result = LatticeMap._trusted(a, b, mapping)
     verdict = is_lattice_hom(result)
     _ensure(verdict and result.is_bijective(), "search must return a verified isomorphism")
     return result

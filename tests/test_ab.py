@@ -96,15 +96,21 @@ def test_pairs_alternate_which_side_runs_first():
 
 
 # a stand-in for the benchmark command: prints a fixed result, slower on
-# the revision that holds the marker file, and sleeps when told to
+# the revision that holds the marker file, and sleeps when told to; like
+# perfbench/run.py it leaves a result file whose context holds the
+# unscaled values, here 1.5 times the printed ones on either revision
 _FAKE_RUN = """\
 import json, os, sys, time
+workload = sys.argv[sys.argv.index("--workload") + 1]
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 assert sys.argv[sys.argv.index("--seconds") + 1] == "7"  # the run length BENCHMARK.json gives
 if os.path.exists("sleep"):
     open(os.environ["AB_STARTED"], "w").write(str(os.getpid()))
     time.sleep(60)
 value = 10.0 + seed / 100 if os.path.exists("slow") else 8.0 + seed / 100
+os.makedirs("perfbench/out", exist_ok=True)
+with open(f"perfbench/out/result-{workload}-seed{seed}-trace0.json", "w") as out:
+    json.dump({"context": {"raw_unnormalised": {"t_ms": 1.5 * value}}}, out)
 print("report line")
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {"t_ms": {"value": value, "unit": "ms"}}}))
 """
@@ -147,8 +153,13 @@ def test_a_run_compares_two_revisions_and_removes_its_worktrees(tmp_path):
     assert v["parent"] == [10.0 + s / 100 for s in range(1, 11)]
     assert v["change"] == [8.0 + s / 100 for s in range(1, 11)]
     assert v["change_wins"] == 10 and v["gain"] and v["within_bound"]
+    raw = v["unscaled"]
+    assert raw["parent"] == pytest.approx([1.5 * p for p in v["parent"]])
+    assert raw["change"] == pytest.approx([1.5 * c for c in v["change"]])
+    assert (raw["parent_median"], raw["change_median"]) == pytest.approx((15.0825, 12.0825))
+    assert raw["ratio"] == pytest.approx(12.0825 / 15.0825)
     assert report["workloads"]["w"]["attempted"] == {"parent": 30, "change": 30} and report["seconds"] == 7
-    assert "gain yes" in done.stdout
+    assert "gain yes" in done.stdout and f"unscaled {raw['ratio']:.3f}" in done.stdout
     assert list(scratch.iterdir()) == [] and _worktrees(repo) == 1
 
 

@@ -46,6 +46,7 @@ from centlat import (
 )
 from centlat.errors import (
     DomainMismatchError,
+    InternalInconsistencyError,
     NoIdentityError,
     NoInverseError,
     NotAssociativeError,
@@ -434,7 +435,7 @@ def test_all_subgroups_against_enumeration(builder, expected_count):
     assert len(got) == expected_count
     assert {frozenset(h) for h in got} == brute_masks(g)
     # sorted by (order, members), no duplicates
-    keys = [h.sort_key() for h in got]
+    keys = [(len(h), h.members) for h in got]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
@@ -536,7 +537,7 @@ def test_all_subgroups_matches_brute_oracle_in_order():
         expected = sorted(
             (len(s), tuple(sorted(s))) for s in brute_all_subgroups([list(r) for r in g.table])
         )
-        assert [h.sort_key() for h in all_subgroups(g)] == expected, entry.name
+        assert [(len(h), h.members) for h in all_subgroups(g)] == expected, entry.name
 
 
 def test_all_subgroups_on_catalog64_is_frozen():
@@ -639,8 +640,9 @@ def test_kept_generators_follow_the_canonical_parent():
     [
         # 20,492 steps before the G bound, 9,824 before the canonical-parent test
         (lambda: make_family("dihedral", 256), 263, 126, 0),
-        # 1,146 steps before the canonical-parent test
-        (lambda: direct_product(make_family("cyclic", 4), direct_product(*[make_family("cyclic", 4)] * 2)), 129, 248, 0),
+        # 1,146 steps before the canonical-parent test; 9 of the 257 return
+        # G, joins that only the Dimino step's exit finds to be the whole group
+        (lambda: direct_product(make_family("cyclic", 4), direct_product(*[make_family("cyclic", 4)] * 2)), 129, 257, 9),
         # 3,342 steps before the canonical-parent test; 89 of the 368 still
         # return G, joins the bounds cannot see to be the whole group
         (lambda: from_multiplication_table(120, symmetric_group_table(5)), 156, 368, 89),
@@ -651,10 +653,10 @@ def test_kept_generators_follow_the_canonical_parent():
     ids=["dihedral(256)", "C4^3", "S5", "relabelled dihedral(8)"],
 )
 def test_joins_that_must_be_the_whole_group_are_skipped(monkeypatch, builder, subgroups, steps, whole):
-    # work counter: a join whose product set K<z>, or union of K, <z> and
-    # every <gz> over K's generators g, passes half the group is G, and a
-    # join that holds a zuppo below z outside K is not kept from K (it is
-    # built from its canonical parent), so no Dimino step is run for either
+    # work counter: a join whose union of K, <z> and every <gz> over K's
+    # generators g passes half the group is G, and a join that holds a
+    # zuppo below z outside K is not kept from K (it is built from its
+    # canonical parent), so no Dimino step is run for either
     orders = []
     original = core._dimino_step
 
@@ -701,6 +703,15 @@ def test_subgroup_counts_known(builder, expected_count):
         assert closure(g, commutator_set(g)) == a5
 
 
+
+def test_the_first_nonassociative_triple_of_an_associative_table_is_internal():
+    # Light's test and the full scan disagree only if one of them is wrong
+    rows = list(make_family("dihedral", 8).table)
+    with pytest.raises(InternalInconsistencyError) as exc:
+        core._first_nonassociative_triple(rows)
+    assert str(exc.value) == "Light's test failed on an associative table"
+
+
 # ------------------------------------------------------------- SubgroupSet
 
 
@@ -713,7 +724,7 @@ def test_mask_key_sorts_as_subgroups_sort():
         subs = list(all_subgroups(entry.group))
         rng.shuffle(subs)
         by_mask = sorted(subs, key=lambda s: core._mask_key(s.mask))
-        assert by_mask == sorted(subs, key=SubgroupSet.sort_key) == list(all_subgroups(entry.group))
+        assert by_mask == sorted(subs, key=lambda h: (len(h), h.members)) == list(all_subgroups(entry.group))
     masks = [0, 1, 2, 3]
     for _ in range(3000):
         width = rng.randrange(1, 300)

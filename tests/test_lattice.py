@@ -315,6 +315,102 @@ def test_functoriality_rejects_non_composable():
         verify_functoriality(p1, p1)
 
 
+def _crh_central_step(g):
+    """The first projection of ``g`` by a central subgroup of order 2 that
+    respects centralizers and has a non-abelian target."""
+    z = center(g)
+    for sub in all_subgroups(g):
+        if len(sub) == 2 and sub <= z:
+            q, proj = quotient(g, sub)
+            if is_centralizer_respecting(proj) and len(center(q)) < q.order:
+                return proj
+    raise AssertionError("no crh central step")
+
+
+@pytest.fixture
+def crh_chain():
+    """D8 x C2 x C2 -> order 16 -> order 8: two composable crh surjections,
+    neither an identity, between lattices of more than one node."""
+    c2 = make_family("cyclic", 2)
+    phi = _crh_central_step(direct_product(make_family("dihedral", 8), direct_product(c2, c2)))
+    psi = _crh_central_step(phi.target)
+    assert (phi.source.order, phi.target.order, psi.target.order) == (32, 16, 8)
+    assert verify_functoriality(phi, psi) == (True, ())
+    return phi, psi
+
+
+def test_functoriality_names_each_group_where_the_identity_law_fails(monkeypatch, crh_chain):
+    # an identity sent to the constant map onto the top fails the identity
+    # law on each of the three lattices, and no other law
+    induced = lattice_module.induced_map
+
+    def constant_on_identities(phi):
+        m = induced(phi)
+        if phi.mapping != tuple(range(phi.source.order)):
+            return m
+        return LatticeMap(m.source, m.target, [m.target.top] * len(m.source.nodes))
+
+    monkeypatch.setattr(lattice_module, "induced_map", constant_on_identities)
+    assert verify_functoriality(*crh_chain) == (
+        False,
+        (
+            "identity law fails on lattice of order-32 group",
+            "identity law fails on lattice of order-16 group",
+            "identity law fails on lattice of order-8 group",
+        ),
+    )
+
+
+def test_functoriality_names_a_composition_that_fails(monkeypatch, crh_chain):
+    def constant(outer, inner):
+        return LatticeMap(inner.source, outer.target, [outer.target.top] * len(inner.source.nodes))
+
+    monkeypatch.setattr(lattice_module, "compose_lattice_maps", constant)
+    assert verify_functoriality(*crh_chain) == (
+        False,
+        ("composition law fails: induced(psi o phi) != induced(psi) o induced(phi)",),
+    )
+
+
+def test_functoriality_names_each_induced_map_that_is_no_lattice_hom(monkeypatch, crh_chain):
+    monkeypatch.setattr(lattice_module, "is_lattice_hom", lambda m: LatticeHomVerdict(False, "meet", (0, 1)))
+    assert verify_functoriality(*crh_chain) == (
+        False,
+        (
+            "induced map of phi breaks the meet law",
+            "induced map of psi breaks the meet law",
+            "induced map of psi o phi breaks the meet law",
+        ),
+    )
+
+
+def test_a_cover_route_without_a_bridge_fails_and_the_combined_case_is_skipped(monkeypatch):
+    # with no isomorphism from a cover's quotient to its family group, each
+    # cover route stops after its first leg, and family_lattice_report(4)
+    # then has no combined dihedral ~ semidihedral case
+    from centlat import verify
+
+    names = [c["name"] for c in verify.family_lattice_report(4)["cases"]]
+    assert names[-1] == "composite dihedral(16) ~ semidihedral(16) through both covers"
+    monkeypatch.setattr(verify, "group_isomorphic", lambda a, b: None)
+    report = verify.family_lattice_report(4)
+    assert not report["pass"]
+    assert report["cases"][3:] == [
+        {
+            "name": "dihedral_quaternion(n=4): projection mod y^2 passes the commutator criterion",
+            "pass": True,
+            "detail": "kernel ['1', 'y^2']",
+        },
+        {"name": "dihedral_quaternion(n=4): quotient is dihedral(16)", "pass": False, "detail": "no isomorphism"},
+        {
+            "name": "quaternion_semidihedral(n=4): projection mod (1,x^4) passes the commutator criterion",
+            "pass": True,
+            "detail": "kernel ['(1,1)', '(1,x^4)']",
+        },
+        {"name": "quaternion_semidihedral(n=4): quotient is quaternion(16)", "pass": False, "detail": "no isomorphism"},
+    ]
+
+
 @pytest.mark.parametrize(
     "group, node_map, law, witness, top, bottom",
     [

@@ -72,3 +72,18 @@ def test_benchmark_wrapped_functions_have_one_name():
                 f"{m.__name__}.{attr}" for m in modules for attr, v in vars(m).items() if v is fn and attr != fn_name
             ]
             assert aliases == [], f"{module_name}.{fn_name} is also bound as {aliases}"
+
+
+def test_each_package_type_has_a_short_repr():
+    d8 = centlat.make_family("dihedral", 8)
+    z = centlat.center(d8)
+    _, proj = centlat.quotient(d8, z)
+    lattice = centlat.lattice_of(d8)
+    got = [repr(v) for v in (d8, z, proj, lattice, centlat.induced_map(centlat.identity_hom(d8)))]
+    assert got == [
+        "FiniteGroup(order=8, generators=[x,y])",
+        "SubgroupSet(order=2, members=[0, 2])",
+        "GroupHom(8 -> 4)",
+        "CentralizerLattice(group_order=8, nodes=5)",
+        "LatticeMap(5 -> 5 nodes)",
+    ]

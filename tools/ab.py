@@ -9,7 +9,7 @@ neither side.  Each run's last stdout line is the benchmark's JSON result.
 
 Per end-to-end metric it prints both medians, the median ratio (change over
 parent), the pairs the change won and a seeded bootstrap 95 % interval of
-the median ratio, and then two verdicts:
+the median ratio, the ratio of the unscaled medians, and then two verdicts:
 
 - ``gain``: the change won at least nine pairs in ten, and its median beats
   the parent's by more than the parent's interquartile range; never when a
@@ -25,6 +25,13 @@ and one ``outcome`` of four, the first that holds:
   the bound, so its runs spread too widely to call the metric unchanged,
   unless every change run reads better than every parent run;
 - ``no change``: otherwise.
+
+The benchmark scales its metrics by a reference walk timed in the same
+process.  The unscaled values are read from the result file that each run
+leaves in its worktree, ``perfbench/out/result-<workload>-seed<seed>-trace0.json``
+(``context.raw_unnormalised``); their median ratio is printed beside the
+scaled one and kept in ``--out``, and no verdict reads it.  A scaled and an
+unscaled ratio that disagree point at the reference walk, not the change.
 
 The worktrees and the temporary directory are removed on exit, on Ctrl-C
 and on SIGTERM, which also ends the running benchmark's process group.
@@ -138,13 +145,24 @@ def _on_sigterm(signum, frame):
     raise SystemExit(128 + signum)
 
 
+def _unscaled(tree: Path, workload: str, seed: int) -> dict:
+    """The unscaled metrics of one run, read from the result file it left in
+    ``tree``, or none when it left no such file."""
+    path = tree / "perfbench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    if not path.is_file():
+        return {}
+    return json.loads(path.read_text(encoding="utf-8"))["context"].get("raw_unnormalised", {})
+
+
 def _pairs(command: list[str], trees: dict, workload: str, seeds: list[int], seconds: float) -> dict:
-    """Each side's benchmark results, one per seed, run in alternating order."""
+    """Each side's benchmark results, one per seed, run in alternating
+    order, each with its unscaled metrics under ``unscaled``."""
     runs = {side: [] for side in SIDES}
     for k, seed in enumerate(seeds):
         for side in order(k):
             cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
             result = json.loads(_run(cmd, trees[side]).strip().splitlines()[-1])
+            result["unscaled"] = _unscaled(trees[side], workload, seed)
             runs[side].append(result)
             values = {m: v["value"] for m, v in result["metrics"].items()}
             print(f"{workload} pair {k + 1}/{len(seeds)} seed {seed} {side}: {json.dumps(values)}", file=sys.stderr)
@@ -183,6 +201,11 @@ def main(argv: list[str] | None = None) -> int:
                     if all(len(v) == len(seeds) for v in values):
                         verdicts[name] = verdict(*values, spec["better"], spec["bound"],
                                                  (failed["parent"], failed["change"]), correct)
+                        raw = [[r["unscaled"][name] for r in runs[side] if name in r["unscaled"]] for side in SIDES]
+                        if all(len(v) == len(seeds) for v in raw):
+                            pm, cm = map(statistics.median, raw)
+                            verdicts[name]["unscaled"] = {"parent": raw[0], "change": raw[1], "parent_median": pm,
+                                                          "change_median": cm, "ratio": cm / pm}
                 report["workloads"][workload] = {
                     "seeds": seeds,
                     "order": "parent first on pairs 1, 3, ...; change first on pairs 2, 4, ...",
@@ -194,8 +217,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"\n{workload}: parent {commits['parent'][:10]}, change {commits['change'][:10]}")
                 for name, v in verdicts.items():
                     lo, hi = v["ratio_ci95"]
+                    unscaled = f"{v['unscaled']['ratio']:.3f}" if "unscaled" in v else "-"
                     print(f"  {name:12} {v['parent_median']:10.4g} -> {v['change_median']:<10.4g} "
-                          f"ratio {v['ratio']:.3f} [{lo:.3f}, {hi:.3f}]  won {v['change_wins']}/{v['pairs']}  "
+                          f"ratio {v['ratio']:.3f} [{lo:.3f}, {hi:.3f}] unscaled {unscaled}  "
+                          f"won {v['change_wins']}/{v['pairs']}  "
                           f"parent IQR {v['parent_iqr']:.4g}  gain {'yes' if v['gain'] else 'no'}  "
                           f"within bound {'yes' if v['within_bound'] else 'NO'}  {v['outcome']}")
         finally:
