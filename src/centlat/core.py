@@ -29,8 +29,8 @@ import json
 import math
 import numbers
 import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DomainMismatchError,

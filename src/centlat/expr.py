@@ -17,9 +17,9 @@ an expression nested more than ``MAX_NESTING`` constructors deep is one.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Union
 
 from .core import (
     _GROUP_KEYS,
@@ -33,7 +33,7 @@ from .core import (
 )
 from .errors import ExprParseError, TableJsonError, UnknownGeneratorError
 from .families import cover_group, direct_product, make_family, semidirect_cyclic
-from .homs import GroupHom, quotient
+from .homs import quotient
 
 FAMILY_TOKENS = ("cyclic", "dihedral", "quaternion", "semidihedral", "cover_dq", "cover_qsd")
 
@@ -42,37 +42,15 @@ FAMILY_TOKENS = ("cyclic", "dihedral", "quaternion", "semidihedral", "cover_dq",
 MAX_NESTING = 200
 
 
-class FamilyExpr(NamedTuple):
-    kind: str
-    param: int
+FamilyExpr = namedtuple("FamilyExpr", "kind param")
+ProductExpr = namedtuple("ProductExpr", "left right")
+SemidirectExpr = namedtuple("SemidirectExpr", "m k a")
+WordTerm = namedtuple("WordTerm", "name exponent", defaults=(1,))
+QuotientExpr = namedtuple("QuotientExpr", "inner words")  # words: a tuple of tuples of WordTerm
+TableExpr = namedtuple("TableExpr", "path")
 
-
-class ProductExpr(NamedTuple):
-    left: "Expr"
-    right: "Expr"
-
-
-class SemidirectExpr(NamedTuple):
-    m: int
-    k: int
-    a: int
-
-
-class WordTerm(NamedTuple):
-    name: str
-    exponent: int = 1
-
-
-class QuotientExpr(NamedTuple):
-    inner: "Expr"
-    words: tuple[tuple[WordTerm, ...], ...]
-
-
-class TableExpr(NamedTuple):
-    path: str
-
-
-Expr = Union[FamilyExpr, ProductExpr, SemidirectExpr, QuotientExpr, TableExpr]
+#: The expression-node records; ``left``, ``right`` and ``inner`` are one of them.
+Expr = (FamilyExpr, ProductExpr, SemidirectExpr, QuotientExpr, TableExpr)
 
 #: Each constructor's record and the kinds of the arguments it takes between
 #: parentheses, separated by commas: "int", "expr", "words" (a bracketed word
@@ -93,11 +71,7 @@ _CONSTRUCTOR_TOKENS = tuple(_GRAMMAR)
 _SYMBOLS = "()[],*^-"
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "int" | "string" | one of _SYMBOLS | "eof"
-    value: str
-    line: int
-    col: int
+_Token = namedtuple("_Token", "kind value line col")  # kind: "ident" | "int" | "string" | one of _SYMBOLS | "eof"
 
 
 def _lex(text: str) -> list[_Token]:
@@ -259,12 +233,11 @@ def pretty(expr: Expr) -> str:
 # evaluation
 
 
-class EvalResult(NamedTuple):
+class EvalResult(namedtuple("EvalResult", "group projection", defaults=(None,))):
     """A constructed group, plus the quotient projection when the top-level
     expression was a quotient."""
 
-    group: FiniteGroup
-    projection: GroupHom | None = None
+    __slots__ = ()
 
 
 def resolve_word(group: FiniteGroup, word: tuple[WordTerm, ...]) -> int:

@@ -19,8 +19,8 @@ constructor reads the identity and inverses off the rows.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .core import (
     DEFAULT_ORDER_CAP,
@@ -134,15 +134,7 @@ def semidirect_cyclic(m: int, k: int, a: int, cap: int = DEFAULT_ORDER_CAP) -> F
     return _cyclic_by_cyclic(m, k, a)
 
 
-class _CoverGroupFields(NamedTuple):
-    kind: str
-    n: int
-    group: FiniteGroup
-    z_first: SubgroupSet
-    z_second: SubgroupSet
-
-
-class CoverGroup(_CoverGroupFields):
+class CoverGroup(namedtuple("CoverGroup", "kind n group z_first z_second")):
     """A group with two distinguished central order-2 subgroups.
 
     Quotienting by one central subgroup or the other lands in two different
@@ -251,9 +243,7 @@ def _fiber_product_over_central_quotients(
     return g, z_first, z_second
 
 
-class CatalogEntry(NamedTuple):
-    name: str
-    group: FiniteGroup
+CatalogEntry = namedtuple("CatalogEntry", "name group")
 
 
 def catalog(max_order: int) -> tuple[CatalogEntry, ...]:

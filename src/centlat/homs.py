@@ -8,7 +8,7 @@ They meet in one place, :func:`_crh_routes`, which runs each route that
 applies and records whether they agree; its callers treat disagreement as
 an internal error.
 
-Verdicts here and in :mod:`centlat.lattice` are immutable ``NamedTuple``
+Verdicts here and in :mod:`centlat.lattice` are immutable named-tuple
 records, each true exactly when its first field ``ok`` is (the one
 :func:`_verdict_ok`; a bare tuple is always true).  A record equals a plain
 tuple of its values, so the package dispatches on records by ``isinstance``.
@@ -16,7 +16,8 @@ tuple of its values, so the package dispatches on records by ``isinstance``.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .core import (
     DEFAULT_ORDER_CAP,
@@ -230,17 +231,14 @@ def _verdict_ok(verdict) -> bool:
     return verdict.ok
 
 
-class CrhWitness(NamedTuple):
+class CrhWitness(namedtuple("CrhWitness", "subgroup image_of_centralizer centralizer_of_image")):
     """A subgroup on which phi(C(A)) != C(phi(A)), with both sides."""
 
-    subgroup: tuple[int, ...]
-    image_of_centralizer: tuple[int, ...]
-    centralizer_of_image: tuple[int, ...]
+    __slots__ = ()
 
 
-class CrhVerdict(NamedTuple):
-    ok: bool
-    witness: CrhWitness | None = None
+class CrhVerdict(namedtuple("CrhVerdict", "ok witness", defaults=(None,))):
+    __slots__ = ()
     __bool__ = _verdict_ok
 
 
@@ -288,7 +286,9 @@ def is_centralizer_respecting(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> CrhV
     return h._crh_verdict
 
 
-class CentralKernelVerdict(NamedTuple):
+class CentralKernelVerdict(
+    namedtuple("CentralKernelVerdict", "ok witness_pair witness_commutator", defaults=(None, None))
+):
     """Outcome of the commutator criterion for a central-kernel surjection.
 
     ``ok`` means: kernel is central and contains no nontrivial commutator.
@@ -296,9 +296,7 @@ class CentralKernelVerdict(NamedTuple):
     the commutator value are recorded.
     """
 
-    ok: bool
-    witness_pair: tuple[int, int] | None = None
-    witness_commutator: int | None = None
+    __slots__ = ()
     __bool__ = _verdict_ok
 
 
@@ -328,16 +326,13 @@ def crh_central_kernel_criterion(h: GroupHom) -> CentralKernelVerdict:
     return CentralKernelVerdict(True)
 
 
-class _CrhRoutes(NamedTuple):
+class _CrhRoutes(namedtuple("_CrhRoutes", "definitional criterion reason agree")):
     """Every crh route run on one surjection, by :func:`_crh_routes`.
     ``criterion`` is None when the kernel is not central, and ``reason`` is
     then the :class:`KernelNotCentralError` text; ``agree`` is false exactly
     when both routes ran and their verdicts differ."""
 
-    definitional: CrhVerdict
-    criterion: CentralKernelVerdict | None
-    reason: str | None
-    agree: bool
+    __slots__ = ()
 
 
 def _crh_routes(h: GroupHom, cap: int = DEFAULT_ORDER_CAP) -> _CrhRoutes:

@@ -16,7 +16,7 @@ lower bound, into the least upper bound of X and Y.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (
     DEFAULT_ORDER_CAP,
@@ -138,13 +138,7 @@ def lattice_of(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> CentralizerL
 # maps between lattices
 
 
-class _LatticeMapFields(NamedTuple):
-    source: CentralizerLattice
-    target: CentralizerLattice
-    node_map: tuple[int, ...]
-
-
-class LatticeMap(_LatticeMapFields):
+class LatticeMap(namedtuple("LatticeMap", "source target node_map")):
     """A node map between two centralizer lattices: any iterable of one
     target node index per source node, stored as a tuple of ints, else
     :class:`DomainMismatchError`, on ``_replace`` too."""
@@ -233,7 +227,9 @@ def invert_lattice_map(m: LatticeMap) -> LatticeMap:
     return LatticeMap._trusted(m.target, m.source, tuple(inverse))
 
 
-class LatticeHomVerdict(NamedTuple):
+class LatticeHomVerdict(
+    namedtuple("LatticeHomVerdict", "ok law witness preserves_top preserves_bottom", defaults=(None, None, True, True))
+):
     """Whether a lattice map preserves the involution and every meet; it
     then preserves every join, C(C(s) meet C(t)), which is not checked.
 
@@ -243,11 +239,7 @@ class LatticeHomVerdict(NamedTuple):
     holds when the laws do.
     """
 
-    ok: bool
-    law: str | None = None
-    witness: tuple[int, ...] | None = None
-    preserves_top: bool = True
-    preserves_bottom: bool = True
+    __slots__ = ()
     __bool__ = _verdict_ok
 
 
@@ -335,9 +327,8 @@ def lattices_isomorphic(a: CentralizerLattice, b: CentralizerLattice) -> Lattice
 # functor laws
 
 
-class FunctorialityVerdict(NamedTuple):
-    ok: bool
-    failures: tuple[str, ...] = ()
+class FunctorialityVerdict(namedtuple("FunctorialityVerdict", "ok failures", defaults=((),))):
+    __slots__ = ()
     __bool__ = _verdict_ok
 
 

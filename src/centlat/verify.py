@@ -13,10 +13,11 @@ either one.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     FiniteGroup,
@@ -30,8 +31,6 @@ from .core import (
 from .errors import InternalInconsistencyError
 from .families import catalog, cover_group, make_family, semidirect_cyclic
 from .homs import (
-    CentralKernelVerdict,
-    CrhVerdict,
     GroupHom,
     _crh_routes,
     group_isomorphic,
@@ -73,16 +72,12 @@ def _central_subgroups(g: FiniteGroup) -> list[SubgroupSet]:
     return [sub for sub in all_subgroups(g) if sub.mask & ~zmask == 0]
 
 
-class ProjectionRecord(NamedTuple):
+class ProjectionRecord(namedtuple("ProjectionRecord", "group_name kernel projection definitional criterion")):
     """One quotient of a named group, with its crh verdicts; the group and
     its quotient are ``projection.source`` and ``.target``.  ``criterion``
     is None when the kernel is not central, as the criterion then does not apply."""
 
-    group_name: str
-    kernel: SubgroupSet
-    projection: GroupHom
-    definitional: CrhVerdict
-    criterion: CentralKernelVerdict | None
+    __slots__ = ()
 
 
 def _projections(name: str, group: FiniteGroup, kernels: Iterable[SubgroupSet]) -> Iterator[ProjectionRecord]:

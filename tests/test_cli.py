@@ -48,9 +48,10 @@ def test_runs_without_numpy(cli):
 
 
 def test_runs_without_dataclasses(cli):
-    # records are NamedTuples: importing the package loads neither dataclasses
-    # nor inspect, and with dataclasses blocked every kind of command prints
-    # what it prints normally
+    # records are collections.namedtuple classes: importing the package loads
+    # none of typing, dataclasses and inspect, and with dataclasses blocked
+    # every kind of command prints what it prints normally; the child runs
+    # under -S, as a site-packages .pth file may load typing at start-up
     commands = [
         ["lattice", "quaternion(8)"],
         ["check-crh", "quotient(semidirect(4,4,3),[x^2*y^2])"],  # crh
@@ -63,7 +64,7 @@ def test_runs_without_dataclasses(cli):
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import centlat, centlat.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))\n"
         "sys.modules['dataclasses'] = None\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    print(centlat.cli.main(argv))\n"
@@ -71,7 +72,7 @@ def test_runs_without_dataclasses(cli):
     src = str(Path(centlat.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(commands)],
+        [sys.executable, "-S", "-c", code, json.dumps(commands)],
         capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
     )
     expected = "".join(f"{p.stdout}{p.returncode}\n" for p in (cli(*argv) for argv in commands))

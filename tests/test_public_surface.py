@@ -87,3 +87,107 @@ def test_each_package_type_has_a_short_repr():
         "CentralizerLattice(group_order=8, nodes=5)",
         "LatticeMap(5 -> 5 nodes)",
     ]
+
+
+def _one_record_of_each_kind():
+    from centlat import expr, homs, verify
+
+    d8 = centlat.make_family("dihedral", 8)
+    z = centlat.center(d8)
+    _, proj = centlat.quotient(d8, z)
+    ident = centlat.identity_hom(d8)
+    lattice_map = centlat.induced_map(ident)
+    verdict = centlat.is_centralizer_respecting(proj)
+    q = centlat.parse_group_expr("quotient(product(cyclic(2), semidirect(4,4,3)), [x^2*y^-1])")
+    return [
+        verdict.witness,
+        verdict,
+        centlat.crh_central_kernel_criterion(proj),
+        homs._crh_routes(proj),
+        lattice_map,
+        centlat.is_lattice_hom(lattice_map),
+        centlat.verify_functoriality(ident, ident),
+        centlat.cover_group("dihedral_quaternion", 3),
+        centlat.catalog(4)[1],
+        q.inner.left,
+        q.inner,
+        q.inner.right,
+        q.words[0][1],
+        q,
+        centlat.parse_group_expr('table("g.json")'),
+        expr._lex("cyclic(4)")[0],
+        centlat.eval_group_expr(centlat.parse_group_expr("quotient(dihedral(8),[x^2])")),
+        next(verify._projections("dihedral(8)", d8, [z])),
+    ]
+
+
+_WITNESS = "CrhWitness(subgroup=(0, 4), image_of_centralizer=(0, 2), centralizer_of_image=(0, 1, 2, 3))"
+_CRH = f"CrhVerdict(ok=False, witness={_WITNESS})"
+_CRITERION = "CentralKernelVerdict(ok=False, witness_pair=(1, 4), witness_commutator=2)"
+_PRODUCT = "ProductExpr(left=FamilyExpr(kind='cyclic', param=2), right=SemidirectExpr(m=4, k=4, a=3))"
+_D8 = "FiniteGroup(order=8, generators=[x,y])"
+
+#: (module, name, fields, defaults, repr) of each record, as the package
+#: defined them with ``typing.NamedTuple``
+_RECORDS = [
+    ("homs", "CrhWitness", ("subgroup", "image_of_centralizer", "centralizer_of_image"), {}, _WITNESS),
+    ("homs", "CrhVerdict", ("ok", "witness"), {"witness": None}, _CRH),
+    (
+        "homs", "CentralKernelVerdict", ("ok", "witness_pair", "witness_commutator"),
+        {"witness_pair": None, "witness_commutator": None}, _CRITERION,
+    ),
+    (
+        "homs", "_CrhRoutes", ("definitional", "criterion", "reason", "agree"), {},
+        f"_CrhRoutes(definitional={_CRH}, criterion={_CRITERION}, reason=None, agree=True)",
+    ),
+    ("lattice", "LatticeMap", ("source", "target", "node_map"), {}, "LatticeMap(5 -> 5 nodes)"),
+    (
+        "lattice", "LatticeHomVerdict", ("ok", "law", "witness", "preserves_top", "preserves_bottom"),
+        {"law": None, "witness": None, "preserves_top": True, "preserves_bottom": True},
+        "LatticeHomVerdict(ok=True, law=None, witness=None, preserves_top=True, preserves_bottom=True)",
+    ),
+    ("lattice", "FunctorialityVerdict", ("ok", "failures"), {"failures": ()}, "FunctorialityVerdict(ok=True, failures=())"),
+    (
+        "families", "CoverGroup", ("kind", "n", "group", "z_first", "z_second"), {},
+        "CoverGroup(kind='dihedral_quaternion', n=3, group=FiniteGroup(order=16, generators=[x,y]), "
+        "z_first=SubgroupSet(order=2, members=[0, 8]), z_second=SubgroupSet(order=2, members=[0, 10]))",
+    ),
+    ("families", "CatalogEntry", ("name", "group"), {}, "CatalogEntry(name='cyclic(2)', group=FiniteGroup(order=2, generators=[x]))"),
+    ("expr", "FamilyExpr", ("kind", "param"), {}, "FamilyExpr(kind='cyclic', param=2)"),
+    ("expr", "ProductExpr", ("left", "right"), {}, _PRODUCT),
+    ("expr", "SemidirectExpr", ("m", "k", "a"), {}, "SemidirectExpr(m=4, k=4, a=3)"),
+    ("expr", "WordTerm", ("name", "exponent"), {"exponent": 1}, "WordTerm(name='y', exponent=-1)"),
+    (
+        "expr", "QuotientExpr", ("inner", "words"), {},
+        f"QuotientExpr(inner={_PRODUCT}, words=((WordTerm(name='x', exponent=2), WordTerm(name='y', exponent=-1)),))",
+    ),
+    ("expr", "TableExpr", ("path",), {}, "TableExpr(path='g.json')"),
+    ("expr", "_Token", ("kind", "value", "line", "col"), {}, "_Token(kind='ident', value='cyclic', line=1, col=0)"),
+    (
+        "expr", "EvalResult", ("group", "projection"), {"projection": None},
+        "EvalResult(group=FiniteGroup(order=4, generators=[x,y]), projection=GroupHom(8 -> 4))",
+    ),
+    (
+        "verify", "ProjectionRecord", ("group_name", "kernel", "projection", "definitional", "criterion"), {},
+        f"ProjectionRecord(group_name='dihedral(8)', kernel=SubgroupSet(order=2, members=[0, 2]), "
+        f"projection=GroupHom(8 -> 4), definitional={_CRH}, criterion={_CRITERION})",
+    ),
+]
+
+
+def test_every_record_keeps_its_fields_repr_and_pickle():
+    # one instance of each of the 18 record kinds: fields, defaults and repr
+    # as written down, a pickle round-trip to the same class and repr (a
+    # group compares by identity, so a record holding one cannot compare
+    # equal after it), and no instance __dict__
+    import pickle
+
+    got = _one_record_of_each_kind()
+    assert len(got) == len(_RECORDS) == 18
+    for record, (module, name, fields, defaults, text) in zip(got, _RECORDS):
+        cls = type(record)
+        assert (cls.__module__, cls.__name__) == (f"centlat.{module}", name)
+        assert (cls._fields, cls._field_defaults, repr(record)) == (fields, defaults, text)
+        back = pickle.loads(pickle.dumps(record))
+        assert (type(back), repr(back)) == (cls, text)
+        assert not hasattr(record, "__dict__"), name
