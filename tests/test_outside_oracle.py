@@ -29,8 +29,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "centlat"
 
 def _regular(group):
     """The left-regular permutation group of ``group``."""
-    gens = [Permutation(list(group.table[s])) for _, s in group.generator_names]
-    return PermutationGroup(gens or [Permutation(list(range(group.order)))])
+    return PermutationGroup([Permutation(list(group.table[s])) for _, s in group.generator_names])
 
 
 def _named(group, perms) -> list[int]:
